@@ -7,6 +7,8 @@ P1-iso-P2/P1), with validation scenarios and a CLI.
 
 from .core import (
     Bathymetry,
+    CFLViolationError,
+    DivergenceBoundError,
     DryDomainError,
     FlowState,
     Mesh1D,
@@ -63,6 +65,8 @@ __version__ = "0.1.0"
 __all__ = [
     "Bathymetry",
     "BoundarySpec",
+    "CFLViolationError",
+    "DivergenceBoundError",
     "DryDomainError",
     "ElementPair",
     "FlowState",

@@ -21,6 +21,14 @@ class TorrentialBoundaryError(ValueError):
     """Raised when a boundary closure is requested in a supercritical regime."""
 
 
+class CFLViolationError(ValueError):
+    """Raised when a time step exceeds the CFL bound of the state it advances."""
+
+
+class DivergenceBoundError(RuntimeError):
+    """Raised when a corrected velocity misses its divergence residual bound."""
+
+
 class SolverConvergenceError(RuntimeError):
     """Iterative pressure solve hit its iteration cap.
 

@@ -22,7 +22,11 @@ Velocity degrees of freedom are stacked U = (u_1..u_N, w_1..w_N).  Each
 pressure row only touches a contiguous window of velocity nodes, so the
 divergence is stored as per-row windows (dense M x K blocks with uniform
 window starts), which keeps per-step assembly and products O(N) in plain
-numpy.
+numpy.  The u-coefficients of the windows are linear in (H, dzeta), with
+dzeta the element increments of zeta, and the w-coefficients depend on the
+mesh alone.  The derivative of B along a depth direction T_H is therefore
+the u-part of B built from (T_H, diff(T_H)), which
+OperatorSet.apply_depth_derivative applies exactly.
 """
 
 from __future__ import annotations
@@ -213,6 +217,21 @@ class OperatorSet:
             out += self.Du[:, k] * up[sl] + self.Dw[:, k] * wp[sl]
         return out
 
+    def apply_depth_derivative(self, T_H: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """(dB/dH)[T_H] (u; w): the derivative of B along the depth direction T_H.
+
+        Du is linear in (H, dzeta) and Dw does not depend on H, so the
+        derivative is the u-part of B built from (T_H, diff(T_H)) applied
+        to u; it is exact and independent of w.
+        """
+        dDu = _u_windows(self.pair, self.mesh, T_H, np.diff(T_H))
+        up = self._padded(u)
+        m = self.n_pressure
+        out = np.zeros(m)
+        for k in range(self.window):
+            out += dDu[:, k] * up[self._offset_slice(k, m)]
+        return out
+
     def scatter_divergence_t(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """B^T p accumulated on the (u, w) blocks."""
         n = self.n_nodes
@@ -283,6 +302,57 @@ def _coarse_traces(mesh: Mesh1D):
     return left_frac, right_frac
 
 
+def _p1isop2_elements(mesh: Mesh1D):
+    """Fine elements under the coarse pressure hats, in accumulation order.
+
+    Each entry is (rows, e0, window offset of the element's left node,
+    pressure trace at its left node, pressure trace at its right node):
+    row j + 1 (left coarse element) or row j (right coarse element) takes
+    fine element e0 + 2 j, for j = 0 .. M - 2.
+    """
+    left_frac, right_frac = _coarse_traces(mesh)
+    rows_l, rows_r = slice(1, None), slice(None, -1)
+    return (
+        # left coarse element [2j-2, 2j] of row j: rises 0 -> left_frac -> 1
+        (rows_l, 0, 0, 0.0, left_frac),
+        (rows_l, 1, 1, left_frac, 1.0),
+        # right coarse element [2j, 2j+2] of row j: falls 1 -> right_frac -> 0
+        (rows_r, 0, 2, 1.0, right_frac),
+        (rows_r, 1, 3, right_frac, 0.0),
+    )
+
+
+def _u_windows(pair: ElementPair, mesh: Mesh1D, H: np.ndarray, dzeta: np.ndarray) -> np.ndarray:
+    """u-coefficients Du of the divergence windows, linear in (H, dzeta).
+
+    dzeta holds the per-element increments of zeta = H + 2 zb.  Exact
+    integrals over each fine element against the pressure trace on it.
+    """
+    if pair.tag == P1P0:
+        # row l covers element l = [x_l, x_{l+1}]; pressure basis is 1 there
+        return np.column_stack([-H[:-1] - 0.5 * dzeta, H[1:] - 0.5 * dzeta])
+    Du = np.zeros((pair.n_pressure, 5))
+    for rows, e0, off, pl, pr in _p1isop2_elements(mesh):
+        el = slice(e0, None, 2)
+        dz = dzeta[el]
+        Du[rows, off] += -H[:-1][el] * 0.5 * (pl + pr) - dz * (pl / 3.0 + pr / 6.0)
+        Du[rows, off + 1] += H[1:][el] * 0.5 * (pl + pr) - dz * (pl / 6.0 + pr / 3.0)
+    return Du
+
+
+def _w_windows(pair: ElementPair, mesh: Mesh1D) -> np.ndarray:
+    """w-coefficients Dw of the divergence windows (mesh only, no depth)."""
+    h = mesh.element_widths
+    if pair.tag == P1P0:
+        return np.column_stack([h, h])
+    Dw = np.zeros((pair.n_pressure, 5))
+    for rows, e0, off, pl, pr in _p1isop2_elements(mesh):
+        he = h[e0::2]
+        Dw[rows, off] += he * (2.0 * pl + pr) / 3.0
+        Dw[rows, off + 1] += he * (pl + 2.0 * pr) / 3.0
+    return Dw
+
+
 def assemble(pair: ElementPair, mesh: Mesh1D, H, zb, h_eps: float = 1e-8) -> OperatorSet:
     """Assemble the lumped mass, divergence windows and boundary data.
 
@@ -298,61 +368,24 @@ def assemble(pair: ElementPair, mesh: Mesh1D, H, zb, h_eps: float = 1e-8) -> Ope
         raise ValueError("H/zb size mismatch")
     if np.any(H < 0.0):
         raise ValueError("negative depth in assembly")
+    if pair.tag != P1P0 and n % 2 == 0:
+        raise ValueError("P1-iso-P2/P1 requires an odd number of nodes")
 
     zeta = H + 2.0 * zb
-    h = mesh.element_widths
     dzeta = np.diff(zeta)
-    chi = dzeta / h
-    a_node = lump_mass(H, mesh, h_eps)
-    m = pair.n_pressure
-
-    if pair.tag == P1P0:
-        # row l covers element l = [x_l, x_{l+1}]; pressure basis is 1 there
-        Du = np.column_stack([-H[:-1] - 0.5 * dzeta, H[1:] - 0.5 * dzeta])
-        Dw = np.column_stack([h, h])
-        starts_base, stride = 0, 1
-    else:
-        if n % 2 == 0:
-            raise ValueError("P1-iso-P2/P1 requires an odd number of nodes")
-        Du = np.zeros((m, 5))
-        Dw = np.zeros((m, 5))
-        left_frac, right_frac = _coarse_traces(mesh)
-
-        def add_element(rows, el, off, pl, pr):
-            """Exact integrals over fine element el against a linear pressure
-            trace (pl, pr); off is the left node's window offset."""
-            he = h[el]
-            dz = dzeta[el]
-            Du[rows, off] += -H[el] * 0.5 * (pl + pr) - dz * (pl / 3.0 + pr / 6.0)
-            Du[rows, off + 1] += H[el + 1] * 0.5 * (pl + pr) - dz * (pl / 6.0 + pr / 3.0)
-            Dw[rows, off] += he * (2.0 * pl + pr) / 3.0
-            Dw[rows, off + 1] += he * (pl + 2.0 * pr) / 3.0
-
-        j = np.arange(m)
-        has_left = j >= 1
-        has_right = j <= m - 2
-        jl = j[has_left]
-        jr = j[has_right]
-        # left coarse element [2j-2, 2j]: rises 0 -> left_frac -> 1
-        add_element(jl, 2 * jl - 2, 0, 0.0, left_frac[jl - 1])
-        add_element(jl, 2 * jl - 1, 1, left_frac[jl - 1], 1.0)
-        # right coarse element [2j, 2j+2]: falls 1 -> right_frac -> 0
-        add_element(jr, 2 * jr, 2, 1.0, right_frac[jr])
-        add_element(jr, 2 * jr + 1, 3, right_frac[jr], 0.0)
-        starts_base, stride = -2, 2
-
+    starts_base, stride = (0, 1) if pair.tag == P1P0 else (-2, 2)
     return OperatorSet(
         pair=pair,
         mesh=mesh,
         H=H,
         zb=zb,
         zeta=zeta,
-        chi=chi,
-        a_node=a_node,
+        chi=dzeta / mesh.element_widths,
+        a_node=lump_mass(H, mesh, h_eps),
         starts_base=starts_base,
         stride=stride,
-        Du=Du,
-        Dw=Dw,
+        Du=_u_windows(pair, mesh, H, dzeta),
+        Dw=_w_windows(pair, mesh),
         h_eps=h_eps,
     )
 

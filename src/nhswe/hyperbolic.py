@@ -27,6 +27,7 @@ import numpy as np
 
 from .core import (
     Bathymetry,
+    CFLViolationError,
     DryDomainError,
     FlowState,
     Mesh1D,
@@ -77,44 +78,50 @@ class GhostState(NamedTuple):
     w: float
 
 
-def _half_fluxes(H, u, g):
-    """Half-space moments (F+, F-) of the kinetic equilibrium.
-
-    Returns (Fp_H, Fp_Hu, Fm_H, Fm_Hu); F+ integrates xi > 0, F- xi < 0,
-    and F+ + F- equals the exact flux (Hu, Hu^2 + g H^2 / 2).
-    """
-    H = np.asarray(H, dtype=float)
-    u = np.asarray(u, dtype=float)
+def _equilibrium_support(H, g):
+    """Half-width s = sqrt(3) c of the equilibrium's support and its height k."""
     c = np.sqrt(0.5 * g * H)
-    s = _SQRT3 * c
-    a = u - s
-    b = u + s
     k = np.zeros_like(H)
     np.divide(H, 2.0 * _SQRT3 * c, out=k, where=c > 0.0)
+    return _SQRT3 * c, k
 
-    # generic subsonic expressions; the one-sided-support cases are patched below
-    fp_H = 0.5 * k * b * b
-    fp_Hu = fp_H * b * (2.0 / 3.0)
-    fm_H = -0.5 * k * a * a
-    fm_Hu = fm_H * a * (2.0 / 3.0)
 
-    sup_right = a >= 0.0   # whole support moves right
-    sup_left = b <= 0.0    # whole support moves left
+def _half_flux_plus(H, u, g):
+    """F+ = (F+_H, F+_Hu), the xi > 0 moments of the kinetic equilibrium.
+
+    F+ + F- equals the exact flux (Hu, Hu^2 + g H^2 / 2).
+    """
+    s, k = _equilibrium_support(H, g)
+    b = u + s
+    # generic subsonic expression; the one-sided-support cases are patched below
+    f_H = 0.5 * k * b * b
+    f_Hu = f_H * b * (2.0 / 3.0)
+    sup_right = u - s >= 0.0   # whole support moves right
     if sup_right.any():
-        full_H = H * u
-        full_Hu = H * u * u + 0.5 * g * H * H
-        fp_H = np.where(sup_right, full_H, fp_H)
-        fp_Hu = np.where(sup_right, full_Hu, fp_Hu)
-        fm_H = np.where(sup_right, 0.0, fm_H)
-        fm_Hu = np.where(sup_right, 0.0, fm_Hu)
+        f_H = np.where(sup_right, H * u, f_H)
+        f_Hu = np.where(sup_right, H * u * u + 0.5 * g * H * H, f_Hu)
+    sup_left = b <= 0.0        # whole support moves left
     if sup_left.any():
-        full_H = H * u
-        full_Hu = H * u * u + 0.5 * g * H * H
-        fm_H = np.where(sup_left, full_H, fm_H)
-        fm_Hu = np.where(sup_left, full_Hu, fm_Hu)
-        fp_H = np.where(sup_left, 0.0, fp_H)
-        fp_Hu = np.where(sup_left, 0.0, fp_Hu)
-    return fp_H, fp_Hu, fm_H, fm_Hu
+        f_H = np.where(sup_left, 0.0, f_H)
+        f_Hu = np.where(sup_left, 0.0, f_Hu)
+    return f_H, f_Hu
+
+
+def _half_flux_minus(H, u, g):
+    """F- = (F-_H, F-_Hu), the xi < 0 moments of the kinetic equilibrium."""
+    s, k = _equilibrium_support(H, g)
+    a = u - s
+    f_H = -0.5 * k * a * a
+    f_Hu = f_H * a * (2.0 / 3.0)
+    sup_right = a >= 0.0
+    if sup_right.any():
+        f_H = np.where(sup_right, 0.0, f_H)
+        f_Hu = np.where(sup_right, 0.0, f_Hu)
+    sup_left = u + s <= 0.0
+    if sup_left.any():
+        f_H = np.where(sup_left, H * u, f_H)
+        f_Hu = np.where(sup_left, H * u * u + 0.5 * g * H * H, f_Hu)
+    return f_H, f_Hu
 
 
 def kinetic_flux(xl, xr, g: float):
@@ -131,8 +138,8 @@ def kinetic_flux(xl, xr, g: float):
     uR = np.zeros_like(HR)
     np.divide(HuL, HL, out=uL, where=HL > 0.0)
     np.divide(HuR, HR, out=uR, where=HR > 0.0)
-    fp_H, fp_Hu, _, _ = _half_fluxes(HL, uL, g)
-    _, _, fm_H, fm_Hu = _half_fluxes(HR, uR, g)
+    fp_H, fp_Hu = _half_flux_plus(HL, uL, g)
+    fm_H, fm_Hu = _half_flux_minus(HR, uR, g)
     F_H = fp_H + fm_H
     F_Hu = fp_Hu + fm_Hu
     if F_H.ndim == 0:
@@ -157,13 +164,17 @@ def hydrostatic_reconstruct(Hi, Hj, zbi, zbj):
     return HL, HR
 
 
-def max_wave_speed(state: FlowState, params: PhysicalParams) -> float:
-    """max(|u| + sqrt(g H)) over wet nodes; DryDomainError if all dry."""
-    wet = state.H >= params.h_eps
+def _wave_speed(H: np.ndarray, u: np.ndarray, params: PhysicalParams) -> float:
+    wet = H >= params.h_eps
     if not np.any(wet):
         raise DryDomainError("no wet cell: no admissible wave speed")
+    return float(np.max(np.abs(u[wet]) + np.sqrt(params.g * H[wet])))
+
+
+def max_wave_speed(state: FlowState, params: PhysicalParams) -> float:
+    """max(|u| + sqrt(g H)) over wet nodes; DryDomainError if all dry."""
     u, _ = state.velocities(params.h_eps)
-    return float(np.max(np.abs(u[wet]) + np.sqrt(params.g * state.H[wet])))
+    return _wave_speed(state.H, u, params)
 
 
 def cfl_dt(state: FlowState, mesh: Mesh1D, params: PhysicalParams) -> float:
@@ -273,19 +284,21 @@ def predict(
 ) -> FlowState:
     """One explicit finite-volume step of the hydrostatic subsystem.
 
-    Returns the predicted state at t + dt.  Depth stays non-negative under
-    the CFL bound; a produced negative depth beyond round-off is an internal
+    Returns the predicted state at t + dt.  A dt beyond the state's CFL
+    bound raises CFLViolationError.  Depth stays non-negative under the CFL
+    bound; a produced negative depth beyond round-off is an internal
     invariant violation and raises.
     """
     n = mesh.n_nodes
     if state.n_nodes != n or bathy.zb.size != n:
         raise ValueError("state/mesh/bathymetry size mismatch")
-    admissible = float(np.min(mesh.element_widths)) / max_wave_speed(state, params)
-    assert dt <= admissible * (1.0 + 1e-9), (
-        f"CFL violation: dt = {dt:.3e} exceeds admissible {admissible:.3e}"
-    )
-
     u, w = state.velocities(params.h_eps)
+    admissible = float(np.min(mesh.element_widths)) / _wave_speed(state.H, u, params)
+    if not dt <= admissible * (1.0 + 1e-9):
+        raise CFLViolationError(
+            f"CFL violation: dt = {dt:.3e} exceeds admissible {admissible:.3e}"
+        )
+
     ghost_l = apply_hyperbolic_bc(state, bc_in, params.g)
     ghost_r = apply_hyperbolic_bc(state, bc_out, params.g)
 

@@ -126,7 +126,8 @@ class SchurSystem:
     rhs the eliminated right-hand side.  The operator set, the base velocity
     and the masked inverse mass are kept so the Uzawa method can iterate on
     the saddle form and so the correction stays consistent with the system
-    that produced the pressure.
+    that produced the pressure.  base_divergence is the B U* the rhs was
+    formed from, kept as the scale of the post-correction residual.
     """
 
     ab: np.ndarray
@@ -138,10 +139,16 @@ class SchurSystem:
     plan: _BCPlan
     invA_u: np.ndarray
     invA_w: np.ndarray
+    base_divergence: np.ndarray
 
     @property
     def n_pressure(self) -> int:
         return self.rhs.size
+
+    @property
+    def base_residual(self) -> float:
+        """divergence_residual of the uncorrected velocity U*."""
+        return _enforced_norm(self, self.base_divergence)
 
     @property
     def bandwidth(self) -> int:
@@ -155,6 +162,13 @@ class SchurSystem:
             y[:-d] += band * x[d:]
             y[d:] += band * x[:-d]
         return y
+
+    def corrected_velocity(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(u, w) = U* + dt A_H^-1 B^T p with this system's BC plan and masks."""
+        du, dw = self.ops.scatter_divergence_t(p)
+        u = self.plan.u_base + self.dt * self.invA_u * du
+        w = self.plan.w_base + self.dt * self.invA_w * dw
+        return u, w
 
     def dense(self) -> np.ndarray:
         m = self.n_pressure
@@ -214,7 +228,8 @@ def build_schur(
         else:
             ab[bw - d, d:] = acc
 
-    rhs = -(1.0 / dt) * ops.apply_divergence(plan.u_base, plan.w_base)
+    base_divergence = ops.apply_divergence(plan.u_base, plan.w_base)
+    rhs = -(1.0 / dt) * base_divergence
 
     # symmetric elimination of pinned dofs (Dirichlet data and dry supports)
     if np.any(plan.pinned):
@@ -245,14 +260,8 @@ def build_schur(
         plan=plan,
         invA_u=invA_u,
         invA_w=invA_w,
+        base_divergence=base_divergence,
     )
-
-
-def _corrected_velocity(sys: SchurSystem, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    du, dw = sys.ops.scatter_divergence_t(p)
-    u = sys.plan.u_base + sys.dt * sys.invA_u * du
-    w = sys.plan.w_base + sys.dt * sys.invA_w * dw
-    return u, w
 
 
 def _solve_direct(sys: SchurSystem) -> np.ndarray:
@@ -308,7 +317,7 @@ def _solve_uzawa(sys: SchurSystem) -> tuple[np.ndarray, int]:
     cap = 10 * m
     r0 = None
     for it in range(1, cap + 1):
-        u, w = _corrected_velocity(sys, p)
+        u, w = sys.corrected_velocity(p)
         r = -(1.0 / sys.dt) * sys.ops.apply_divergence(u, w)
         # pinned rows carry no equation; with P fixed there this equals the
         # residual of the eliminated system on the free rows
@@ -369,7 +378,9 @@ def correct_velocity(
     """Apply U = U* + dt A_H^-1 B^T P on the free dofs (U stacked (u, w)).
 
     Must be called with the same boundary conditions that built the Schur
-    system so the masked dofs match.
+    system so the masked dofs match.  When that system is at hand,
+    SchurSystem.corrected_velocity applies the same correction without
+    resolving the boundary conditions again.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -389,5 +400,8 @@ def divergence_residual(sys: SchurSystem, U: np.ndarray) -> float:
     """2-norm of B U over the enforced constraint rows (pinned rows carry no
     discrete equation and are excluded)."""
     n = sys.ops.n_nodes
-    div = sys.ops.apply_divergence(U[:n], U[n:])
+    return _enforced_norm(sys, sys.ops.apply_divergence(U[:n], U[n:]))
+
+
+def _enforced_norm(sys: SchurSystem, div: np.ndarray) -> float:
     return float(np.linalg.norm(np.where(sys.plan.pinned, 0.0, div)))

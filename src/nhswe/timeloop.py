@@ -3,25 +3,39 @@
 A first-order step advances the hydrostatic subsystem explicitly, then
 re-assembles the depth-dependent operators on the predicted depth and
 projects the velocity onto the discretely divergence-free space (the depth
-itself is untouched by the correction).  The second-order variant runs two
-such substeps with a shared dt and averages with the initial state,
+itself is untouched by the correction).  The second-order step takes two
+Euler stages of the constraint-consistent tendency at a shared dt, averages
+with the initial state,
 
-    X^{n+1} = (X^n + substep(substep(X^n))) / 2,
+    X^{n+1} = (X^n + stage(stage(X^n))) / 2,
 
-the Heun modification that keeps each substep exactly constraint-satisfying.
+and projects the average once.  Each stage costs one prediction, one
+assembly and one Schur solve: the depth derivative of the divergence in the
+stage rate is applied exactly from the current assembly.  Every projection
+resolves its boundary plan once, in build_schur, and corrects the velocity
+with that plan; both steppers raise DivergenceBoundError when the corrected
+velocity misses its divergence bound.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
-from .core import Bathymetry, FlowState, Mesh1D, PhysicalParams, total_energy, total_mass
+from .core import (
+    Bathymetry,
+    DivergenceBoundError,
+    FlowState,
+    Mesh1D,
+    PhysicalParams,
+    total_energy,
+    total_mass,
+)
 from .femops import ElementPair, OperatorSet, assemble
 from .hyperbolic import HyperbolicBC, cfl_dt, predict
-from .projection import (
+from .projection import (  # noqa: F401 (correct_velocity: perfbench/tracer.py rebinds it here)
     PressureBC,
     PressureField,
     build_schur,
@@ -42,7 +56,8 @@ class BoundarySpec:
     kind: imposed_flux -> homogeneous Dirichlet, imposed_depth -> mixed with
     beta = dH/dn, free_outflow -> Neumann keeping the predicted trace,
     wall -> Neumann with zero velocity.  Explicit PressureBC overrides are
-    honored as given.
+    honored as given, in every projection and in the stage rates of
+    step_heun.
     """
 
     left: HyperbolicSide
@@ -70,30 +85,39 @@ class BoundarySpec:
         )
 
 
-def _induced_pressure_bc(
-    hyp: HyperbolicBC,
-    side: str,
-    state_half: FlowState,
-    mesh: Mesh1D,
-    params: PhysicalParams,
-    u_half: np.ndarray | None = None,
-) -> PressureBC:
-    node = 0 if side == "in" else mesh.n_nodes - 1
+def _induced_pressure_bc(hyp: HyperbolicBC, side: str, H: np.ndarray, mesh: Mesh1D) -> PressureBC:
     if hyp.kind == "imposed_flux":
         return PressureBC(side, "dirichlet", p0=0.0)
     if hyp.kind == "wall":
         return PressureBC(side, "neumann", u_imposed=0.0)
-    if u_half is None:
-        u_half, _ = state_half.velocities(params.h_eps)
     if hyp.kind == "free_outflow":
-        return PressureBC(side, "neumann", u_imposed=float(u_half[node]))
+        return PressureBC(side, "neumann")
     # imposed depth: Robin coefficient from the one-sided outward depth slope
-    H = state_half.H
     if side == "in":
         beta = float((H[0] - H[1]) / mesh.element_widths[0])
     else:
         beta = float((H[-1] - H[-2]) / mesh.element_widths[-1])
-    return PressureBC(side, "mixed", beta=beta, u_imposed=float(u_half[node]))
+    return PressureBC(side, "mixed", beta=beta)
+
+
+def _pressure_bcs(
+    bounds: BoundarySpec, hyp: tuple[HyperbolicBC, HyperbolicBC], H: np.ndarray, mesh: Mesh1D
+) -> tuple[PressureBC, PressureBC]:
+    """(left, right) pressure conditions: the override of `bounds` on each
+    side, else the closure induced by that side's hyperbolic condition."""
+    return (
+        bounds.pressure_left or _induced_pressure_bc(hyp[0], "in", H, mesh),
+        bounds.pressure_right or _induced_pressure_bc(hyp[1], "out", H, mesh),
+    )
+
+
+def _rate_form(bc: PressureBC) -> PressureBC:
+    """The condition on the velocity's time derivative: a boundary velocity
+    held at a fixed value has rate 0; Dirichlet data and a kept trace
+    (u_imposed None) carry over unchanged."""
+    if bc.kind == "dirichlet" or bc.u_imposed is None:
+        return bc
+    return replace(bc, u_imposed=0.0)
 
 
 @dataclass
@@ -118,50 +142,44 @@ class StepResult:
     schur: "object" = None
 
 
-def _substep(
+def _project(
     state: FlowState,
     mesh: Mesh1D,
     bathy: Bathymetry,
     params: PhysicalParams,
     bounds: BoundarySpec,
     pair: ElementPair,
+    hyp: tuple[HyperbolicBC, HyperbolicBC],
     dt: float,
+    stage_iterations: int = 0,
 ) -> StepResult:
-    bc_l, bc_r = bounds.hyperbolic_at(state.t)
-    half = predict(state, mesh, bathy, params, bc_l, bc_r, dt)
+    """Correct the velocity of `state` onto B U = 0 at its own depth.
 
-    ops = assemble(pair, mesh, half.H, bathy.zb, params.h_eps)
-    u_half, w_half = half.velocities(params.h_eps)
-    U_half = np.concatenate([u_half, w_half])
-
-    pbc_l = bounds.pressure_left or _induced_pressure_bc(
-        bc_l, "in", half, mesh, params, u_half
-    )
-    pbc_r = bounds.pressure_right or _induced_pressure_bc(
-        bc_r, "out", half, mesh, params, u_half
-    )
-    pbcs = (pbc_l, pbc_r)
-
-    sys = build_schur(ops, U_half, dt, pbcs, method=params.method, tol=params.tol)
+    The corrected state shares state.H.  Raises DivergenceBoundError when
+    the corrected residual exceeds tol times the uncorrected one plus 1e-12.
+    """
+    ops = assemble(pair, mesh, state.H, bathy.zb, params.h_eps)
+    u, w = state.velocities(params.h_eps)
+    pbcs = _pressure_bcs(bounds, hyp, state.H, mesh)
+    sys = build_schur(ops, np.concatenate([u, w]), dt, pbcs, method=params.method, tol=params.tol)
     pressure = solve_pressure(sys)
-    U_new = correct_velocity(U_half, pressure.values, ops, dt, pbcs)
+    U = np.concatenate(sys.corrected_velocity(pressure.values))
 
-    residual = divergence_residual(sys, U_new)
-    base_norm = divergence_residual(sys, np.concatenate([sys.plan.u_base, sys.plan.w_base]))
-    bound = params.tol * base_norm + 1e-12
+    residual = divergence_residual(sys, U)
+    bound = params.tol * sys.base_residual + 1e-12
     if residual > bound:
-        raise RuntimeError(
+        raise DivergenceBoundError(
             f"divergence bound violated after correction: {residual:.3e} > {bound:.3e}"
         )
 
     n = mesh.n_nodes
-    new = FlowState(half.H, half.H * U_new[:n], half.H * U_new[n:], half.t)
+    new = FlowState(state.H, state.H * U[:n], state.H * U[n:], state.t)
     report = StepReport(
         t=new.t,
         dt=dt,
         div_residual=residual,
         div_bound=bound,
-        solver_iterations=pressure.iterations,
+        solver_iterations=stage_iterations + pressure.iterations,
         mass=total_mass(new, mesh),
         energy=total_energy(new, mesh, bathy, params.g),
     )
@@ -182,22 +200,13 @@ def project_state(
     constraint only up to discretization error, and removing that component
     up front avoids an impulsive correction on the first step.  The
     projection is time-step independent (the dt factors cancel), so a unit
-    dt is used internally.
+    dt is used internally.  Like the steppers, it raises
+    DivergenceBoundError when the projected velocity misses its bound.
     """
     pair = pair or ElementPair.p1p0(mesh.n_nodes)
-    ops = assemble(pair, mesh, state.H, bathy.zb, params.h_eps)
-    u, w = state.velocities(params.h_eps)
-    U = np.concatenate([u, w])
-    bc_l, bc_r = bounds.hyperbolic_at(state.t)
-    pbcs = (
-        bounds.pressure_left or _induced_pressure_bc(bc_l, "in", state, mesh, params),
-        bounds.pressure_right or _induced_pressure_bc(bc_r, "out", state, mesh, params),
-    )
-    sys = build_schur(ops, U, 1.0, pbcs, method=params.method, tol=params.tol)
-    pressure = solve_pressure(sys)
-    U_new = correct_velocity(U, pressure.values, ops, 1.0, pbcs)
-    n = mesh.n_nodes
-    return FlowState(state.H.copy(), state.H * U_new[:n], state.H * U_new[n:], state.t)
+    hyp = bounds.hyperbolic_at(state.t)
+    new = _project(state, mesh, bathy, params, bounds, pair, hyp, 1.0).state
+    return FlowState(state.H.copy(), new.Hu, new.Hw, new.t)
 
 
 def step_euler(
@@ -213,14 +222,17 @@ def step_euler(
     pair = pair or ElementPair.p1p0(mesh.n_nodes)
     dt_cfl = cfl_dt(state, mesh, params)
     dt = dt_cfl if dt is None else min(dt, dt_cfl)
-    return _substep(state, mesh, bathy, params, bounds, pair, dt)
+    hyp = bounds.hyperbolic_at(state.t)
+    half = predict(state, mesh, bathy, params, *hyp, dt)
+    return _project(half, mesh, bathy, params, bounds, pair, hyp, dt)
 
 
 def heun_step(y, dt: float, substep: Callable):
     """Generic modified-Heun combination (y + substep(substep(y))) / 2.
 
-    substep(y, dt) must return the advanced value; used with the projected
-    Euler substep in step_heun and with plain ODE right-hand sides in tests.
+    substep(y, dt) must return the advanced value; the scalar surrogate of
+    step_heun's combination, used with plain ODE right-hand sides by verify
+    and the tests.
     """
     y1 = substep(y, dt)
     y2 = substep(y1, dt)
@@ -244,13 +256,15 @@ def _stage_rate(
 
         S p = -(B du/dt + (dB/dH)[dH/dt] u),
 
-    where the depth derivative of the divergence assembly is exact because
-    the coefficients are affine in H.  The result is a smooth function of
-    the state alone, so classical Runge-Kutta theory applies to it.
+    where (dB/dH)[T_H] u is applied exactly from the assembly at the
+    current depth (OperatorSet.apply_depth_derivative: the u-coefficients
+    of B are linear in (H, dzeta)).  The boundary conditions are the step's
+    pressure conditions in rate form (_rate_form).  The result is a smooth
+    function of the state alone, so classical Runge-Kutta theory applies
+    to it.
     """
-    n = mesh.n_nodes
-    bc_l, bc_r = bounds.hyperbolic_at(state.t)
-    pred = predict(state, mesh, bathy, params, bc_l, bc_r, dt_probe)
+    hyp = bounds.hyperbolic_at(state.t)
+    pred = predict(state, mesh, bathy, params, *hyp, dt_probe)
     T_H = (pred.H - state.H) / dt_probe
     T_Hu = (pred.Hu - state.Hu) / dt_probe
     T_Hw = (pred.Hw - state.Hw) / dt_probe
@@ -263,31 +277,15 @@ def _stage_rate(
     U_rate = np.concatenate([du, dw])
 
     ops = assemble(pair, mesh, state.H, bathy.zb, params.h_eps)
-    # directional derivative of the divergence in the depth direction T_H,
-    # by differencing two assemblies (the coefficients are affine in H)
-    shift = float(np.abs(T_H).max()) + 1.0
-    ops_hi = assemble(pair, mesh, shift + T_H, bathy.zb, params.h_eps)
-    ops_c = assemble(pair, mesh, np.full(n, shift), bathy.zb, params.h_eps)
-    dD_u = ops_hi.apply_divergence(u, w) - ops_c.apply_divergence(u, w)
-
-    pbcs = []
-    for side, bc in (("in", bc_l), ("out", bc_r)):
-        induced = _induced_pressure_bc(bc, side, state, mesh, params, u)
-        if induced.kind == "dirichlet":
-            pbcs.append(induced)
-        else:
-            # rate form: walls keep a zero boundary rate, the other kinds
-            # leave the hyperbolic tendency uncorrected at the boundary
-            rate = 0.0 if bc.kind == "wall" else None
-            pbcs.append(PressureBC(side, induced.kind, beta=induced.beta, u_imposed=rate))
-    pbcs = tuple(pbcs)
+    dD_u = ops.apply_depth_derivative(T_H, u)
+    pbcs = tuple(_rate_form(bc) for bc in _pressure_bcs(bounds, hyp, state.H, mesh))
 
     sys = build_schur(ops, U_rate, 1.0, pbcs, method=params.method, tol=params.tol)
     sys.rhs[:] = sys.rhs - np.where(sys.plan.pinned, 0.0, dD_u)
     p_rate = solve_pressure(sys)
-    U_corr = correct_velocity(U_rate, p_rate.values, ops, 1.0, pbcs)
-    mom_u = state.H * U_corr[:n] + u * T_H
-    mom_w = state.H * U_corr[n:] + w * T_H
+    du_corr, dw_corr = sys.corrected_velocity(p_rate.values)
+    mom_u = state.H * du_corr + u * T_H
+    mom_w = state.H * dw_corr + w * T_H
     return T_H, mom_u, mom_w, p_rate.iterations
 
 
@@ -334,34 +332,8 @@ def step_heun(
     )
 
     # restore div_sw u = 0 on the averaged state (operators at its own depth)
-    ops = assemble(pair, mesh, avg.H, bathy.zb, params.h_eps)
-    u_avg, w_avg = avg.velocities(params.h_eps)
-    U_avg = np.concatenate([u_avg, w_avg])
-    bc_l, bc_r = bounds.hyperbolic_at(avg.t)
-    pbcs = (
-        bounds.pressure_left or _induced_pressure_bc(bc_l, "in", avg, mesh, params, u_avg),
-        bounds.pressure_right or _induced_pressure_bc(bc_r, "out", avg, mesh, params, u_avg),
-    )
-    sys = build_schur(ops, U_avg, dt, pbcs, method=params.method, tol=params.tol)
-    pressure = solve_pressure(sys)
-    U_new = correct_velocity(U_avg, pressure.values, ops, dt, pbcs)
-    residual = divergence_residual(sys, U_new)
-    base_norm = divergence_residual(
-        sys, np.concatenate([sys.plan.u_base, sys.plan.w_base])
-    )
-    bound = params.tol * base_norm + 1e-12
-    new = FlowState(avg.H, avg.H * U_new[: mesh.n_nodes], avg.H * U_new[mesh.n_nodes :], avg.t)
-
-    report = StepReport(
-        t=new.t,
-        dt=dt,
-        div_residual=residual,
-        div_bound=bound,
-        solver_iterations=iters + pressure.iterations,
-        mass=total_mass(new, mesh),
-        energy=total_energy(new, mesh, bathy, params.g),
-    )
-    return StepResult(new, report, pressure, ops, sys)
+    hyp = bounds.hyperbolic_at(avg.t)
+    return _project(avg, mesh, bathy, params, bounds, pair, hyp, dt, iters)
 
 
 @dataclass

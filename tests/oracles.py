@@ -4,7 +4,9 @@ Everything here is deliberately written on a different code path from the
 package: quadrature assembly loops over basis functions evaluated
 pointwise, the staggered stencil oracle codes the finite-difference
 formulas literally, the Rusanov step and the bisection Riemann solver are
-self-contained.
+self-contained.  The depth derivative of the divergence is taken here by
+differencing two package assemblies, against the package's exact
+derivative that builds no second assembly.
 """
 
 import numpy as np
@@ -274,3 +276,18 @@ def random_wet_setup(rng, n_min=5, n_max=13, odd=False):
     H = 0.2 + 2.0 * rng.random(n)
     zb = rng.standard_normal(n) * 0.3
     return mesh, H, zb
+
+
+def depth_derivative_by_differencing(pair, mesh, zb, T_H, u, w, h_eps=1e-8):
+    """(dB/dH)[T_H] (u; w) as B(s + T_H) U - B(s) U at a uniform depth s.
+
+    The divergence coefficients are affine in H, so the difference of two
+    assemblies is the directional derivative; the shift s keeps both
+    depths non-negative.
+    """
+    from nhswe import assemble
+
+    shift = float(np.abs(T_H).max()) + 1.0
+    hi = assemble(pair, mesh, shift + T_H, zb, h_eps)
+    lo = assemble(pair, mesh, np.full(mesh.n_nodes, shift), zb, h_eps)
+    return hi.apply_divergence(u, w) - lo.apply_divergence(u, w)

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import nhswe as nh
 from nhswe.femops import P1ISOP2P1, P1P0, div_sw_pointwise, grad_sw_pointwise
 
 from oracles import (
+    depth_derivative_by_differencing,
     gauss_divergence,
     gauss_gradient,
     gauss_lumped_mass,
@@ -269,3 +273,33 @@ def test_windowed_apply_matches_dense():
         du, dw = ops.scatter_divergence_t(p)
         ref = B.T @ p
         assert np.allclose(np.r_[du, dw], ref, atol=1e-13)
+
+
+# -- depth derivative of the divergence ---------------------------------------
+
+
+@st.composite
+def _depth_derivative_case(draw, tag):
+    n = draw(st.integers(5, 15))
+    if tag == P1ISOP2P1 and n % 2 == 0:
+        n += 1
+
+    def field(lo, hi):
+        return draw(arrays(float, n, elements=st.floats(lo, hi, allow_subnormal=False)))
+
+    mesh = nh.Mesh1D(np.cumsum(field(0.1, 2.0)))
+    return mesh, field(0.0, 3.0), field(-1.0, 1.0), field(-5.0, 5.0), field(-3.0, 3.0)
+
+
+@pytest.mark.parametrize("tag", PAIRS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_depth_derivative_matches_differenced_assemblies(tag, data):
+    mesh, H, zb, T_H, u = data.draw(_depth_derivative_case(tag))
+    pair = _pair(tag, mesh.n_nodes)
+    w = np.linspace(-1.0, 1.0, mesh.n_nodes)
+    got = nh.assemble(pair, mesh, H, zb).apply_depth_derivative(T_H, u)
+    ref = depth_derivative_by_differencing(pair, mesh, zb, T_H, u, w)
+    # the difference cancels coefficients of size |shift + T_H| + |d zeta|
+    scale = (2.0 * np.abs(T_H).max() + 1.0 + 4.0 * np.abs(zb).max()) * (np.abs(u).max() + 1.0)
+    assert np.allclose(got, ref, rtol=0.0, atol=64 * np.finfo(float).eps * scale)

@@ -262,5 +262,5 @@ def test_predict_cfl_assertion():
     bathy = nh.Bathymetry.flat(mesh)
     state = nh.FlowState(np.ones(11), np.zeros(11), np.zeros(11))
     params = nh.PhysicalParams()
-    with pytest.raises(AssertionError):
+    with pytest.raises(nh.CFLViolationError):
         nh.predict(state, mesh, bathy, params, *_walls(), dt=1.0)

@@ -1,8 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import nhswe as nh
+from nhswe import projection, timeloop
 from nhswe.timeloop import heun_step
+
+from oracles import depth_derivative_by_differencing
 
 
 def _lake(n=41, L=10.0):
@@ -162,3 +167,128 @@ def test_heun_shares_dt_across_substeps():
     params = nh.PhysicalParams()
     res = nh.step_heun(sc.state0, sc.mesh, sc.bathy, params, sc.bounds)
     assert res.state.t == pytest.approx(res.report.dt)
+
+
+# -- divergence bound ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("stepper", [nh.step_euler, nh.step_heun])
+def test_divergence_bound_violation_raises(stepper, monkeypatch):
+    mesh, bathy, state = _lake()
+    state = nh.FlowState(state.H, state.Hu, 0.3 * state.H)
+
+    def no_pressure(sys):
+        return nh.PressureField(np.zeros(sys.n_pressure), sys.ops.pair.tag)
+
+    monkeypatch.setattr(timeloop, "solve_pressure", no_pressure)
+    with pytest.raises(nh.DivergenceBoundError):
+        stepper(state, mesh, bathy, nh.PhysicalParams(), nh.BoundarySpec.walls())
+
+
+# -- work per step ------------------------------------------------------------
+
+# Calls per step: one assembly, one Schur system and one BC plan per
+# projection (Euler: the correction; Heun: two stage rates and the final
+# correction).  Velocities: cfl_dt, predict and the projected state, plus the
+# stage state for each Heun stage rate.  Divergences: the rhs of each Schur
+# system and the corrected residual.
+WORK_PER_STEP = {
+    "euler": {"assemble": 1, "build_schur": 1, "resolve_projection_bcs": 1,
+              "velocities": 3, "apply_divergence": 2},
+    "heun": {"assemble": 3, "build_schur": 3, "resolve_projection_bcs": 3,
+             "velocities": 6, "apply_divergence": 4},
+}
+
+
+@pytest.mark.parametrize("integrator", sorted(WORK_PER_STEP))
+def test_work_per_step(integrator, monkeypatch):
+    sc = nh.make_beach(n_nodes=300)
+    calls = dict.fromkeys(WORK_PER_STEP[integrator], 0)
+
+    def count(owner, name):
+        fn = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(timeloop, "assemble")
+    count(timeloop, "build_schur")
+    count(projection, "resolve_projection_bcs")
+    count(nh.FlowState, "velocities")
+    count(nh.OperatorSet, "apply_divergence")
+    stepper = nh.step_euler if integrator == "euler" else nh.step_heun
+    params = nh.PhysicalParams(h_eps=sc.h_eps)
+    steps = 3
+    state = sc.state0
+    for _ in range(steps):
+        state = stepper(state, sc.mesh, sc.bathy, params, sc.bounds).state
+    assert {k: v / steps for k, v in calls.items()} == WORK_PER_STEP[integrator]
+
+
+# -- pressure boundary overrides ----------------------------------------------
+
+
+@pytest.mark.parametrize("stepper", [nh.step_euler, nh.step_heun])
+@pytest.mark.parametrize(
+    "bounds, left, right",
+    [
+        (nh.BoundarySpec.walls(), nh.PressureBC("in", "neumann", u_imposed=0.0),
+         nh.PressureBC("out", "neumann", u_imposed=0.0)),
+        (nh.BoundarySpec.open(), nh.PressureBC("in", "neumann"),
+         nh.PressureBC("out", "neumann")),
+    ],
+)
+def test_override_equal_to_induced_is_bit_identical(stepper, bounds, left, right):
+    sc = nh.make_solitary(201)
+    params = nh.PhysicalParams()
+    overridden = dataclasses.replace(bounds, pressure_left=left, pressure_right=right)
+    a = stepper(sc.state0, sc.mesh, sc.bathy, params, bounds).state
+    b = stepper(sc.state0, sc.mesh, sc.bathy, params, overridden).state
+    for x, y in ((a.H, b.H), (a.Hu, b.Hu), (a.Hw, b.Hw)):
+        assert np.array_equal(x, y)
+
+
+def _rate(bounds):
+    sc = nh.make_solitary(201)
+    params = nh.PhysicalParams()
+    pair = nh.ElementPair.p1p0(sc.mesh.n_nodes)
+    dt = nh.cfl_dt(sc.state0, sc.mesh, params)
+    return sc, timeloop._stage_rate(sc.state0, sc.mesh, sc.bathy, params, bounds, pair, dt)
+
+
+def test_stage_rate_honours_a_differing_override():
+    walls = nh.BoundarySpec.walls()
+    _, (_, mom_u, mom_w, _) = _rate(walls)
+    dirichlet = dataclasses.replace(walls, pressure_left=nh.PressureBC("in", "dirichlet"))
+    _, (_, mom_u_d, mom_w_d, _) = _rate(dirichlet)
+    assert not np.allclose(mom_u, mom_u_d, rtol=0.0, atol=1e-9)
+    assert not np.allclose(mom_w, mom_w_d, rtol=0.0, atol=1e-9)
+
+
+def test_stage_rate_holds_an_imposed_boundary_velocity():
+    held = dataclasses.replace(
+        nh.BoundarySpec.open(), pressure_right=nh.PressureBC("out", "neumann", u_imposed=0.25)
+    )
+    sc, (T_H, mom_u, _, _) = _rate(held)
+    u, _ = sc.state0.velocities(nh.PhysicalParams().h_eps)
+    # the held velocity has rate 0, so only the depth change moves H u there
+    assert mom_u[-1] == u[-1] * T_H[-1]
+    _, (_, mom_u_kept, _, _) = _rate(nh.BoundarySpec.open())
+    assert mom_u_kept[-1] != mom_u[-1]
+
+
+def test_stage_rate_keeps_the_divergence_constant():
+    # d/dt (B(H) u) = B du/dt + (dB/dH)[dH/dt] u vanishes on the stage rate
+    sc, (T_H, mom_u, mom_w, _) = _rate(nh.BoundarySpec.walls())
+    state = sc.state0
+    pair = nh.ElementPair.p1p0(sc.mesh.n_nodes)
+    u, w = state.velocities(nh.PhysicalParams().h_eps)
+    du = (mom_u - u * T_H) / state.H
+    dw = (mom_w - w * T_H) / state.H
+    B_rate = nh.assemble(pair, sc.mesh, state.H, sc.bathy.zb).apply_divergence(du, dw)
+    dB_u = depth_derivative_by_differencing(pair, sc.mesh, sc.bathy.zb, T_H, u, w)
+    assert np.abs(dB_u).max() > 1e-6
+    assert np.abs(B_rate + dB_u).max() <= 1e-9 * np.abs(dB_u).max()
