@@ -2,7 +2,7 @@
 
 Kinetic finite-volume prediction of the hydrostatic subsystem followed by a
 variational pressure correction on mixed finite elements (P1/P0 or
-P1-iso-P2/P1), with validation scenarios and a CLI.
+P1-iso-P2/P1), with validation scenarios.
 """
 
 from .core import (
@@ -21,7 +21,6 @@ from .core import (
 from .femops import ElementPair, OperatorSet, assemble, lump_mass
 from .hyperbolic import (
     HyperbolicBC,
-    InterfaceFlux,
     apply_hyperbolic_bc,
     cfl_dt,
     hydrostatic_reconstruct,
@@ -47,7 +46,6 @@ from .scenarios import (
     make_dam_break,
     make_dingemans,
     make_solitary,
-    record_gauges,
     solitary_wave,
 )
 from .timeloop import (
@@ -73,7 +71,6 @@ __all__ = [
     "GaugeRecord",
     "GaugeSet",
     "HyperbolicBC",
-    "InterfaceFlux",
     "Mesh1D",
     "OperatorSet",
     "PhysicalParams",
@@ -102,7 +99,6 @@ __all__ = [
     "make_dingemans",
     "make_solitary",
     "predict",
-    "record_gauges",
     "run",
     "solitary_wave",
     "solve_pressure",

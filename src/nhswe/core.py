@@ -30,7 +30,7 @@ class DivergenceBoundError(RuntimeError):
 
 
 class SolverConvergenceError(RuntimeError):
-    """Iterative pressure solve hit its iteration cap.
+    """An iterative reference pressure solve (verify) hit its iteration cap.
 
     Attributes:
         residual: relative residual reached when the cap was hit.
@@ -93,16 +93,6 @@ class Mesh1D:
     def length(self) -> float:
         return float(self.nodes[-1] - self.nodes[0])
 
-    def coarse_node_indices(self) -> np.ndarray:
-        """Node indices of the coarse mesh obtained by merging element pairs.
-
-        Requires an odd node count; the coarse nodes are every other fine
-        node, boundaries included.
-        """
-        if self.n_nodes % 2 == 0:
-            raise ValueError("coarse pairing requires an odd number of nodes")
-        return np.arange(0, self.n_nodes, 2)
-
 
 @dataclass
 class FlowState:
@@ -139,52 +129,38 @@ class FlowState:
 
 @dataclass
 class Bathymetry:
-    """Nodal bottom elevation with per-element slopes.
-
-    Slopes are exactly the element finite differences of the nodal values;
-    normal data at the surface/bottom are the slope pairs (-slope, 1).
-    """
+    """Nodal bottom elevation zb."""
 
     zb: np.ndarray
-    slopes: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.zb = _as_float_array(self.zb, "zb")
 
-    def attach(self, mesh: Mesh1D) -> "Bathymetry":
-        if self.zb.size != mesh.n_nodes:
-            raise ValueError("bathymetry/mesh size mismatch")
-        self.slopes = np.diff(self.zb) / mesh.element_widths
-        return self
-
     @classmethod
     def flat(cls, mesh: Mesh1D, z0: float = 0.0) -> "Bathymetry":
-        return cls(np.full(mesh.n_nodes, z0)).attach(mesh)
+        return cls(np.full(mesh.n_nodes, z0))
 
     @classmethod
     def from_nodal(cls, mesh: Mesh1D, zb) -> "Bathymetry":
-        return cls(zb).attach(mesh)
-
-    def bottom_normals(self) -> np.ndarray:
-        """Per-element (non-unit) bottom normal as (-dzb/dx, 1) pairs."""
-        return np.column_stack([-self.slopes, np.ones_like(self.slopes)])
-
-    def surface_normals(self, H: np.ndarray, mesh: Mesh1D) -> np.ndarray:
-        """Per-element (non-unit) free-surface normal (-d(H+zb)/dx, 1)."""
-        eta = np.asarray(H, dtype=float) + self.zb
-        deta = np.diff(eta) / mesh.element_widths
-        return np.column_stack([-deta, np.ones_like(deta)])
+        bathy = cls(zb)
+        if bathy.zb.size != mesh.n_nodes:
+            raise ValueError("bathymetry/mesh size mismatch")
+        return bathy
 
 
 @dataclass
 class PhysicalParams:
-    """Gravity, CFL number, dry threshold and pressure-solver settings."""
+    """Gravity, CFL number, dry threshold and divergence tolerance.
+
+    tol scales the bound the corrected velocity must meet: the divergence
+    residual after a projection may not exceed tol times the residual of
+    the predicted velocity (plus 1e-12).
+    """
 
     g: float = 9.81
     cfl: float = 0.5
     h_eps: float = 1e-8
     tol: float = 1e-10
-    method: str = "direct"
 
     def __post_init__(self):
         if self.g <= 0.0:
@@ -195,8 +171,6 @@ class PhysicalParams:
             raise ValueError("h_eps must be positive")
         if self.tol <= 0.0:
             raise ValueError("tol must be positive")
-        if self.method not in ("direct", "cg", "uzawa"):
-            raise ValueError(f"unknown solver method {self.method!r}")
 
 
 def _check_sizes(state: FlowState, mesh: Mesh1D):

@@ -72,16 +72,6 @@ class ElementPair:
         raise ValueError(f"unknown element pair {tag!r}")
 
 
-def grad_sw_pointwise(f, dfdx, H, dzetadx):
-    """Pointwise shallow-water gradient (H df/dx + f dzeta/dx, -2 f)."""
-    return (H * dfdx + f * dzetadx, -2.0 * f)
-
-
-def div_sw_pointwise(v1, v2, dv1dx, H, dHdx, dzetadx):
-    """Pointwise shallow-water divergence d(H v1)/dx - v1 dzeta/dx + 2 v2."""
-    return H * dv1dx + v1 * dHdx - v1 * dzetadx + 2.0 * v2
-
-
 def lump_mass(H, mesh: Mesh1D, h_eps: float = 1e-8) -> np.ndarray:
     """Row-sum lumped depth-weighted mass, a_i = integral(H_h phi_i).
 
@@ -118,8 +108,6 @@ class OperatorSet:
     mesh: Mesh1D
     H: np.ndarray
     zb: np.ndarray
-    zeta: np.ndarray
-    chi: np.ndarray
     a_node: np.ndarray
     starts_base: int
     stride: int
@@ -151,11 +139,6 @@ class OperatorSet:
         return 1 if self.pair.tag == P1P0 else 2
 
     @property
-    def A_H(self) -> np.ndarray:
-        """Diagonal of the lumped velocity mass, size 2N (u block then w block)."""
-        return np.concatenate([self.a_node, self.a_node])
-
-    @property
     def boundary_entries(self) -> tuple[tuple[int, int, float], tuple[int, int, float]]:
         """C as (row, col, value) triplets in (2N, M) indexing."""
         n = self.n_nodes
@@ -163,13 +146,6 @@ class OperatorSet:
             (0, 0, -float(self.H[0])),
             (n - 1, self.n_pressure - 1, float(self.H[-1])),
         )
-
-    def pressure_positions(self) -> np.ndarray:
-        """Coordinates of the pressure dofs (element midpoints or coarse nodes)."""
-        x = self.mesh.nodes
-        if self.pair.tag == P1P0:
-            return 0.5 * (x[:-1] + x[1:])
-        return x[self.mesh.coarse_node_indices()]
 
     # -- wet/dry masks ------------------------------------------------------
 
@@ -371,16 +347,13 @@ def assemble(pair: ElementPair, mesh: Mesh1D, H, zb, h_eps: float = 1e-8) -> Ope
     if pair.tag != P1P0 and n % 2 == 0:
         raise ValueError("P1-iso-P2/P1 requires an odd number of nodes")
 
-    zeta = H + 2.0 * zb
-    dzeta = np.diff(zeta)
+    dzeta = np.diff(H + 2.0 * zb)
     starts_base, stride = (0, 1) if pair.tag == P1P0 else (-2, 2)
     return OperatorSet(
         pair=pair,
         mesh=mesh,
         H=H,
         zb=zb,
-        zeta=zeta,
-        chi=dzeta / mesh.element_widths,
         a_node=lump_mass(H, mesh, h_eps),
         starts_base=starts_base,
         stride=stride,

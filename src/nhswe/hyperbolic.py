@@ -39,15 +39,6 @@ _SQRT3 = np.sqrt(3.0)
 
 
 @dataclass(frozen=True)
-class InterfaceFlux:
-    """Numerical flux components at one interface."""
-
-    F_H: float
-    F_Hu: float
-    F_Hw: float
-
-
-@dataclass(frozen=True)
 class HyperbolicBC:
     """Boundary condition for the hydrostatic step.
 

@@ -20,13 +20,12 @@ Boundary handling:
   * dirichlet: the boundary pressure dof is pinned to p0 (row/column
     eliminated symmetrically, which keeps the matrix SPD); the boundary
     velocity is corrected like any interior dof.
-  * neumann / mixed: the boundary horizontal velocity is held at an imposed
-    value (the predicted trace by default), its column is masked out of the
-    Schur operator and the (1/dt)(u* - u_imposed) mismatch moves to the
-    right-hand side.  The mixed variant records the Robin coefficient
-    beta = dH/dn; the depth-dependent boundary coefficients of B and C
-    already carry that information, so the algebra coincides with the
-    Neumann path.
+  * neumann: the boundary horizontal velocity is held at an imposed value
+    (the predicted trace by default), its column is masked out of the Schur
+    operator and the (1/dt)(u* - u_imposed) mismatch moves to the
+    right-hand side.  An imposed depth closes as Neumann keeping the trace:
+    its Robin coefficient dH/dn needs no kind of its own, because the
+    depth-dependent boundary entries of B and C already carry it.
 
 Velocity dofs on dry nodes (H < h_eps) are excluded from the correction and
 pressure dofs with an entirely dry support are pinned to zero.
@@ -34,25 +33,19 @@ pressure dofs with an entirely dry support are pinned to zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .core import SolverConvergenceError
 from .femops import OperatorSet
-
-# iterative solves stop below this fraction of the nominal tolerance so the
-# three methods agree well inside 10*tol
-_STOP_SAFETY = 0.05
 
 
 @dataclass(frozen=True)
 class PressureBC:
     """Pressure boundary condition induced by the hyperbolic closure.
 
-    kind: "dirichlet" (carries p0), "neumann", or "mixed" (carries the Robin
-    coefficient beta = dH/dn at the boundary).  For neumann/mixed the
+    kind: "dirichlet" (carries p0) or "neumann".  For neumann the
     horizontal boundary velocity is imposed; u_imposed = None means "keep
     the predicted trace".
     """
@@ -60,26 +53,21 @@ class PressureBC:
     side: str
     kind: str
     p0: float = 0.0
-    beta: float = 0.0
     u_imposed: float | None = None
 
     def __post_init__(self):
         if self.side not in ("in", "out"):
             raise ValueError(f"side must be 'in' or 'out', got {self.side!r}")
-        if self.kind not in ("dirichlet", "neumann", "mixed"):
+        if self.kind not in ("dirichlet", "neumann"):
             raise ValueError(f"unknown pressure BC kind {self.kind!r}")
-        if not np.isfinite(self.beta):
-            raise ValueError("beta must be finite")
 
 
 @dataclass
 class PressureField:
-    """Pressure coefficients on the pressure space plus solver statistics."""
+    """Pressure coefficients on the pressure space of one element pair."""
 
     values: np.ndarray
     pair_tag: str
-    iterations: int = 0
-    residual: float = 0.0
 
 
 @dataclass
@@ -118,22 +106,37 @@ def resolve_projection_bcs(ops: OperatorSet, bcs, U_predicted: np.ndarray) -> _B
     return _BCPlan(free_u, free_w, u_base, w_base, pinned, values)
 
 
+def _inverse_mass(ops: OperatorSet, plan: _BCPlan) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal A_H^-1 on the (u, w) blocks, zero on the held and dry dofs."""
+    invA_u = np.where(plan.free_u, 1.0 / ops.a_node, 0.0)
+    invA_w = np.where(plan.free_w, 1.0 / ops.a_node, 0.0)
+    return invA_u, invA_w
+
+
+def _corrected(
+    ops: OperatorSet, plan: _BCPlan, invA_u: np.ndarray, invA_w: np.ndarray, dt: float, p
+) -> tuple[np.ndarray, np.ndarray]:
+    """(u, w) = U* + dt A_H^-1 B^T p, U* being the plan's base velocity."""
+    du, dw = ops.scatter_divergence_t(p)
+    u = plan.u_base + dt * invA_u * du
+    w = plan.w_base + dt * invA_w * dw
+    return u, w
+
+
 @dataclass
 class SchurSystem:
     """Banded SPD pressure system with its saddle-point context.
 
     ab holds the upper symmetric band (scipy layout, bandwidth rows + diag),
-    rhs the eliminated right-hand side.  The operator set, the base velocity
-    and the masked inverse mass are kept so the Uzawa method can iterate on
-    the saddle form and so the correction stays consistent with the system
-    that produced the pressure.  base_divergence is the B U* the rhs was
-    formed from, kept as the scale of the post-correction residual.
+    rhs the eliminated right-hand side.  The operator set, the BC plan
+    (with the base velocity U*) and the masked inverse mass are kept so the
+    correction stays consistent with the system that produced the
+    pressure.  base_divergence is the B U* the rhs was formed from, kept as
+    the scale of the post-correction residual.
     """
 
     ab: np.ndarray
     rhs: np.ndarray
-    method: str
-    tol: float
     ops: OperatorSet
     dt: float
     plan: _BCPlan
@@ -165,13 +168,9 @@ class SchurSystem:
 
     def corrected_velocity(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(u, w) = U* + dt A_H^-1 B^T p with this system's BC plan and masks."""
-        du, dw = self.ops.scatter_divergence_t(p)
-        u = self.plan.u_base + self.dt * self.invA_u * du
-        w = self.plan.w_base + self.dt * self.invA_w * dw
-        return u, w
+        return _corrected(self.ops, self.plan, self.invA_u, self.invA_w, self.dt, p)
 
     def dense(self) -> np.ndarray:
-        m = self.n_pressure
         bw = self.bandwidth
         out = np.diag(self.ab[bw].copy())
         for d in range(1, bw + 1):
@@ -179,24 +178,12 @@ class SchurSystem:
             out += np.diag(band, k=d) + np.diag(band, k=-d)
         return out
 
-    def dump(self, path):
-        """Write S then rhs in triplet text form for offline inspection."""
-        with open(path, "w") as fh:
-            dense = self.dense()
-            for (i, j), v in np.ndenumerate(dense):
-                if v != 0.0:
-                    fh.write(f"{i} {j} {v:.17g}\n")
-            for i, v in enumerate(self.rhs):
-                fh.write(f"rhs {i} {v:.17g}\n")
-
 
 def build_schur(
     ops: OperatorSet,
     U_predicted: np.ndarray,
     dt: float,
     bcs=(),
-    method: str = "direct",
-    tol: float = 1e-10,
 ) -> SchurSystem:
     """Assemble the banded Schur complement and its right-hand side."""
     if dt <= 0.0:
@@ -207,8 +194,7 @@ def build_schur(
     K = ops.window
     stride = ops.stride
 
-    invA_u = np.where(plan.free_u, 1.0 / ops.a_node, 0.0)
-    invA_w = np.where(plan.free_w, 1.0 / ops.a_node, 0.0)
+    invA_u, invA_w = _inverse_mass(ops, plan)
     iu_pad = ops._padded(invA_u)
     iw_pad = ops._padded(invA_w)
 
@@ -253,8 +239,6 @@ def build_schur(
     return SchurSystem(
         ab=ab,
         rhs=rhs,
-        method=method,
-        tol=tol,
         ops=ops,
         dt=dt,
         plan=plan,
@@ -264,108 +248,21 @@ def build_schur(
     )
 
 
-def _solve_direct(sys: SchurSystem) -> np.ndarray:
-    try:
-        return scipy.linalg.solveh_banded(sys.ab, sys.rhs, lower=False, check_finite=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - assembly bug guard
-        raise ValueError(f"indefinite pivot in the banded factorization: {exc}") from exc
-
-
-def _solve_cg(sys: SchurSystem) -> tuple[np.ndarray, int]:
-    rhs = sys.rhs
-    rhs_norm = float(np.linalg.norm(rhs))
-    target = max(_STOP_SAFETY * sys.tol, 1e-14) * rhs_norm
-    x = np.zeros_like(rhs)
-    r = rhs.copy()
-    d = r.copy()
-    rr = float(r @ r)
-    cap = 4 * sys.n_pressure + 100
-    for it in range(1, cap + 1):
-        Sd = sys.matvec(d)
-        alpha = rr / float(d @ Sd)
-        x += alpha * d
-        r -= alpha * Sd
-        rr_new = float(r @ r)
-        if np.sqrt(rr_new) <= target:
-            return x, it
-        d = r + (rr_new / rr) * d
-        rr = rr_new
-    achieved = float(np.linalg.norm(rhs - sys.matvec(x)))
-    if achieved <= sys.tol * rhs_norm:
-        return x, cap
-    raise SolverConvergenceError(
-        f"conjugate gradient hit the iteration cap ({cap}) at relative "
-        f"residual {achieved / rhs_norm:.3e}",
-        residual=achieved / rhs_norm,
-        iterations=cap,
-    )
-
-
-def _solve_uzawa(sys: SchurSystem) -> tuple[np.ndarray, int]:
-    """Fixed-relaxation Uzawa iteration on the saddle form.
-
-    Each pass corrects the velocity with the current pressure and feeds the
-    remaining constraint residual back, P <- P + alpha (-(1/dt) B U(P)),
-    with alpha = 1 / max|diag(S)| and an iteration cap of 10 M.
-    """
-    m = sys.n_pressure
-    rhs_norm = float(np.linalg.norm(sys.rhs))
-    target = max(_STOP_SAFETY * sys.tol, 1e-14) * rhs_norm
-    alpha = 1.0 / float(np.max(sys.ab[sys.bandwidth]))
-    pinned = sys.plan.pinned
-    p = np.where(pinned, sys.plan.pinned_values, 0.0)
-    cap = 10 * m
-    r0 = None
-    for it in range(1, cap + 1):
-        u, w = sys.corrected_velocity(p)
-        r = -(1.0 / sys.dt) * sys.ops.apply_divergence(u, w)
-        # pinned rows carry no equation; with P fixed there this equals the
-        # residual of the eliminated system on the free rows
-        r[pinned] = 0.0
-        res = float(np.linalg.norm(r))
-        if r0 is None:
-            r0 = res
-        if res <= target:
-            return p, it
-        if not np.isfinite(res) or res > 1e6 * max(r0, rhs_norm):
-            raise SolverConvergenceError(
-                f"Uzawa iteration diverged (residual {res:.3e})",
-                residual=res / max(rhs_norm, 1e-300),
-                iterations=it,
-            )
-        p = p + alpha * r
-    achieved = float(np.linalg.norm(sys.rhs - sys.matvec(p)))
-    if achieved <= sys.tol * rhs_norm:
-        return p, cap
-    raise SolverConvergenceError(
-        f"Uzawa hit the iteration cap ({cap}) at relative residual "
-        f"{achieved / rhs_norm:.3e}",
-        residual=achieved / rhs_norm,
-        iterations=cap,
-    )
-
-
 def solve_pressure(sys: SchurSystem) -> PressureField:
-    """Solve the Schur system with the configured method.
+    """Solve the Schur system by banded Cholesky factorization.
 
-    The residual satisfies |S P - rhs| <= tol |rhs| (exactly factored for
-    the direct path); direct, cg and uzawa agree within 10 tol.
+    The system is SPD with bandwidth 1 (P1/P0) or 2 (P1-iso-P2/P1), so the
+    solve is exact up to round-off in O(M) work.  A zero right-hand side
+    returns the zero pressure without factoring.
     """
     tag = sys.ops.pair.tag
-    rhs_norm = float(np.linalg.norm(sys.rhs))
-    if rhs_norm == 0.0:
-        return PressureField(np.zeros(sys.n_pressure), tag, 0, 0.0)
-    if sys.method == "direct":
-        p = _solve_direct(sys)
-        iters = 0
-    elif sys.method == "cg":
-        p, iters = _solve_cg(sys)
-    elif sys.method == "uzawa":
-        p, iters = _solve_uzawa(sys)
-    else:
-        raise ValueError(f"unknown solver method {sys.method!r}")
-    residual = float(np.linalg.norm(sys.rhs - sys.matvec(p))) / rhs_norm
-    return PressureField(p, tag, iters, residual)
+    if float(np.linalg.norm(sys.rhs)) == 0.0:
+        return PressureField(np.zeros(sys.n_pressure), tag)
+    try:
+        p = scipy.linalg.solveh_banded(sys.ab, sys.rhs, lower=False, check_finite=False)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - assembly bug guard
+        raise ValueError(f"indefinite pivot in the banded factorization: {exc}") from exc
+    return PressureField(p, tag)
 
 
 def correct_velocity(
@@ -388,12 +285,8 @@ def correct_velocity(
     if P.size != ops.n_pressure:
         raise ValueError("pressure/operator size mismatch")
     plan = resolve_projection_bcs(ops, bcs, U_predicted)
-    invA_u = np.where(plan.free_u, 1.0 / ops.a_node, 0.0)
-    invA_w = np.where(plan.free_w, 1.0 / ops.a_node, 0.0)
-    du, dw = ops.scatter_divergence_t(P)
-    u = plan.u_base + dt * invA_u * du
-    w = plan.w_base + dt * invA_w * dw
-    return np.concatenate([u, w])
+    invA_u, invA_w = _inverse_mass(ops, plan)
+    return np.concatenate(_corrected(ops, plan, invA_u, invA_w, dt, P))
 
 
 def divergence_residual(sys: SchurSystem, U: np.ndarray) -> float:

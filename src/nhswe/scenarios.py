@@ -53,14 +53,8 @@ class SolitaryWaveParams:
         return float(l / self.d * np.sqrt(self.g * self.h0**3 / (l**2 - self.h0**2)))
 
 
-def solitary_wave(x, t: float, params: SolitaryWaveParams, g: float | None = None):
-    """Evaluate (H, u, w, p) of the solitary wave at positions x and time t.
-
-    g overrides the gravity stored on params (they should agree; the
-    override exists for sensitivity checks).
-    """
-    if g is not None and g != params.g:
-        params = SolitaryWaveParams(params.a, params.h0, params.d, g)
+def solitary_wave(x, t: float, params: SolitaryWaveParams):
+    """Evaluate (H, u, w, p) of the solitary wave at positions x and time t."""
     x = np.asarray(x, dtype=float)
     l = params.length_scale
     c0 = params.celerity
@@ -82,16 +76,11 @@ def solitary_wave(x, t: float, params: SolitaryWaveParams, g: float | None = Non
     return H, u, w, p
 
 
-def dam_break_init(x, h_left: float, h_right: float, x_dam: float, eps: float,
-                   printed_amplitude: bool = False):
+def dam_break_init(x, h_left: float, h_right: float, x_dam: float, eps: float):
     """Smoothed dam-break depth profile.
 
     H(x) = (h_left + h_right)/2 - (h_left - h_right)/2 * tanh((x - x_dam)/eps),
-    which tends to h_left far left and h_right far right.  The
-    printed_amplitude variant keeps the historical form
-    (h_right + a) - a tanh(.) with a = h_right - h_left, whose left limit is
-    h_right + 2 a (negative for the usual data); it exists for archaeology
-    only.
+    which tends to h_left far left and h_right far right.
     """
     if h_left <= 0.0 or h_right <= 0.0:
         raise ValueError("dam-break depths must be positive")
@@ -99,9 +88,6 @@ def dam_break_init(x, h_left: float, h_right: float, x_dam: float, eps: float,
         raise ValueError("smoothing width must be positive")
     x = np.asarray(x, dtype=float)
     s = np.tanh((x - x_dam) / eps)
-    if printed_amplitude:
-        a = h_right - h_left
-        return (h_right + a) - a * s
     mid = 0.5 * (h_left + h_right)
     amp = 0.5 * (h_left - h_right)
     return mid - amp * s
@@ -282,11 +268,6 @@ class GaugeSet:
             rec.eta.append(value)
 
 
-def record_gauges(state: FlowState, gauges: GaugeSet) -> GaugeSet:
-    gauges.record(state)
-    return gauges
-
-
 # ---------------------------------------------------------------------------
 # scenario bundles
 # ---------------------------------------------------------------------------
@@ -364,12 +345,11 @@ def make_dam_break(
     h_right: float = 1.0,
     x_dam: float = 300.0,
     eps: float = 1e-4,
-    printed_amplitude: bool = False,
 ) -> Scenario:
     """Smoothed dam break on a flat bottom, free outflow far boundaries."""
     mesh = Mesh1D.uniform(0.0, length, n_nodes)
     bathy = Bathymetry.flat(mesh)
-    H = dam_break_init(mesh.nodes, h_left, h_right, x_dam, eps, printed_amplitude)
+    H = dam_break_init(mesh.nodes, h_left, h_right, x_dam, eps)
     state = FlowState(H, np.zeros_like(H), np.zeros_like(H), 0.0)
     return Scenario(
         name="dam_break",
@@ -467,15 +447,3 @@ def make_dingemans(
         gauges=gauges,
         suggested_t_end=25.0,
     )
-
-
-def beach_init(mesh: Mesh1D, **kwargs):
-    """(Bathymetry, FlowState, BoundarySpec) of the beach scenario on a mesh."""
-    sc = make_beach(n_nodes=mesh.n_nodes, length=mesh.length, **kwargs)
-    return sc.bathy, sc.state0, sc.bounds
-
-
-def dingemans_init(mesh: Mesh1D, **kwargs):
-    """(Bathymetry, FlowState, BoundarySpec, GaugeSet) of the bar scenario."""
-    sc = make_dingemans(n_nodes=mesh.n_nodes, length=mesh.length, **kwargs)
-    return sc.bathy, sc.state0, sc.bounds, sc.gauges

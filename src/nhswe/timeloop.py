@@ -38,6 +38,7 @@ from .hyperbolic import HyperbolicBC, cfl_dt, predict
 from .projection import (  # noqa: F401 (correct_velocity: perfbench/tracer.py rebinds it here)
     PressureBC,
     PressureField,
+    SchurSystem,
     build_schur,
     correct_velocity,
     divergence_residual,
@@ -53,11 +54,10 @@ class BoundarySpec:
 
     The hyperbolic entry may be a callable of time (wavemakers).  The
     pressure condition defaults to the closure induced by the hyperbolic
-    kind: imposed_flux -> homogeneous Dirichlet, imposed_depth -> mixed with
-    beta = dH/dn, free_outflow -> Neumann keeping the predicted trace,
-    wall -> Neumann with zero velocity.  Explicit PressureBC overrides are
-    honored as given, in every projection and in the stage rates of
-    step_heun.
+    kind: imposed_flux -> homogeneous Dirichlet, imposed_depth and
+    free_outflow -> Neumann keeping the predicted trace, wall -> Neumann
+    with zero velocity.  Explicit PressureBC overrides are honored as
+    given, in every projection and in the stage rates of step_heun.
     """
 
     left: HyperbolicSide
@@ -85,29 +85,23 @@ class BoundarySpec:
         )
 
 
-def _induced_pressure_bc(hyp: HyperbolicBC, side: str, H: np.ndarray, mesh: Mesh1D) -> PressureBC:
+def _induced_pressure_bc(hyp: HyperbolicBC, side: str) -> PressureBC:
     if hyp.kind == "imposed_flux":
         return PressureBC(side, "dirichlet", p0=0.0)
     if hyp.kind == "wall":
         return PressureBC(side, "neumann", u_imposed=0.0)
-    if hyp.kind == "free_outflow":
-        return PressureBC(side, "neumann")
-    # imposed depth: Robin coefficient from the one-sided outward depth slope
-    if side == "in":
-        beta = float((H[0] - H[1]) / mesh.element_widths[0])
-    else:
-        beta = float((H[-1] - H[-2]) / mesh.element_widths[-1])
-    return PressureBC(side, "mixed", beta=beta)
+    # free outflow and imposed depth keep the predicted trace
+    return PressureBC(side, "neumann")
 
 
 def _pressure_bcs(
-    bounds: BoundarySpec, hyp: tuple[HyperbolicBC, HyperbolicBC], H: np.ndarray, mesh: Mesh1D
+    bounds: BoundarySpec, hyp: tuple[HyperbolicBC, HyperbolicBC]
 ) -> tuple[PressureBC, PressureBC]:
     """(left, right) pressure conditions: the override of `bounds` on each
     side, else the closure induced by that side's hyperbolic condition."""
     return (
-        bounds.pressure_left or _induced_pressure_bc(hyp[0], "in", H, mesh),
-        bounds.pressure_right or _induced_pressure_bc(hyp[1], "out", H, mesh),
+        bounds.pressure_left or _induced_pressure_bc(hyp[0], "in"),
+        bounds.pressure_right or _induced_pressure_bc(hyp[1], "out"),
     )
 
 
@@ -122,13 +116,12 @@ def _rate_form(bc: PressureBC) -> PressureBC:
 
 @dataclass
 class StepReport:
-    """Per-step diagnostics: divergence residual, solver work, invariants."""
+    """Per-step diagnostics: divergence residual and its bound, invariants."""
 
     t: float
     dt: float
     div_residual: float
     div_bound: float
-    solver_iterations: int
     mass: float
     energy: float
 
@@ -139,7 +132,7 @@ class StepResult:
     report: StepReport
     pressure: PressureField
     ops: OperatorSet
-    schur: "object" = None
+    schur: SchurSystem
 
 
 def _project(
@@ -151,7 +144,6 @@ def _project(
     pair: ElementPair,
     hyp: tuple[HyperbolicBC, HyperbolicBC],
     dt: float,
-    stage_iterations: int = 0,
 ) -> StepResult:
     """Correct the velocity of `state` onto B U = 0 at its own depth.
 
@@ -160,8 +152,8 @@ def _project(
     """
     ops = assemble(pair, mesh, state.H, bathy.zb, params.h_eps)
     u, w = state.velocities(params.h_eps)
-    pbcs = _pressure_bcs(bounds, hyp, state.H, mesh)
-    sys = build_schur(ops, np.concatenate([u, w]), dt, pbcs, method=params.method, tol=params.tol)
+    pbcs = _pressure_bcs(bounds, hyp)
+    sys = build_schur(ops, np.concatenate([u, w]), dt, pbcs)
     pressure = solve_pressure(sys)
     U = np.concatenate(sys.corrected_velocity(pressure.values))
 
@@ -179,7 +171,6 @@ def _project(
         dt=dt,
         div_residual=residual,
         div_bound=bound,
-        solver_iterations=stage_iterations + pressure.iterations,
         mass=total_mass(new, mesh),
         energy=total_energy(new, mesh, bathy, params.g),
     )
@@ -278,15 +269,15 @@ def _stage_rate(
 
     ops = assemble(pair, mesh, state.H, bathy.zb, params.h_eps)
     dD_u = ops.apply_depth_derivative(T_H, u)
-    pbcs = tuple(_rate_form(bc) for bc in _pressure_bcs(bounds, hyp, state.H, mesh))
+    pbcs = tuple(_rate_form(bc) for bc in _pressure_bcs(bounds, hyp))
 
-    sys = build_schur(ops, U_rate, 1.0, pbcs, method=params.method, tol=params.tol)
+    sys = build_schur(ops, U_rate, 1.0, pbcs)
     sys.rhs[:] = sys.rhs - np.where(sys.plan.pinned, 0.0, dD_u)
     p_rate = solve_pressure(sys)
     du_corr, dw_corr = sys.corrected_velocity(p_rate.values)
     mom_u = state.H * du_corr + u * T_H
     mom_w = state.H * dw_corr + w * T_H
-    return T_H, mom_u, mom_w, p_rate.iterations
+    return T_H, mom_u, mom_w
 
 
 def step_heun(
@@ -314,12 +305,8 @@ def step_heun(
     dt_cfl = cfl_dt(state, mesh, params)
     dt = dt_cfl if dt is None else min(dt, dt_cfl)
 
-    iters = 0
-
     def stage(y: FlowState) -> FlowState:
-        nonlocal iters
-        T_H, mom_u, mom_w, it = _stage_rate(y, mesh, bathy, params, bounds, pair, dt)
-        iters += it
+        T_H, mom_u, mom_w = _stage_rate(y, mesh, bathy, params, bounds, pair, dt)
         return FlowState(y.H + dt * T_H, y.Hu + dt * mom_u, y.Hw + dt * mom_w, y.t + dt)
 
     first = stage(state)
@@ -333,7 +320,7 @@ def step_heun(
 
     # restore div_sw u = 0 on the averaged state (operators at its own depth)
     hyp = bounds.hyperbolic_at(avg.t)
-    return _project(avg, mesh, bathy, params, bounds, pair, hyp, dt, iters)
+    return _project(avg, mesh, bathy, params, bounds, pair, hyp, dt)
 
 
 @dataclass
@@ -368,10 +355,17 @@ def run(
 
     Steps are CFL-adaptive with the last step of each segment clipped, so
     snapshots are taken at the exact requested times (and at t_end).  Gauge
-    records attached to the scenario are sampled at the same times.
+    records attached to the scenario are sampled at the same times.  The
+    dry threshold is the scenario's: params.h_eps must equal scenario.h_eps,
+    else ValueError.
     """
     if t_end < 0.0:
         raise ValueError("t_end must be non-negative")
+    if params.h_eps != scenario.h_eps:
+        raise ValueError(
+            f"params.h_eps = {params.h_eps:g} differs from the scenario's "
+            f"h_eps = {scenario.h_eps:g}; pass PhysicalParams(h_eps=scenario.h_eps)"
+        )
     mesh, bathy = scenario.mesh, scenario.bathy
     pair = pair or ElementPair.p1p0(mesh.n_nodes)
     if integrator not in ("euler", "heun"):

@@ -84,14 +84,6 @@ def test_mesh_invariants():
         nh.Mesh1D(np.array([0.0, 1.0, 1.0]))
 
 
-def test_coarse_node_indices_require_odd():
-    mesh = nh.Mesh1D.uniform(0.0, 1.0, 4)
-    with pytest.raises(ValueError):
-        mesh.coarse_node_indices()
-    mesh = nh.Mesh1D.uniform(0.0, 1.0, 5)
-    assert list(mesh.coarse_node_indices()) == [0, 2, 4]
-
-
 def test_physical_params_validation():
     with pytest.raises(ValueError):
         nh.PhysicalParams(cfl=0.0)
@@ -99,8 +91,6 @@ def test_physical_params_validation():
         nh.PhysicalParams(cfl=1.5)
     with pytest.raises(ValueError):
         nh.PhysicalParams(g=-1.0)
-    with pytest.raises(ValueError):
-        nh.PhysicalParams(method="lu")
 
 
 def test_mass_invariant_under_walled_stepping():

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import nhswe as nh
-from nhswe.femops import P1ISOP2P1, P1P0, div_sw_pointwise, grad_sw_pointwise
+from nhswe.femops import P1ISOP2P1, P1P0
 
 from oracles import (
     depth_derivative_by_differencing,
@@ -22,30 +22,6 @@ PAIRS = (P1P0, P1ISOP2P1)
 
 def _pair(tag, n):
     return nh.ElementPair.from_tag(tag, n)
-
-
-# -- pointwise operators ----------------------------------------------------
-
-
-def test_grad_sw_pointwise_constant():
-    gx, gz = grad_sw_pointwise(3.0, 0.0, 1.0, 0.0)
-    assert (gx, gz) == (0.0, -6.0)
-
-
-def test_grad_sw_pointwise_zero():
-    assert grad_sw_pointwise(0.0, 0.0, 2.0, 1.0) == (0.0, 0.0)
-
-
-def test_grad_sw_pointwise_linear():
-    gx, gz = grad_sw_pointwise(1.0, 1.0, 1.0, 0.0)
-    assert (gx, gz) == (1.0, -2.0)
-
-
-def test_div_sw_pointwise_cases():
-    assert div_sw_pointwise(1.0, 0.0, 0.0, 2.0, 0.0, 0.0) == 0.0
-    assert div_sw_pointwise(0.0, 0.7, 0.0, 1.0, 0.0, 0.0) == pytest.approx(1.4)
-    # H=1, zb=0, v1=x: d(Hv1)/dx - v1 dH/dx = 1
-    assert div_sw_pointwise(1.0, 0.0, 1.0, 1.0, 0.0, 0.0) == 1.0
 
 
 # -- lumped mass ------------------------------------------------------------

@@ -99,13 +99,6 @@ def test_dam_break_limit_tolerance_window():
     assert abs(H[1] - (mid - a)) <= 1e-8
 
 
-def test_dam_break_printed_variant_is_archaeology():
-    x = np.array([-1e3])
-    H = nh.dam_break_init(x, 1.8, 1.0, 0.0, 1e-2, printed_amplitude=True)
-    # the historical formula produces an unphysical left state for this data
-    assert H[0] == pytest.approx(1.0 + 2.0 * (-0.8), abs=1e-9)
-
-
 def test_dam_break_rejects_bad_input():
     with pytest.raises(ValueError):
         nh.dam_break_init(np.zeros(3), -1.0, 1.0, 0.0, 0.1)
@@ -219,7 +212,7 @@ def test_gauges_lake_at_rest_series():
     state = nh.FlowState(np.ones(21), np.zeros(21), np.zeros(21), t=0.0)
     for t in (0.0, 1.0, 2.0):
         state.t = t
-        nh.record_gauges(state, gauges)
+        gauges.record(state)
     assert gauges.records[0].eta == [1.0, 1.0, 1.0]
     assert gauges.records[0].times == [0.0, 1.0, 2.0]
 

@@ -107,6 +107,15 @@ def test_run_lands_exactly_on_output_times():
     assert got == [0.05, 0.11, 0.2, 0.25]
 
 
+def test_run_rejects_params_that_drop_the_scenario_h_eps():
+    sc = nh.make_beach(n_nodes=301)
+    assert sc.h_eps != nh.PhysicalParams().h_eps
+    with pytest.raises(ValueError, match="h_eps"):
+        nh.run(sc, nh.PhysicalParams(), t_end=0.05)
+    out = nh.run(sc, nh.PhysicalParams(h_eps=sc.h_eps), t_end=0.05)
+    assert out.final.t == 0.05
+
+
 def test_run_rejects_unknown_integrator():
     sc = nh.make_solitary(51)
     with pytest.raises(ValueError):
@@ -143,12 +152,13 @@ def test_non_finite_abort():
         pass
 
     sc = Sc()
-    sc.mesh, sc.bathy, sc.state0, sc.bounds, sc.gauges = (
+    sc.mesh, sc.bathy, sc.state0, sc.bounds, sc.gauges, sc.h_eps = (
         mesh,
         bathy,
         bad,
         nh.BoundarySpec.walls(),
         None,
+        nh.PhysicalParams().h_eps,
     )
     with pytest.raises(RuntimeError):
         nh.run(sc, nh.PhysicalParams(), t_end=0.5)
@@ -239,6 +249,10 @@ def test_work_per_step(integrator, monkeypatch):
          nh.PressureBC("out", "neumann", u_imposed=0.0)),
         (nh.BoundarySpec.open(), nh.PressureBC("in", "neumann"),
          nh.PressureBC("out", "neumann")),
+        # an imposed depth closes as Neumann keeping the predicted trace
+        (nh.BoundarySpec(nh.HyperbolicBC("wall", "in"),
+                         nh.HyperbolicBC("imposed_depth", "out", h_given=1.0)),
+         nh.PressureBC("in", "neumann", u_imposed=0.0), nh.PressureBC("out", "neumann")),
     ],
 )
 def test_override_equal_to_induced_is_bit_identical(stepper, bounds, left, right):
@@ -261,9 +275,9 @@ def _rate(bounds):
 
 def test_stage_rate_honours_a_differing_override():
     walls = nh.BoundarySpec.walls()
-    _, (_, mom_u, mom_w, _) = _rate(walls)
+    _, (_, mom_u, mom_w) = _rate(walls)
     dirichlet = dataclasses.replace(walls, pressure_left=nh.PressureBC("in", "dirichlet"))
-    _, (_, mom_u_d, mom_w_d, _) = _rate(dirichlet)
+    _, (_, mom_u_d, mom_w_d) = _rate(dirichlet)
     assert not np.allclose(mom_u, mom_u_d, rtol=0.0, atol=1e-9)
     assert not np.allclose(mom_w, mom_w_d, rtol=0.0, atol=1e-9)
 
@@ -272,17 +286,17 @@ def test_stage_rate_holds_an_imposed_boundary_velocity():
     held = dataclasses.replace(
         nh.BoundarySpec.open(), pressure_right=nh.PressureBC("out", "neumann", u_imposed=0.25)
     )
-    sc, (T_H, mom_u, _, _) = _rate(held)
+    sc, (T_H, mom_u, _) = _rate(held)
     u, _ = sc.state0.velocities(nh.PhysicalParams().h_eps)
     # the held velocity has rate 0, so only the depth change moves H u there
     assert mom_u[-1] == u[-1] * T_H[-1]
-    _, (_, mom_u_kept, _, _) = _rate(nh.BoundarySpec.open())
+    _, (_, mom_u_kept, _) = _rate(nh.BoundarySpec.open())
     assert mom_u_kept[-1] != mom_u[-1]
 
 
 def test_stage_rate_keeps_the_divergence_constant():
     # d/dt (B(H) u) = B du/dt + (dB/dH)[dH/dt] u vanishes on the stage rate
-    sc, (T_H, mom_u, mom_w, _) = _rate(nh.BoundarySpec.walls())
+    sc, (T_H, mom_u, mom_w) = _rate(nh.BoundarySpec.walls())
     state = sc.state0
     pair = nh.ElementPair.p1p0(sc.mesh.n_nodes)
     u, w = state.velocities(nh.PhysicalParams().h_eps)
