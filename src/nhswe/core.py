@@ -56,12 +56,15 @@ class Mesh1D:
 
     ``element_widths[i] = nodes[i+1] - nodes[i]`` and the dual width of an
     interior node is the mean of its two element widths; boundary nodes get
-    half an element, so ``dual_widths.sum() == length``.
+    half an element, so ``dual_widths.sum() == length``.  The operator
+    geometry of each element pair on this mesh is built on first use and
+    kept in ``_geometry`` (owned by femops), so it lives as long as the mesh.
     """
 
     nodes: np.ndarray
     element_widths: np.ndarray = field(init=False)
     dual_widths: np.ndarray = field(init=False)
+    _geometry: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.nodes = _as_float_array(self.nodes, "nodes")
@@ -84,10 +87,6 @@ class Mesh1D:
     @property
     def n_nodes(self) -> int:
         return self.nodes.size
-
-    @property
-    def n_elements(self) -> int:
-        return self.nodes.size - 1
 
     @property
     def length(self) -> float:

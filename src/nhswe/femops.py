@@ -27,6 +27,16 @@ dzeta the element increments of zeta, and the w-coefficients depend on the
 mesh alone.  The derivative of B along a depth direction T_H is therefore
 the u-part of B built from (T_H, diff(T_H)), which
 OperatorSet.apply_depth_derivative applies exactly.
+
+Everything that depends on the mesh alone is built once per (mesh, element
+pair) and reused by every assembly on that mesh: the w-coefficients Dw, the
+coarse-trace fractions at the interior fine nodes (P1-iso-P2/P1), the
+trace factors that turn (H, dzeta) into the u-coefficients, the table of
+the rows and nodes each window column reaches inside the mesh, and the
+Dw x Dw factors of the Schur bands.  This geometry is kept on the mesh
+(Mesh1D._geometry, keyed by pair tag), so it lives as long as the mesh and
+is never shared between meshes.  Its arrays are read-only: an in-place
+write raises instead of corrupting later steps.
 """
 
 from __future__ import annotations
@@ -91,6 +101,39 @@ def lump_mass(H, mesh: Mesh1D, h_eps: float = 1e-8) -> np.ndarray:
     return np.maximum(a, h_eps * mesh.dual_widths)
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True)
+class _Geometry:
+    """Mesh-only part of one element pair's operators on one mesh.
+
+    columns[k] = (rows, nodes): the pressure rows whose window column k lies
+    inside the mesh, and the velocity nodes it lies on (the clipped entries
+    of a window are zero, so products skip them).  Dw holds the
+    w-coefficients of the windows (M x K).  u_terms are the fine-element
+    terms of the P1-iso-P2/P1 u-coefficients, each (rows, el, off, c_H,
+    c_left, c_right) with c_H = (pl + pr) / 2, c_left = pl/3 + pr/6 and
+    c_right = pl/6 + pr/3 from the pressure traces pl, pr at the element's
+    ends.  left_frac holds the position of each interior fine node in its
+    coarse element, the weight that interpolates the coarse pressure there
+    (None for P1/P0).  schur_terms[d] lists band d of
+    B diag(a_u, a_w) B^T as (k, k_d, rows, rows_d, nodes, w_factor): entry
+    l of the band sums Du[l, k] Du[l + d, k_d] a_u[node] + w_factor a_w[node]
+    over the terms, w_factor = Dw[rows, k] Dw[rows_d, k_d].
+
+    Built once by _geometry and kept on the mesh; every array is read-only.
+    """
+
+    columns: tuple
+    Dw: np.ndarray
+    u_terms: tuple
+    left_frac: np.ndarray | None
+    schur_terms: tuple
+
+
 @dataclass
 class OperatorSet:
     """Assembled operators of one pair on one (H, zb) configuration.
@@ -98,10 +141,14 @@ class OperatorSet:
     The divergence matrix B (M x 2N) is held as per-row windows: row l
     touches velocity nodes starts[l] .. starts[l]+K-1 with u-coefficients
     Du[l] and w-coefficients Dw[l].  Window starts are the arithmetic
-    sequence starts[l] = s0 + stride*l (clipped coefficients are zero, so
-    negative starts are harmless).  The boundary matrix C has exactly two
-    entries, (u_0, first pressure dof) = -H_0 and
-    (u_{N-1}, last pressure dof) = +H_{N-1}.
+    sequence starts[l] = s0 + stride*l (s0 = 0, stride 1 for P1/P0; s0 = -2,
+    stride 2 for P1-iso-P2/P1); coefficients falling outside the mesh are
+    zero and geometry.columns skips them.  Du is built from the
+    depth on every assembly; Dw and the rest of the mesh-only data are the
+    read-only geometry shared by every assembly on the same mesh (see the
+    module docstring).  The boundary matrix C has exactly two entries,
+    (u_0, first pressure dof) = -H_0 and (u_{N-1}, last pressure dof) =
+    +H_{N-1}.
     """
 
     pair: ElementPair
@@ -109,15 +156,9 @@ class OperatorSet:
     H: np.ndarray
     zb: np.ndarray
     a_node: np.ndarray
-    starts_base: int
-    stride: int
     Du: np.ndarray
-    Dw: np.ndarray
     h_eps: float
-    pad: int = field(init=False)
-
-    def __post_init__(self):
-        self.pad = max(0, -self.starts_base)
+    geometry: _Geometry = field(repr=False)
 
     # -- basic shapes -------------------------------------------------------
 
@@ -130,8 +171,8 @@ class OperatorSet:
         return self.pair.n_pressure
 
     @property
-    def window(self) -> int:
-        return self.Du.shape[1]
+    def Dw(self) -> np.ndarray:
+        return self.geometry.Dw
 
     @property
     def bandwidth(self) -> int:
@@ -169,28 +210,14 @@ class OperatorSet:
         any_wet[:-1] |= coarse_wet
         return ~any_wet
 
-    # -- padded window helpers ---------------------------------------------
-
-    def _padded(self, vec: np.ndarray) -> np.ndarray:
-        if self.pad == 0:
-            return vec
-        out = np.zeros(vec.size + 2 * self.pad)
-        out[self.pad:self.pad + vec.size] = vec
-        return out
-
-    def _offset_slice(self, k: int, count: int) -> slice:
-        base = self.starts_base + self.pad + k
-        return slice(base, base + self.stride * count, self.stride)
+    # -- windowed products ----------------------------------------------------
 
     def apply_divergence(self, u: np.ndarray, w: np.ndarray) -> np.ndarray:
         """B (u; w): the divergence tested against every pressure basis function."""
-        up = self._padded(u)
-        wp = self._padded(w)
-        m = self.n_pressure
-        out = np.zeros(m)
-        for k in range(self.window):
-            sl = self._offset_slice(k, m)
-            out += self.Du[:, k] * up[sl] + self.Dw[:, k] * wp[sl]
+        out = np.zeros(self.n_pressure)
+        Du, Dw = self.Du, self.Dw
+        for k, (rows, nodes) in enumerate(self.geometry.columns):
+            out[rows] += Du[rows, k] * u[nodes] + Dw[rows, k] * w[nodes]
         return out
 
     def apply_depth_derivative(self, T_H: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -200,41 +227,35 @@ class OperatorSet:
         derivative is the u-part of B built from (T_H, diff(T_H)) applied
         to u; it is exact and independent of w.
         """
-        dDu = _u_windows(self.pair, self.mesh, T_H, np.diff(T_H))
-        up = self._padded(u)
-        m = self.n_pressure
-        out = np.zeros(m)
-        for k in range(self.window):
-            out += dDu[:, k] * up[self._offset_slice(k, m)]
+        dDu = _u_windows(self.pair, self.geometry, T_H, np.diff(T_H))
+        out = np.zeros(self.n_pressure)
+        for k, (rows, nodes) in enumerate(self.geometry.columns):
+            out[rows] += dDu[rows, k] * u[nodes]
         return out
 
     def scatter_divergence_t(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """B^T p accumulated on the (u, w) blocks."""
         n = self.n_nodes
-        up = np.zeros(n + 2 * self.pad)
-        wp = np.zeros(n + 2 * self.pad)
-        m = self.n_pressure
-        for k in range(self.window):
-            sl = self._offset_slice(k, m)
-            up[sl] += self.Du[:, k] * p
-            wp[sl] += self.Dw[:, k] * p
-        if self.pad:
-            return up[self.pad:self.pad + n], wp[self.pad:self.pad + n]
-        return up, wp
+        du = np.zeros(n)
+        dw = np.zeros(n)
+        Du, Dw = self.Du, self.Dw
+        for k, (rows, nodes) in enumerate(self.geometry.columns):
+            pk = p[rows]
+            du[nodes] += Du[rows, k] * pk
+            dw[nodes] += Dw[rows, k] * pk
+        return du, dw
 
-    # -- dense views (tests, dumps, small systems) ---------------------------
+    # -- dense views (tests, small systems) ----------------------------------
 
     def dense_divergence(self) -> np.ndarray:
         """B as a dense (M, 2N) matrix."""
         n, m = self.n_nodes, self.n_pressure
         out = np.zeros((m, 2 * n))
-        for l in range(m):
-            s = self.starts_base + self.stride * l
-            for k in range(self.window):
-                col = s + k
-                if 0 <= col < n:
-                    out[l, col] += self.Du[l, k]
-                    out[l, n + col] += self.Dw[l, k]
+        row_ids, node_ids = np.arange(m), np.arange(n)
+        for k, (rows, nodes) in enumerate(self.geometry.columns):
+            r, c = row_ids[rows], node_ids[nodes]
+            out[r, c] += self.Du[rows, k]
+            out[r, n + c] += self.Dw[rows, k]
         return out
 
     def dense_boundary(self) -> np.ndarray:
@@ -260,9 +281,7 @@ class OperatorSet:
         else:
             out[0::2] = p
             # linear interpolation at the interior fine nodes
-            xc = self.mesh.nodes[0::2]
-            xm = self.mesh.nodes[1::2]
-            t = (xm - xc[:-1]) / (xc[1:] - xc[:-1])
+            t = self.geometry.left_frac
             out[1::2] = (1.0 - t) * p[:-1] + t * p[1:]
         return out
 
@@ -278,7 +297,7 @@ def _coarse_traces(mesh: Mesh1D):
     return left_frac, right_frac
 
 
-def _p1isop2_elements(mesh: Mesh1D):
+def _p1isop2_elements(left_frac: np.ndarray, right_frac: np.ndarray):
     """Fine elements under the coarse pressure hats, in accumulation order.
 
     Each entry is (rows, e0, window offset of the element's left node,
@@ -286,7 +305,6 @@ def _p1isop2_elements(mesh: Mesh1D):
     row j + 1 (left coarse element) or row j (right coarse element) takes
     fine element e0 + 2 j, for j = 0 .. M - 2.
     """
-    left_frac, right_frac = _coarse_traces(mesh)
     rows_l, rows_r = slice(1, None), slice(None, -1)
     return (
         # left coarse element [2j-2, 2j] of row j: rises 0 -> left_frac -> 1
@@ -298,42 +316,113 @@ def _p1isop2_elements(mesh: Mesh1D):
     )
 
 
-def _u_windows(pair: ElementPair, mesh: Mesh1D, H: np.ndarray, dzeta: np.ndarray) -> np.ndarray:
+def _window_columns(s0: int, stride: int, K: int, m: int, n: int) -> tuple:
+    """(rows, nodes) of every window column k: rows l whose node
+    s0 + stride*l + k lies in [0, n), and those nodes."""
+    columns = []
+    for k in range(K):
+        first = s0 + k  # node of row 0
+        r0 = max(0, -(first // stride))
+        r1 = min(m, (n - 1 - first) // stride + 1)
+        start = first + stride * r0
+        columns.append((slice(r0, r1), slice(start, start + stride * (r1 - r0), stride)))
+    return tuple(columns)
+
+
+def _schur_terms(columns: tuple, Dw: np.ndarray, stride: int, bandwidth: int) -> tuple:
+    """The terms of each band d of B diag(a_u, a_w) B^T (see _Geometry).
+
+    Rows l and l + d share a node where window column k of row l meets
+    column k - d*stride of row l + d.
+    """
+    m = Dw.shape[0]
+    bands = []
+    for d in range(bandwidth + 1):
+        delta = d * stride
+        terms = []
+        for k in range(delta, Dw.shape[1]):
+            rows_k, nodes_k = columns[k]
+            r0, r1 = rows_k.start, min(rows_k.stop, m - d)
+            rows, rows_d = slice(r0, r1), slice(r0 + d, r1 + d)
+            nodes = slice(nodes_k.start, nodes_k.start + stride * (r1 - r0), stride)
+            w_factor = _read_only(Dw[rows, k] * Dw[rows_d, k - delta])
+            terms.append((k, k - delta, rows, rows_d, nodes, w_factor))
+        bands.append(tuple(terms))
+    return tuple(bands)
+
+
+def _build_geometry(pair: ElementPair, mesh: Mesh1D) -> _Geometry:
+    n, m = mesh.n_nodes, pair.n_pressure
+    h = mesh.element_widths
+    if pair.tag == P1P0:
+        # row l covers element l = [x_l, x_{l+1}]; pressure basis is 1 there
+        s0, stride, bandwidth = 0, 1, 1
+        Dw = np.empty((m, 2), order="F")
+        Dw[:, 0] = h
+        Dw[:, 1] = h
+        u_terms, left_frac = (), None
+    else:
+        # row j is the coarse hat at fine node 2j, reaching nodes 2j-2 .. 2j+2
+        s0, stride, bandwidth = -2, 2, 2
+        left_frac, right_frac = _coarse_traces(mesh)
+        _read_only(left_frac)
+        Dw = np.zeros((m, 5), order="F")
+        u_terms = []
+        for rows, e0, off, pl, pr in _p1isop2_elements(left_frac, right_frac):
+            el = slice(e0, None, 2)
+            he = h[el]
+            Dw[rows, off] += he * (2.0 * pl + pr) / 3.0
+            Dw[rows, off + 1] += he * (pl + 2.0 * pr) / 3.0
+            coefs = (0.5 * (pl + pr), pl / 3.0 + pr / 6.0, pl / 6.0 + pr / 3.0)
+            u_terms.append((rows, el, off, *(_read_only(c) for c in coefs)))
+        u_terms = tuple(u_terms)
+    _read_only(Dw)
+    columns = _window_columns(s0, stride, Dw.shape[1], m, n)
+    return _Geometry(
+        columns=columns,
+        Dw=Dw,
+        u_terms=u_terms,
+        left_frac=left_frac,
+        schur_terms=_schur_terms(columns, Dw, stride, bandwidth),
+    )
+
+
+def _geometry(pair: ElementPair, mesh: Mesh1D) -> _Geometry:
+    """The mesh-only operator data of `pair` on `mesh`, built on first use
+    and kept on the mesh for every later assembly."""
+    geom = mesh._geometry.get(pair.tag)
+    if geom is None:
+        geom = mesh._geometry[pair.tag] = _build_geometry(pair, mesh)
+    return geom
+
+
+def _u_windows(pair: ElementPair, geom: _Geometry, H: np.ndarray, dzeta: np.ndarray) -> np.ndarray:
     """u-coefficients Du of the divergence windows, linear in (H, dzeta).
 
     dzeta holds the per-element increments of zeta = H + 2 zb.  Exact
-    integrals over each fine element against the pressure trace on it.
+    integrals over each fine element against the pressure trace on it,
+    whose mesh-only factors come from the geometry.
     """
     if pair.tag == P1P0:
-        # row l covers element l = [x_l, x_{l+1}]; pressure basis is 1 there
-        return np.column_stack([-H[:-1] - 0.5 * dzeta, H[1:] - 0.5 * dzeta])
-    Du = np.zeros((pair.n_pressure, 5))
-    for rows, e0, off, pl, pr in _p1isop2_elements(mesh):
-        el = slice(e0, None, 2)
+        Du = np.empty((pair.n_pressure, 2), order="F")
+        half_dz = 0.5 * dzeta
+        np.subtract(-H[:-1], half_dz, out=Du[:, 0])
+        np.subtract(H[1:], half_dz, out=Du[:, 1])
+        return Du
+    Du = np.zeros((pair.n_pressure, 5), order="F")
+    for rows, el, off, c_H, c_left, c_right in geom.u_terms:
         dz = dzeta[el]
-        Du[rows, off] += -H[:-1][el] * 0.5 * (pl + pr) - dz * (pl / 3.0 + pr / 6.0)
-        Du[rows, off + 1] += H[1:][el] * 0.5 * (pl + pr) - dz * (pl / 6.0 + pr / 3.0)
+        Du[rows, off] += -H[:-1][el] * c_H - dz * c_left
+        Du[rows, off + 1] += H[1:][el] * c_H - dz * c_right
     return Du
-
-
-def _w_windows(pair: ElementPair, mesh: Mesh1D) -> np.ndarray:
-    """w-coefficients Dw of the divergence windows (mesh only, no depth)."""
-    h = mesh.element_widths
-    if pair.tag == P1P0:
-        return np.column_stack([h, h])
-    Dw = np.zeros((pair.n_pressure, 5))
-    for rows, e0, off, pl, pr in _p1isop2_elements(mesh):
-        he = h[e0::2]
-        Dw[rows, off] += he * (2.0 * pl + pr) / 3.0
-        Dw[rows, off + 1] += he * (pl + 2.0 * pr) / 3.0
-    return Dw
 
 
 def assemble(pair: ElementPair, mesh: Mesh1D, H, zb, h_eps: float = 1e-8) -> OperatorSet:
     """Assemble the lumped mass, divergence windows and boundary data.
 
     Exact closed-form element integrals; see the module docstring for the
-    interpolation conventions.
+    interpolation conventions.  The mesh-only part is taken from the
+    mesh's geometry cache (built on the first assembly of this pair).
     """
     H = np.asarray(H, dtype=float)
     zb = np.asarray(zb, dtype=float)
@@ -347,26 +436,15 @@ def assemble(pair: ElementPair, mesh: Mesh1D, H, zb, h_eps: float = 1e-8) -> Ope
     if pair.tag != P1P0 and n % 2 == 0:
         raise ValueError("P1-iso-P2/P1 requires an odd number of nodes")
 
+    geom = _geometry(pair, mesh)
     dzeta = np.diff(H + 2.0 * zb)
-    starts_base, stride = (0, 1) if pair.tag == P1P0 else (-2, 2)
     return OperatorSet(
         pair=pair,
         mesh=mesh,
         H=H,
         zb=zb,
         a_node=lump_mass(H, mesh, h_eps),
-        starts_base=starts_base,
-        stride=stride,
-        Du=_u_windows(pair, mesh, H, dzeta),
-        Dw=_w_windows(pair, mesh),
+        Du=_u_windows(pair, geom, H, dzeta),
         h_eps=h_eps,
+        geometry=geom,
     )
-
-
-def write_triplets(path, matrix: np.ndarray, threshold: float = 0.0):
-    """Dump a dense matrix as "row col value" lines (for offline inspection)."""
-    matrix = np.asarray(matrix)
-    with open(path, "w") as fh:
-        for (i, j), v in np.ndenumerate(matrix):
-            if abs(v) > threshold:
-                fh.write(f"{i} {j} {v:.17g}\n")

@@ -20,6 +20,7 @@ upwinded by the sign of the mass flux.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -89,12 +90,11 @@ def _half_flux_plus(H, u, g):
     f_Hu = f_H * b * (2.0 / 3.0)
     sup_right = u - s >= 0.0   # whole support moves right
     if sup_right.any():
-        f_H = np.where(sup_right, H * u, f_H)
-        f_Hu = np.where(sup_right, H * u * u + 0.5 * g * H * H, f_Hu)
+        _set_exact_flux(f_H, f_Hu, sup_right, H, u, g)
     sup_left = b <= 0.0        # whole support moves left
     if sup_left.any():
-        f_H = np.where(sup_left, 0.0, f_H)
-        f_Hu = np.where(sup_left, 0.0, f_Hu)
+        f_H[sup_left] = 0.0
+        f_Hu[sup_left] = 0.0
     return f_H, f_Hu
 
 
@@ -106,13 +106,19 @@ def _half_flux_minus(H, u, g):
     f_Hu = f_H * a * (2.0 / 3.0)
     sup_right = a >= 0.0
     if sup_right.any():
-        f_H = np.where(sup_right, 0.0, f_H)
-        f_Hu = np.where(sup_right, 0.0, f_Hu)
+        f_H[sup_right] = 0.0
+        f_Hu[sup_right] = 0.0
     sup_left = u + s <= 0.0
     if sup_left.any():
-        f_H = np.where(sup_left, H * u, f_H)
-        f_Hu = np.where(sup_left, H * u * u + 0.5 * g * H * H, f_Hu)
+        _set_exact_flux(f_H, f_Hu, sup_left, H, u, g)
     return f_H, f_Hu
+
+
+def _set_exact_flux(f_H, f_Hu, mask, H, u, g):
+    """Overwrite the masked entries with the exact flux (Hu, Hu^2 + g H^2 / 2)."""
+    Hm, um = H[mask], u[mask]
+    f_H[mask] = Hm * um
+    f_Hu[mask] = Hm * um * um + 0.5 * g * Hm * Hm
 
 
 def kinetic_flux(xl, xr, g: float):
@@ -123,6 +129,9 @@ def kinetic_flux(xl, xr, g: float):
     """
     HL, HuL = (np.asarray(v, dtype=float) for v in xl)
     HR, HuR = (np.asarray(v, dtype=float) for v in xr)
+    scalar = HL.ndim == 0 and HR.ndim == 0
+    # the half fluxes patch their one-sided entries in place
+    HL, HuL, HR, HuR = np.atleast_1d(HL, HuL, HR, HuR)
     if np.any(HL < 0.0) or np.any(HR < 0.0):
         raise ValueError("kinetic_flux requires non-negative depths")
     uL = np.zeros_like(HL)
@@ -133,8 +142,8 @@ def kinetic_flux(xl, xr, g: float):
     fm_H, fm_Hu = _half_flux_minus(HR, uR, g)
     F_H = fp_H + fm_H
     F_Hu = fp_Hu + fm_Hu
-    if F_H.ndim == 0:
-        return float(F_H), float(F_Hu)
+    if scalar:
+        return float(F_H[0]), float(F_Hu[0])
     return F_H, F_Hu
 
 
@@ -174,9 +183,8 @@ def cfl_dt(state: FlowState, mesh: Mesh1D, params: PhysicalParams) -> float:
     return params.cfl * float(np.min(mesh.element_widths)) / speed
 
 
-def _bisect(fun, lo: float, hi: float, rtol: float = 1e-12) -> float:
-    flo = fun(lo)
-    fhi = fun(hi)
+def _bisect(fun, lo: float, hi: float, flo: float, fhi: float, rtol: float = 1e-12) -> float:
+    """Root of fun in [lo, hi], given flo = fun(lo) and fhi = fun(hi)."""
     if flo == 0.0:
         return lo
     if fhi == 0.0:
@@ -216,7 +224,7 @@ def apply_hyperbolic_bc(state: FlowState, bc: HyperbolicBC, g: float) -> GhostSt
         raise TorrentialBoundaryError(
             f"{bc.kind} boundary on a dry node is not supported"
         )
-    froude = abs(ub) / np.sqrt(g * Hb)
+    froude = abs(ub) / math.sqrt(g * Hb)
     if froude >= 1.0:
         raise TorrentialBoundaryError(
             f"torrential regime at {bc.side} boundary (Fr = {froude:.3f}); "
@@ -225,39 +233,41 @@ def apply_hyperbolic_bc(state: FlowState, bc: HyperbolicBC, g: float) -> GhostSt
 
     # outgoing Riemann invariant seen from the interior
     sign = -1.0 if bc.side == "in" else 1.0
-    invariant = ub + sign * 2.0 * np.sqrt(g * Hb)
+    invariant = ub + sign * 2.0 * math.sqrt(g * Hb)
 
     if bc.kind == "imposed_depth":
         h0 = float(bc.h_given)
         if h0 <= 0.0:
             raise ValueError("imposed depth must be positive")
-        u0 = invariant - sign * 2.0 * np.sqrt(g * h0)
+        u0 = invariant - sign * 2.0 * math.sqrt(g * h0)
         return GhostState(h0, u0, wb)
 
     q01, q02 = float(bc.q0[0]), float(bc.q0[1])
 
     def residual(h):
-        return q01 / h + sign * 2.0 * np.sqrt(g * h) - invariant
+        return q01 / h + sign * 2.0 * math.sqrt(g * h) - invariant
 
     # For inflow-directed q01 the residual is monotone in h and the root is
     # unique.  For outflow-directed q01 there are two roots; the subcritical
     # one lies on h >= h_sonic, where h_sonic is the depth with Fr = 1.
     if sign * q01 > 0.0:
-        lo = (sign * q01 / np.sqrt(g)) ** (2.0 / 3.0)
+        lo = (sign * q01 / math.sqrt(g)) ** (2.0 / 3.0)
     else:
         lo = 1e-12 * max(Hb, 1.0)
     hi = max(4.0 * Hb, 2.0 * lo, invariant**2 / g, 1.0)
+    flo, fhi = residual(lo), residual(hi)
     grow = 0
-    while residual(lo) * residual(hi) > 0.0 and grow < 60:
+    while flo * fhi > 0.0 and grow < 60:
         hi *= 2.0
+        fhi = residual(hi)
         grow += 1
-    if residual(lo) * residual(hi) > 0.0:
+    if flo * fhi > 0.0:
         raise TorrentialBoundaryError(
             "no subcritical boundary depth matches the imposed flux"
         )
-    h0 = _bisect(residual, lo, hi)
+    h0 = _bisect(residual, lo, hi, flo, fhi)
     u0 = q01 / h0
-    if abs(u0) / np.sqrt(g * h0) >= 1.0:
+    if abs(u0) / math.sqrt(g * h0) >= 1.0:
         raise TorrentialBoundaryError(
             "imposed flux leads to a torrential boundary state"
         )

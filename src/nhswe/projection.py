@@ -67,7 +67,6 @@ class PressureField:
     """Pressure coefficients on the pressure space of one element pair."""
 
     values: np.ndarray
-    pair_tag: str
 
 
 @dataclass
@@ -108,8 +107,9 @@ def resolve_projection_bcs(ops: OperatorSet, bcs, U_predicted: np.ndarray) -> _B
 
 def _inverse_mass(ops: OperatorSet, plan: _BCPlan) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal A_H^-1 on the (u, w) blocks, zero on the held and dry dofs."""
-    invA_u = np.where(plan.free_u, 1.0 / ops.a_node, 0.0)
-    invA_w = np.where(plan.free_w, 1.0 / ops.a_node, 0.0)
+    inv_a = 1.0 / ops.a_node
+    invA_u = np.where(plan.free_u, inv_a, 0.0)
+    invA_w = np.where(plan.free_w, inv_a, 0.0)
     return invA_u, invA_w
 
 
@@ -127,11 +127,13 @@ def _corrected(
 class SchurSystem:
     """Banded SPD pressure system with its saddle-point context.
 
-    ab holds the upper symmetric band (scipy layout, bandwidth rows + diag),
-    rhs the eliminated right-hand side.  The operator set, the BC plan
-    (with the base velocity U*) and the masked inverse mass are kept so the
-    correction stays consistent with the system that produced the
-    pressure.  base_divergence is the B U* the rhs was formed from, kept as
+    ab holds the symmetric band in scipy's lower=True layout, bandwidth + 1
+    rows: ab[0] is the diagonal and ab[d, :m-d] the d-th off-diagonal,
+    ab[d, l] = S[l + d, l] = S[l, l + d].  LAPACK's banded Cholesky
+    factors this layout faster than the upper one.  rhs is the eliminated
+    right-hand side.  The operator set, the BC plan (with the base velocity
+    U*) and the masked inverse mass are kept so the correction stays
+    consistent with the system that produced the pressure.  base_divergence is the B U* the rhs was formed from, kept as
     the scale of the post-correction residual.
     """
 
@@ -158,10 +160,10 @@ class SchurSystem:
         return self.ab.shape[0] - 1
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        bw = self.bandwidth
-        y = self.ab[bw] * x
-        for d in range(1, bw + 1):
-            band = self.ab[bw - d, d:]
+        m = self.n_pressure
+        y = self.ab[0] * x
+        for d in range(1, self.bandwidth + 1):
+            band = self.ab[d, : m - d]
             y[:-d] += band * x[d:]
             y[d:] += band * x[:-d]
         return y
@@ -171,10 +173,10 @@ class SchurSystem:
         return _corrected(self.ops, self.plan, self.invA_u, self.invA_w, self.dt, p)
 
     def dense(self) -> np.ndarray:
-        bw = self.bandwidth
-        out = np.diag(self.ab[bw].copy())
-        for d in range(1, bw + 1):
-            band = self.ab[bw - d, d:]
+        m = self.n_pressure
+        out = np.diag(self.ab[0].copy())
+        for d in range(1, self.bandwidth + 1):
+            band = self.ab[d, : m - d]
             out += np.diag(band, k=d) + np.diag(band, k=-d)
         return out
 
@@ -191,28 +193,19 @@ def build_schur(
     plan = resolve_projection_bcs(ops, bcs, U_predicted)
     m = ops.n_pressure
     bw = ops.bandwidth
-    K = ops.window
-    stride = ops.stride
+    Du = ops.Du
 
     invA_u, invA_w = _inverse_mass(ops, plan)
-    iu_pad = ops._padded(invA_u)
-    iw_pad = ops._padded(invA_w)
 
+    # S = B A_H^-1 B^T band by band, in the lower layout (see SchurSystem);
+    # the geometry lists the window products that meet inside the mesh
     ab = np.zeros((bw + 1, m))
-    for d in range(bw + 1):
-        delta = d * stride
-        rows = m - d
-        acc = np.zeros(rows)
-        for k in range(delta, K):
-            sl = ops._offset_slice(k, rows)
-            acc += (
-                ops.Du[:rows, k] * ops.Du[d:, k - delta] * iu_pad[sl]
-                + ops.Dw[:rows, k] * ops.Dw[d:, k - delta] * iw_pad[sl]
+    for d, terms in enumerate(ops.geometry.schur_terms):
+        band = ab[d, : m - d]
+        for k, k_d, rows, rows_d, nodes, w_factor in terms:
+            band[rows] += (
+                Du[rows, k] * Du[rows_d, k_d] * invA_u[nodes] + w_factor * invA_w[nodes]
             )
-        if d == 0:
-            ab[bw] = acc
-        else:
-            ab[bw - d, d:] = acc
 
     base_divergence = ops.apply_divergence(plan.u_base, plan.w_base)
     rhs = -(1.0 / dt) * base_divergence
@@ -221,16 +214,16 @@ def build_schur(
     if np.any(plan.pinned):
         pvals = np.where(plan.pinned, plan.pinned_values, 0.0)
         for d in range(1, bw + 1):
-            band = ab[bw - d, d:]
+            band = ab[d, : m - d]
             hi = plan.pinned[d:]
             lo = plan.pinned[:m - d]
             rhs[: m - d] -= np.where(hi, band * pvals[d:], 0.0)
             rhs[d:] -= np.where(lo, band * pvals[: m - d], 0.0)
             band[hi | lo] = 0.0
-        ab[bw, plan.pinned] = 1.0
+        ab[0, plan.pinned] = 1.0
         rhs[plan.pinned] = plan.pinned_values[plan.pinned]
 
-    if np.any(ab[bw] <= 0.0):
+    if np.any(ab[0] <= 0.0):
         raise ValueError(
             "Schur diagonal is not positive: the pressure problem is fully "
             "determined, so a singular assembly indicates a bug"
@@ -252,17 +245,17 @@ def solve_pressure(sys: SchurSystem) -> PressureField:
     """Solve the Schur system by banded Cholesky factorization.
 
     The system is SPD with bandwidth 1 (P1/P0) or 2 (P1-iso-P2/P1), so the
-    solve is exact up to round-off in O(M) work.  A zero right-hand side
-    returns the zero pressure without factoring.
+    solve is exact up to round-off in O(M) work.  The band is stored lower
+    (SchurSystem), the layout LAPACK's banded Cholesky runs fastest.  A zero
+    right-hand side returns the zero pressure without factoring.
     """
-    tag = sys.ops.pair.tag
     if float(np.linalg.norm(sys.rhs)) == 0.0:
-        return PressureField(np.zeros(sys.n_pressure), tag)
+        return PressureField(np.zeros(sys.n_pressure))
     try:
-        p = scipy.linalg.solveh_banded(sys.ab, sys.rhs, lower=False, check_finite=False)
+        p = scipy.linalg.solveh_banded(sys.ab, sys.rhs, lower=True, check_finite=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - assembly bug guard
         raise ValueError(f"indefinite pivot in the banded factorization: {exc}") from exc
-    return PressureField(p, tag)
+    return PressureField(p)
 
 
 def correct_velocity(

@@ -364,7 +364,7 @@ def _solve_uzawa(sys: SchurSystem, tol: float) -> tuple[np.ndarray, int]:
     if rhs_norm == 0.0:
         return np.zeros(m), 0
     target = max(_STOP_SAFETY * tol, 1e-14) * rhs_norm
-    alpha = 1.0 / float(np.max(sys.ab[sys.bandwidth]))
+    alpha = 1.0 / float(np.max(sys.ab[0]))  # ab[0]: the diagonal
     pinned = sys.plan.pinned
     p = np.where(pinned, sys.plan.pinned_values, 0.0)
     cap = 10 * m

@@ -7,6 +7,12 @@ formulas literally, the Rusanov step and the bisection Riemann solver are
 self-contained.  The depth derivative of the divergence is taken here by
 differencing two package assemblies, against the package's exact
 derivative that builds no second assembly.
+
+Some routines are kept here in an earlier, slower formulation that the
+package replaced by one with the same arithmetic: the divergence window
+coefficients built from the mesh on every call, the kinetic half fluxes
+patched with np.where, and the imposed-flux boundary closure on numpy
+scalars.  Tests require the package to match them bit for bit.
 """
 
 import numpy as np
@@ -291,3 +297,157 @@ def depth_derivative_by_differencing(pair, mesh, zb, T_H, u, w, h_eps=1e-8):
     hi = assemble(pair, mesh, shift + T_H, zb, h_eps)
     lo = assemble(pair, mesh, np.full(mesh.n_nodes, shift), zb, h_eps)
     return hi.apply_divergence(u, w) - lo.apply_divergence(u, w)
+
+
+# -- divergence windows built from scratch on every call ----------------------
+
+
+def _coarse_traces(nodes):
+    xc = nodes[0::2]
+    xm = nodes[1::2]
+    right_frac = (xc[1:] - xm) / (xc[1:] - xc[:-1])
+    left_frac = (xm - xc[:-1]) / (xc[1:] - xc[:-1])
+    return left_frac, right_frac
+
+
+def _p1isop2_elements(nodes):
+    left_frac, right_frac = _coarse_traces(nodes)
+    rows_l, rows_r = slice(1, None), slice(None, -1)
+    return (
+        (rows_l, 0, 0, 0.0, left_frac),
+        (rows_l, 1, 1, left_frac, 1.0),
+        (rows_r, 0, 2, 1.0, right_frac),
+        (rows_r, 1, 3, right_frac, 0.0),
+    )
+
+
+def u_windows_uncached(pair, mesh, H, zb):
+    """Du of the divergence windows from the per-element formulas."""
+    dzeta = np.diff(H + 2.0 * zb)
+    if pair.tag == "P1P0":
+        return np.column_stack([-H[:-1] - 0.5 * dzeta, H[1:] - 0.5 * dzeta])
+    Du = np.zeros((pair.n_pressure, 5))
+    for rows, e0, off, pl, pr in _p1isop2_elements(mesh.nodes):
+        el = slice(e0, None, 2)
+        dz = dzeta[el]
+        Du[rows, off] += -H[:-1][el] * 0.5 * (pl + pr) - dz * (pl / 3.0 + pr / 6.0)
+        Du[rows, off + 1] += H[1:][el] * 0.5 * (pl + pr) - dz * (pl / 6.0 + pr / 3.0)
+    return Du
+
+
+def w_windows_uncached(pair, mesh):
+    """Dw of the divergence windows from the per-element formulas."""
+    h = np.diff(mesh.nodes)
+    if pair.tag == "P1P0":
+        return np.column_stack([h, h])
+    Dw = np.zeros((pair.n_pressure, 5))
+    for rows, e0, off, pl, pr in _p1isop2_elements(mesh.nodes):
+        he = h[e0::2]
+        Dw[rows, off] += he * (2.0 * pl + pr) / 3.0
+        Dw[rows, off + 1] += he * (pl + 2.0 * pr) / 3.0
+    return Dw
+
+
+# -- kinetic half fluxes, one-sided cases patched with np.where ---------------
+
+
+def _equilibrium_support(H, g):
+    c = np.sqrt(0.5 * g * H)
+    k = np.zeros_like(H)
+    np.divide(H, 2.0 * np.sqrt(3.0) * c, out=k, where=c > 0.0)
+    return np.sqrt(3.0) * c, k
+
+
+def half_flux_plus_where(H, u, g):
+    s, k = _equilibrium_support(H, g)
+    b = u + s
+    f_H = 0.5 * k * b * b
+    f_Hu = f_H * b * (2.0 / 3.0)
+    sup_right = u - s >= 0.0
+    if sup_right.any():
+        f_H = np.where(sup_right, H * u, f_H)
+        f_Hu = np.where(sup_right, H * u * u + 0.5 * g * H * H, f_Hu)
+    sup_left = b <= 0.0
+    if sup_left.any():
+        f_H = np.where(sup_left, 0.0, f_H)
+        f_Hu = np.where(sup_left, 0.0, f_Hu)
+    return f_H, f_Hu
+
+
+def half_flux_minus_where(H, u, g):
+    s, k = _equilibrium_support(H, g)
+    a = u - s
+    f_H = -0.5 * k * a * a
+    f_Hu = f_H * a * (2.0 / 3.0)
+    sup_right = a >= 0.0
+    if sup_right.any():
+        f_H = np.where(sup_right, 0.0, f_H)
+        f_Hu = np.where(sup_right, 0.0, f_Hu)
+    sup_left = u + s <= 0.0
+    if sup_left.any():
+        f_H = np.where(sup_left, H * u, f_H)
+        f_Hu = np.where(sup_left, H * u * u + 0.5 * g * H * H, f_Hu)
+    return f_H, f_Hu
+
+
+# -- imposed-flux boundary closure on numpy scalars ---------------------------
+
+
+def _bisect_numpy(fun, lo, hi, rtol=1e-12):
+    flo = fun(lo)
+    fhi = fun(hi)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if flo * fhi > 0.0:
+        raise ValueError("root not bracketed")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        fmid = fun(mid)
+        if fmid == 0.0 or (hi - lo) <= rtol * (1.0 + abs(mid)):
+            return mid
+        if flo * fmid <= 0.0:
+            hi = mid
+        else:
+            lo, flo = mid, fmid
+    return 0.5 * (lo + hi)
+
+
+def imposed_flux_ghost_numpy(Hb, ub, wb, side, q01, q02, g):
+    """Ghost (H, u, w) of an imposed-flux boundary, evaluated on numpy
+    scalars with every bracket residual re-evaluated; raises
+    TorrentialBoundaryError where no fluvial closure exists."""
+    from nhswe import TorrentialBoundaryError
+
+    if Hb <= 0.0:
+        raise TorrentialBoundaryError("dry boundary node")
+    if abs(ub) / np.sqrt(g * Hb) >= 1.0:
+        raise TorrentialBoundaryError("torrential boundary")
+    sign = -1.0 if side == "in" else 1.0
+    invariant = ub + sign * 2.0 * np.sqrt(g * Hb)
+
+    def residual(h):
+        return q01 / h + sign * 2.0 * np.sqrt(g * h) - invariant
+
+    if sign * q01 > 0.0:
+        lo = (sign * q01 / np.sqrt(g)) ** (2.0 / 3.0)
+    else:
+        lo = 1e-12 * max(Hb, 1.0)
+    hi = max(4.0 * Hb, 2.0 * lo, invariant**2 / g, 1.0)
+    grow = 0
+    while residual(lo) * residual(hi) > 0.0 and grow < 60:
+        hi *= 2.0
+        grow += 1
+    if residual(lo) * residual(hi) > 0.0:
+        raise TorrentialBoundaryError("no subcritical depth")
+    h0 = _bisect_numpy(residual, lo, hi)
+    u0 = q01 / h0
+    if abs(u0) / np.sqrt(g * h0) >= 1.0:
+        raise TorrentialBoundaryError("torrential boundary state")
+    return h0, u0, q02 / h0
+
+
+def float_bits(values):
+    """The IEEE bit patterns of a sequence of floats (signed zeros differ)."""
+    return np.asarray(values, dtype=float).view(np.int64)

@@ -15,6 +15,8 @@ from oracles import (
     random_wet_setup,
     staggered_stencil_divergence,
     staggered_stencil_gradient,
+    u_windows_uncached,
+    w_windows_uncached,
 )
 
 PAIRS = (P1P0, P1ISOP2P1)
@@ -223,18 +225,6 @@ def test_schur_bandwidth_tags():
     )
 
 
-def test_write_triplets_roundtrip(tmp_path):
-    mesh = nh.Mesh1D.uniform(0.0, 1.0, 5)
-    ops = nh.assemble(_pair(P1P0, 5), mesh, np.ones(5), np.zeros(5))
-    path = tmp_path / "B.txt"
-    nh.femops.write_triplets(path, ops.dense_divergence())
-    rebuilt = np.zeros_like(ops.dense_divergence())
-    for line in path.read_text().splitlines():
-        i, j, v = line.split()
-        rebuilt[int(i), int(j)] = float(v)
-    assert np.array_equal(rebuilt, ops.dense_divergence())
-
-
 def test_windowed_apply_matches_dense():
     rng = np.random.default_rng(8)
     for tag in PAIRS:
@@ -279,3 +269,49 @@ def test_depth_derivative_matches_differenced_assemblies(tag, data):
     # the difference cancels coefficients of size |shift + T_H| + |d zeta|
     scale = (2.0 * np.abs(T_H).max() + 1.0 + 4.0 * np.abs(zb).max()) * (np.abs(u).max() + 1.0)
     assert np.allclose(got, ref, rtol=0.0, atol=64 * np.finfo(float).eps * scale)
+
+
+# -- mesh-only geometry, built once per (mesh, pair) ----------------------------
+
+
+@pytest.mark.parametrize("tag", PAIRS)
+def test_assemblies_on_one_mesh_share_read_only_geometry(tag):
+    rng = np.random.default_rng(41)
+    mesh, H, zb = random_wet_setup(rng, odd=True)
+    pair = _pair(tag, mesh.n_nodes)
+    first = nh.assemble(pair, mesh, H, zb)
+    second = nh.assemble(pair, mesh, 2.0 * H, -zb)
+    assert second.Dw is first.Dw
+    assert second.geometry is first.geometry
+    assert not first.Dw.flags.writeable
+    with pytest.raises(ValueError):
+        first.Dw[0, 0] = 1.0
+    for term in first.geometry.schur_terms[0]:
+        assert not term[-1].flags.writeable
+
+
+def test_meshes_never_share_geometry():
+    # equal node arrays on two meshes still give two geometries, and each
+    # pair on one mesh has its own
+    nodes = np.linspace(0.0, 1.0, 9)
+    mesh_a, mesh_b = nh.Mesh1D(nodes), nh.Mesh1D(nodes.copy())
+    geoms = []
+    for mesh in (mesh_a, mesh_b):
+        for tag in PAIRS:
+            ops = nh.assemble(_pair(tag, 9), mesh, np.ones(9), np.zeros(9))
+            geoms.append(ops.geometry)
+    assert len({id(g) for g in geoms}) == 4
+    assert np.array_equal(geoms[0].Dw, geoms[2].Dw)
+    assert geoms[0].Dw is not geoms[2].Dw
+
+
+@pytest.mark.parametrize("tag", PAIRS)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_cached_windows_equal_an_uncached_build(tag, data):
+    mesh, H, zb, _, _ = data.draw(_depth_derivative_case(tag))
+    pair = _pair(tag, mesh.n_nodes)
+    nh.assemble(pair, mesh, np.ones(mesh.n_nodes), np.zeros(mesh.n_nodes))  # fills the cache
+    ops = nh.assemble(pair, mesh, H, zb)
+    assert np.array_equal(ops.Du, u_windows_uncached(pair, mesh, H, zb))
+    assert np.array_equal(ops.Dw, w_windows_uncached(pair, mesh))

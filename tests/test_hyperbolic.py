@@ -1,11 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import nhswe as nh
 from nhswe.core import TorrentialBoundaryError
-from nhswe.hyperbolic import GhostState, apply_hyperbolic_bc
+from nhswe.hyperbolic import GhostState, _half_flux_minus, _half_flux_plus, apply_hyperbolic_bc
 
-from oracles import rusanov_step
+from oracles import (
+    float_bits,
+    half_flux_minus_where,
+    half_flux_plus_where,
+    imposed_flux_ghost_numpy,
+    rusanov_step,
+)
 
 G = 9.81
 
@@ -145,6 +154,52 @@ def test_imposed_flux_against_bisection_oracle():
     assert ghost.H == pytest.approx(0.5 * (lo + hi), abs=1e-9)
     assert ghost.u == pytest.approx(q / ghost.H, rel=1e-12)
     assert ghost.w == pytest.approx(0.1 / ghost.H, rel=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    H=st.one_of(st.just(0.0), st.floats(1e-3, 10.0)),
+    froude=st.floats(-1.2, 1.2),
+    q01=st.one_of(st.just(0.0), st.floats(-20.0, 20.0)),
+    q02=st.floats(-5.0, 5.0),
+    side=st.sampled_from(["in", "out"]),
+)
+def test_imposed_flux_ghost_matches_numpy_scalar_closure(H, froude, q01, q02, side):
+    # the closure on Python floats reproduces the numpy-scalar one bit for
+    # bit, and raises in exactly the same cases
+    u = froude * np.sqrt(G * H)
+    state = nh.FlowState(np.full(3, H), np.full(3, H * u), np.full(3, 0.1 * H))
+    idx = 0 if side == "in" else 2
+    Hb = float(state.H[idx])
+    ub = float(state.Hu[idx] / Hb) if Hb > 0.0 else 0.0
+    bc = nh.HyperbolicBC("imposed_flux", side, q0=(q01, q02))
+    try:
+        ref = imposed_flux_ghost_numpy(Hb, ub, 0.0, side, q01, q02, G)
+    except TorrentialBoundaryError:
+        with pytest.raises(TorrentialBoundaryError):
+            apply_hyperbolic_bc(state, bc, G)
+        return
+    ghost = apply_hyperbolic_bc(state, bc, G)
+    assert np.array_equal(float_bits(ghost), float_bits(ref))
+
+
+_depths = st.one_of(st.just(0.0), st.floats(0.0, 10.0))
+_velocities = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-30.0, 30.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_half_fluxes_match_where_formulation(data):
+    # one-sided supports (dry nodes, |u| >= sqrt(3 g H / 2)) are patched by
+    # masked assignment; values and zero signs equal the np.where patches
+    n = data.draw(st.integers(1, 40))
+    H = data.draw(arrays(float, n, elements=_depths))
+    u = data.draw(arrays(float, n, elements=_velocities))
+    for half, ref in ((_half_flux_plus, half_flux_plus_where),
+                      (_half_flux_minus, half_flux_minus_where)):
+        for got, want in zip(half(H, u, G), ref(H, u, G)):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_imposed_depth_outflow():

@@ -100,6 +100,36 @@ def test_schur_bandwidth_structure():
         assert np.abs(np.diag(S, k=d)).max() == 0.0
 
 
+@pytest.mark.parametrize("tag", PAIRS)
+def test_schur_dense_equals_masked_operator_product(tag):
+    # S = B A_H^-1 B^T from the dense operators, held and dry velocity dofs
+    # masked out of A_H^-1, pinned pressure rows and columns replaced by the
+    # identity; the lower band storage must reproduce it
+    rng = np.random.default_rng(33)
+    for bcs in (
+        (nh.PressureBC("in", "dirichlet", p0=0.3),),
+        (nh.PressureBC("out", "neumann", u_imposed=0.0),),
+    ):
+        mesh, H, zb = random_wet_setup(rng, n_min=15, n_max=21, odd=True)
+        n = mesh.n_nodes
+        H[n // 2 - 2 : n // 2 + 3] = 0.0  # a dry patch pins the dofs it supports
+        ops = nh.assemble(nh.ElementPair.from_tag(tag, n), mesh, H, zb)
+        sys = nh.build_schur(ops, rng.standard_normal(2 * n), 0.05, bcs=bcs)
+        pinned = sys.plan.pinned
+        assert pinned.any() and not pinned.all()
+        free = np.r_[sys.plan.free_u, sys.plan.free_w]
+        B = ops.dense_divergence()
+        inv_mass = np.where(free, 1.0 / np.r_[ops.a_node, ops.a_node], 0.0)
+        S = B @ np.diag(inv_mass) @ B.T
+        S[pinned, :] = 0.0
+        S[:, pinned] = 0.0
+        S[pinned, pinned] = 1.0
+        x = rng.standard_normal(ops.n_pressure)
+        tol = 1e-12 * np.abs(S).max()
+        assert np.allclose(sys.dense(), S, rtol=0.0, atol=tol)
+        assert np.allclose(sys.matvec(x), S @ x, rtol=0.0, atol=tol * np.abs(x).sum())
+
+
 def test_schur_rejects_bad_dt():
     rng = np.random.default_rng(6)
     mesh, H, zb = random_wet_setup(rng)

@@ -188,7 +188,7 @@ def test_divergence_bound_violation_raises(stepper, monkeypatch):
     state = nh.FlowState(state.H, state.Hu, 0.3 * state.H)
 
     def no_pressure(sys):
-        return nh.PressureField(np.zeros(sys.n_pressure), sys.ops.pair.tag)
+        return nh.PressureField(np.zeros(sys.n_pressure))
 
     monkeypatch.setattr(timeloop, "solve_pressure", no_pressure)
     with pytest.raises(nh.DivergenceBoundError):
