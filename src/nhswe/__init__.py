@@ -13,7 +13,6 @@ from .core import (
     FlowState,
     Mesh1D,
     PhysicalParams,
-    SolverConvergenceError,
     TorrentialBoundaryError,
     total_energy,
     total_mass,
@@ -80,7 +79,6 @@ __all__ = [
     "Scenario",
     "SchurSystem",
     "SolitaryWaveParams",
-    "SolverConvergenceError",
     "StepReport",
     "TorrentialBoundaryError",
     "apply_hyperbolic_bc",

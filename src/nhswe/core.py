@@ -29,20 +29,6 @@ class DivergenceBoundError(RuntimeError):
     """Raised when a corrected velocity misses its divergence residual bound."""
 
 
-class SolverConvergenceError(RuntimeError):
-    """An iterative reference pressure solve (verify) hit its iteration cap.
-
-    Attributes:
-        residual: relative residual reached when the cap was hit.
-        iterations: number of iterations performed.
-    """
-
-    def __init__(self, message: str, residual: float, iterations: int):
-        super().__init__(message)
-        self.residual = residual
-        self.iterations = iterations
-
-
 def _as_float_array(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1:

@@ -154,7 +154,6 @@ class OperatorSet:
     pair: ElementPair
     mesh: Mesh1D
     H: np.ndarray
-    zb: np.ndarray
     a_node: np.ndarray
     Du: np.ndarray
     h_eps: float
@@ -442,7 +441,6 @@ def assemble(pair: ElementPair, mesh: Mesh1D, H, zb, h_eps: float = 1e-8) -> Ope
         pair=pair,
         mesh=mesh,
         H=H,
-        zb=zb,
         a_node=lump_mass(H, mesh, h_eps),
         Du=_u_windows(pair, geom, H, dzeta),
         h_eps=h_eps,

@@ -255,7 +255,10 @@ def apply_hyperbolic_bc(state: FlowState, bc: HyperbolicBC, g: float) -> GhostSt
     else:
         lo = 1e-12 * max(Hb, 1.0)
     hi = max(4.0 * Hb, 2.0 * lo, invariant**2 / g, 1.0)
-    flo, fhi = residual(lo), residual(hi)
+    # a flux below the float range of lo underflows it to 0, where the
+    # residual is infinite with the sign of q01
+    flo = residual(lo) if lo > 0.0 else math.copysign(math.inf, q01)
+    fhi = residual(hi)
     grow = 0
     while flo * fhi > 0.0 and grow < 60:
         hi *= 2.0

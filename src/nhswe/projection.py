@@ -16,15 +16,16 @@ the elimination is exact and the corrected velocity is
 
     U = U* + dt A_H^-1 B^T P.
 
-Boundary handling:
-  * dirichlet: the boundary pressure dof is pinned to p0 (row/column
+Boundary handling: every boundary condition holds its data at 0 or at the
+predicted trace.
+  * dirichlet: the boundary pressure dof is pinned to 0 (row/column
     eliminated symmetrically, which keeps the matrix SPD); the boundary
     velocity is corrected like any interior dof.
-  * neumann: the boundary horizontal velocity is held at an imposed value
-    (the predicted trace by default), its column is masked out of the Schur
-    operator and the (1/dt)(u* - u_imposed) mismatch moves to the
-    right-hand side.  An imposed depth closes as Neumann keeping the trace:
-    its Robin coefficient dH/dn needs no kind of its own, because the
+  * wall and neumann: the boundary horizontal velocity is held, at 0 for
+    a wall and at its predicted trace for neumann; its column is masked
+    out of the Schur operator and the held value enters the right-hand
+    side through B U*.  An imposed depth closes as neumann: its Robin
+    coefficient dH/dn needs no kind of its own, because the
     depth-dependent boundary entries of B and C already carry it.
 
 Velocity dofs on dry nodes (H < h_eps) are excluded from the correction and
@@ -45,20 +46,18 @@ from .femops import OperatorSet
 class PressureBC:
     """Pressure boundary condition induced by the hyperbolic closure.
 
-    kind: "dirichlet" (carries p0) or "neumann".  For neumann the
-    horizontal boundary velocity is imposed; u_imposed = None means "keep
-    the predicted trace".
+    kind: "dirichlet" (boundary pressure 0), "wall" (horizontal boundary
+    velocity held at 0) or "neumann" (horizontal boundary velocity held at
+    its predicted trace).
     """
 
     side: str
     kind: str
-    p0: float = 0.0
-    u_imposed: float | None = None
 
     def __post_init__(self):
         if self.side not in ("in", "out"):
             raise ValueError(f"side must be 'in' or 'out', got {self.side!r}")
-        if self.kind not in ("dirichlet", "neumann"):
+        if self.kind not in ("dirichlet", "wall", "neumann"):
             raise ValueError(f"unknown pressure BC kind {self.kind!r}")
 
 
@@ -75,8 +74,7 @@ class _BCPlan:
     free_w: np.ndarray
     u_base: np.ndarray
     w_base: np.ndarray
-    pinned: np.ndarray          # bool mask over pressure dofs
-    pinned_values: np.ndarray   # full-length, zero where not pinned
+    pinned: np.ndarray  # bool mask over pressure dofs, each held at 0
 
 
 def resolve_projection_bcs(ops: OperatorSet, bcs, U_predicted: np.ndarray) -> _BCPlan:
@@ -91,18 +89,15 @@ def resolve_projection_bcs(ops: OperatorSet, bcs, U_predicted: np.ndarray) -> _B
     free_w = wet.copy()
     m = ops.n_pressure
     pinned = ops.dry_pressure_dofs()
-    values = np.zeros(m)
     for bc in bcs:
-        node = 0 if bc.side == "in" else n - 1
-        pdof = 0 if bc.side == "in" else m - 1
         if bc.kind == "dirichlet":
-            pinned[pdof] = True
-            values[pdof] = bc.p0
-        else:
-            free_u[node] = False
-            if bc.u_imposed is not None:
-                u_base[node] = bc.u_imposed
-    return _BCPlan(free_u, free_w, u_base, w_base, pinned, values)
+            pinned[0 if bc.side == "in" else m - 1] = True
+            continue
+        node = 0 if bc.side == "in" else n - 1
+        free_u[node] = False
+        if bc.kind == "wall":
+            u_base[node] = 0.0
+    return _BCPlan(free_u, free_w, u_base, w_base, pinned)
 
 
 def _inverse_mass(ops: OperatorSet, plan: _BCPlan) -> tuple[np.ndarray, np.ndarray]:
@@ -133,8 +128,10 @@ class SchurSystem:
     factors this layout faster than the upper one.  rhs is the eliminated
     right-hand side.  The operator set, the BC plan (with the base velocity
     U*) and the masked inverse mass are kept so the correction stays
-    consistent with the system that produced the pressure.  base_divergence is the B U* the rhs was formed from, kept as
-    the scale of the post-correction residual.
+    consistent with the system that produced the pressure.
+
+    base_divergence is the B U* the rhs was formed from, kept as the scale
+    of the post-correction residual.
     """
 
     ab: np.ndarray
@@ -210,18 +207,13 @@ def build_schur(
     base_divergence = ops.apply_divergence(plan.u_base, plan.w_base)
     rhs = -(1.0 / dt) * base_divergence
 
-    # symmetric elimination of pinned dofs (Dirichlet data and dry supports)
+    # symmetric elimination of the pinned dofs (Dirichlet sides and dry
+    # supports), each held at 0
     if np.any(plan.pinned):
-        pvals = np.where(plan.pinned, plan.pinned_values, 0.0)
         for d in range(1, bw + 1):
-            band = ab[d, : m - d]
-            hi = plan.pinned[d:]
-            lo = plan.pinned[:m - d]
-            rhs[: m - d] -= np.where(hi, band * pvals[d:], 0.0)
-            rhs[d:] -= np.where(lo, band * pvals[: m - d], 0.0)
-            band[hi | lo] = 0.0
+            ab[d, : m - d][plan.pinned[d:] | plan.pinned[: m - d]] = 0.0
         ab[0, plan.pinned] = 1.0
-        rhs[plan.pinned] = plan.pinned_values[plan.pinned]
+        rhs[plan.pinned] = 0.0
 
     if np.any(ab[0] <= 0.0):
         raise ValueError(

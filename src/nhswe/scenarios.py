@@ -284,7 +284,6 @@ class Scenario:
     bounds: BoundarySpec
     gauges: GaugeSet | None = None
     exact: Callable | None = None
-    suggested_t_end: float = 1.0
     h_eps: float = 1e-8
 
 
@@ -334,7 +333,6 @@ def make_solitary(
         state0=state,
         bounds=BoundarySpec.walls(),
         exact=exact_shifted,
-        suggested_t_end=5.9025,
     )
 
 
@@ -357,7 +355,6 @@ def make_dam_break(
         bathy=bathy,
         state0=state,
         bounds=BoundarySpec.open(),
-        suggested_t_end=45.0,
     )
 
 
@@ -394,7 +391,6 @@ def make_beach(
         bathy=bathy,
         state0=state,
         bounds=bounds,
-        suggested_t_end=10.5,
         h_eps=h_eps,
     )
 
@@ -445,5 +441,4 @@ def make_dingemans(
         state0=state,
         bounds=bounds,
         gauges=gauges,
-        suggested_t_end=25.0,
     )

@@ -19,7 +19,7 @@ velocity misses its divergence bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -50,20 +50,15 @@ HyperbolicSide = HyperbolicBC | Callable[[float], HyperbolicBC]
 
 @dataclass
 class BoundarySpec:
-    """Per-side hyperbolic condition plus the induced pressure condition.
+    """Per-side hyperbolic condition; the pressure condition follows its kind.
 
-    The hyperbolic entry may be a callable of time (wavemakers).  The
-    pressure condition defaults to the closure induced by the hyperbolic
-    kind: imposed_flux -> homogeneous Dirichlet, imposed_depth and
-    free_outflow -> Neumann keeping the predicted trace, wall -> Neumann
-    with zero velocity.  Explicit PressureBC overrides are honored as
-    given, in every projection and in the stage rates of step_heun.
+    The hyperbolic entry may be a callable of time (wavemakers).  Each
+    projection, and each stage rate of step_heun, closes the pressure
+    problem with the condition the hyperbolic kind induces (_PRESSURE_KIND).
     """
 
     left: HyperbolicSide
     right: HyperbolicSide
-    pressure_left: PressureBC | None = None
-    pressure_right: PressureBC | None = None
 
     def hyperbolic_at(self, t: float) -> tuple[HyperbolicBC, HyperbolicBC]:
         bl = self.left(t) if callable(self.left) else self.left
@@ -85,33 +80,23 @@ class BoundarySpec:
         )
 
 
-def _induced_pressure_bc(hyp: HyperbolicBC, side: str) -> PressureBC:
-    if hyp.kind == "imposed_flux":
-        return PressureBC(side, "dirichlet", p0=0.0)
-    if hyp.kind == "wall":
-        return PressureBC(side, "neumann", u_imposed=0.0)
-    # free outflow and imposed depth keep the predicted trace
-    return PressureBC(side, "neumann")
+# pressure closure induced by each hyperbolic kind: an imposed flux pins the
+# pressure to 0, a wall holds the velocity at 0, free outflow and an imposed
+# depth keep the predicted velocity trace
+_PRESSURE_KIND = {
+    "imposed_flux": "dirichlet",
+    "wall": "wall",
+    "imposed_depth": "neumann",
+    "free_outflow": "neumann",
+}
 
 
-def _pressure_bcs(
-    bounds: BoundarySpec, hyp: tuple[HyperbolicBC, HyperbolicBC]
-) -> tuple[PressureBC, PressureBC]:
-    """(left, right) pressure conditions: the override of `bounds` on each
-    side, else the closure induced by that side's hyperbolic condition."""
+def _pressure_bcs(hyp: tuple[HyperbolicBC, HyperbolicBC]) -> tuple[PressureBC, PressureBC]:
+    """(left, right) pressure conditions induced by the hyperbolic kinds."""
     return (
-        bounds.pressure_left or _induced_pressure_bc(hyp[0], "in"),
-        bounds.pressure_right or _induced_pressure_bc(hyp[1], "out"),
+        PressureBC("in", _PRESSURE_KIND[hyp[0].kind]),
+        PressureBC("out", _PRESSURE_KIND[hyp[1].kind]),
     )
-
-
-def _rate_form(bc: PressureBC) -> PressureBC:
-    """The condition on the velocity's time derivative: a boundary velocity
-    held at a fixed value has rate 0; Dirichlet data and a kept trace
-    (u_imposed None) carry over unchanged."""
-    if bc.kind == "dirichlet" or bc.u_imposed is None:
-        return bc
-    return replace(bc, u_imposed=0.0)
 
 
 @dataclass
@@ -140,7 +125,6 @@ def _project(
     mesh: Mesh1D,
     bathy: Bathymetry,
     params: PhysicalParams,
-    bounds: BoundarySpec,
     pair: ElementPair,
     hyp: tuple[HyperbolicBC, HyperbolicBC],
     dt: float,
@@ -152,8 +136,7 @@ def _project(
     """
     ops = assemble(pair, mesh, state.H, bathy.zb, params.h_eps)
     u, w = state.velocities(params.h_eps)
-    pbcs = _pressure_bcs(bounds, hyp)
-    sys = build_schur(ops, np.concatenate([u, w]), dt, pbcs)
+    sys = build_schur(ops, np.concatenate([u, w]), dt, _pressure_bcs(hyp))
     pressure = solve_pressure(sys)
     U = np.concatenate(sys.corrected_velocity(pressure.values))
 
@@ -196,7 +179,7 @@ def project_state(
     """
     pair = pair or ElementPair.p1p0(mesh.n_nodes)
     hyp = bounds.hyperbolic_at(state.t)
-    new = _project(state, mesh, bathy, params, bounds, pair, hyp, 1.0).state
+    new = _project(state, mesh, bathy, params, pair, hyp, 1.0).state
     return FlowState(state.H.copy(), new.Hu, new.Hw, new.t)
 
 
@@ -215,7 +198,7 @@ def step_euler(
     dt = dt_cfl if dt is None else min(dt, dt_cfl)
     hyp = bounds.hyperbolic_at(state.t)
     half = predict(state, mesh, bathy, params, *hyp, dt)
-    return _project(half, mesh, bathy, params, bounds, pair, hyp, dt)
+    return _project(half, mesh, bathy, params, pair, hyp, dt)
 
 
 def heun_step(y, dt: float, substep: Callable):
@@ -250,7 +233,8 @@ def _stage_rate(
     where (dB/dH)[T_H] u is applied exactly from the assembly at the
     current depth (OperatorSet.apply_depth_derivative: the u-coefficients
     of B are linear in (H, dzeta)).  The boundary conditions are the step's
-    pressure conditions in rate form (_rate_form).  The result is a smooth
+    pressure conditions: a velocity held at 0 has rate 0, and a kept trace
+    or a pressure pinned to 0 carries over as is.  The result is a smooth
     function of the state alone, so classical Runge-Kutta theory applies
     to it.
     """
@@ -269,9 +253,8 @@ def _stage_rate(
 
     ops = assemble(pair, mesh, state.H, bathy.zb, params.h_eps)
     dD_u = ops.apply_depth_derivative(T_H, u)
-    pbcs = tuple(_rate_form(bc) for bc in _pressure_bcs(bounds, hyp))
 
-    sys = build_schur(ops, U_rate, 1.0, pbcs)
+    sys = build_schur(ops, U_rate, 1.0, _pressure_bcs(hyp))
     sys.rhs[:] = sys.rhs - np.where(sys.plan.pinned, 0.0, dD_u)
     p_rate = solve_pressure(sys)
     du_corr, dw_corr = sys.corrected_velocity(p_rate.values)
@@ -320,7 +303,7 @@ def step_heun(
 
     # restore div_sw u = 0 on the averaged state (operators at its own depth)
     hyp = bounds.hyperbolic_at(avg.t)
-    return _project(avg, mesh, bathy, params, bounds, pair, hyp, dt)
+    return _project(avg, mesh, bathy, params, pair, hyp, dt)
 
 
 @dataclass

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import timeloop
-from .core import FlowState, Mesh1D, PhysicalParams, SolverConvergenceError, total_mass
+from .core import FlowState, Mesh1D, PhysicalParams, total_mass
 from .femops import P1ISOP2P1, P1P0, ElementPair, assemble
 from .hyperbolic import cfl_dt, predict
 from .projection import PressureBC, SchurSystem, build_schur
@@ -313,6 +313,20 @@ def check_dam_break_plateau(ctx: VerifyContext, n_nodes: int = 6000) -> CheckRes
 # -- iterative reference solvers ----------------------------------------------
 
 
+class SolverConvergenceError(RuntimeError):
+    """An iterative reference pressure solve diverged or hit its iteration cap.
+
+    Attributes:
+        residual: relative residual when the solve stopped.
+        iterations: number of iterations performed.
+    """
+
+    def __init__(self, message: str, residual: float, iterations: int):
+        super().__init__(message)
+        self.residual = residual
+        self.iterations = iterations
+
+
 def _solve_cg(sys: SchurSystem, tol: float) -> tuple[np.ndarray, int]:
     """Conjugate gradients on the Schur system: (pressure, iterations).
 
@@ -366,7 +380,7 @@ def _solve_uzawa(sys: SchurSystem, tol: float) -> tuple[np.ndarray, int]:
     target = max(_STOP_SAFETY * tol, 1e-14) * rhs_norm
     alpha = 1.0 / float(np.max(sys.ab[0]))  # ab[0]: the diagonal
     pinned = sys.plan.pinned
-    p = np.where(pinned, sys.plan.pinned_values, 0.0)
+    p = np.zeros(m)
     cap = 10 * m
     r0 = None
     for it in range(1, cap + 1):

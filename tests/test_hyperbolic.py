@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -164,6 +164,9 @@ def test_imposed_flux_against_bisection_oracle():
     q02=st.floats(-5.0, 5.0),
     side=st.sampled_from(["in", "out"]),
 )
+# a flux so small that the sonic-depth bracket underflows to 0
+@example(H=1.0, froude=0.0, q01=5e-324, q02=0.0, side="out")
+@example(H=1.0, froude=0.5, q01=-5e-324, q02=0.0, side="in")
 def test_imposed_flux_ghost_matches_numpy_scalar_closure(H, froude, q01, q02, side):
     # the closure on Python floats reproduces the numpy-scalar one bit for
     # bit, and raises in exactly the same cases

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 import nhswe as nh
-from nhswe.core import SolverConvergenceError
 from nhswe.femops import P1ISOP2P1, P1P0
 from nhswe.projection import divergence_residual, resolve_projection_bcs
-from nhswe.verify import _solve_cg, _solve_uzawa
+from nhswe.verify import SolverConvergenceError, _solve_cg, _solve_uzawa
 
 from oracles import random_wet_setup
 
@@ -22,10 +21,7 @@ def _random_system(rng, tag, bcs=(), n_min=7, n_max=13):
 
 
 def _dirichlet_both():
-    return (
-        nh.PressureBC("in", "dirichlet", p0=0.0),
-        nh.PressureBC("out", "dirichlet", p0=0.0),
-    )
+    return (nh.PressureBC("in", "dirichlet"), nh.PressureBC("out", "dirichlet"))
 
 
 # -- build_schur -------------------------------------------------------------
@@ -107,8 +103,8 @@ def test_schur_dense_equals_masked_operator_product(tag):
     # identity; the lower band storage must reproduce it
     rng = np.random.default_rng(33)
     for bcs in (
-        (nh.PressureBC("in", "dirichlet", p0=0.3),),
-        (nh.PressureBC("out", "neumann", u_imposed=0.0),),
+        (nh.PressureBC("in", "dirichlet"),),
+        (nh.PressureBC("out", "wall"),),
     ):
         mesh, H, zb = random_wet_setup(rng, n_min=15, n_max=21, odd=True)
         n = mesh.n_nodes
@@ -238,14 +234,16 @@ def test_projection_idempotence(tag):
 
 
 def test_dirichlet_value_enters_solution():
+    # the Dirichlet value is 0: the pinned dof solves to exactly 0
     rng = np.random.default_rng(22)
     mesh, H, zb = random_wet_setup(rng)
     ops = nh.assemble(nh.ElementPair.p1p0(mesh.n_nodes), mesh, H, zb)
     U = rng.standard_normal(2 * mesh.n_nodes)
-    bcs = (nh.PressureBC("in", "dirichlet", p0=1.25),)
+    bcs = (nh.PressureBC("in", "dirichlet"),)
     sys = nh.build_schur(ops, U, 0.05, bcs=bcs)
     p = nh.solve_pressure(sys)
-    assert p.values[0] == pytest.approx(1.25, rel=1e-12)
+    assert p.values[0] == 0.0
+    assert np.abs(p.values[1:]).max() > 0.0
     # against a dense solve of the same eliminated system
     ref = np.linalg.solve(sys.dense(), sys.rhs)
     assert np.allclose(p.values, ref, atol=1e-10)
@@ -257,21 +255,19 @@ def test_neumann_pins_boundary_velocity():
     n = mesh.n_nodes
     ops = nh.assemble(nh.ElementPair.p1p0(n), mesh, H, zb)
     U = rng.standard_normal(2 * n)
-    bcs = (
-        nh.PressureBC("in", "neumann", u_imposed=0.0),
-        nh.PressureBC("out", "neumann", u_imposed=0.4),
-    )
+    bcs = (nh.PressureBC("in", "wall"), nh.PressureBC("out", "neumann"))
     sys = nh.build_schur(ops, U, 0.05, bcs=bcs)
     p = nh.solve_pressure(sys)
     U_new = nh.correct_velocity(U, p.values, ops, 0.05, bcs=bcs)
     assert U_new[0] == 0.0
-    assert U_new[n - 1] == 0.4
+    assert U_new[n - 1] == U[n - 1]
     assert divergence_residual(sys, U_new) <= 1e-9
 
 
 def test_pressure_bc_kinds_are_dirichlet_and_neumann():
-    # an imposed depth closes as Neumann (its Robin coefficient lives in the
-    # depth-dependent boundary entries of B and C), so no "mixed" kind exists
+    # "wall" is the Neumann condition with zero velocity; an imposed depth
+    # closes as Neumann (its Robin coefficient lives in the depth-dependent
+    # boundary entries of B and C), so no "mixed" kind exists
     with pytest.raises(ValueError):
         nh.PressureBC("out", "mixed")
 
@@ -294,9 +290,8 @@ def test_plan_masks():
     H = np.ones(5)
     ops = nh.assemble(nh.ElementPair.p1p0(5), mesh, H, np.zeros(5))
     U = np.arange(10.0)
-    plan = resolve_projection_bcs(
-        ops, (nh.PressureBC("in", "neumann", u_imposed=-1.0),), U
-    )
+    plan = resolve_projection_bcs(ops, (nh.PressureBC("in", "wall"),), U)
     assert not plan.free_u[0] and plan.free_u[1:].all()
     assert plan.free_w.all()
-    assert plan.u_base[0] == -1.0
+    assert plan.u_base[0] == 0.0
+    assert np.array_equal(plan.u_base[1:], U[1:5])

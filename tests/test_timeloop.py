@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -238,31 +236,7 @@ def test_work_per_step(integrator, monkeypatch):
     assert {k: v / steps for k, v in calls.items()} == WORK_PER_STEP[integrator]
 
 
-# -- pressure boundary overrides ----------------------------------------------
-
-
-@pytest.mark.parametrize("stepper", [nh.step_euler, nh.step_heun])
-@pytest.mark.parametrize(
-    "bounds, left, right",
-    [
-        (nh.BoundarySpec.walls(), nh.PressureBC("in", "neumann", u_imposed=0.0),
-         nh.PressureBC("out", "neumann", u_imposed=0.0)),
-        (nh.BoundarySpec.open(), nh.PressureBC("in", "neumann"),
-         nh.PressureBC("out", "neumann")),
-        # an imposed depth closes as Neumann keeping the predicted trace
-        (nh.BoundarySpec(nh.HyperbolicBC("wall", "in"),
-                         nh.HyperbolicBC("imposed_depth", "out", h_given=1.0)),
-         nh.PressureBC("in", "neumann", u_imposed=0.0), nh.PressureBC("out", "neumann")),
-    ],
-)
-def test_override_equal_to_induced_is_bit_identical(stepper, bounds, left, right):
-    sc = nh.make_solitary(201)
-    params = nh.PhysicalParams()
-    overridden = dataclasses.replace(bounds, pressure_left=left, pressure_right=right)
-    a = stepper(sc.state0, sc.mesh, sc.bathy, params, bounds).state
-    b = stepper(sc.state0, sc.mesh, sc.bathy, params, overridden).state
-    for x, y in ((a.H, b.H), (a.Hu, b.Hu), (a.Hw, b.Hw)):
-        assert np.array_equal(x, y)
+# -- stage rate boundary closure -----------------------------------------------
 
 
 def _rate(bounds):
@@ -273,25 +247,63 @@ def _rate(bounds):
     return sc, timeloop._stage_rate(sc.state0, sc.mesh, sc.bathy, params, bounds, pair, dt)
 
 
-def test_stage_rate_honours_a_differing_override():
+def test_stage_rate_follows_the_boundary_kind():
+    # an imposed flux pins the pressure rate to 0 and corrects the boundary
+    # velocity; a wall holds it, so the two closures give different rates
     walls = nh.BoundarySpec.walls()
-    _, (_, mom_u, mom_w) = _rate(walls)
-    dirichlet = dataclasses.replace(walls, pressure_left=nh.PressureBC("in", "dirichlet"))
-    _, (_, mom_u_d, mom_w_d) = _rate(dirichlet)
-    assert not np.allclose(mom_u, mom_u_d, rtol=0.0, atol=1e-9)
-    assert not np.allclose(mom_w, mom_w_d, rtol=0.0, atol=1e-9)
+    sc, (_, mom_u, mom_w) = _rate(walls)
+    flux = nh.BoundarySpec(nh.HyperbolicBC("imposed_flux", "in", q0=(0.0, 0.0)), walls.right)
+    _, (T_H, mom_u_f, mom_w_f) = _rate(flux)
+    u, _ = sc.state0.velocities(nh.PhysicalParams().h_eps)
+    assert abs(mom_u_f[0] - u[0] * T_H[0]) > 1e-6
+    assert not np.allclose(mom_u, mom_u_f, rtol=0.0, atol=1e-9)
+    assert not np.allclose(mom_w, mom_w_f, rtol=0.0, atol=1e-9)
 
 
 def test_stage_rate_holds_an_imposed_boundary_velocity():
-    held = dataclasses.replace(
-        nh.BoundarySpec.open(), pressure_right=nh.PressureBC("out", "neumann", u_imposed=0.25)
-    )
-    sc, (T_H, mom_u, _) = _rate(held)
+    sc, (T_H, mom_u, _) = _rate(nh.BoundarySpec.walls())
     u, _ = sc.state0.velocities(nh.PhysicalParams().h_eps)
-    # the held velocity has rate 0, so only the depth change moves H u there
+    # a wall holds the velocity at 0, so its rate is 0 and only the depth
+    # change moves H u there
+    assert mom_u[0] == u[0] * T_H[0]
     assert mom_u[-1] == u[-1] * T_H[-1]
-    _, (_, mom_u_kept, _) = _rate(nh.BoundarySpec.open())
-    assert mom_u_kept[-1] != mom_u[-1]
+    # free outflow keeps the predicted trace, whose rate is not held
+    _, (T_H_open, mom_u_kept, _) = _rate(nh.BoundarySpec.open())
+    assert mom_u_kept[-1] != u[-1] * T_H_open[-1]
+
+
+_HYPERBOLIC_DATA = {
+    "imposed_flux": {"q0": (0.1, 0.0)},
+    "wall": {},
+    "imposed_depth": {"h_given": 1.0},
+    "free_outflow": {},
+}
+
+
+@pytest.mark.parametrize("side", ["in", "out"])
+@pytest.mark.parametrize("kind", sorted(_HYPERBOLIC_DATA))
+def test_pressure_closure_of_each_hyperbolic_kind(kind, side):
+    # imposed flux: pressure pinned to 0, velocity free; wall: velocity held
+    # at 0; free outflow and imposed depth: velocity held at its trace
+    n = 9
+    mesh = nh.Mesh1D.uniform(0.0, 1.0, n)
+    ops = nh.assemble(nh.ElementPair.p1p0(n), mesh, np.ones(n), np.zeros(n))
+    U = np.random.default_rng(7).standard_normal(2 * n)
+    node, pdof = (0, 0) if side == "in" else (n - 1, ops.n_pressure - 1)
+    assert U[node] != 0.0
+    closed = nh.HyperbolicBC(kind, side, **_HYPERBOLIC_DATA[kind])
+    other = nh.HyperbolicBC("free_outflow", "out" if side == "in" else "in")
+    bcs = timeloop._pressure_bcs((closed, other) if side == "in" else (other, closed))
+    assert [bc.side for bc in bcs] == ["in", "out"]
+    plan = projection.resolve_projection_bcs(ops, bcs, U)
+    assert plan.pinned[pdof] == (kind == "imposed_flux")
+    assert plan.free_u[node] == (kind == "imposed_flux")
+    assert plan.u_base[node] == (0.0 if kind == "wall" else U[node])
+    sys = nh.build_schur(ops, U, 0.05, bcs)
+    assert np.array_equal(sys.plan.pinned, plan.pinned)
+    assert np.array_equal(sys.plan.u_base, plan.u_base)
+    if kind == "imposed_flux":
+        assert sys.rhs[pdof] == 0.0 and sys.ab[0, pdof] == 1.0
 
 
 def test_stage_rate_keeps_the_divergence_constant():
