@@ -13,6 +13,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+# gravity (m/s^2): PhysicalParams' default and the scenarios' exact solutions
+DEFAULT_G = 9.81
+
+
 class DryDomainError(ValueError):
     """Raised when an operation needs at least one wet cell and finds none."""
 
@@ -42,9 +46,10 @@ class Mesh1D:
 
     ``element_widths[i] = nodes[i+1] - nodes[i]`` and the dual width of an
     interior node is the mean of its two element widths; boundary nodes get
-    half an element, so ``dual_widths.sum() == length``.  The operator
-    geometry of each element pair on this mesh is built on first use and
-    kept in ``_geometry`` (owned by femops), so it lives as long as the mesh.
+    half an element, so the dual widths sum to ``nodes[-1] - nodes[0]``.
+    The operator geometry of each element pair on this mesh is built on
+    first use and kept in ``_geometry`` (owned by femops), so it lives as
+    long as the mesh.
     """
 
     nodes: np.ndarray
@@ -73,10 +78,6 @@ class Mesh1D:
     @property
     def n_nodes(self) -> int:
         return self.nodes.size
-
-    @property
-    def length(self) -> float:
-        return float(self.nodes[-1] - self.nodes[0])
 
 
 @dataclass
@@ -142,7 +143,7 @@ class PhysicalParams:
     the predicted velocity (plus 1e-12).
     """
 
-    g: float = 9.81
+    g: float = DEFAULT_G
     cfl: float = 0.5
     h_eps: float = 1e-8
     tol: float = 1e-10

@@ -12,8 +12,15 @@ with l = sqrt(H0^3 / a + H0^2) and c0 = (l / d) sqrt(g H0^3 / (l^2 - H0^2)).
 Dispersion balances nonlinearity, so the profile translates unchanged --
 the scheme's shape preservation and convergence are measured against it.
 
-The dam-break, sloping-beach and submerged-bar (wave flume) set-ups plus
-an exact hydrostatic Riemann solver (test oracle) complete the suite.
+The four factories build the paper's fixed set-ups; only the values the
+benchmark and `verify` vary are parameters:
+
+  * make_solitary: 45 m closed basin, H0 = d = 1 m, crest at x_start;
+  * make_dam_break: 600 m channel, DAM_BREAK depths 1.8 | 1.0 m at 300 m;
+  * make_beach: 35 m flume, 1 m deep, slope 0.15 from 25 m, pulse inflow;
+  * make_dingemans: 49 m flume, 0.4 m deep, trapezoidal bar, wavemaker.
+
+An exact hydrostatic Riemann solver gives the dam-break star state.
 """
 
 from __future__ import annotations
@@ -23,21 +30,21 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Bathymetry, FlowState, Mesh1D
+from .core import DEFAULT_G, Bathymetry, FlowState, Mesh1D
 from .hyperbolic import HyperbolicBC
 from .timeloop import BoundarySpec
 
-DEFAULT_G = 9.81
+# dam-break set-up: (h_left, h_right, x_dam)
+DAM_BREAK = (1.8, 1.0, 300.0)
 
 
 @dataclass(frozen=True)
 class SolitaryWaveParams:
-    """Amplitude a, reference depth H0, scale depth d, gravity g."""
+    """Amplitude a, reference depth H0 and scale depth d (gravity DEFAULT_G)."""
 
     a: float = 0.4
     h0: float = 1.0
     d: float = 1.0
-    g: float = DEFAULT_G
 
     def __post_init__(self):
         if self.a <= 0.0 or self.h0 <= 0.0:
@@ -50,7 +57,7 @@ class SolitaryWaveParams:
     @property
     def celerity(self) -> float:
         l = self.length_scale
-        return float(l / self.d * np.sqrt(self.g * self.h0**3 / (l**2 - self.h0**2)))
+        return float(l / self.d * np.sqrt(DEFAULT_G * self.h0**3 / (l**2 - self.h0**2)))
 
 
 def solitary_wave(x, t: float, params: SolitaryWaveParams):
@@ -117,9 +124,6 @@ class RiemannSolution:
     h_star: float
     u_star: float
 
-    def left_is_shock(self) -> bool:
-        return self.h_star > self.h_left
-
     def right_is_shock(self) -> bool:
         return self.h_star > self.h_right
 
@@ -129,59 +133,6 @@ class RiemannSolution:
         return (self.h_star * self.u_star - self.h_right * self.u_right) / (
             self.h_star - self.h_right
         )
-
-    def left_shock_speed(self) -> float:
-        if not self.left_is_shock():
-            raise ValueError("left wave is a rarefaction")
-        return (self.h_star * self.u_star - self.h_left * self.u_left) / (
-            self.h_star - self.h_left
-        )
-
-    def sample(self, xi):
-        """State (H, u) along rays x/t = xi."""
-        xi = np.asarray(xi, dtype=float)
-        g = self.g
-        H = np.empty_like(xi)
-        u = np.empty_like(xi)
-        cl = np.sqrt(g * self.h_left)
-        cr = np.sqrt(g * self.h_right)
-        cs = np.sqrt(g * self.h_star)
-
-        if self.left_is_shock():
-            sl = self.left_shock_speed()
-            left_zone = xi < sl
-            star_left = ~left_zone
-        else:
-            head = self.u_left - cl
-            tail = self.u_star - cs
-            left_zone = xi < head
-            fan = (xi >= head) & (xi < tail)
-            star_left = xi >= tail
-            u[fan] = (self.u_left + 2.0 * cl + 2.0 * xi[fan]) / 3.0
-            cfan = u[fan] - xi[fan]
-            H[fan] = cfan**2 / g
-        if self.right_is_shock():
-            sr = self.right_shock_speed()
-            right_zone = xi >= sr
-            star_right = ~right_zone
-        else:
-            head = self.u_right + cr
-            tail = self.u_star + cs
-            right_zone = xi >= head
-            fan = (xi >= tail) & (xi < head)
-            star_right = xi < tail
-            u[fan] = (self.u_right - 2.0 * cr + 2.0 * xi[fan]) / 3.0
-            cfan = xi[fan] - u[fan]
-            H[fan] = cfan**2 / g
-
-        H[left_zone] = self.h_left
-        u[left_zone] = self.u_left
-        H[right_zone] = self.h_right
-        u[right_zone] = self.u_right
-        star = star_left & star_right
-        H[star] = self.h_star
-        u[star] = self.u_star
-        return H, u
 
 
 def exact_sw_riemann(
@@ -277,7 +228,6 @@ class GaugeSet:
 class Scenario:
     """Everything a run needs: mesh, bottom, initial state, boundaries."""
 
-    name: str
     mesh: Mesh1D
     bathy: Bathymetry
     state0: FlowState
@@ -288,13 +238,13 @@ class Scenario:
 
 
 def sine_flux_wavemaker(amplitude: float, depth: float, period: float,
-                        g: float = DEFAULT_G, pulse: bool = False):
+                        pulse: bool = False):
     """Inflow discharge from linear wave theory, q(t) = A sqrt(g H0) sin(2 pi t / T).
 
     The corresponding surface signal is eta(t) = eta0 + A sin(2 pi t / T).
     With pulse=True only the first positive half period is emitted.
     """
-    scale = amplitude * np.sqrt(g * depth)
+    scale = amplitude * np.sqrt(DEFAULT_G * depth)
 
     def q_of_t(t: float) -> HyperbolicBC:
         phase = 2.0 * np.pi * t / period
@@ -306,19 +256,14 @@ def sine_flux_wavemaker(amplitude: float, depth: float, period: float,
     return q_of_t
 
 
-def make_solitary(
-    n_nodes: int,
-    length: float = 45.0,
-    x_start: float = 11.0,
-    a: float = 0.4,
-    h0: float = 1.0,
-    d: float = 1.0,
-    g: float = DEFAULT_G,
-) -> Scenario:
-    """Solitary wave in a closed basin; exact solution attached."""
-    mesh = Mesh1D.uniform(0.0, length, n_nodes)
+def make_solitary(n_nodes: int, x_start: float = 11.0, a: float = 0.4) -> Scenario:
+    """Solitary wave of amplitude a, crest at x_start, in a closed 45 m basin.
+
+    Flat bottom, H0 = d = 1 m, walls at both ends; exact solution attached.
+    """
+    mesh = Mesh1D.uniform(0.0, 45.0, n_nodes)
     bathy = Bathymetry.flat(mesh)
-    params = SolitaryWaveParams(a, h0, d, g)
+    params = SolitaryWaveParams(a, h0=1.0, d=1.0)
     # the crest starts at x_start: evaluate the profile in shifted coordinates
     H, u, w, _ = solitary_wave(mesh.nodes - x_start, 0.0, params)
     state = FlowState(H, H * u, H * w, 0.0)
@@ -327,7 +272,6 @@ def make_solitary(
         return solitary_wave(np.asarray(x, dtype=float) - x_start, t, params)
 
     return Scenario(
-        name="solitary_wave",
         mesh=mesh,
         bathy=bathy,
         state0=state,
@@ -336,21 +280,16 @@ def make_solitary(
     )
 
 
-def make_dam_break(
-    n_nodes: int,
-    length: float = 600.0,
-    h_left: float = 1.8,
-    h_right: float = 1.0,
-    x_dam: float = 300.0,
-    eps: float = 1e-4,
-) -> Scenario:
-    """Smoothed dam break on a flat bottom, free outflow far boundaries."""
-    mesh = Mesh1D.uniform(0.0, length, n_nodes)
+def make_dam_break(n_nodes: int) -> Scenario:
+    """Dam break DAM_BREAK (1.8 | 1.0 m at x = 300 m) on a flat 600 m channel.
+
+    The jump is smoothed over 1e-4 m; both ends are free outflows.
+    """
+    mesh = Mesh1D.uniform(0.0, 600.0, n_nodes)
     bathy = Bathymetry.flat(mesh)
-    H = dam_break_init(mesh.nodes, h_left, h_right, x_dam, eps)
+    H = dam_break_init(mesh.nodes, *DAM_BREAK, 1e-4)
     state = FlowState(H, np.zeros_like(H), np.zeros_like(H), 0.0)
     return Scenario(
-        name="dam_break",
         mesh=mesh,
         bathy=bathy,
         state0=state,
@@ -359,39 +298,31 @@ def make_dam_break(
 
 
 def make_beach(
-    n_nodes: int = 3000,
-    length: float = 35.0,
-    h0: float = 1.0,
-    amplitude: float = 0.2,
-    toe: float = 25.0,
-    slope: float = 0.15,
-    pulse_period: float = 4.0,
-    g: float = DEFAULT_G,
-    h_eps: float = 1e-6,
+    n_nodes: int = 3000, amplitude: float = 0.2, pulse_period: float = 4.0
 ) -> Scenario:
     """Wave running up a plane beach with a wet/dry shoreline.
 
-    Offshore depth h0, linear beach starting at `toe`; the left wavemaker
-    sends a single pulse of surface amplitude `amplitude` (zero amplitude
-    gives the lake at rest).
+    35 m flume, 1 m offshore depth, a 0.15 slope rising from x = 25 m and
+    h_eps = 1e-6; the left wavemaker sends a single pulse of surface
+    amplitude `amplitude` (zero amplitude gives the lake at rest), the right
+    end is a free outflow.
     """
-    mesh = Mesh1D.uniform(0.0, length, n_nodes)
-    zb = np.maximum(0.0, slope * (mesh.nodes - toe))
+    mesh = Mesh1D.uniform(0.0, 35.0, n_nodes)
+    zb = np.maximum(0.0, 0.15 * (mesh.nodes - 25.0))
     bathy = Bathymetry.from_nodal(mesh, zb)
-    H = np.maximum(h0 - zb, 0.0)
+    H = np.maximum(1.0 - zb, 0.0)
     state = FlowState(H, np.zeros_like(H), np.zeros_like(H), 0.0)
     if amplitude > 0.0:
-        left = sine_flux_wavemaker(amplitude, h0, pulse_period, g, pulse=True)
+        left = sine_flux_wavemaker(amplitude, 1.0, pulse_period, pulse=True)
     else:
         left = HyperbolicBC("imposed_flux", "in", q0=(0.0, 0.0))
     bounds = BoundarySpec(left=left, right=HyperbolicBC("free_outflow", "out"))
     return Scenario(
-        name="beach",
         mesh=mesh,
         bathy=bathy,
         state0=state,
         bounds=bounds,
-        h_eps=h_eps,
+        h_eps=1e-6,
     )
 
 
@@ -399,43 +330,34 @@ DINGEMANS_GAUGES = (10.5, 12.5, 13.5, 14.5, 15.7, 17.3)
 
 
 def make_dingemans(
-    n_nodes: int = 15001,
-    length: float = 49.0,
-    eta0: float = 0.4,
-    period: float = 2.02,
-    amplitude: float = 0.02,
-    bar_geometry: tuple[float, float, float, float] = (6.0, 12.0, 14.0, 17.0),
-    crest_height: float = 0.3,
-    g: float = DEFAULT_G,
+    n_nodes: int = 15001, period: float = 2.02, amplitude: float = 0.02
 ) -> Scenario:
     """Small-amplitude wave over a submerged trapezoidal bar with gauges.
 
-    Default bar: toe at 6 m, 1:20 front slope up to a crest 0.1 m below the
-    still water line, 1:10 back slope (geometry configurable).  A sinusoidal
-    wavemaker (T, A) runs at the left boundary and the right boundary is a
-    free outflow.
+    49 m flume, still water 0.4 m deep.  The bar has its toe at 6 m, a 1:20
+    front slope up to a 0.3 m high crest (0.1 m below the still water line)
+    from 12 to 14 m, and a 1:10 back slope down to 17 m.  A sinusoidal
+    wavemaker (period, amplitude) runs at the left boundary and the right
+    boundary is a free outflow.
     """
-    x0, x1, x2, x3 = bar_geometry
-    if not 0.0 < x0 < x1 <= x2 < x3 < length:
-        raise ValueError("bar geometry must be ordered inside the domain")
-    mesh = Mesh1D.uniform(0.0, length, n_nodes)
+    mesh = Mesh1D.uniform(0.0, 49.0, n_nodes)
     x = mesh.nodes
+    x0, x1, x2, x3 = 6.0, 12.0, 14.0, 17.0
     zb = np.zeros_like(x)
     up = (x >= x0) & (x < x1)
-    zb[up] = crest_height * (x[up] - x0) / (x1 - x0)
-    zb[(x >= x1) & (x <= x2)] = crest_height
+    zb[up] = 0.3 * (x[up] - x0) / (x1 - x0)
+    zb[(x >= x1) & (x <= x2)] = 0.3
     down = (x > x2) & (x < x3)
-    zb[down] = crest_height * (x3 - x[down]) / (x3 - x2)
+    zb[down] = 0.3 * (x3 - x[down]) / (x3 - x2)
     bathy = Bathymetry.from_nodal(mesh, zb)
-    H = np.maximum(eta0 - zb, 0.0)
+    H = np.maximum(0.4 - zb, 0.0)
     state = FlowState(H, np.zeros_like(H), np.zeros_like(H), 0.0)
     bounds = BoundarySpec(
-        left=sine_flux_wavemaker(amplitude, eta0, period, g),
+        left=sine_flux_wavemaker(amplitude, 0.4, period),
         right=HyperbolicBC("free_outflow", "out"),
     )
     gauges = GaugeSet.at(mesh, bathy, DINGEMANS_GAUGES)
     return Scenario(
-        name="dingemans",
         mesh=mesh,
         bathy=bathy,
         state0=state,

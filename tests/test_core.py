@@ -79,7 +79,7 @@ def test_mesh_invariants():
     mesh = nh.Mesh1D(x)
     assert np.allclose(mesh.element_widths, [0.5, 1.5, 0.5])
     assert np.allclose(mesh.dual_widths, [0.25, 1.0, 1.0, 0.25])
-    assert mesh.dual_widths.sum() == pytest.approx(mesh.length, rel=1e-15)
+    assert mesh.dual_widths.sum() == pytest.approx(mesh.nodes[-1] - mesh.nodes[0], rel=1e-15)
     with pytest.raises(ValueError):
         nh.Mesh1D(np.array([0.0, 1.0, 1.0]))
 

@@ -145,16 +145,6 @@ def test_riemann_rankine_hugoniot_across_shock():
     assert s * (sol.h_star * sol.u_star - 0.0) == pytest.approx(jump_mom, abs=1e-10)
 
 
-def test_riemann_sampling_zones():
-    sol = nh.exact_sw_riemann(1.8, 0.0, 1.0, 0.0, G)
-    xi = np.array([-100.0, 0.0, 100.0])
-    H, u = sol.sample(xi)
-    assert H[0] == pytest.approx(1.8)
-    assert u[0] == 0.0
-    assert H[1] == pytest.approx(sol.h_star, rel=1e-12)
-    assert H[2] == pytest.approx(1.0)
-
-
 def test_riemann_vacuum_rejected():
     with pytest.raises(ValueError):
         nh.exact_sw_riemann(1.0, -20.0, 1.0, 20.0, G)

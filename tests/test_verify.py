@@ -38,3 +38,15 @@ def test_fast_check_passes(name):
     result = verify.run_criterion(name)
     assert result.name == name
     assert result.passed, result.line()
+
+
+def test_heun_order_fails_when_a_step_is_clipped(monkeypatch):
+    real_step = verify.step_heun
+
+    def clipped(*args, dt, **kwargs):
+        return real_step(*args, dt=0.5 * dt, **kwargs)
+
+    monkeypatch.setattr(verify, "step_heun", clipped)
+    result = verify.run_criterion("heun_order")
+    assert not result.passed
+    assert "requested dt" in result.details
