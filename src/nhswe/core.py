@@ -123,8 +123,8 @@ class Bathymetry:
         self.zb = _as_float_array(self.zb, "zb")
 
     @classmethod
-    def flat(cls, mesh: Mesh1D, z0: float = 0.0) -> "Bathymetry":
-        return cls(np.full(mesh.n_nodes, z0))
+    def flat(cls, mesh: Mesh1D) -> "Bathymetry":
+        return cls(np.zeros(mesh.n_nodes))
 
     @classmethod
     def from_nodal(cls, mesh: Mesh1D, zb) -> "Bathymetry":

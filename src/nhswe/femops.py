@@ -28,12 +28,20 @@ mesh alone.  The derivative of B along a depth direction T_H is therefore
 the u-part of B built from (T_H, diff(T_H)), which
 OperatorSet.apply_depth_derivative applies exactly.
 
+Both pairs are one table of fine-element terms: a term gives a set of rows
+one fine element each, at a fixed window offset, with the pressure traces
+at the element's two ends.  P1/P0 has a single term (row l takes element l
+with traces 1, 1); P1-iso-P2/P1 has four (each coarse hat takes the two
+fine elements on either side of its node).  Only the table builder tells
+the pairs apart; assembly, the dry-dof test and the Schur bands loop over
+the terms.
+
 Everything that depends on the mesh alone is built once per (mesh, element
-pair) and reused by every assembly on that mesh: the w-coefficients Dw, the
-coarse-trace fractions at the interior fine nodes (P1-iso-P2/P1), the
-trace factors that turn (H, dzeta) into the u-coefficients, the table of
-the rows and nodes each window column reaches inside the mesh, and the
-Dw x Dw factors of the Schur bands.  This geometry is kept on the mesh
+pair) and reused by every assembly on that mesh: the w-coefficients Dw,
+the trace factors that turn (H, dzeta) into the u-coefficients, the table
+of the rows and nodes each window column reaches inside the mesh, the
+layout of the nodal pressure output and the Dw x Dw factors of the Schur
+bands.  This geometry is kept on the mesh
 (Mesh1D._geometry, keyed by pair tag), so it lives as long as the mesh and
 is never shared between meshes.  Its arrays are read-only: an in-place
 write raises instead of corrupting later steps.
@@ -101,8 +109,10 @@ def lump_mass(H, mesh: Mesh1D, h_eps: float = 1e-8) -> np.ndarray:
     return np.maximum(a, h_eps * mesh.dual_widths)
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
+def _read_only(a):
+    """Lock an array against in-place writes (scalars pass through)."""
+    if isinstance(a, np.ndarray):
+        a.flags.writeable = False
     return a
 
 
@@ -113,13 +123,16 @@ class _Geometry:
     columns[k] = (rows, nodes): the pressure rows whose window column k lies
     inside the mesh, and the velocity nodes it lies on (the clipped entries
     of a window are zero, so products skip them).  Dw holds the
-    w-coefficients of the windows (M x K).  u_terms are the fine-element
-    terms of the P1-iso-P2/P1 u-coefficients, each (rows, el, off, c_H,
-    c_left, c_right) with c_H = (pl + pr) / 2, c_left = pl/3 + pr/6 and
+    w-coefficients of the windows (M x K).  u_terms are the pair's
+    fine-element terms (see the module docstring), each (rows, el, off,
+    c_H, c_left, c_right): rows take fine elements el at window offsets off
+    and off + 1, with c_H = (pl + pr) / 2, c_left = pl/3 + pr/6 and
     c_right = pl/6 + pr/3 from the pressure traces pl, pr at the element's
-    ends.  left_frac holds the position of each interior fine node in its
-    coarse element, the weight that interpolates the coarse pressure there
-    (None for P1/P0).  schur_terms[d] lists band d of
+    ends.  nodal = (dof_nodes, dofs, mixed, t) lays out the nodal pressure
+    output: nodes dof_nodes carry dofs, and a node of mixed takes
+    (1 - t) p_l + t p_{l+1} from its two neighbouring dofs (t = 1/2 for
+    P1/P0, the node's position in its coarse element for P1-iso-P2/P1).
+    schur_terms[d] lists band d of
     B diag(a_u, a_w) B^T as (k, k_d, rows, rows_d, nodes, w_factor): entry
     l of the band sums Du[l, k] Du[l + d, k_d] a_u[node] + w_factor a_w[node]
     over the terms, w_factor = Dw[rows, k] Dw[rows_d, k_d].
@@ -130,7 +143,7 @@ class _Geometry:
     columns: tuple
     Dw: np.ndarray
     u_terms: tuple
-    left_frac: np.ndarray | None
+    nodal: tuple
     schur_terms: tuple
 
 
@@ -143,12 +156,12 @@ class OperatorSet:
     Du[l] and w-coefficients Dw[l].  Window starts are the arithmetic
     sequence starts[l] = s0 + stride*l (s0 = 0, stride 1 for P1/P0; s0 = -2,
     stride 2 for P1-iso-P2/P1); coefficients falling outside the mesh are
-    zero and geometry.columns skips them.  Du is built from the
-    depth on every assembly; Dw and the rest of the mesh-only data are the
-    read-only geometry shared by every assembly on the same mesh (see the
-    module docstring).  The boundary matrix C has exactly two entries,
-    (u_0, first pressure dof) = -H_0 and (u_{N-1}, last pressure dof) =
-    +H_{N-1}.
+    zero and geometry.columns skips them.  Du is built from the depth on
+    every assembly by one loop over the pair's fine-element terms; Dw and
+    the rest of the mesh-only data are the read-only geometry shared by
+    every assembly on the same mesh (see the module docstring).  The
+    boundary matrix C has exactly two entries, (u_0, first pressure dof) =
+    -H_0 and (u_{N-1}, last pressure dof) = +H_{N-1}.
     """
 
     pair: ElementPair
@@ -176,7 +189,7 @@ class OperatorSet:
     @property
     def bandwidth(self) -> int:
         """Schur bandwidth in pressure dofs (1 tridiagonal, 2 pentadiagonal)."""
-        return 1 if self.pair.tag == P1P0 else 2
+        return len(self.geometry.schur_terms) - 1
 
     @property
     def boundary_entries(self) -> tuple[tuple[int, int, float], tuple[int, int, float]]:
@@ -192,21 +205,13 @@ class OperatorSet:
     def wet_nodes(self) -> np.ndarray:
         return self.H >= self.h_eps
 
-    def wet_elements(self) -> np.ndarray:
-        wet = self.wet_nodes()
-        return wet[:-1] & wet[1:]
-
     def dry_pressure_dofs(self) -> np.ndarray:
-        """Pressure dofs whose supporting elements are all dry."""
-        wet_el = self.wet_elements()
-        if self.pair.tag == P1P0:
-            return ~wet_el
-        m = self.n_pressure
-        # coarse element j pairs fine elements 2j and 2j+1
-        coarse_wet = wet_el[0::2] | wet_el[1::2]
-        any_wet = np.zeros(m, dtype=bool)
-        any_wet[1:] |= coarse_wet
-        any_wet[:-1] |= coarse_wet
+        """Pressure dofs whose supporting fine elements all have a dry end."""
+        wet = self.wet_nodes()
+        wet_el = wet[:-1] & wet[1:]
+        any_wet = np.zeros(self.n_pressure, dtype=bool)
+        for rows, el, *_ in self.geometry.u_terms:
+            any_wet[rows] |= wet_el[el]
         return ~any_wet
 
     # -- windowed products ----------------------------------------------------
@@ -226,7 +231,7 @@ class OperatorSet:
         derivative is the u-part of B built from (T_H, diff(T_H)) applied
         to u; it is exact and independent of w.
         """
-        dDu = _u_windows(self.pair, self.geometry, T_H, np.diff(T_H))
+        dDu = _u_windows(self.geometry, T_H, np.diff(T_H))
         out = np.zeros(self.n_pressure)
         for k, (rows, nodes) in enumerate(self.geometry.columns):
             out[rows] += dDu[rows, k] * u[nodes]
@@ -269,50 +274,14 @@ class OperatorSet:
         return -self.dense_divergence().T + self.dense_boundary()
 
     def interpolate_pressure_to_nodes(self, p: np.ndarray) -> np.ndarray:
-        """Nodal pressure samples for output (element means or coarse traces)."""
+        """Nodal pressure samples for output: a dof's value on the node that
+        carries it, the linear mix of the two neighbouring dofs elsewhere."""
         p = np.asarray(p, dtype=float)
-        n = self.n_nodes
-        out = np.empty(n)
-        if self.pair.tag == P1P0:
-            out[0] = p[0]
-            out[-1] = p[-1]
-            out[1:-1] = 0.5 * (p[:-1] + p[1:])
-        else:
-            out[0::2] = p
-            # linear interpolation at the interior fine nodes
-            t = self.geometry.left_frac
-            out[1::2] = (1.0 - t) * p[:-1] + t * p[1:]
+        dof_nodes, dofs, mixed, t = self.geometry.nodal
+        out = np.empty(self.n_nodes)
+        out[dof_nodes] = p[dofs]
+        out[mixed] = (1.0 - t) * p[:-1] + t * p[1:]
         return out
-
-
-def _coarse_traces(mesh: Mesh1D):
-    """Coarse hat values at the interior fine nodes of each coarse element."""
-    x = mesh.nodes
-    xc = x[0::2]
-    xm = x[1::2]
-    # fraction of the coarse element to the right of its interior fine node
-    right_frac = (xc[1:] - xm) / (xc[1:] - xc[:-1])
-    left_frac = (xm - xc[:-1]) / (xc[1:] - xc[:-1])
-    return left_frac, right_frac
-
-
-def _p1isop2_elements(left_frac: np.ndarray, right_frac: np.ndarray):
-    """Fine elements under the coarse pressure hats, in accumulation order.
-
-    Each entry is (rows, e0, window offset of the element's left node,
-    pressure trace at its left node, pressure trace at its right node):
-    row j + 1 (left coarse element) or row j (right coarse element) takes
-    fine element e0 + 2 j, for j = 0 .. M - 2.
-    """
-    rows_l, rows_r = slice(1, None), slice(None, -1)
-    return (
-        # left coarse element [2j-2, 2j] of row j: rises 0 -> left_frac -> 1
-        (rows_l, 0, 0, 0.0, left_frac),
-        (rows_l, 1, 1, left_frac, 1.0),
-        # right coarse element [2j, 2j+2] of row j: falls 1 -> right_frac -> 0
-        (rows_r, 0, 2, 1.0, right_frac),
-        (rows_r, 1, 3, right_frac, 0.0),
-    )
 
 
 def _window_columns(s0: int, stride: int, K: int, m: int, n: int) -> tuple:
@@ -353,36 +322,57 @@ def _schur_terms(columns: tuple, Dw: np.ndarray, stride: int, bandwidth: int) ->
 def _build_geometry(pair: ElementPair, mesh: Mesh1D) -> _Geometry:
     n, m = mesh.n_nodes, pair.n_pressure
     h = mesh.element_widths
+    # the pair's fine-element table: windows start at s0 + stride*l and are K
+    # nodes wide; each term (rows, el, off, pl, pr, w_left, w_right) gives
+    # rows the fine elements el at window offset off, with pressure traces
+    # pl, pr and w-coefficients w_left, w_right at the element's two ends
     if pair.tag == P1P0:
-        # row l covers element l = [x_l, x_{l+1}]; pressure basis is 1 there
-        s0, stride, bandwidth = 0, 1, 1
-        Dw = np.empty((m, 2), order="F")
-        Dw[:, 0] = h
-        Dw[:, 1] = h
-        u_terms, left_frac = (), None
+        # row l covers element l = [x_l, x_{l+1}], where its basis is 1
+        s0, stride, K = 0, 1, 2
+        every = slice(None)
+        table = ((every, every, 0, 1.0, 1.0, h, h),)
+        # the end nodes carry the end elements' values, the others the mean of two
+        nodal = ([0, -1], [0, -1], slice(1, -1), 0.5)
     else:
-        # row j is the coarse hat at fine node 2j, reaching nodes 2j-2 .. 2j+2
-        s0, stride, bandwidth = -2, 2, 2
-        left_frac, right_frac = _coarse_traces(mesh)
-        _read_only(left_frac)
-        Dw = np.zeros((m, 5), order="F")
-        u_terms = []
-        for rows, e0, off, pl, pr in _p1isop2_elements(left_frac, right_frac):
+        # row j is the coarse hat at fine node 2j, reaching nodes 2j-2 .. 2j+2;
+        # each coarse element pairs fine elements 2j and 2j+1, whose shared
+        # node sits at left_frac (right_frac from the right) of the element
+        s0, stride, K = -2, 2, 5
+        xc, xm = mesh.nodes[0::2], mesh.nodes[1::2]
+        right_frac = (xc[1:] - xm) / (xc[1:] - xc[:-1])
+        left_frac = _read_only((xm - xc[:-1]) / (xc[1:] - xc[:-1]))
+        rows_l, rows_r = slice(1, None), slice(None, -1)
+        table = []
+        for rows, e0, off, pl, pr in (
+            # left coarse element [2j-2, 2j] of row j: rises 0 -> left_frac -> 1
+            (rows_l, 0, 0, 0.0, left_frac),
+            (rows_l, 1, 1, left_frac, 1.0),
+            # right coarse element [2j, 2j+2] of row j: falls 1 -> right_frac -> 0
+            (rows_r, 0, 2, 1.0, right_frac),
+            (rows_r, 1, 3, right_frac, 0.0),
+        ):
             el = slice(e0, None, 2)
             he = h[el]
-            Dw[rows, off] += he * (2.0 * pl + pr) / 3.0
-            Dw[rows, off + 1] += he * (pl + 2.0 * pr) / 3.0
-            coefs = (0.5 * (pl + pr), pl / 3.0 + pr / 6.0, pl / 6.0 + pr / 3.0)
-            u_terms.append((rows, el, off, *(_read_only(c) for c in coefs)))
-        u_terms = tuple(u_terms)
+            w_left, w_right = he * (2.0 * pl + pr) / 3.0, he * (pl + 2.0 * pr) / 3.0
+            table.append((rows, el, off, pl, pr, w_left, w_right))
+        # the coarse nodes carry their dofs
+        nodal = (slice(0, None, 2), slice(None), slice(1, None, 2), left_frac)
+
+    Dw = np.zeros((m, K), order="F")
+    u_terms = []
+    for rows, el, off, pl, pr, w_left, w_right in table:
+        Dw[rows, off] += w_left
+        Dw[rows, off + 1] += w_right
+        coefs = (0.5 * (pl + pr), pl / 3.0 + pr / 6.0, pl / 6.0 + pr / 3.0)
+        u_terms.append((rows, el, off, *(_read_only(c) for c in coefs)))
     _read_only(Dw)
-    columns = _window_columns(s0, stride, Dw.shape[1], m, n)
+    columns = _window_columns(s0, stride, K, m, n)
     return _Geometry(
         columns=columns,
         Dw=Dw,
-        u_terms=u_terms,
-        left_frac=left_frac,
-        schur_terms=_schur_terms(columns, Dw, stride, bandwidth),
+        u_terms=tuple(u_terms),
+        nodal=nodal,
+        schur_terms=_schur_terms(columns, Dw, stride, (K - 1) // stride),
     )
 
 
@@ -395,23 +385,17 @@ def _geometry(pair: ElementPair, mesh: Mesh1D) -> _Geometry:
     return geom
 
 
-def _u_windows(pair: ElementPair, geom: _Geometry, H: np.ndarray, dzeta: np.ndarray) -> np.ndarray:
+def _u_windows(geom: _Geometry, H: np.ndarray, dzeta: np.ndarray) -> np.ndarray:
     """u-coefficients Du of the divergence windows, linear in (H, dzeta).
 
     dzeta holds the per-element increments of zeta = H + 2 zb.  Exact
     integrals over each fine element against the pressure trace on it,
     whose mesh-only factors come from the geometry.
     """
-    if pair.tag == P1P0:
-        Du = np.empty((pair.n_pressure, 2), order="F")
-        half_dz = 0.5 * dzeta
-        np.subtract(-H[:-1], half_dz, out=Du[:, 0])
-        np.subtract(H[1:], half_dz, out=Du[:, 1])
-        return Du
-    Du = np.zeros((pair.n_pressure, 5), order="F")
+    Du = np.zeros(geom.Dw.shape, order="F")
     for rows, el, off, c_H, c_left, c_right in geom.u_terms:
         dz = dzeta[el]
-        Du[rows, off] += -H[:-1][el] * c_H - dz * c_left
+        Du[rows, off] -= H[:-1][el] * c_H + dz * c_left
         Du[rows, off + 1] += H[1:][el] * c_H - dz * c_right
     return Du
 
@@ -428,21 +412,18 @@ def assemble(pair: ElementPair, mesh: Mesh1D, H, zb, h_eps: float = 1e-8) -> Ope
     n = mesh.n_nodes
     if pair.n_velocity != n:
         raise ValueError("element pair/mesh size mismatch")
-    if H.size != n or zb.size != n:
-        raise ValueError("H/zb size mismatch")
-    if np.any(H < 0.0):
-        raise ValueError("negative depth in assembly")
-    if pair.tag != P1P0 and n % 2 == 0:
-        raise ValueError("P1-iso-P2/P1 requires an odd number of nodes")
+    if zb.size != n:
+        raise ValueError("zb/mesh size mismatch")
 
+    a_node = lump_mass(H, mesh, h_eps)  # rejects a wrong size or a negative depth
     geom = _geometry(pair, mesh)
     dzeta = np.diff(H + 2.0 * zb)
     return OperatorSet(
         pair=pair,
         mesh=mesh,
         H=H,
-        a_node=lump_mass(H, mesh, h_eps),
-        Du=_u_windows(pair, geom, H, dzeta),
+        a_node=a_node,
+        Du=_u_windows(geom, H, dzeta),
         h_eps=h_eps,
         geometry=geom,
     )

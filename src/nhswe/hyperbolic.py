@@ -124,14 +124,11 @@ def _set_exact_flux(f_H, f_Hu, mask, H, u, g):
 def kinetic_flux(xl, xr, g: float):
     """Kinetic interface flux F+(XL) + F-(XR) for states given as (H, Hu).
 
+    Each component is a float array with one entry per interface.
     Consistent (equal states reproduce the exact flux) and conservative.
-    Accepts scalars or arrays.
     """
-    HL, HuL = (np.asarray(v, dtype=float) for v in xl)
-    HR, HuR = (np.asarray(v, dtype=float) for v in xr)
-    scalar = HL.ndim == 0 and HR.ndim == 0
-    # the half fluxes patch their one-sided entries in place
-    HL, HuL, HR, HuR = np.atleast_1d(HL, HuL, HR, HuR)
+    HL, HuL = xl
+    HR, HuR = xr
     if np.any(HL < 0.0) or np.any(HR < 0.0):
         raise ValueError("kinetic_flux requires non-negative depths")
     uL = np.zeros_like(HL)
@@ -140,27 +137,19 @@ def kinetic_flux(xl, xr, g: float):
     np.divide(HuR, HR, out=uR, where=HR > 0.0)
     fp_H, fp_Hu = _half_flux_plus(HL, uL, g)
     fm_H, fm_Hu = _half_flux_minus(HR, uR, g)
-    F_H = fp_H + fm_H
-    F_Hu = fp_Hu + fm_Hu
-    if scalar:
-        return float(F_H[0]), float(F_Hu[0])
-    return F_H, F_Hu
+    return fp_H + fm_H, fp_Hu + fm_Hu
 
 
 def hydrostatic_reconstruct(Hi, Hj, zbi, zbj):
     """Interface depths seen from both sides after raising the bottom.
 
     H*_L = max(0, Hi + zbi - max(zbi, zbj)) and symmetrically for the right
-    state; both are non-negative and the reconstruction is the identity on a
-    flat bottom.
+    state, on float arrays with one entry per interface; both are
+    non-negative and the reconstruction is the identity on a flat bottom.
     """
-    Hi = np.asarray(Hi, dtype=float)
-    Hj = np.asarray(Hj, dtype=float)
     z_star = np.maximum(zbi, zbj)
     HL = np.maximum(0.0, Hi + zbi - z_star)
     HR = np.maximum(0.0, Hj + zbj - z_star)
-    if HL.ndim == 0:
-        return float(HL), float(HR)
     return HL, HR
 
 

@@ -116,11 +116,8 @@ def _depth_fn(h: float, h_k: float, g: float) -> float:
 class RiemannSolution:
     """Two-wave exact solution of the hydrostatic dam-break problem."""
 
-    h_left: float
-    u_left: float
     h_right: float
     u_right: float
-    g: float
     h_star: float
     u_star: float
 
@@ -174,7 +171,7 @@ def exact_sw_riemann(
     u_star = 0.5 * (u_left + u_right) + 0.5 * (
         _depth_fn(h, h_right, g) - _depth_fn(h, h_left, g)
     )
-    return RiemannSolution(h_left, u_left, h_right, u_right, g, float(h), float(u_star))
+    return RiemannSolution(h_right, u_right, float(h), float(u_star))
 
 
 # ---------------------------------------------------------------------------

@@ -284,6 +284,46 @@ def random_wet_setup(rng, n_min=5, n_max=13, odd=False):
     return mesh, H, zb
 
 
+def dry_pressure_dofs_by_support(pair_tag, mesh, H, h_eps):
+    """Dofs whose every supporting fine element has a dry end.
+
+    The support of basis l is read off its value at the midpoint of each
+    fine element; an element is wet only when both its ends are.
+    """
+    nodes = mesh.nodes
+    wet = np.asarray(H) >= h_eps
+    n = nodes.size
+    m = n - 1 if pair_tag == "P1P0" else (n - 1) // 2 + 1
+    dry = np.ones(m, dtype=bool)
+    for l in range(m):
+        psi, _ = _pressure_basis(pair_tag, nodes, l)
+        for el in range(n - 1):
+            mid = 0.5 * (nodes[el] + nodes[el + 1])
+            if psi(mid) > 0.0 and wet[el] and wet[el + 1]:
+                dry[l] = False
+    return dry
+
+
+def nodal_pressure_samples(pair_tag, mesh, p):
+    """Pressure sampled at the fine nodes, one node at a time.
+
+    P1/P0: an end node takes its element's value, an interior node the mean
+    of its two elements.  P1-iso-P2/P1: the coarse interpolant evaluated at
+    the node's position.
+    """
+    nodes = mesh.nodes
+    n = nodes.size
+    out = np.empty(n)
+    for i in range(n):
+        if pair_tag != "P1P0":
+            out[i] = np.interp(nodes[i], nodes[0::2], p)
+        elif i == 0 or i == n - 1:
+            out[i] = p[min(i, n - 2)]
+        else:
+            out[i] = (p[i - 1] + p[i]) / 2.0
+    return out
+
+
 def depth_derivative_by_differencing(pair, mesh, zb, T_H, u, w, h_eps=1e-8):
     """(dB/dH)[T_H] (u; w) as B(s + T_H) U - B(s) U at a uniform depth s.
 

@@ -9,9 +9,11 @@ from nhswe.femops import P1ISOP2P1, P1P0
 
 from oracles import (
     depth_derivative_by_differencing,
+    dry_pressure_dofs_by_support,
     gauss_divergence,
     gauss_gradient,
     gauss_lumped_mass,
+    nodal_pressure_samples,
     random_wet_setup,
     staggered_stencil_divergence,
     staggered_stencil_gradient,
@@ -239,6 +241,45 @@ def test_windowed_apply_matches_dense():
         du, dw = ops.scatter_divergence_t(p)
         ref = B.T @ p
         assert np.allclose(np.r_[du, dw], ref, atol=1e-13)
+
+
+# -- dry dofs and nodal pressure output ---------------------------------------
+
+
+def _random_dry_setup(rng, tag):
+    """Random non-uniform mesh whose depth has dry nodes and dry patches."""
+    mesh, H, zb = random_wet_setup(rng, n_min=5, n_max=25, odd=tag == P1ISOP2P1)
+    n = mesh.n_nodes
+    H[rng.random(n) < 0.25] = 0.0
+    start = int(rng.integers(0, n))
+    H[start : start + int(rng.integers(1, 6))] = 0.0
+    return mesh, H, zb
+
+
+@pytest.mark.parametrize("tag", PAIRS)
+def test_dry_pressure_dofs_match_their_supports(tag):
+    rng = np.random.default_rng(61)
+    h_eps = 1e-8
+    for _ in range(40):
+        mesh, H, zb = _random_dry_setup(rng, tag)
+        ops = nh.assemble(_pair(tag, mesh.n_nodes), mesh, H, zb, h_eps)
+        ref = dry_pressure_dofs_by_support(tag, mesh, H, h_eps)
+        assert np.array_equal(ops.dry_pressure_dofs(), ref)
+
+
+@pytest.mark.parametrize("tag", PAIRS)
+def test_nodal_pressure_samples_match_pointwise_interpolation(tag):
+    rng = np.random.default_rng(62)
+    for _ in range(40):
+        mesh, H, zb = _random_dry_setup(rng, tag)
+        ops = nh.assemble(_pair(tag, mesh.n_nodes), mesh, H, zb)
+        p = rng.standard_normal(ops.n_pressure)
+        got = ops.interpolate_pressure_to_nodes(p)
+        ref = nodal_pressure_samples(tag, mesh, p)
+        if tag == P1P0:
+            assert np.array_equal(got, ref)
+        else:
+            assert np.allclose(got, ref, rtol=1e-14, atol=1e-14 * np.abs(p).max())
 
 
 # -- depth derivative of the divergence ---------------------------------------

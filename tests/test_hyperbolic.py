@@ -22,18 +22,24 @@ G = 9.81
 # -- kinetic flux -----------------------------------------------------------
 
 
+def _states(*values):
+    """Each value as a 1-element float array (one interface)."""
+    return tuple(np.array([v], dtype=float) for v in values)
+
+
 def test_flux_consistency_still_water():
-    F_H, F_Hu = nh.kinetic_flux((1.0, 0.0), (1.0, 0.0), G)
+    (F_H,), (F_Hu,) = nh.kinetic_flux(_states(1.0, 0.0), _states(1.0, 0.0), G)
     assert F_H == pytest.approx(0.0, abs=1e-14)
     assert F_Hu == pytest.approx(G / 2.0, rel=1e-13)
 
 
 def test_flux_dry_dry():
-    assert nh.kinetic_flux((0.0, 0.0), (0.0, 0.0), G) == (0.0, 0.0)
+    (F_H,), (F_Hu,) = nh.kinetic_flux(_states(0.0, 0.0), _states(0.0, 0.0), G)
+    assert (F_H, F_Hu) == (0.0, 0.0)
 
 
 def test_flux_consistency_moving():
-    F_H, F_Hu = nh.kinetic_flux((1.0, 1.0), (1.0, 1.0), G)
+    (F_H,), (F_Hu,) = nh.kinetic_flux(_states(1.0, 1.0), _states(1.0, 1.0), G)
     assert F_H == pytest.approx(1.0, rel=1e-13)
     assert F_Hu == pytest.approx(1.0 + G / 2.0, rel=1e-13)
 
@@ -43,7 +49,7 @@ def test_flux_consistency_random_states():
     for _ in range(100):
         H = 0.05 + 3.0 * rng.random()
         u = 4.0 * rng.standard_normal()
-        F_H, F_Hu = nh.kinetic_flux((H, H * u), (H, H * u), G)
+        (F_H,), (F_Hu,) = nh.kinetic_flux(_states(H, H * u), _states(H, H * u), G)
         scale = H * (abs(u) + np.sqrt(G * H)) ** 2 + 1.0
         assert abs(F_H - H * u) <= 1e-12 * scale
         assert abs(F_Hu - (H * u**2 + 0.5 * G * H**2)) <= 1e-12 * scale
@@ -51,13 +57,13 @@ def test_flux_consistency_random_states():
 
 def test_flux_rejects_negative_depth():
     with pytest.raises(ValueError):
-        nh.kinetic_flux((-0.1, 0.0), (1.0, 0.0), G)
+        nh.kinetic_flux(_states(-0.1, 0.0), _states(1.0, 0.0), G)
 
 
 def test_flux_conservative_orientation():
     # exchanging the states and flipping velocities flips the mass flux
-    F_H, _ = nh.kinetic_flux((2.0, 1.0), (1.0, 0.5), G)
-    F_H_rev, _ = nh.kinetic_flux((1.0, -0.5), (2.0, -1.0), G)
+    (F_H,), _ = nh.kinetic_flux(_states(2.0, 1.0), _states(1.0, 0.5), G)
+    (F_H_rev,), _ = nh.kinetic_flux(_states(1.0, -0.5), _states(2.0, -1.0), G)
     assert F_H == pytest.approx(-F_H_rev, rel=1e-13)
 
 
@@ -65,17 +71,18 @@ def test_flux_conservative_orientation():
 
 
 def test_reconstruct_flat_bottom_identity():
-    assert nh.hydrostatic_reconstruct(1.2, 0.7, 0.3, 0.3) == (1.2, 0.7)
+    (HL,), (HR,) = nh.hydrostatic_reconstruct(*_states(1.2, 0.7, 0.3, 0.3))
+    assert (HL, HR) == (1.2, 0.7)
 
 
 def test_reconstruct_step_up():
-    HL, HR = nh.hydrostatic_reconstruct(1.0, 1.0, 0.0, 0.5)
+    (HL,), (HR,) = nh.hydrostatic_reconstruct(*_states(1.0, 1.0, 0.0, 0.5))
     assert HL == pytest.approx(0.5)
     assert HR == pytest.approx(1.0)
 
 
 def test_reconstruct_dry_uphill():
-    HL, HR = nh.hydrostatic_reconstruct(0.2, 0.0, 0.0, 1.0)
+    (HL,), (HR,) = nh.hydrostatic_reconstruct(*_states(0.2, 0.0, 0.0, 1.0))
     assert HL == 0.0 and HR == 0.0
 
 

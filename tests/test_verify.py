@@ -1,7 +1,7 @@
-"""The fast verify checks, each run at its own mesh and asserted to pass.
+"""Every verify check, each run at its own mesh and asserted to pass.
 
-Four checks stay out of this suite because of their run time; run them by
-name with nhswe.verify.run_criterion:
+Four checks carry the `slow` marker, which the default run deselects;
+`python -m pytest -m slow` runs them (about two minutes on 2 vCPUs):
   * convergence_order and shape_preservation share the solitary-wave
     convergence table (five meshes up to N = 6495, about a minute);
   * wellbalanced_positivity (a 3000-node beach run plus 1000 random steps)
@@ -33,11 +33,21 @@ def test_every_check_is_fast_or_named_slow():
     assert sorted(FAST_CHECKS + SLOW_CHECKS) == sorted(verify.CRITERIA)
 
 
-@pytest.mark.parametrize("name", FAST_CHECKS)
-def test_fast_check_passes(name):
+def _assert_passes(name):
     result = verify.run_criterion(name)
     assert result.name == name
     assert result.passed, result.line()
+
+
+@pytest.mark.parametrize("name", FAST_CHECKS)
+def test_fast_check_passes(name):
+    _assert_passes(name)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", SLOW_CHECKS)
+def test_slow_check_passes(name):
+    _assert_passes(name)
 
 
 def test_heun_order_fails_when_a_step_is_clipped(monkeypatch):
