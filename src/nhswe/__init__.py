@@ -51,7 +51,6 @@ from .timeloop import (
     BoundarySpec,
     RunResult,
     StepReport,
-    heun_step,
     run,
     step_euler,
     step_heun,
@@ -88,7 +87,6 @@ __all__ = [
     "correct_velocity",
     "dam_break_init",
     "exact_sw_riemann",
-    "heun_step",
     "hydrostatic_reconstruct",
     "kinetic_flux",
     "lump_mass",

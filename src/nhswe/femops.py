@@ -59,35 +59,51 @@ P1P0 = "P1P0"
 P1ISOP2P1 = "P1isoP2P1"
 
 
+def _n_pressure(tag: str, n_nodes: int) -> int:
+    """Pressure dofs of pair `tag` on n_nodes velocity nodes."""
+    if tag == P1P0:
+        return n_nodes - 1
+    if tag == P1ISOP2P1:
+        return (n_nodes - 1) // 2 + 1
+    raise ValueError(f"unknown element pair {tag!r}")
+
+
 @dataclass(frozen=True)
 class ElementPair:
-    """Velocity/pressure space pairing: tag, N velocity nodes, M pressure dofs."""
+    """Velocity/pressure space pairing: tag, N velocity nodes, M pressure dofs.
+
+    Validated on construction: a known tag, a node count the pair admits
+    (P1/P0 at least 2, P1-iso-P2/P1 odd and at least 5) and the M that
+    the tag and N give.
+    """
 
     tag: str
     n_velocity: int
     n_pressure: int
 
+    def __post_init__(self):
+        n = self.n_velocity
+        m = _n_pressure(self.tag, n)
+        if self.tag == P1P0 and n < 2:
+            raise ValueError(f"P1P0 needs at least two nodes, got {n}")
+        if self.tag == P1ISOP2P1 and (n % 2 == 0 or n < 5):
+            raise ValueError(f"P1isoP2P1 needs an odd number of nodes, at least five, got {n}")
+        if self.n_pressure != m:
+            raise ValueError(
+                f"{self.tag} on {n} nodes has {m} pressure dofs, got {self.n_pressure}"
+            )
+
     @classmethod
     def p1p0(cls, n_nodes: int) -> "ElementPair":
-        if n_nodes < 2:
-            raise ValueError("P1/P0 needs at least two nodes")
-        return cls(P1P0, n_nodes, n_nodes - 1)
+        return cls.from_tag(P1P0, n_nodes)
 
     @classmethod
     def p1isop2p1(cls, n_nodes: int) -> "ElementPair":
-        if n_nodes % 2 == 0:
-            raise ValueError("P1-iso-P2/P1 requires an odd number of nodes")
-        if n_nodes < 5:
-            raise ValueError("P1-iso-P2/P1 needs at least five nodes")
-        return cls(P1ISOP2P1, n_nodes, (n_nodes - 1) // 2 + 1)
+        return cls.from_tag(P1ISOP2P1, n_nodes)
 
     @classmethod
     def from_tag(cls, tag: str, n_nodes: int) -> "ElementPair":
-        if tag == P1P0:
-            return cls.p1p0(n_nodes)
-        if tag == P1ISOP2P1:
-            return cls.p1isop2p1(n_nodes)
-        raise ValueError(f"unknown element pair {tag!r}")
+        return cls(tag, n_nodes, _n_pressure(tag, n_nodes))
 
 
 def lump_mass(H, mesh: Mesh1D, h_eps: float = 1e-8) -> np.ndarray:
@@ -100,7 +116,7 @@ def lump_mass(H, mesh: Mesh1D, h_eps: float = 1e-8) -> np.ndarray:
     H = np.asarray(H, dtype=float)
     if H.size != mesh.n_nodes:
         raise ValueError("H/mesh size mismatch")
-    if np.any(H < 0.0):
+    if H.min() < 0.0:
         raise ValueError("negative depth in mass assembly")
     h = mesh.element_widths
     a = np.zeros(mesh.n_nodes)
@@ -125,10 +141,13 @@ class _Geometry:
     of a window are zero, so products skip them).  Dw holds the
     w-coefficients of the windows (M x K).  u_terms are the pair's
     fine-element terms (see the module docstring), each (rows, el, off,
-    c_H, c_left, c_right): rows take fine elements el at window offsets off
-    and off + 1, with c_H = (pl + pr) / 2, c_left = pl/3 + pr/6 and
-    c_right = pl/6 + pr/3 from the pressure traces pl, pr at the element's
-    ends.  nodal = (dof_nodes, dofs, mixed, t) lays out the nodal pressure
+    c_H, c_left, c_right, first_left, first_right): rows take fine elements
+    el at window offsets off and off + 1, with c_H = (pl + pr) / 2,
+    c_left = pl/3 + pr/6 and c_right = pl/6 + pr/3 from the pressure traces
+    pl, pr at the element's ends; first_left (first_right) is true when the
+    term is the first to reach column off (off + 1).  u_unset lists, as
+    Fortran-flat indices, the entries of Du that no column's first term
+    writes.  nodal = (dof_nodes, dofs, mixed, t) lays out the nodal pressure
     output: nodes dof_nodes carry dofs, and a node of mixed takes
     (1 - t) p_l + t p_{l+1} from its two neighbouring dofs (t = 1/2 for
     P1/P0, the node's position in its coarse element for P1-iso-P2/P1).
@@ -143,6 +162,7 @@ class _Geometry:
     columns: tuple
     Dw: np.ndarray
     u_terms: tuple
+    u_unset: np.ndarray
     nodal: tuple
     schur_terms: tuple
 
@@ -359,18 +379,25 @@ def _build_geometry(pair: ElementPair, mesh: Mesh1D) -> _Geometry:
         nodal = (slice(0, None, 2), slice(None), slice(1, None, 2), left_frac)
 
     Dw = np.zeros((m, K), order="F")
+    first_written = np.zeros((m, K), dtype=bool)
     u_terms = []
     for rows, el, off, pl, pr, w_left, w_right in table:
         Dw[rows, off] += w_left
         Dw[rows, off + 1] += w_right
         coefs = (0.5 * (pl + pr), pl / 3.0 + pr / 6.0, pl / 6.0 + pr / 3.0)
-        u_terms.append((rows, el, off, *(_read_only(c) for c in coefs)))
+        first = []
+        for k in (off, off + 1):
+            first.append(not first_written[:, k].any())
+            if first[-1]:
+                first_written[rows, k] = True
+        u_terms.append((rows, el, off, *(_read_only(c) for c in coefs), *first))
     _read_only(Dw)
     columns = _window_columns(s0, stride, K, m, n)
     return _Geometry(
         columns=columns,
         Dw=Dw,
         u_terms=tuple(u_terms),
+        u_unset=_read_only(np.flatnonzero(~first_written.ravel(order="F"))),
         nodal=nodal,
         schur_terms=_schur_terms(columns, Dw, stride, (K - 1) // stride),
     )
@@ -390,13 +417,28 @@ def _u_windows(geom: _Geometry, H: np.ndarray, dzeta: np.ndarray) -> np.ndarray:
 
     dzeta holds the per-element increments of zeta = H + 2 zb.  Exact
     integrals over each fine element against the pressure trace on it,
-    whose mesh-only factors come from the geometry.
+    whose mesh-only factors come from the geometry.  The terms accumulate
+    into zeros; a column's first term is written as 0 - left or 0 + right
+    straight into its column, which gives the same bits (signed zeros
+    included) without filling and re-reading the column.
     """
-    Du = np.zeros(geom.Dw.shape, order="F")
-    for rows, el, off, c_H, c_left, c_right in geom.u_terms:
+    Du = np.empty(geom.Dw.shape, order="F")
+    if geom.u_unset.size:
+        Du.ravel(order="F")[geom.u_unset] = 0.0
+    for rows, el, off, c_H, c_left, c_right, first_left, first_right in geom.u_terms:
         dz = dzeta[el]
-        Du[rows, off] -= H[:-1][el] * c_H + dz * c_left
-        Du[rows, off + 1] += H[1:][el] * c_H - dz * c_right
+        left = H[:-1][el] * c_H + dz * c_left
+        right = H[1:][el] * c_H - dz * c_right
+        col = Du[rows, off]
+        if first_left:
+            np.subtract(0.0, left, out=col)
+        else:
+            col -= left
+        col = Du[rows, off + 1]
+        if first_right:
+            np.add(0.0, right, out=col)
+        else:
+            col += right
     return Du
 
 
@@ -407,14 +449,14 @@ def assemble(pair: ElementPair, mesh: Mesh1D, H, zb, h_eps: float = 1e-8) -> Ope
     interpolation conventions.  The mesh-only part is taken from the
     mesh's geometry cache (built on the first assembly of this pair).
     """
-    H = np.asarray(H, dtype=float)
-    zb = np.asarray(zb, dtype=float)
     n = mesh.n_nodes
     if pair.n_velocity != n:
         raise ValueError("element pair/mesh size mismatch")
+    zb = np.asarray(zb, dtype=float)
     if zb.size != n:
         raise ValueError("zb/mesh size mismatch")
 
+    H = np.asarray(H, dtype=float)
     a_node = lump_mass(H, mesh, h_eps)  # rejects a wrong size or a negative depth
     geom = _geometry(pair, mesh)
     dzeta = np.diff(H + 2.0 * zb)

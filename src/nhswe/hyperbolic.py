@@ -129,7 +129,7 @@ def kinetic_flux(xl, xr, g: float):
     """
     HL, HuL = xl
     HR, HuR = xr
-    if np.any(HL < 0.0) or np.any(HR < 0.0):
+    if HL.min() < 0.0 or HR.min() < 0.0:
         raise ValueError("kinetic_flux requires non-negative depths")
     uL = np.zeros_like(HL)
     uR = np.zeros_like(HR)
@@ -153,23 +153,25 @@ def hydrostatic_reconstruct(Hi, Hj, zbi, zbj):
     return HL, HR
 
 
-def _wave_speed(H: np.ndarray, u: np.ndarray, params: PhysicalParams) -> float:
+def max_wave_speed(H: np.ndarray, u: np.ndarray, params: PhysicalParams) -> float:
+    """max(|u| + sqrt(g H)) over the wet nodes (H >= h_eps) of a depth H and
+    its velocities u; DryDomainError if all are dry."""
     wet = H >= params.h_eps
-    if not np.any(wet):
+    if not wet.any():
         raise DryDomainError("no wet cell: no admissible wave speed")
     return float(np.max(np.abs(u[wet]) + np.sqrt(params.g * H[wet])))
 
 
-def max_wave_speed(state: FlowState, params: PhysicalParams) -> float:
-    """max(|u| + sqrt(g H)) over wet nodes; DryDomainError if all dry."""
-    u, _ = state.velocities(params.h_eps)
-    return _wave_speed(state.H, u, params)
+def cfl_step(H: np.ndarray, u: np.ndarray, mesh: Mesh1D, params: PhysicalParams) -> float:
+    """Adaptive time step cfl * min(dx) / max(|u| + sqrt(g H)) of a depth H
+    and its velocities u (those of FlowState.velocities)."""
+    return params.cfl * float(np.min(mesh.element_widths)) / max_wave_speed(H, u, params)
 
 
 def cfl_dt(state: FlowState, mesh: Mesh1D, params: PhysicalParams) -> float:
-    """Adaptive time step cfl * min(dx) / max(|u| + sqrt(g H))."""
-    speed = max_wave_speed(state, params)
-    return params.cfl * float(np.min(mesh.element_widths)) / speed
+    """cfl_step of a state, its velocities evaluated here."""
+    u, _ = state.velocities(params.h_eps)
+    return cfl_step(state.H, u, mesh, params)
 
 
 def _bisect(fun, lo: float, hi: float, flo: float, fhi: float, rtol: float = 1e-12) -> float:
@@ -268,6 +270,8 @@ def apply_hyperbolic_bc(state: FlowState, bc: HyperbolicBC, g: float) -> GhostSt
 
 def predict(
     state: FlowState,
+    u: np.ndarray,
+    w: np.ndarray,
     mesh: Mesh1D,
     bathy: Bathymetry,
     params: PhysicalParams,
@@ -277,16 +281,17 @@ def predict(
 ) -> FlowState:
     """One explicit finite-volume step of the hydrostatic subsystem.
 
-    Returns the predicted state at t + dt.  A dt beyond the state's CFL
-    bound raises CFLViolationError.  Depth stays non-negative under the CFL
-    bound; a produced negative depth beyond round-off is an internal
-    invariant violation and raises.
+    (u, w) are the state's velocities, state.velocities(params.h_eps): the
+    stepper evaluates them once and shares them with its CFL step and the
+    projection.  Returns the predicted state at t + dt.  A dt beyond the
+    CFL bound the velocities give raises CFLViolationError.  Depth stays
+    non-negative under the CFL bound; a produced negative depth beyond
+    round-off is an internal invariant violation and raises.
     """
     n = mesh.n_nodes
-    if state.n_nodes != n or bathy.zb.size != n:
-        raise ValueError("state/mesh/bathymetry size mismatch")
-    u, w = state.velocities(params.h_eps)
-    admissible = float(np.min(mesh.element_widths)) / _wave_speed(state.H, u, params)
+    if state.n_nodes != n or bathy.zb.size != n or u.size != n or w.size != n:
+        raise ValueError("state/velocity/mesh/bathymetry size mismatch")
+    admissible = float(np.min(mesh.element_widths)) / max_wave_speed(state.H, u, params)
     if not dt <= admissible * (1.0 + 1e-9):
         raise CFLViolationError(
             f"CFL violation: dt = {dt:.3e} exceeds admissible {admissible:.3e}"
@@ -317,7 +322,7 @@ def predict(
     Hw_new = state.Hw - sigma * (F_Hw[1:] - F_Hw[:-1])
 
     floor = -1e-12 * max(1.0, float(state.H.max()))
-    if np.any(H_new < floor):
+    if H_new.min() < floor:
         raise RuntimeError(
             f"negative depth produced by the prediction step (min {H_new.min():.3e})"
         )

@@ -1,8 +1,8 @@
 """Pressure correction step.
 
-The prediction leaves a velocity field U* that violates the depth-averaged
-incompressibility constraint B U = 0.  Correcting with the discrete
-pressure gradient,
+The prediction leaves a velocity field U* = (u*, w*) that violates the
+depth-averaged incompressibility constraint B U = 0.  Correcting with the
+discrete pressure gradient,
 
     A_H U = A_H U* - dt (Bt - C) P,      Bt - C = -B^T,
 
@@ -30,6 +30,13 @@ predicted trace.
 
 Velocity dofs on dry nodes (H < h_eps) are excluded from the correction and
 pressure dofs with an entirely dry support are pinned to zero.
+
+Velocities enter and leave as (u, w) pairs of nodal arrays, the two blocks
+of U that B acts on: build_schur takes the predicted (u*, w*), the
+correction returns the corrected (u, w), and divergence_residual measures a
+pair.  Only u is written by a boundary condition (held at 0 at a wall), so
+the base velocity copies u and shares w with the caller, who must not write
+into w while the system is in use.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpbsv, dptsv
 
 from .femops import OperatorSet
 
@@ -77,13 +84,17 @@ class _BCPlan:
     pinned: np.ndarray  # bool mask over pressure dofs, each held at 0
 
 
-def resolve_projection_bcs(ops: OperatorSet, bcs, U_predicted: np.ndarray) -> _BCPlan:
+def resolve_projection_bcs(ops: OperatorSet, bcs, u: np.ndarray, w: np.ndarray) -> _BCPlan:
+    """The masks and base velocity (u*, w*) of one projection under bcs.
+
+    u_base is a copy of u with the wall values set; w_base is w itself.
+    """
     n = ops.n_nodes
-    U_predicted = np.asarray(U_predicted, dtype=float)
-    if U_predicted.size != 2 * n:
-        raise ValueError("U must stack (u_1..u_N, w_1..w_N)")
-    u_base = U_predicted[:n].copy()
-    w_base = U_predicted[n:].copy()
+    u = np.asarray(u, dtype=float)
+    w = np.asarray(w, dtype=float)
+    if u.shape != (n,) or w.shape != (n,):
+        raise ValueError(f"u and w need one entry per node ({n})")
+    u_base = u.copy()
     wet = ops.wet_nodes()
     free_u = wet.copy()
     free_w = wet.copy()
@@ -97,7 +108,7 @@ def resolve_projection_bcs(ops: OperatorSet, bcs, U_predicted: np.ndarray) -> _B
         free_u[node] = False
         if bc.kind == "wall":
             u_base[node] = 0.0
-    return _BCPlan(free_u, free_w, u_base, w_base, pinned)
+    return _BCPlan(free_u, free_w, u_base, w, pinned)
 
 
 def _inverse_mass(ops: OperatorSet, plan: _BCPlan) -> tuple[np.ndarray, np.ndarray]:
@@ -111,7 +122,7 @@ def _inverse_mass(ops: OperatorSet, plan: _BCPlan) -> tuple[np.ndarray, np.ndarr
 def _corrected(
     ops: OperatorSet, plan: _BCPlan, invA_u: np.ndarray, invA_w: np.ndarray, dt: float, p
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(u, w) = U* + dt A_H^-1 B^T p, U* being the plan's base velocity."""
+    """(u, w) = (u*, w*) + dt A_H^-1 B^T p, (u*, w*) being the plan's base."""
     du, dw = ops.scatter_divergence_t(p)
     u = plan.u_base + dt * invA_u * du
     w = plan.w_base + dt * invA_w * dw
@@ -127,7 +138,7 @@ class SchurSystem:
     ab[d, l] = S[l + d, l] = S[l, l + d].  LAPACK's banded Cholesky
     factors this layout faster than the upper one.  rhs is the eliminated
     right-hand side.  The operator set, the BC plan (with the base velocity
-    U*) and the masked inverse mass are kept so the correction stays
+    (u*, w*)) and the masked inverse mass are kept so the correction stays
     consistent with the system that produced the pressure.
 
     base_divergence is the B U* the rhs was formed from, kept as the scale
@@ -166,7 +177,8 @@ class SchurSystem:
         return y
 
     def corrected_velocity(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(u, w) = U* + dt A_H^-1 B^T p with this system's BC plan and masks."""
+        """(u, w) = (u*, w*) + dt A_H^-1 B^T p with this system's BC plan and
+        masks; both arrays are new."""
         return _corrected(self.ops, self.plan, self.invA_u, self.invA_w, self.dt, p)
 
     def dense(self) -> np.ndarray:
@@ -180,14 +192,20 @@ class SchurSystem:
 
 def build_schur(
     ops: OperatorSet,
-    U_predicted: np.ndarray,
+    u: np.ndarray,
+    w: np.ndarray,
     dt: float,
     bcs=(),
 ) -> SchurSystem:
-    """Assemble the banded Schur complement and its right-hand side."""
+    """Assemble the banded Schur complement and its right-hand side for the
+    predicted velocity (u*, w*) = (u, w).
+
+    The boundary plan is resolved once, here; the system keeps it (and w
+    itself, see the module docstring) for the correction.
+    """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    plan = resolve_projection_bcs(ops, bcs, U_predicted)
+    plan = resolve_projection_bcs(ops, bcs, u, w)
     m = ops.n_pressure
     bw = ops.bandwidth
     Du = ops.Du
@@ -209,13 +227,13 @@ def build_schur(
 
     # symmetric elimination of the pinned dofs (Dirichlet sides and dry
     # supports), each held at 0
-    if np.any(plan.pinned):
+    if plan.pinned.any():
         for d in range(1, bw + 1):
             ab[d, : m - d][plan.pinned[d:] | plan.pinned[: m - d]] = 0.0
         ab[0, plan.pinned] = 1.0
         rhs[plan.pinned] = 0.0
 
-    if np.any(ab[0] <= 0.0):
+    if ab[0].min() <= 0.0:
         raise ValueError(
             "Schur diagonal is not positive: the pressure problem is fully "
             "determined, so a singular assembly indicates a bug"
@@ -238,47 +256,55 @@ def solve_pressure(sys: SchurSystem) -> PressureField:
 
     The system is SPD with bandwidth 1 (P1/P0) or 2 (P1-iso-P2/P1), so the
     solve is exact up to round-off in O(M) work.  The band is stored lower
-    (SchurSystem), the layout LAPACK's banded Cholesky runs fastest.  A zero
-    right-hand side returns the zero pressure without factoring.
+    (SchurSystem), the layout LAPACK's banded Cholesky runs fastest.  LAPACK
+    is called directly: dptsv (tridiagonal L D L^T) for bandwidth 1 and
+    dpbsv for bandwidth 2, the routines scipy.linalg.solveh_banded
+    dispatches to, on copies of the same inputs, so sys.ab and sys.rhs are
+    left as they are.  A right-hand side without a nonzero entry returns the
+    zero pressure without factoring.
     """
-    if float(np.linalg.norm(sys.rhs)) == 0.0:
+    ab, rhs = sys.ab, sys.rhs
+    if not rhs.any():
         return PressureField(np.zeros(sys.n_pressure))
-    try:
-        p = scipy.linalg.solveh_banded(sys.ab, sys.rhs, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - assembly bug guard
-        raise ValueError(f"indefinite pivot in the banded factorization: {exc}") from exc
+    if sys.bandwidth == 1:
+        _, _, p, info = dptsv(ab[0], ab[1, :-1], rhs)
+    else:
+        _, p, info = dpbsv(ab, rhs, lower=1)
+    if info != 0:  # pragma: no cover - assembly bug guard
+        raise ValueError(f"indefinite pivot in the banded factorization (LAPACK info {info})")
     return PressureField(p)
 
 
 def correct_velocity(
-    U_predicted: np.ndarray,
+    u: np.ndarray,
+    w: np.ndarray,
     P: np.ndarray,
     ops: OperatorSet,
     dt: float,
     bcs=(),
-) -> np.ndarray:
-    """Apply U = U* + dt A_H^-1 B^T P on the free dofs (U stacked (u, w)).
+) -> tuple[np.ndarray, np.ndarray]:
+    """The corrected pair (u, w) = (u*, w*) + dt A_H^-1 B^T P on the free dofs.
 
-    Must be called with the same boundary conditions that built the Schur
-    system so the masked dofs match.  When that system is at hand,
-    SchurSystem.corrected_velocity applies the same correction without
-    resolving the boundary conditions again.
+    (u*, w*) = (u, w) is the predicted velocity.  Must be called with the
+    same boundary conditions that built the Schur system so the masked dofs
+    match.  When that system is at hand, SchurSystem.corrected_velocity
+    applies the same correction without resolving the boundary conditions
+    again.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     P = np.asarray(P, dtype=float)
     if P.size != ops.n_pressure:
         raise ValueError("pressure/operator size mismatch")
-    plan = resolve_projection_bcs(ops, bcs, U_predicted)
+    plan = resolve_projection_bcs(ops, bcs, u, w)
     invA_u, invA_w = _inverse_mass(ops, plan)
-    return np.concatenate(_corrected(ops, plan, invA_u, invA_w, dt, P))
+    return _corrected(ops, plan, invA_u, invA_w, dt, P)
 
 
-def divergence_residual(sys: SchurSystem, U: np.ndarray) -> float:
-    """2-norm of B U over the enforced constraint rows (pinned rows carry no
-    discrete equation and are excluded)."""
-    n = sys.ops.n_nodes
-    return _enforced_norm(sys, sys.ops.apply_divergence(U[:n], U[n:]))
+def divergence_residual(sys: SchurSystem, u: np.ndarray, w: np.ndarray) -> float:
+    """2-norm of B (u; w) over the enforced constraint rows (pinned rows
+    carry no discrete equation and are excluded)."""
+    return _enforced_norm(sys, sys.ops.apply_divergence(u, w))
 
 
 def _enforced_norm(sys: SchurSystem, div: np.ndarray) -> float:

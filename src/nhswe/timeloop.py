@@ -15,6 +15,12 @@ stage rate is applied exactly from the current assembly.  Every projection
 resolves its boundary plan once, in build_schur, and corrects the velocity
 with that plan; both steppers raise DivergenceBoundError when the corrected
 velocity misses its divergence bound.
+
+The velocities of each state are evaluated once per step and passed along
+(Euler: the initial and the predicted state; Heun: the initial, the stage
+and the averaged state).  The initial state's serve its CFL step, its
+prediction and, in Heun, its stage rate; velocities travel as (u, w) pairs
+through the projection.
 """
 
 from __future__ import annotations
@@ -34,8 +40,10 @@ from .core import (
     total_mass,
 )
 from .femops import ElementPair, OperatorSet, assemble
-from .hyperbolic import HyperbolicBC, cfl_dt, predict
-from .projection import (  # noqa: F401 (correct_velocity: perfbench/tracer.py rebinds it here)
+# cfl_dt and correct_velocity are not called here; they stay imported
+# because perfbench/tracer.py rebinds both names on this module
+from .hyperbolic import HyperbolicBC, cfl_dt, cfl_step, predict  # noqa: F401
+from .projection import (  # noqa: F401
     PressureBC,
     PressureField,
     SchurSystem,
@@ -131,24 +139,25 @@ def _project(
 ) -> StepResult:
     """Correct the velocity of `state` onto B U = 0 at its own depth.
 
-    The corrected state shares state.H.  Raises DivergenceBoundError when
-    the corrected residual exceeds tol times the uncorrected one plus 1e-12.
+    The state's velocities are evaluated here, once, and carried through
+    the projection as the pair (u, w).  The corrected state shares state.H.
+    Raises DivergenceBoundError when the corrected residual exceeds tol
+    times the uncorrected one plus 1e-12.
     """
     ops = assemble(pair, mesh, state.H, bathy.zb, params.h_eps)
     u, w = state.velocities(params.h_eps)
-    sys = build_schur(ops, np.concatenate([u, w]), dt, _pressure_bcs(hyp))
+    sys = build_schur(ops, u, w, dt, _pressure_bcs(hyp))
     pressure = solve_pressure(sys)
-    U = np.concatenate(sys.corrected_velocity(pressure.values))
+    u, w = sys.corrected_velocity(pressure.values)
 
-    residual = divergence_residual(sys, U)
+    residual = divergence_residual(sys, u, w)
     bound = params.tol * sys.base_residual + 1e-12
     if residual > bound:
         raise DivergenceBoundError(
             f"divergence bound violated after correction: {residual:.3e} > {bound:.3e}"
         )
 
-    n = mesh.n_nodes
-    new = FlowState(state.H, state.H * U[:n], state.H * U[n:], state.t)
+    new = FlowState(state.H, state.H * u, state.H * w, state.t)
     report = StepReport(
         t=new.t,
         dt=dt,
@@ -192,29 +201,24 @@ def step_euler(
     pair: ElementPair | None = None,
     dt: float | None = None,
 ) -> StepResult:
-    """One prediction + correction step; dt caps the internal CFL step."""
+    """One prediction + correction step; dt caps the internal CFL step.
+
+    The initial state's velocities give both the CFL step and the
+    prediction.
+    """
     pair = pair or ElementPair.p1p0(mesh.n_nodes)
-    dt_cfl = cfl_dt(state, mesh, params)
+    u, w = state.velocities(params.h_eps)
+    dt_cfl = cfl_step(state.H, u, mesh, params)
     dt = dt_cfl if dt is None else min(dt, dt_cfl)
     hyp = bounds.hyperbolic_at(state.t)
-    half = predict(state, mesh, bathy, params, *hyp, dt)
+    half = predict(state, u, w, mesh, bathy, params, *hyp, dt)
     return _project(half, mesh, bathy, params, pair, hyp, dt)
-
-
-def heun_step(y, dt: float, substep: Callable):
-    """Generic modified-Heun combination (y + substep(substep(y))) / 2.
-
-    substep(y, dt) must return the advanced value; the scalar surrogate of
-    step_heun's combination, used with plain ODE right-hand sides by verify
-    and the tests.
-    """
-    y1 = substep(y, dt)
-    y2 = substep(y1, dt)
-    return 0.5 * (y + y2)
 
 
 def _stage_rate(
     state: FlowState,
+    u: np.ndarray,
+    w: np.ndarray,
     mesh: Mesh1D,
     bathy: Bathymetry,
     params: PhysicalParams,
@@ -224,6 +228,8 @@ def _stage_rate(
 ):
     """Constraint-consistent time derivative of a constrained state.
 
+    (u, w) are the state's velocities, state.velocities(params.h_eps),
+    evaluated once by the stepper and shared with the state's prediction.
     The hyperbolic tendency is read off one explicit flux evaluation (the
     update is exactly linear in dt), and the pressure tendency is the
     multiplier that keeps d/dt (B u) = 0:
@@ -239,22 +245,20 @@ def _stage_rate(
     to it.
     """
     hyp = bounds.hyperbolic_at(state.t)
-    pred = predict(state, mesh, bathy, params, *hyp, dt_probe)
+    pred = predict(state, u, w, mesh, bathy, params, *hyp, dt_probe)
     T_H = (pred.H - state.H) / dt_probe
     T_Hu = (pred.Hu - state.Hu) / dt_probe
     T_Hw = (pred.Hw - state.Hw) / dt_probe
 
-    u, w = state.velocities(params.h_eps)
     wet = state.H >= params.h_eps
     H_safe = np.maximum(state.H, 1e-300)
     du = np.where(wet, (T_Hu - u * T_H) / H_safe, 0.0)
     dw = np.where(wet, (T_Hw - w * T_H) / H_safe, 0.0)
-    U_rate = np.concatenate([du, dw])
 
     ops = assemble(pair, mesh, state.H, bathy.zb, params.h_eps)
     dD_u = ops.apply_depth_derivative(T_H, u)
 
-    sys = build_schur(ops, U_rate, 1.0, _pressure_bcs(hyp))
+    sys = build_schur(ops, du, dw, 1.0, _pressure_bcs(hyp))
     sys.rhs[:] = sys.rhs - np.where(sys.plan.pinned, 0.0, dD_u)
     p_rate = solve_pressure(sys)
     du_corr, dw_corr = sys.corrected_velocity(p_rate.values)
@@ -285,15 +289,16 @@ def step_heun(
     keeps the result on the constraint manifold without order loss.
     """
     pair = pair or ElementPair.p1p0(mesh.n_nodes)
-    dt_cfl = cfl_dt(state, mesh, params)
+    u, w = state.velocities(params.h_eps)
+    dt_cfl = cfl_step(state.H, u, mesh, params)
     dt = dt_cfl if dt is None else min(dt, dt_cfl)
 
-    def stage(y: FlowState) -> FlowState:
-        T_H, mom_u, mom_w = _stage_rate(y, mesh, bathy, params, bounds, pair, dt)
+    def stage(y: FlowState, u: np.ndarray, w: np.ndarray) -> FlowState:
+        T_H, mom_u, mom_w = _stage_rate(y, u, w, mesh, bathy, params, bounds, pair, dt)
         return FlowState(y.H + dt * T_H, y.Hu + dt * mom_u, y.Hw + dt * mom_w, y.t + dt)
 
-    first = stage(state)
-    second = stage(first)
+    first = stage(state, u, w)
+    second = stage(first, *first.velocities(params.h_eps))
     avg = FlowState(
         0.5 * (state.H + second.H),
         0.5 * (state.Hu + second.Hu),

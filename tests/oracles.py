@@ -16,6 +16,7 @@ scalars.  Tests require the package to match them bit for bit.
 """
 
 import numpy as np
+import scipy.linalg
 
 # 4-point Gauss-Legendre nodes/weights on [0, 1]
 _GP = 0.5 * (1.0 + np.array([
@@ -375,6 +376,17 @@ def u_windows_uncached(pair, mesh, H, zb):
     return Du
 
 
+def u_windows_into_zeros(geom, H, dzeta):
+    """Du accumulated term by term into zeros from the cached geometry: the
+    arithmetic femops._u_windows must reproduce bit for bit."""
+    Du = np.zeros(geom.Dw.shape, order="F")
+    for rows, el, off, c_H, c_left, c_right, *_ in geom.u_terms:
+        dz = dzeta[el]
+        Du[rows, off] -= H[:-1][el] * c_H + dz * c_left
+        Du[rows, off + 1] += H[1:][el] * c_H - dz * c_right
+    return Du
+
+
 def w_windows_uncached(pair, mesh):
     """Dw of the divergence windows from the per-element formulas."""
     h = np.diff(mesh.nodes)
@@ -486,6 +498,12 @@ def imposed_flux_ghost_numpy(Hb, ub, wb, side, q01, q02, g):
     if abs(u0) / np.sqrt(g * h0) >= 1.0:
         raise TorrentialBoundaryError("torrential boundary state")
     return h0, u0, q02 / h0
+
+
+def solveh_banded_lower(ab, rhs):
+    """scipy's banded SPD solve of the lower band ab: the reference that
+    projection.solve_pressure must reproduce bit for bit."""
+    return scipy.linalg.solveh_banded(ab, rhs, lower=True, check_finite=False)
 
 
 def float_bits(values):

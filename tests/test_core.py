@@ -112,5 +112,6 @@ def test_correction_step_never_changes_mass():
     res = nh.step_euler(sc.state0, sc.mesh, sc.bathy, params, sc.bounds)
     # H after the full step equals H after the hyperbolic half step exactly
     bc_l, bc_r = sc.bounds.hyperbolic_at(0.0)
-    half = nh.predict(sc.state0, sc.mesh, sc.bathy, params, bc_l, bc_r, res.report.dt)
+    u, w = sc.state0.velocities(params.h_eps)
+    half = nh.predict(sc.state0, u, w, sc.mesh, sc.bathy, params, bc_l, bc_r, res.report.dt)
     assert np.array_equal(res.state.H, half.H)

@@ -5,11 +5,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import nhswe as nh
+from nhswe import femops
 from nhswe.femops import P1ISOP2P1, P1P0
 
 from oracles import (
     depth_derivative_by_differencing,
     dry_pressure_dofs_by_support,
+    float_bits,
     gauss_divergence,
     gauss_gradient,
     gauss_lumped_mass,
@@ -17,6 +19,7 @@ from oracles import (
     random_wet_setup,
     staggered_stencil_divergence,
     staggered_stencil_gradient,
+    u_windows_into_zeros,
     u_windows_uncached,
     w_windows_uncached,
 )
@@ -76,6 +79,21 @@ def test_p1p0_divergence_of_constant_u_flat_data():
     ops = nh.assemble(_pair(P1P0, 9), mesh, np.ones(9), np.zeros(9))
     div = ops.apply_divergence(0.7 * np.ones(9), np.zeros(9))
     assert np.abs(div).max() <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "args, names",
+    [
+        (("P2P1", 9, 4), "P2P1"),  # unknown tag
+        ((P1ISOP2P1, 8, 4), P1ISOP2P1),  # even N
+        ((P1ISOP2P1, 9, 4), P1ISOP2P1),  # wrong M (5 coarse nodes)
+        ((P1P0, 7, 7), P1P0),  # wrong M (6 elements)
+    ],
+)
+def test_element_pair_validates_itself(args, names):
+    # built by hand, not through p1p0 / p1isop2p1 / from_tag
+    with pytest.raises(ValueError, match=names):
+        nh.ElementPair(*args)
 
 
 def test_element_pair_validation():
@@ -344,6 +362,22 @@ def test_meshes_never_share_geometry():
     assert len({id(g) for g in geoms}) == 4
     assert np.array_equal(geoms[0].Dw, geoms[2].Dw)
     assert geoms[0].Dw is not geoms[2].Dw
+
+
+@pytest.mark.parametrize("tag", PAIRS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_windows_written_in_place_equal_accumulation_into_zeros(tag, data):
+    # bit for bit, signed zeros included, on a depth and on a depth direction
+    mesh, H, zb, T_H, _ = data.draw(_depth_derivative_case(tag))
+    H[::3] = 0.0  # dry nodes: zero coefficients whose sign must match too
+    geom = nh.assemble(_pair(tag, mesh.n_nodes), mesh, H, zb).geometry
+    neg_zero = np.full(mesh.n_nodes, -0.0)  # products -0.0, differences +0.0
+    cases = ((H, np.diff(H + 2.0 * zb)), (T_H, np.diff(T_H)), (neg_zero, np.diff(neg_zero)))
+    for depth, dzeta in cases:
+        got = femops._u_windows(geom, depth, dzeta)
+        ref = u_windows_into_zeros(geom, depth, dzeta)
+        assert np.array_equal(float_bits(got.ravel()), float_bits(ref.ravel()))
 
 
 @pytest.mark.parametrize("tag", PAIRS)

@@ -255,7 +255,8 @@ def test_predict_lake_at_rest_with_topography():
     dt = nh.cfl_dt(state, mesh, params)
     out = state
     for _ in range(100):
-        out = nh.predict(out, mesh, bathy, params, bc_in, bc_out, dt)
+        u, w = out.velocities(params.h_eps)
+        out = nh.predict(out, u, w, mesh, bathy, params, bc_in, bc_out, dt)
     assert np.abs(out.H - H).max() <= 1e-12
     assert np.abs(out.Hu).max() <= 1e-12
 
@@ -266,7 +267,8 @@ def test_predict_constant_state_unchanged():
     state = nh.FlowState(np.full(51, 2.0), np.zeros(51), np.zeros(51))
     params = nh.PhysicalParams()
     bc_in, bc_out = _walls()
-    out = nh.predict(state, mesh, bathy, params, bc_in, bc_out, 1e-3)
+    u, w = state.velocities(params.h_eps)
+    out = nh.predict(state, u, w, mesh, bathy, params, bc_in, bc_out, 1e-3)
     assert np.array_equal(out.H, state.H)
     assert np.abs(out.Hu).max() == 0.0
 
@@ -281,7 +283,8 @@ def test_predict_against_rusanov_oracle():
     params = nh.PhysicalParams()
     dt = nh.cfl_dt(state, mesh, params)
     bc_in, bc_out = _walls()
-    out = nh.predict(state, mesh, bathy, params, bc_in, bc_out, dt)
+    u, w = state.velocities(params.h_eps)
+    out = nh.predict(state, u, w, mesh, bathy, params, bc_in, bc_out, dt)
     H_r, Hu_r, _ = rusanov_step(state.H, state.Hu, state.Hw, mesh, params.g, dt)
     m_kin = np.sum(mesh.dual_widths * out.H)
     m_rus = np.sum(mesh.dual_widths * H_r)
@@ -306,7 +309,8 @@ def test_predict_positivity_random_states():
         w = np.where(H > 0, rng.standard_normal(n), 0.0)
         state = nh.FlowState(H, H * u, H * w)
         dt = nh.cfl_dt(state, mesh, params)
-        out = nh.predict(state, mesh, bathy, params, *_walls(), dt)
+        u, w = state.velocities(params.h_eps)
+        out = nh.predict(state, u, w, mesh, bathy, params, *_walls(), dt)
         assert out.H.min() >= 0.0
 
 
@@ -318,7 +322,8 @@ def test_predict_conservation_with_walls():
     bc_in, bc_out = _walls()
     for _ in range(50):
         dt = nh.cfl_dt(state, sc.mesh, params)
-        state = nh.predict(state, sc.mesh, sc.bathy, params, bc_in, bc_out, dt)
+        u, w = state.velocities(params.h_eps)
+        state = nh.predict(state, u, w, sc.mesh, sc.bathy, params, bc_in, bc_out, dt)
     assert abs(nh.total_mass(state, sc.mesh) - m0) <= 1e-12 * m0
 
 
@@ -328,4 +333,5 @@ def test_predict_cfl_assertion():
     state = nh.FlowState(np.ones(11), np.zeros(11), np.zeros(11))
     params = nh.PhysicalParams()
     with pytest.raises(nh.CFLViolationError):
-        nh.predict(state, mesh, bathy, params, *_walls(), dt=1.0)
+        u, w = state.velocities(params.h_eps)
+        nh.predict(state, u, w, mesh, bathy, params, *_walls(), dt=1.0)

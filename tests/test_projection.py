@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import nhswe as nh
 from nhswe.femops import P1ISOP2P1, P1P0
 from nhswe.projection import divergence_residual, resolve_projection_bcs
 from nhswe.verify import SolverConvergenceError, _solve_cg, _solve_uzawa
 
-from oracles import random_wet_setup
+from oracles import float_bits, random_wet_setup, solveh_banded_lower
 
 PAIRS = (P1P0, P1ISOP2P1)
 
@@ -14,10 +17,11 @@ PAIRS = (P1P0, P1ISOP2P1)
 def _random_system(rng, tag, bcs=(), n_min=7, n_max=13):
     mesh, H, zb = random_wet_setup(rng, n_min=n_min, n_max=n_max, odd=True)
     ops = nh.assemble(nh.ElementPair.from_tag(tag, mesh.n_nodes), mesh, H, zb)
-    U = rng.standard_normal(2 * mesh.n_nodes)
+    n = mesh.n_nodes
+    U = rng.standard_normal(2 * n)
     dt = 0.01 * (1.0 + rng.random())
-    sys = nh.build_schur(ops, U, dt, bcs=bcs)
-    return sys, ops, U, dt
+    sys = nh.build_schur(ops, U[:n], U[n:], dt, bcs=bcs)
+    return sys, ops, (U[:n], U[n:]), dt
 
 
 def _dirichlet_both():
@@ -35,7 +39,7 @@ def test_schur_n3_dense_hand_assembly():
     ops = nh.assemble(nh.ElementPair.p1p0(3), mesh, np.ones(3), np.zeros(3))
     U = np.array([0.3, -0.2, 0.1, 0.05, -0.4, 0.25])
     dt = 0.02
-    sys = nh.build_schur(ops, U, dt)
+    sys = nh.build_schur(ops, U[:3], U[3:], dt)
     # divergence rows: (-u_l + u_{l+1}) + h (w_l + w_{l+1});
     # lumped mass: [h/2, h, h/2]
     a = np.array([h / 2.0, h, h / 2.0])
@@ -52,8 +56,7 @@ def test_schur_n3_dense_hand_assembly():
 def test_schur_rhs_zero_for_divergence_free_data():
     mesh = nh.Mesh1D.uniform(0.0, 1.0, 9)
     ops = nh.assemble(nh.ElementPair.p1p0(9), mesh, np.ones(9), np.zeros(9))
-    U = np.concatenate([0.7 * np.ones(9), np.zeros(9)])  # constant u, flat data
-    sys = nh.build_schur(ops, U, 0.01)
+    sys = nh.build_schur(ops, 0.7 * np.ones(9), np.zeros(9), 0.01)  # constant u, flat data
     assert np.abs(sys.rhs).max() <= 1e-12
     p = nh.solve_pressure(sys)
     assert np.abs(p.values).max() == 0.0
@@ -110,7 +113,8 @@ def test_schur_dense_equals_masked_operator_product(tag):
         n = mesh.n_nodes
         H[n // 2 - 2 : n // 2 + 3] = 0.0  # a dry patch pins the dofs it supports
         ops = nh.assemble(nh.ElementPair.from_tag(tag, n), mesh, H, zb)
-        sys = nh.build_schur(ops, rng.standard_normal(2 * n), 0.05, bcs=bcs)
+        U = rng.standard_normal(2 * n)
+        sys = nh.build_schur(ops, U[:n], U[n:], 0.05, bcs=bcs)
         pinned = sys.plan.pinned
         assert pinned.any() and not pinned.all()
         free = np.r_[sys.plan.free_u, sys.plan.free_w]
@@ -131,7 +135,7 @@ def test_schur_rejects_bad_dt():
     mesh, H, zb = random_wet_setup(rng)
     ops = nh.assemble(nh.ElementPair.p1p0(mesh.n_nodes), mesh, H, zb)
     with pytest.raises(ValueError):
-        nh.build_schur(ops, np.zeros(2 * mesh.n_nodes), 0.0)
+        nh.build_schur(ops, np.zeros(mesh.n_nodes), np.zeros(mesh.n_nodes), 0.0)
 
 
 # -- solve_pressure -----------------------------------------------------------
@@ -146,6 +150,58 @@ def test_zero_rhs_gives_zero_pressure_all_methods():
         p, iterations = reference(sys, 1e-10)
         assert np.abs(p).max() == 0.0
         assert iterations == 0
+
+
+@st.composite
+def _banded_spd_case(draw):
+    """(ab, rhs): a random diagonally dominant SPD band of bandwidth 1 or 2
+    in the lower layout, with pinned rows eliminated as build_schur does
+    (diagonal 1, off-diagonals 0, rhs 0); the rhs may be all zero."""
+    bw = draw(st.sampled_from((1, 2)))
+    m = draw(st.integers(bw + 1, 40))
+
+    def band(size, lo, hi):
+        return draw(arrays(float, size, elements=st.floats(lo, hi, allow_subnormal=False)))
+
+    ab = np.zeros((bw + 1, m))
+    for d in range(1, bw + 1):
+        ab[d, : m - d] = band(m - d, -1.0, 1.0)
+    dominance = np.zeros(m)
+    for d in range(1, bw + 1):
+        dominance[: m - d] += np.abs(ab[d, : m - d])
+        dominance[d:] += np.abs(ab[d, : m - d])
+    ab[0] = dominance + band(m, 0.01, 10.0)
+    rhs = np.zeros(m) if draw(st.booleans()) else band(m, -1e3, 1e3)
+    pinned = draw(arrays(bool, m))
+    for d in range(1, bw + 1):
+        ab[d, : m - d][pinned[d:] | pinned[: m - d]] = 0.0
+    ab[0, pinned] = 1.0
+    rhs[pinned] = 0.0
+    return ab, rhs
+
+
+_TRIDIAGONAL = np.array([[2.0, 3.0, 2.0], [-1.0, -1.0, 0.0]])
+_PENTADIAGONAL = np.array([[4.0, 5.0, 5.0, 4.0], [-1.0, -1.0, -1.0, 0.0], [0.5, 0.5, 0.0, 0.0]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_banded_spd_case())
+@example(case=(_TRIDIAGONAL, np.zeros(3)))
+@example(case=(_PENTADIAGONAL, np.zeros(4)))
+# entries below about 1e-162 square to 0, so their 2-norm is 0: a zero-norm
+# test returned the zero pressure for them; they are solved
+@example(case=(_TRIDIAGONAL, np.array([1e-170, 0.0, -1e-170])))
+@example(case=(_PENTADIAGONAL, np.full(4, 1e-200)))
+def test_solve_pressure_equals_scipy_banded_solve(case):
+    ab, rhs = case
+    # solve_pressure reads only the band and the rhs
+    sys = nh.SchurSystem(ab=ab.copy(), rhs=rhs.copy(), ops=None, dt=1.0, plan=None,
+                         invA_u=None, invA_w=None, base_divergence=None)
+    p = nh.solve_pressure(sys).values
+    assert np.array_equal(float_bits(p), float_bits(solveh_banded_lower(ab, rhs)))
+    # the system is left as it was
+    assert np.array_equal(float_bits(sys.ab), float_bits(ab))
+    assert np.array_equal(float_bits(sys.rhs), float_bits(rhs))
 
 
 def test_cg_agrees_with_direct():
@@ -165,7 +221,7 @@ def test_uzawa_agrees_with_direct():
     rng = np.random.default_rng(14)
     tol = 1e-6
     for tag in PAIRS:
-        sys, ops, U, dt = _random_system(rng, tag, n_min=21, n_max=27)
+        sys, _, _, _ = _random_system(rng, tag, n_min=21, n_max=27)
         p_direct = nh.solve_pressure(sys).values
         p_uz, _ = _solve_uzawa(sys, tol)
         rel = np.linalg.norm(p_uz - p_direct) / max(np.linalg.norm(p_direct), 1e-300)
@@ -188,7 +244,7 @@ def test_uzawa_iteration_cap_error():
     mesh = nh.Mesh1D.uniform(0.0, 0.4, n)
     ops = nh.assemble(nh.ElementPair.p1p0(n), mesh, np.ones(n), np.zeros(n))
     U = rng.standard_normal(2 * n)
-    sys = nh.build_schur(ops, U, 0.01)
+    sys = nh.build_schur(ops, U[:n], U[n:], 0.01)
     with pytest.raises(SolverConvergenceError) as err:
         _solve_uzawa(sys, 1e-13)
     assert err.value.residual > 0.0
@@ -201,31 +257,32 @@ def test_uzawa_iteration_cap_error():
 def test_zero_pressure_identity():
     rng = np.random.default_rng(18)
     mesh, H, zb = random_wet_setup(rng)
-    ops = nh.assemble(nh.ElementPair.p1p0(mesh.n_nodes), mesh, H, zb)
-    U = rng.standard_normal(2 * mesh.n_nodes)
-    out = nh.correct_velocity(U, np.zeros(ops.n_pressure), ops, 0.1)
-    assert np.array_equal(out, U)
+    n = mesh.n_nodes
+    ops = nh.assemble(nh.ElementPair.p1p0(n), mesh, H, zb)
+    U = rng.standard_normal(2 * n)
+    u, w = nh.correct_velocity(U[:n], U[n:], np.zeros(ops.n_pressure), ops, 0.1)
+    assert np.array_equal(u, U[:n]) and np.array_equal(w, U[n:])
 
 
 @pytest.mark.parametrize("tag", PAIRS)
 def test_corrected_field_is_divergence_free(tag):
     rng = np.random.default_rng(19)
     for bcs in ((), _dirichlet_both()):
-        sys, ops, U, dt = _random_system(rng, tag, bcs=bcs)
+        sys, ops, (u, w), dt = _random_system(rng, tag, bcs=bcs)
         p = nh.solve_pressure(sys)
-        U_new = nh.correct_velocity(U, p.values, ops, dt, bcs=bcs)
-        base = divergence_residual(sys, np.concatenate([sys.plan.u_base, sys.plan.w_base]))
-        assert divergence_residual(sys, U_new) <= 1e-10 * base + 1e-12
+        u_new, w_new = nh.correct_velocity(u, w, p.values, ops, dt, bcs=bcs)
+        base = divergence_residual(sys, sys.plan.u_base, sys.plan.w_base)
+        assert divergence_residual(sys, u_new, w_new) <= 1e-10 * base + 1e-12
 
 
 @pytest.mark.parametrize("tag", PAIRS)
 def test_projection_idempotence(tag):
     rng = np.random.default_rng(20)
     tol = 1e-10
-    sys, ops, U, dt = _random_system(rng, tag)
+    sys, ops, (u, w), dt = _random_system(rng, tag)
     p1 = nh.solve_pressure(sys)
-    U1 = nh.correct_velocity(U, p1.values, ops, dt)
-    sys2 = nh.build_schur(ops, U1, dt)
+    u1, w1 = nh.correct_velocity(u, w, p1.values, ops, dt)
+    sys2 = nh.build_schur(ops, u1, w1, dt)
     p2 = nh.solve_pressure(sys2)
     assert np.linalg.norm(p2.values) <= 10.0 * tol * max(np.linalg.norm(p1.values), 1.0)
 
@@ -238,9 +295,10 @@ def test_dirichlet_value_enters_solution():
     rng = np.random.default_rng(22)
     mesh, H, zb = random_wet_setup(rng)
     ops = nh.assemble(nh.ElementPair.p1p0(mesh.n_nodes), mesh, H, zb)
-    U = rng.standard_normal(2 * mesh.n_nodes)
+    n = mesh.n_nodes
+    U = rng.standard_normal(2 * n)
     bcs = (nh.PressureBC("in", "dirichlet"),)
-    sys = nh.build_schur(ops, U, 0.05, bcs=bcs)
+    sys = nh.build_schur(ops, U[:n], U[n:], 0.05, bcs=bcs)
     p = nh.solve_pressure(sys)
     assert p.values[0] == 0.0
     assert np.abs(p.values[1:]).max() > 0.0
@@ -254,14 +312,14 @@ def test_neumann_pins_boundary_velocity():
     mesh, H, zb = random_wet_setup(rng)
     n = mesh.n_nodes
     ops = nh.assemble(nh.ElementPair.p1p0(n), mesh, H, zb)
-    U = rng.standard_normal(2 * n)
+    u, w = rng.standard_normal(2 * n).reshape(2, n)
     bcs = (nh.PressureBC("in", "wall"), nh.PressureBC("out", "neumann"))
-    sys = nh.build_schur(ops, U, 0.05, bcs=bcs)
+    sys = nh.build_schur(ops, u, w, 0.05, bcs=bcs)
     p = nh.solve_pressure(sys)
-    U_new = nh.correct_velocity(U, p.values, ops, 0.05, bcs=bcs)
-    assert U_new[0] == 0.0
-    assert U_new[n - 1] == U[n - 1]
-    assert divergence_residual(sys, U_new) <= 1e-9
+    u_new, w_new = nh.correct_velocity(u, w, p.values, ops, 0.05, bcs=bcs)
+    assert u_new[0] == 0.0
+    assert u_new[n - 1] == u[n - 1]
+    assert divergence_residual(sys, u_new, w_new) <= 1e-9
 
 
 def test_pressure_bc_kinds_are_dirichlet_and_neumann():
@@ -276,22 +334,24 @@ def test_dry_pressure_dofs_pinned_to_zero():
     mesh = nh.Mesh1D.uniform(0.0, 1.0, 9)
     H = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0])
     ops = nh.assemble(nh.ElementPair.p1p0(9), mesh, H, np.zeros(9), h_eps=1e-8)
-    U = np.concatenate([np.zeros(9), np.where(H > 0, 0.3, 0.0)])
-    sys = nh.build_schur(ops, U, 0.01)
+    u, w = np.zeros(9), np.where(H > 0, 0.3, 0.0)
+    sys = nh.build_schur(ops, u, w, 0.01)
     p = nh.solve_pressure(sys)
     assert np.all(p.values[ops.dry_pressure_dofs()] == 0.0)
-    U_new = nh.correct_velocity(U, p.values, ops, 0.01)
+    u_new, w_new = nh.correct_velocity(u, w, p.values, ops, 0.01)
     # dry velocities untouched
-    assert np.array_equal(U_new[9 + 5:], U[9 + 5:])
+    assert np.array_equal(w_new[5:], w[5:])
 
 
 def test_plan_masks():
     mesh = nh.Mesh1D.uniform(0.0, 1.0, 5)
     H = np.ones(5)
     ops = nh.assemble(nh.ElementPair.p1p0(5), mesh, H, np.zeros(5))
-    U = np.arange(10.0)
-    plan = resolve_projection_bcs(ops, (nh.PressureBC("in", "wall"),), U)
+    u, w = np.arange(5.0), np.arange(5.0, 10.0)
+    plan = resolve_projection_bcs(ops, (nh.PressureBC("in", "wall"),), u, w)
     assert not plan.free_u[0] and plan.free_u[1:].all()
     assert plan.free_w.all()
     assert plan.u_base[0] == 0.0
-    assert np.array_equal(plan.u_base[1:], U[1:5])
+    assert np.array_equal(plan.u_base[1:], u[1:])
+    # only u is written (at the wall), so w is shared, not copied
+    assert u[0] == 0.0 and plan.w_base is w

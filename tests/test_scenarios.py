@@ -164,7 +164,8 @@ def test_beach_initial_state_is_lake_at_rest():
     params = nh.PhysicalParams(h_eps=sc.h_eps)
     bc_l, bc_r = sc.bounds.hyperbolic_at(0.0)
     dt = nh.cfl_dt(sc.state0, sc.mesh, params)
-    out = nh.predict(sc.state0, sc.mesh, sc.bathy, params, bc_l, bc_r, dt)
+    u, w = sc.state0.velocities(params.h_eps)
+    out = nh.predict(sc.state0, u, w, sc.mesh, sc.bathy, params, bc_l, bc_r, dt)
     assert np.abs(out.H - sc.state0.H).max() <= 1e-13
 
 

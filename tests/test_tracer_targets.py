@@ -1,6 +1,7 @@
 """The benchmark imports nhswe: the tracer rebinds names on its modules and
-classes, and each workload calls a make_* factory with the inputs it draws.
-Both must keep working, or a benchmark run breaks."""
+classes, each workload calls a make_* factory with the inputs it draws, and
+the harness calls cfl_dt(state0, mesh, params).  All must keep working, or
+a benchmark run breaks."""
 
 import importlib.util
 import inspect
@@ -41,3 +42,11 @@ WORKLOADS = _load("workloads").WORKLOADS
 def test_every_workload_input_is_a_factory_parameter(name):
     wl = WORKLOADS[name]
     inspect.signature(getattr(nhswe, wl.maker)).bind(n_nodes=wl.n_nodes, **wl.inputs(1))
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_cfl_dt_takes_what_the_harness_passes(name):
+    sc = WORKLOADS[name].build(WORKLOADS[name].inputs(1))
+    params = nhswe.PhysicalParams(h_eps=sc.h_eps)
+    inspect.signature(nhswe.cfl_dt).bind(sc.state0, sc.mesh, params)
+    assert nhswe.cfl_dt(sc.state0, sc.mesh, params) > 0.0
