@@ -141,13 +141,11 @@ class _Geometry:
     of a window are zero, so products skip them).  Dw holds the
     w-coefficients of the windows (M x K).  u_terms are the pair's
     fine-element terms (see the module docstring), each (rows, el, off,
-    c_H, c_left, c_right, first_left, first_right): rows take fine elements
-    el at window offsets off and off + 1, with c_H = (pl + pr) / 2,
-    c_left = pl/3 + pr/6 and c_right = pl/6 + pr/3 from the pressure traces
-    pl, pr at the element's ends; first_left (first_right) is true when the
-    term is the first to reach column off (off + 1).  u_unset lists, as
-    Fortran-flat indices, the entries of Du that no column's first term
-    writes.  nodal = (dof_nodes, dofs, mixed, t) lays out the nodal pressure
+    c_H, c_left, c_right): rows take fine elements el at window offsets off
+    and off + 1, with c_H = (pl + pr) / 2, c_left = pl/3 + pr/6 and
+    c_right = pl/6 + pr/3 from the pressure traces pl, pr at the element's
+    ends; _u_windows accumulates the terms into zeros.  nodal = (dof_nodes,
+    dofs, mixed, t) lays out the nodal pressure
     output: nodes dof_nodes carry dofs, and a node of mixed takes
     (1 - t) p_l + t p_{l+1} from its two neighbouring dofs (t = 1/2 for
     P1/P0, the node's position in its coarse element for P1-iso-P2/P1).
@@ -162,7 +160,6 @@ class _Geometry:
     columns: tuple
     Dw: np.ndarray
     u_terms: tuple
-    u_unset: np.ndarray
     nodal: tuple
     schur_terms: tuple
 
@@ -379,25 +376,18 @@ def _build_geometry(pair: ElementPair, mesh: Mesh1D) -> _Geometry:
         nodal = (slice(0, None, 2), slice(None), slice(1, None, 2), left_frac)
 
     Dw = np.zeros((m, K), order="F")
-    first_written = np.zeros((m, K), dtype=bool)
     u_terms = []
     for rows, el, off, pl, pr, w_left, w_right in table:
         Dw[rows, off] += w_left
         Dw[rows, off + 1] += w_right
         coefs = (0.5 * (pl + pr), pl / 3.0 + pr / 6.0, pl / 6.0 + pr / 3.0)
-        first = []
-        for k in (off, off + 1):
-            first.append(not first_written[:, k].any())
-            if first[-1]:
-                first_written[rows, k] = True
-        u_terms.append((rows, el, off, *(_read_only(c) for c in coefs), *first))
+        u_terms.append((rows, el, off, *(_read_only(c) for c in coefs)))
     _read_only(Dw)
     columns = _window_columns(s0, stride, K, m, n)
     return _Geometry(
         columns=columns,
         Dw=Dw,
         u_terms=tuple(u_terms),
-        u_unset=_read_only(np.flatnonzero(~first_written.ravel(order="F"))),
         nodal=nodal,
         schur_terms=_schur_terms(columns, Dw, stride, (K - 1) // stride),
     )
@@ -418,27 +408,13 @@ def _u_windows(geom: _Geometry, H: np.ndarray, dzeta: np.ndarray) -> np.ndarray:
     dzeta holds the per-element increments of zeta = H + 2 zb.  Exact
     integrals over each fine element against the pressure trace on it,
     whose mesh-only factors come from the geometry.  The terms accumulate
-    into zeros; a column's first term is written as 0 - left or 0 + right
-    straight into its column, which gives the same bits (signed zeros
-    included) without filling and re-reading the column.
+    into zeros, each subtracting its left end and adding its right end.
     """
-    Du = np.empty(geom.Dw.shape, order="F")
-    if geom.u_unset.size:
-        Du.ravel(order="F")[geom.u_unset] = 0.0
-    for rows, el, off, c_H, c_left, c_right, first_left, first_right in geom.u_terms:
+    Du = np.zeros(geom.Dw.shape, order="F")
+    for rows, el, off, c_H, c_left, c_right in geom.u_terms:
         dz = dzeta[el]
-        left = H[:-1][el] * c_H + dz * c_left
-        right = H[1:][el] * c_H - dz * c_right
-        col = Du[rows, off]
-        if first_left:
-            np.subtract(0.0, left, out=col)
-        else:
-            col -= left
-        col = Du[rows, off + 1]
-        if first_right:
-            np.add(0.0, right, out=col)
-        else:
-            col += right
+        Du[rows, off] -= H[:-1][el] * c_H + dz * c_left
+        Du[rows, off + 1] += H[1:][el] * c_H - dz * c_right
     return Du
 
 

@@ -31,6 +31,12 @@ predicted trace.
 Velocity dofs on dry nodes (H < h_eps) are excluded from the correction and
 pressure dofs with an entirely dry support are pinned to zero.
 
+The correction has one code path, SchurSystem.corrected_velocity: it uses
+the boundary plan and masked inverse mass that build_schur resolved for
+the system, so the pressure and the correction cannot disagree on which
+dofs are held.  correct_velocity is its entry point for a caller with a
+pressure but no system; it builds that system first.
+
 Velocities enter and leave as (u, w) pairs of nodal arrays, the two blocks
 of U that B acts on: build_schur takes the predicted (u*, w*), the
 correction returns the corrected (u, w), and divergence_residual measures a
@@ -78,7 +84,6 @@ class PressureField:
 @dataclass
 class _BCPlan:
     free_u: np.ndarray
-    free_w: np.ndarray
     u_base: np.ndarray
     w_base: np.ndarray
     pinned: np.ndarray  # bool mask over pressure dofs, each held at 0
@@ -95,9 +100,7 @@ def resolve_projection_bcs(ops: OperatorSet, bcs, u: np.ndarray, w: np.ndarray) 
     if u.shape != (n,) or w.shape != (n,):
         raise ValueError(f"u and w need one entry per node ({n})")
     u_base = u.copy()
-    wet = ops.wet_nodes()
-    free_u = wet.copy()
-    free_w = wet.copy()
+    free_u = ops.wet_nodes()
     m = ops.n_pressure
     pinned = ops.dry_pressure_dofs()
     for bc in bcs:
@@ -108,25 +111,7 @@ def resolve_projection_bcs(ops: OperatorSet, bcs, u: np.ndarray, w: np.ndarray) 
         free_u[node] = False
         if bc.kind == "wall":
             u_base[node] = 0.0
-    return _BCPlan(free_u, free_w, u_base, w, pinned)
-
-
-def _inverse_mass(ops: OperatorSet, plan: _BCPlan) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal A_H^-1 on the (u, w) blocks, zero on the held and dry dofs."""
-    inv_a = 1.0 / ops.a_node
-    invA_u = np.where(plan.free_u, inv_a, 0.0)
-    invA_w = np.where(plan.free_w, inv_a, 0.0)
-    return invA_u, invA_w
-
-
-def _corrected(
-    ops: OperatorSet, plan: _BCPlan, invA_u: np.ndarray, invA_w: np.ndarray, dt: float, p
-) -> tuple[np.ndarray, np.ndarray]:
-    """(u, w) = (u*, w*) + dt A_H^-1 B^T p, (u*, w*) being the plan's base."""
-    du, dw = ops.scatter_divergence_t(p)
-    u = plan.u_base + dt * invA_u * du
-    w = plan.w_base + dt * invA_w * dw
-    return u, w
+    return _BCPlan(free_u, u_base, w, pinned)
 
 
 @dataclass
@@ -179,7 +164,10 @@ class SchurSystem:
     def corrected_velocity(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(u, w) = (u*, w*) + dt A_H^-1 B^T p with this system's BC plan and
         masks; both arrays are new."""
-        return _corrected(self.ops, self.plan, self.invA_u, self.invA_w, self.dt, p)
+        du, dw = self.ops.scatter_divergence_t(p)
+        u = self.plan.u_base + self.dt * self.invA_u * du
+        w = self.plan.w_base + self.dt * self.invA_w * dw
+        return u, w
 
     def dense(self) -> np.ndarray:
         m = self.n_pressure
@@ -210,7 +198,11 @@ def build_schur(
     bw = ops.bandwidth
     Du = ops.Du
 
-    invA_u, invA_w = _inverse_mass(ops, plan)
+    # diagonal A_H^-1 on the (u, w) blocks, zero on the held and dry dofs
+    # (the free w-dofs are the wet nodes)
+    inv_a = 1.0 / ops.a_node
+    invA_u = np.where(plan.free_u, inv_a, 0.0)
+    invA_w = np.where(ops.wet_nodes(), inv_a, 0.0)
 
     # S = B A_H^-1 B^T band by band, in the lower layout (see SchurSystem);
     # the geometry lists the window products that meet inside the mesh
@@ -285,20 +277,16 @@ def correct_velocity(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The corrected pair (u, w) = (u*, w*) + dt A_H^-1 B^T P on the free dofs.
 
-    (u*, w*) = (u, w) is the predicted velocity.  Must be called with the
-    same boundary conditions that built the Schur system so the masked dofs
-    match.  When that system is at hand, SchurSystem.corrected_velocity
-    applies the same correction without resolving the boundary conditions
-    again.
+    (u*, w*) = (u, w) is the predicted velocity.  The entry point for a
+    caller that holds a pressure but no Schur system: it builds the system
+    of (u, w) under bcs and applies SchurSystem.corrected_velocity, so bcs
+    must be those that produced P.  No step calls it; it is kept because
+    the benchmark tracer wraps this name on timeloop.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
     P = np.asarray(P, dtype=float)
     if P.size != ops.n_pressure:
         raise ValueError("pressure/operator size mismatch")
-    plan = resolve_projection_bcs(ops, bcs, u, w)
-    invA_u, invA_w = _inverse_mass(ops, plan)
-    return _corrected(ops, plan, invA_u, invA_w, dt, P)
+    return build_schur(ops, u, w, dt, bcs).corrected_velocity(P)
 
 
 def divergence_residual(sys: SchurSystem, u: np.ndarray, w: np.ndarray) -> float:

@@ -376,17 +376,6 @@ def u_windows_uncached(pair, mesh, H, zb):
     return Du
 
 
-def u_windows_into_zeros(geom, H, dzeta):
-    """Du accumulated term by term into zeros from the cached geometry: the
-    arithmetic femops._u_windows must reproduce bit for bit."""
-    Du = np.zeros(geom.Dw.shape, order="F")
-    for rows, el, off, c_H, c_left, c_right, *_ in geom.u_terms:
-        dz = dzeta[el]
-        Du[rows, off] -= H[:-1][el] * c_H + dz * c_left
-        Du[rows, off + 1] += H[1:][el] * c_H - dz * c_right
-    return Du
-
-
 def w_windows_uncached(pair, mesh):
     """Dw of the divergence windows from the per-element formulas."""
     h = np.diff(mesh.nodes)

@@ -117,7 +117,7 @@ def test_schur_dense_equals_masked_operator_product(tag):
         sys = nh.build_schur(ops, U[:n], U[n:], 0.05, bcs=bcs)
         pinned = sys.plan.pinned
         assert pinned.any() and not pinned.all()
-        free = np.r_[sys.plan.free_u, sys.plan.free_w]
+        free = np.r_[sys.plan.free_u, ops.wet_nodes()]
         B = ops.dense_divergence()
         inv_mass = np.where(free, 1.0 / np.r_[ops.a_node, ops.a_node], 0.0)
         S = B @ np.diag(inv_mass) @ B.T
@@ -350,7 +350,7 @@ def test_plan_masks():
     u, w = np.arange(5.0), np.arange(5.0, 10.0)
     plan = resolve_projection_bcs(ops, (nh.PressureBC("in", "wall"),), u, w)
     assert not plan.free_u[0] and plan.free_u[1:].all()
-    assert plan.free_w.all()
+    assert ops.wet_nodes().all()
     assert plan.u_base[0] == 0.0
     assert np.array_equal(plan.u_base[1:], u[1:])
     # only u is written (at the wall), so w is shared, not copied

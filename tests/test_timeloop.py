@@ -3,7 +3,6 @@ import pytest
 
 import nhswe as nh
 from nhswe import projection, timeloop
-from nhswe.verify import heun_step
 
 from oracles import depth_derivative_by_differencing
 
@@ -52,17 +51,6 @@ def test_step_report_fields():
     assert r.mass == pytest.approx(10.0, rel=1e-13)
     assert np.isfinite(r.energy)
     assert r.div_residual <= r.div_bound
-
-
-def test_heun_generic_quadratic_exactness():
-    lam = -0.7
-    dt = 0.05
-
-    def substep(y, h):
-        return y + h * lam * y
-
-    y1 = heun_step(1.0, dt, substep)
-    assert y1 == pytest.approx(1.0 + lam * dt + 0.5 * (lam * dt) ** 2, abs=1e-15)
 
 
 def test_heun_euler_second_order_agreement():

@@ -1,12 +1,15 @@
 """Every verify check, each run at its own mesh and asserted to pass.
 
 Four checks carry the `slow` marker, which the default run deselects;
-`python -m pytest -m slow` runs them (about two minutes on 2 vCPUs):
-  * convergence_order and shape_preservation share the solitary-wave
-    convergence table (five meshes up to N = 6495, about a minute);
+`python -m pytest -m slow` runs them (about 80 s on 2 vCPUs):
+  * convergence_order and shape_preservation read one solitary-wave
+    convergence table per pair (five meshes up to N = 6495, about a
+    minute), which verify.solitary_l2_errors builds once per process;
   * wellbalanced_positivity (a 3000-node beach run plus 1000 random steps)
     and dam_break_plateau (N = 6000 to t = 45) take about 10 s each.
 """
+
+from collections import Counter
 
 import pytest
 
@@ -48,6 +51,29 @@ def test_fast_check_passes(name):
 @pytest.mark.parametrize("name", SLOW_CHECKS)
 def test_slow_check_passes(name):
     _assert_passes(name)
+
+
+@pytest.fixture
+def empty_table_cache():
+    verify.solitary_l2_errors.cache_clear()
+    yield
+    verify.solitary_l2_errors.cache_clear()
+
+
+def test_both_convergence_checks_share_one_table_per_pair(monkeypatch, empty_table_cache):
+    # each stubbed solitary run counts itself; its error 1/N passes both checks
+    runs = Counter()
+
+    def counted_run(sc, params, t_end, pair):
+        runs[pair.tag] += 1
+
+    monkeypatch.setattr(verify, "run", counted_run)
+    monkeypatch.setattr(verify, "relative_l2_depth_error", lambda sc, out: 1.0 / sc.mesh.n_nodes)
+    for name in ("convergence_order", "shape_preservation"):
+        _assert_passes(name)
+    n_meshes = len(verify.CONVERGENCE_MESHES)
+    assert runs == {tag: n_meshes for tag in verify.PAIRS}
+    assert not verify.solitary_l2_errors(verify.P1P0).flags.writeable
 
 
 def test_heun_order_fails_when_a_step_is_clipped(monkeypatch):
