@@ -22,8 +22,6 @@ from .hyperbolic import (
     HyperbolicBC,
     apply_hyperbolic_bc,
     cfl_dt,
-    hydrostatic_reconstruct,
-    kinetic_flux,
     predict,
 )
 from .projection import (
@@ -87,8 +85,6 @@ __all__ = [
     "correct_velocity",
     "dam_break_init",
     "exact_sw_riemann",
-    "hydrostatic_reconstruct",
-    "kinetic_flux",
     "lump_mass",
     "make_beach",
     "make_dam_break",

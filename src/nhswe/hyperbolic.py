@@ -16,6 +16,15 @@ enters through hydrostatic reconstruction of the interface depths, which
 keeps the lake at rest exact and the depths non-negative under the CFL
 condition.  The vertical discharge Hw rides along as a passive scalar
 upwinded by the sign of the mass flux.
+
+The flux takes each interface state as (H, u): the reconstructed depth and
+the nodal velocity of the node it was reconstructed from.  Reconstruction
+changes the depth, not the velocity, so no discharge H u is formed only to
+be divided back out.  A dry state (H = 0) needs no velocity mask: its
+support has height k = 0, and each half flux it enters is either 0 or its
+exact-flux patch H u = 0, whatever its u (as long as u^2 is finite).  The
+height k = H / max(2 sqrt(3) c, 1e-300) needs no mask either: the floor
+only ever meets a dry state (see _equilibrium_support).
 """
 
 from __future__ import annotations
@@ -43,9 +52,9 @@ _SQRT3 = np.sqrt(3.0)
 class HyperbolicBC:
     """Boundary condition for the hydrostatic step.
 
-    kind: "imposed_flux" (carries q0=(q01, q02)), "imposed_depth" (carries
-    h_given), "free_outflow", or "wall".  side is "in" (left) or "out"
-    (right).
+    kind: "imposed_flux" (carries finite q0=(q01, q02)), "imposed_depth"
+    (carries a finite h_given > 0), "free_outflow", or "wall".  side is "in"
+    (left) or "out" (right).  Boundary data is checked here, once.
     """
 
     kind: str
@@ -58,10 +67,16 @@ class HyperbolicBC:
             raise ValueError(f"unknown boundary kind {self.kind!r}")
         if self.side not in ("in", "out"):
             raise ValueError(f"side must be 'in' or 'out', got {self.side!r}")
-        if self.kind == "imposed_flux" and (self.q0 is None or len(self.q0) != 2):
-            raise ValueError("imposed_flux requires both components of q0")
-        if self.kind == "imposed_depth" and self.h_given is None:
-            raise ValueError("imposed_depth requires h_given")
+        if self.kind == "imposed_flux":
+            if self.q0 is None or len(self.q0) != 2:
+                raise ValueError("imposed_flux requires both components of q0")
+            if not all(math.isfinite(q) for q in self.q0):
+                raise ValueError(f"q0 must be finite, got {self.q0!r}")
+        if self.kind == "imposed_depth":
+            if self.h_given is None:
+                raise ValueError("imposed_depth requires h_given")
+            if not (math.isfinite(self.h_given) and self.h_given > 0.0):
+                raise ValueError(f"h_given must be finite and positive, got {self.h_given!r}")
 
 
 class GhostState(NamedTuple):
@@ -71,10 +86,14 @@ class GhostState(NamedTuple):
 
 
 def _equilibrium_support(H, g):
-    """Half-width s = sqrt(3) c of the equilibrium's support and its height k."""
+    """Half-width s = sqrt(3) c of the equilibrium's support and its height k.
+
+    The floor on the divisor only acts on a dry state, where it gives k = 0:
+    for g >= 1 and any H > 0, even the smallest subnormal, 0.5 g H does not
+    underflow, so 2 sqrt(3) c >= ~5e-162 lies far above 1e-300.
+    """
     c = np.sqrt(0.5 * g * H)
-    k = np.zeros_like(H)
-    np.divide(H, 2.0 * _SQRT3 * c, out=k, where=c > 0.0)
+    k = H / np.maximum(2.0 * _SQRT3 * c, 1e-300)
     return _SQRT3 * c, k
 
 
@@ -122,19 +141,18 @@ def _set_exact_flux(f_H, f_Hu, mask, H, u, g):
 
 
 def kinetic_flux(xl, xr, g: float):
-    """Kinetic interface flux F+(XL) + F-(XR) for states given as (H, Hu).
+    """Kinetic interface flux F+(XL) + F-(XR) for states given as (H, u).
 
-    Each component is a float array with one entry per interface.
-    Consistent (equal states reproduce the exact flux) and conservative.
+    Each component is a float array with one entry per interface; u is a
+    velocity, not a discharge.  Consistent (equal states reproduce the
+    exact flux (Hu, Hu^2 + g H^2 / 2)) and conservative.  A dry state
+    (H = 0) contributes zero flux whatever its u (u^2 finite), because its
+    support height k is 0, so callers pass velocities unmasked.
     """
-    HL, HuL = xl
-    HR, HuR = xr
+    HL, uL = xl
+    HR, uR = xr
     if HL.min() < 0.0 or HR.min() < 0.0:
         raise ValueError("kinetic_flux requires non-negative depths")
-    uL = np.zeros_like(HL)
-    uR = np.zeros_like(HR)
-    np.divide(HuL, HL, out=uL, where=HL > 0.0)
-    np.divide(HuR, HR, out=uR, where=HR > 0.0)
     fp_H, fp_Hu = _half_flux_plus(HL, uL, g)
     fm_H, fm_Hu = _half_flux_minus(HR, uR, g)
     return fp_H + fm_H, fp_Hu + fm_Hu
@@ -159,7 +177,14 @@ def max_wave_speed(H: np.ndarray, u: np.ndarray, params: PhysicalParams) -> floa
     wet = H >= params.h_eps
     if not wet.any():
         raise DryDomainError("no wet cell: no admissible wave speed")
-    return float(np.max(np.abs(u[wet]) + np.sqrt(params.g * H[wet])))
+    speed = params.g * H
+    # a dry depth that rounded below 0 must not reach the sqrt
+    np.maximum(speed, 0.0, out=speed)
+    np.sqrt(speed, out=speed)
+    speed += np.abs(u)
+    # speeds are >= 0, so zeroed dry nodes leave the wet maximum unchanged
+    np.copyto(speed, 0.0, where=~wet)
+    return float(speed.max())
 
 
 def cfl_step(H: np.ndarray, u: np.ndarray, mesh: Mesh1D, params: PhysicalParams) -> float:
@@ -228,8 +253,6 @@ def apply_hyperbolic_bc(state: FlowState, bc: HyperbolicBC, g: float) -> GhostSt
 
     if bc.kind == "imposed_depth":
         h0 = float(bc.h_given)
-        if h0 <= 0.0:
-            raise ValueError("imposed depth must be positive")
         u0 = invariant - sign * 2.0 * math.sqrt(g * h0)
         return GhostState(h0, u0, wb)
 
@@ -308,7 +331,7 @@ def predict(
     zbe = np.concatenate(([bathy.zb[0]], bathy.zb, [bathy.zb[-1]]))
 
     HLs, HRs = hydrostatic_reconstruct(He[:-1], He[1:], zbe[:-1], zbe[1:])
-    F_H, F_Hu = kinetic_flux((HLs, HLs * ue[:-1]), (HRs, HRs * ue[1:]), params.g)
+    F_H, F_Hu = kinetic_flux((HLs, ue[:-1]), (HRs, ue[1:]), params.g)
     F_Hw = F_H * np.where(F_H >= 0.0, we[:-1], we[1:])
 
     sigma = dt / mesh.dual_widths

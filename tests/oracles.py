@@ -11,8 +11,10 @@ derivative that builds no second assembly.
 Some routines are kept here in an earlier, slower formulation that the
 package replaced by one with the same arithmetic: the divergence window
 coefficients built from the mesh on every call, the kinetic half fluxes
-patched with np.where, and the imposed-flux boundary closure on numpy
-scalars.  Tests require the package to match them bit for bit.
+patched with np.where, the kinetic flux on (H, Hu) states, the wave speed
+over gathered wet nodes, and the imposed-flux boundary closure on numpy
+scalars.  Tests require the package to match them bit for bit, or in value
+where the package's arithmetic differs only by a round trip it removed.
 """
 
 import numpy as np
@@ -429,6 +431,34 @@ def half_flux_minus_where(H, u, g):
         f_H = np.where(sup_left, H * u, f_H)
         f_Hu = np.where(sup_left, H * u * u + 0.5 * g * H * H, f_Hu)
     return f_H, f_Hu
+
+
+def kinetic_flux_discharge(xl, xr, g):
+    """Kinetic flux F+(XL) + F-(XR) on states given as (H, Hu): velocities
+    recovered by a division masked to H > 0, and 0 on dry states."""
+    HL, HuL = xl
+    HR, HuR = xr
+    uL = np.zeros_like(HL)
+    uR = np.zeros_like(HR)
+    np.divide(HuL, HL, out=uL, where=HL > 0.0)
+    np.divide(HuR, HR, out=uR, where=HR > 0.0)
+    fp_H, fp_Hu = half_flux_plus_where(HL, uL, g)
+    fm_H, fm_Hu = half_flux_minus_where(HR, uR, g)
+    return fp_H + fm_H, fp_Hu + fm_Hu
+
+
+# -- wave speed over gathered wet nodes ----------------------------------------
+
+
+def max_wave_speed_gather(H, u, g, h_eps):
+    """max(|u| + sqrt(g H)) over the nodes with H >= h_eps, gathered by a
+    boolean index; DryDomainError if there are none."""
+    from nhswe import DryDomainError
+
+    wet = H >= h_eps
+    if not wet.any():
+        raise DryDomainError("no wet cell")
+    return float(np.max(np.abs(u[wet]) + np.sqrt(g * H[wet])))
 
 
 # -- imposed-flux boundary closure on numpy scalars ---------------------------

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -6,13 +8,23 @@ from hypothesis.extra.numpy import arrays
 
 import nhswe as nh
 from nhswe.core import TorrentialBoundaryError
-from nhswe.hyperbolic import GhostState, _half_flux_minus, _half_flux_plus, apply_hyperbolic_bc
+from nhswe.hyperbolic import (
+    GhostState,
+    _half_flux_minus,
+    _half_flux_plus,
+    apply_hyperbolic_bc,
+    hydrostatic_reconstruct,
+    kinetic_flux,
+    max_wave_speed,
+)
 
 from oracles import (
     float_bits,
     half_flux_minus_where,
     half_flux_plus_where,
     imposed_flux_ghost_numpy,
+    kinetic_flux_discharge,
+    max_wave_speed_gather,
     rusanov_step,
 )
 
@@ -28,18 +40,20 @@ def _states(*values):
 
 
 def test_flux_consistency_still_water():
-    (F_H,), (F_Hu,) = nh.kinetic_flux(_states(1.0, 0.0), _states(1.0, 0.0), G)
+    (F_H,), (F_Hu,) = kinetic_flux(_states(1.0, 0.0), _states(1.0, 0.0), G)
     assert F_H == pytest.approx(0.0, abs=1e-14)
     assert F_Hu == pytest.approx(G / 2.0, rel=1e-13)
 
 
 def test_flux_dry_dry():
-    (F_H,), (F_Hu,) = nh.kinetic_flux(_states(0.0, 0.0), _states(0.0, 0.0), G)
-    assert (F_H, F_Hu) == (0.0, 0.0)
+    # a dry state's velocity is not masked: its support height is 0
+    for u in (0.0, 3.0, -3.0):
+        (F_H,), (F_Hu,) = kinetic_flux(_states(0.0, u), _states(0.0, -u), G)
+        assert (F_H, F_Hu) == (0.0, 0.0)
 
 
 def test_flux_consistency_moving():
-    (F_H,), (F_Hu,) = nh.kinetic_flux(_states(1.0, 1.0), _states(1.0, 1.0), G)
+    (F_H,), (F_Hu,) = kinetic_flux(_states(1.0, 1.0), _states(1.0, 1.0), G)
     assert F_H == pytest.approx(1.0, rel=1e-13)
     assert F_Hu == pytest.approx(1.0 + G / 2.0, rel=1e-13)
 
@@ -49,7 +63,7 @@ def test_flux_consistency_random_states():
     for _ in range(100):
         H = 0.05 + 3.0 * rng.random()
         u = 4.0 * rng.standard_normal()
-        (F_H,), (F_Hu,) = nh.kinetic_flux(_states(H, H * u), _states(H, H * u), G)
+        (F_H,), (F_Hu,) = kinetic_flux(_states(H, u), _states(H, u), G)
         scale = H * (abs(u) + np.sqrt(G * H)) ** 2 + 1.0
         assert abs(F_H - H * u) <= 1e-12 * scale
         assert abs(F_Hu - (H * u**2 + 0.5 * G * H**2)) <= 1e-12 * scale
@@ -57,13 +71,13 @@ def test_flux_consistency_random_states():
 
 def test_flux_rejects_negative_depth():
     with pytest.raises(ValueError):
-        nh.kinetic_flux(_states(-0.1, 0.0), _states(1.0, 0.0), G)
+        kinetic_flux(_states(-0.1, 0.0), _states(1.0, 0.0), G)
 
 
 def test_flux_conservative_orientation():
     # exchanging the states and flipping velocities flips the mass flux
-    (F_H,), _ = nh.kinetic_flux(_states(2.0, 1.0), _states(1.0, 0.5), G)
-    (F_H_rev,), _ = nh.kinetic_flux(_states(1.0, -0.5), _states(2.0, -1.0), G)
+    (F_H,), _ = kinetic_flux(_states(2.0, 0.5), _states(1.0, 0.5), G)
+    (F_H_rev,), _ = kinetic_flux(_states(1.0, -0.5), _states(2.0, -0.5), G)
     assert F_H == pytest.approx(-F_H_rev, rel=1e-13)
 
 
@@ -71,18 +85,18 @@ def test_flux_conservative_orientation():
 
 
 def test_reconstruct_flat_bottom_identity():
-    (HL,), (HR,) = nh.hydrostatic_reconstruct(*_states(1.2, 0.7, 0.3, 0.3))
+    (HL,), (HR,) = hydrostatic_reconstruct(*_states(1.2, 0.7, 0.3, 0.3))
     assert (HL, HR) == (1.2, 0.7)
 
 
 def test_reconstruct_step_up():
-    (HL,), (HR,) = nh.hydrostatic_reconstruct(*_states(1.0, 1.0, 0.0, 0.5))
+    (HL,), (HR,) = hydrostatic_reconstruct(*_states(1.0, 1.0, 0.0, 0.5))
     assert HL == pytest.approx(0.5)
     assert HR == pytest.approx(1.0)
 
 
 def test_reconstruct_dry_uphill():
-    (HL,), (HR,) = nh.hydrostatic_reconstruct(*_states(0.2, 0.0, 0.0, 1.0))
+    (HL,), (HR,) = hydrostatic_reconstruct(*_states(0.2, 0.0, 0.0, 1.0))
     assert HL == 0.0 and HR == 0.0
 
 
@@ -119,6 +133,10 @@ def test_cfl_dry_domain_raises():
     state = nh.FlowState(np.zeros(11), np.zeros(11), np.zeros(11))
     with pytest.raises(nh.DryDomainError):
         nh.cfl_dt(state, mesh, nh.PhysicalParams())
+    # dry depths below h_eps, one rounded below 0, and moving
+    with pytest.raises(nh.DryDomainError):
+        max_wave_speed(np.array([0.0, -1e-20, 5e-9]), np.array([0.0, 1.0, -2.0]),
+                       nh.PhysicalParams(h_eps=1e-8))
 
 
 # -- boundary closures ------------------------------------------------------
@@ -212,6 +230,56 @@ def test_half_fluxes_match_where_formulation(data):
             assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+def _round_trips(H, u):
+    """Where a dry state or the discharge round trip (H u) / H gives back u."""
+    with np.errstate(invalid="ignore"):
+        return (H == 0.0) | ((H * u) / H == u)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_flux_on_velocities_matches_discharge_formulation(data):
+    # zero depths of either sign, signed zero velocities and |u| beyond the
+    # support sqrt(3 g H / 2); the velocity flux equals the (H, Hu) flux
+    # wherever both states' velocities survive the division it removed
+    n = data.draw(st.integers(1, 40))
+    depths = st.one_of(_depths, st.just(-0.0))
+    HL, HR = (data.draw(arrays(float, n, elements=depths)) for _ in range(2))
+    uL, uR = (data.draw(arrays(float, n, elements=_velocities)) for _ in range(2))
+    got = kinetic_flux((HL, uL), (HR, uR), G)
+    want = kinetic_flux_discharge((HL, HL * uL), (HR, HR * uR), G)
+    same = _round_trips(HL, uL) & _round_trips(HR, uR)
+    for g_part, w_part in zip(got, want):
+        assert np.array_equal(g_part[same], w_part[same])
+
+
+# with h_eps = 1e-8: wet depths, and dry ones that include a depth rounded below 0
+_wet_or_dry_depths = st.one_of(
+    st.floats(1e-8, 10.0),
+    st.sampled_from([0.0, -0.0, -1e-20]),
+    st.floats(0.0, 1e-8, exclude_max=True),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_max_wave_speed_matches_gather_formulation(data):
+    params = nh.PhysicalParams(h_eps=1e-8)
+    n = data.draw(st.integers(1, 40))
+    H = data.draw(arrays(float, n, elements=_wet_or_dry_depths))
+    u = data.draw(arrays(float, n, elements=_velocities))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            ref = max_wave_speed_gather(H, u, params.g, params.h_eps)
+        except nh.DryDomainError:
+            with pytest.raises(nh.DryDomainError):
+                max_wave_speed(H, u, params)
+            return
+        got = max_wave_speed(H, u, params)
+    assert np.array_equal(float_bits([got]), float_bits([ref]))
+
+
 def test_imposed_depth_outflow():
     state = nh.FlowState(np.array([1.0, 1.0]), np.array([0.1, 0.1]), np.zeros(2))
     bc = nh.HyperbolicBC("imposed_depth", "out", h_given=0.9)
@@ -235,6 +303,13 @@ def test_bc_validation():
         nh.HyperbolicBC("imposed_depth", "out")  # missing depth
     with pytest.raises(ValueError):
         nh.HyperbolicBC("slip", "in")
+    # boundary data is checked at construction, not on the first step
+    for depth in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="h_given"):
+            nh.HyperbolicBC("imposed_depth", "out", h_given=depth)
+    for q0 in ((float("nan"), 0.0), (0.0, float("nan"))):
+        with pytest.raises(ValueError, match="q0"):
+            nh.HyperbolicBC("imposed_flux", "in", q0=q0)
 
 
 # -- predict ----------------------------------------------------------------

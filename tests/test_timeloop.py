@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import nhswe as nh
-from nhswe import projection, timeloop
+from nhswe import hyperbolic, projection, timeloop
 
 from oracles import depth_derivative_by_differencing
 
@@ -192,9 +192,11 @@ def test_divergence_bound_violation_raises(stepper, monkeypatch):
 # the corrected residual.
 WORK_PER_STEP = {
     "euler": {"assemble": 1, "build_schur": 1, "resolve_projection_bcs": 1,
-              "velocities": 2, "apply_divergence": 2},
+              "velocities": 2, "apply_divergence": 2,
+              "predict": 1, "kinetic_flux": 1, "max_wave_speed": 2},
     "heun": {"assemble": 3, "build_schur": 3, "resolve_projection_bcs": 3,
-             "velocities": 3, "apply_divergence": 4},
+             "velocities": 3, "apply_divergence": 4,
+             "predict": 2, "kinetic_flux": 2, "max_wave_speed": 3},
 }
 
 
@@ -217,6 +219,9 @@ def test_work_per_step(integrator, monkeypatch):
     count(projection, "resolve_projection_bcs")
     count(nh.FlowState, "velocities")
     count(nh.OperatorSet, "apply_divergence")
+    count(timeloop, "predict")
+    count(hyperbolic, "kinetic_flux")
+    count(hyperbolic, "max_wave_speed")
     stepper = nh.step_euler if integrator == "euler" else nh.step_heun
     params = nh.PhysicalParams(h_eps=sc.h_eps)
     steps = 3
