@@ -8,6 +8,7 @@ dual widths sum to the domain length.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,14 +48,16 @@ class Mesh1D:
     ``element_widths[i] = nodes[i+1] - nodes[i]`` and the dual width of an
     interior node is the mean of its two element widths; boundary nodes get
     half an element, so the dual widths sum to ``nodes[-1] - nodes[0]``.
-    The operator geometry of each element pair on this mesh is built on
-    first use and kept in ``_geometry`` (owned by femops), so it lives as
-    long as the mesh.
+    ``min_width`` is the smallest element width, the length scale of every
+    CFL step on the mesh.  The operator geometry of each element pair on
+    this mesh is built on first use and kept in ``_geometry`` (owned by
+    femops), so it lives as long as the mesh.
     """
 
     nodes: np.ndarray
     element_widths: np.ndarray = field(init=False)
     dual_widths: np.ndarray = field(init=False)
+    min_width: float = field(init=False)
     _geometry: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -65,6 +68,7 @@ class Mesh1D:
         if np.any(widths <= 0.0):
             raise ValueError("node coordinates must be strictly increasing")
         self.element_widths = widths
+        self.min_width = float(widths.min())
         dual = np.empty(self.nodes.size)
         dual[0] = 0.5 * widths[0]
         dual[-1] = 0.5 * widths[-1]
@@ -149,14 +153,13 @@ class PhysicalParams:
     tol: float = 1e-10
 
     def __post_init__(self):
-        if self.g <= 0.0:
-            raise ValueError("g must be positive")
+        for name in ("g", "h_eps", "tol"):
+            value = getattr(self, name)
+            # a NaN fails every comparison, so test finiteness first
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError("cfl must lie in (0, 1]")
-        if self.h_eps <= 0.0:
-            raise ValueError("h_eps must be positive")
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
 
 
 def _check_sizes(state: FlowState, mesh: Mesh1D):

@@ -190,7 +190,7 @@ def max_wave_speed(H: np.ndarray, u: np.ndarray, params: PhysicalParams) -> floa
 def cfl_step(H: np.ndarray, u: np.ndarray, mesh: Mesh1D, params: PhysicalParams) -> float:
     """Adaptive time step cfl * min(dx) / max(|u| + sqrt(g H)) of a depth H
     and its velocities u (those of FlowState.velocities)."""
-    return params.cfl * float(np.min(mesh.element_widths)) / max_wave_speed(H, u, params)
+    return params.cfl * mesh.min_width / max_wave_speed(H, u, params)
 
 
 def cfl_dt(state: FlowState, mesh: Mesh1D, params: PhysicalParams) -> float:
@@ -314,7 +314,7 @@ def predict(
     n = mesh.n_nodes
     if state.n_nodes != n or bathy.zb.size != n or u.size != n or w.size != n:
         raise ValueError("state/velocity/mesh/bathymetry size mismatch")
-    admissible = float(np.min(mesh.element_widths)) / max_wave_speed(state.H, u, params)
+    admissible = mesh.min_width / max_wave_speed(state.H, u, params)
     if not dt <= admissible * (1.0 + 1e-9):
         raise CFLViolationError(
             f"CFL violation: dt = {dt:.3e} exceeds admissible {admissible:.3e}"

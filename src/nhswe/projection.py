@@ -296,4 +296,6 @@ def divergence_residual(sys: SchurSystem, u: np.ndarray, w: np.ndarray) -> float
 
 
 def _enforced_norm(sys: SchurSystem, div: np.ndarray) -> float:
-    return float(np.linalg.norm(np.where(sys.plan.pinned, 0.0, div)))
+    pinned = sys.plan.pinned
+    # with no pinned row the norm is over div itself: no masked copy
+    return float(np.linalg.norm(np.where(pinned, 0.0, div) if pinned.any() else div))

@@ -21,6 +21,13 @@ The velocities of each state are evaluated once per step and passed along
 and the averaged state).  The initial state's serve its CFL step, its
 prediction and, in Heun, its stage rate; velocities travel as (u, w) pairs
 through the projection.
+
+A step computes only what the step and its checks need.  Its StepReport
+carries t, dt, the divergence residual with its bound, and the mass, which
+run() and the benchmark's per-step conservation check read.  The discrete
+energy is a diagnostic, not part of the scheme: a caller that wants it
+computes total_energy(step.state, mesh, bathy, g) itself, in an on_step
+callback or from the final state.
 """
 
 from __future__ import annotations
@@ -36,12 +43,12 @@ from .core import (
     FlowState,
     Mesh1D,
     PhysicalParams,
-    total_energy,
     total_mass,
 )
+# cfl_dt, correct_velocity and total_energy are not called here; they stay
+# imported because perfbench/tracer.py rebinds these names on this module
+from .core import total_energy  # noqa: F401
 from .femops import ElementPair, OperatorSet, assemble
-# cfl_dt and correct_velocity are not called here; they stay imported
-# because perfbench/tracer.py rebinds both names on this module
 from .hyperbolic import HyperbolicBC, cfl_dt, cfl_step, predict  # noqa: F401
 from .projection import (  # noqa: F401
     PressureBC,
@@ -109,14 +116,20 @@ def _pressure_bcs(hyp: tuple[HyperbolicBC, HyperbolicBC]) -> tuple[PressureBC, P
 
 @dataclass
 class StepReport:
-    """Per-step diagnostics: divergence residual and its bound, invariants."""
+    """Per-step diagnostics: the time t after the step, its dt, the
+    divergence residual of the corrected velocity and its bound, and the
+    total mass.
+
+    The report holds plain floats and no reference to the state.  The
+    energy is not computed by the step: take
+    total_energy(step.state, mesh, bathy, params.g) where it is wanted.
+    """
 
     t: float
     dt: float
     div_residual: float
     div_bound: float
     mass: float
-    energy: float
 
 
 @dataclass
@@ -164,7 +177,6 @@ def _project(
         div_residual=residual,
         div_bound=bound,
         mass=total_mass(new, mesh),
-        energy=total_energy(new, mesh, bathy, params.g),
     )
     return StepResult(new, report, pressure, ops, sys)
 
@@ -346,6 +358,12 @@ def run(
     records attached to the scenario are sampled at the same times.  The
     dry threshold is the scenario's: params.h_eps must equal scenario.h_eps,
     else ValueError.
+
+    Each step's StepReport is appended to result.reports, and on_step, if
+    given, is called with the StepResult; compute the energy there, from
+    step.state, when a per-step energy is wanted.  A non-finite field
+    raises RuntimeError: in the initial state, and after each step when the
+    mass, max H or any entry of Hu or Hw is not finite.
     """
     if t_end < 0.0:
         raise ValueError("t_end must be non-negative")
@@ -396,8 +414,9 @@ def run(
             last_pressure, last_ops = step.pressure, step.ops
             if not (
                 np.isfinite(step.report.mass)
-                and np.isfinite(step.report.energy)
                 and np.isfinite(state.H.max())
+                and np.isfinite(state.Hu).all()
+                and np.isfinite(state.Hw).all()
             ):
                 raise RuntimeError(
                     f"non-finite field values at t = {state.t:.6g}; aborting"

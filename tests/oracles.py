@@ -499,6 +499,10 @@ def imposed_flux_ghost_numpy(Hb, ub, wb, side, q01, q02, g):
     invariant = ub + sign * 2.0 * np.sqrt(g * Hb)
 
     def residual(h):
+        # a flux below the float range of lo underflows it to 0, where the
+        # residual is infinite with the sign of q01
+        if h == 0.0:
+            return np.copysign(np.inf, q01)
         return q01 / h + sign * 2.0 * np.sqrt(g * h) - invariant
 
     if sign * q01 > 0.0:

@@ -78,6 +78,7 @@ def test_mesh_invariants():
     x = np.array([0.0, 0.5, 2.0, 2.5])
     mesh = nh.Mesh1D(x)
     assert np.allclose(mesh.element_widths, [0.5, 1.5, 0.5])
+    assert mesh.min_width == 0.5
     assert np.allclose(mesh.dual_widths, [0.25, 1.0, 1.0, 0.25])
     assert mesh.dual_widths.sum() == pytest.approx(mesh.nodes[-1] - mesh.nodes[0], rel=1e-15)
     with pytest.raises(ValueError):
@@ -91,6 +92,11 @@ def test_physical_params_validation():
         nh.PhysicalParams(cfl=1.5)
     with pytest.raises(ValueError):
         nh.PhysicalParams(g=-1.0)
+    # a NaN passes every "<= 0" test, so each field is checked for finiteness
+    for name in ("g", "h_eps", "tol"):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match=name):
+                nh.PhysicalParams(**{name: bad})
 
 
 def test_mass_invariant_under_walled_stepping():

@@ -49,7 +49,7 @@ def test_step_report_fields():
     r = res.report
     assert r.dt > 0 and r.t == pytest.approx(r.dt)
     assert r.mass == pytest.approx(10.0, rel=1e-13)
-    assert np.isfinite(r.energy)
+    assert np.isfinite(nh.total_energy(res.state, mesh, bathy, params.g))
     assert r.div_residual <= r.div_bound
 
 
@@ -111,8 +111,14 @@ def test_run_rejects_unknown_integrator():
 def test_energy_never_grows_on_closed_domain():
     sc = nh.make_solitary(301)
     params = nh.PhysicalParams()
-    out = nh.run(sc, params, t_end=0.5)
-    energies = [r.energy for r in out.reports]
+    energies = []
+    out = nh.run(
+        sc, params, t_end=0.5,
+        on_step=lambda step: energies.append(
+            nh.total_energy(step.state, sc.mesh, sc.bathy, params.g)
+        ),
+    )
+    assert len(energies) == len(out.reports)
     for e_prev, e_next in zip(energies, energies[1:]):
         assert e_next <= e_prev * (1.0 + 1e-10)
 
@@ -124,7 +130,8 @@ def test_energy_dissipation_decreases_under_refinement():
         sc = nh.make_solitary(n)
         e0 = nh.total_energy(sc.state0, sc.mesh, sc.bathy, params.g)
         out = nh.run(sc, params, t_end=1.0)
-        drifts.append(abs(out.reports[-1].energy - e0) / e0)
+        e1 = nh.total_energy(out.final, sc.mesh, sc.bathy, params.g)
+        drifts.append(abs(e1 - e0) / e0)
     assert drifts[1] < drifts[0]
     assert drifts[0] < 0.05
 
@@ -148,6 +155,28 @@ def test_non_finite_abort():
     )
     with pytest.raises(RuntimeError):
         nh.run(sc, nh.PhysicalParams(), t_end=0.5)
+
+
+@pytest.mark.parametrize("field", ["Hu", "Hw"])
+def test_in_loop_guard_checks_each_discharge(field, monkeypatch):
+    # the NaN is written after the projection, so nothing spreads it into
+    # another field before the guard reads the step's state
+    project = timeloop._project
+    calls = []
+
+    def poisoned(*args):
+        result = project(*args)
+        calls.append(result.state.t)
+        if len(calls) == 2:
+            getattr(result.state, field)[5] = np.nan
+        return result
+
+    monkeypatch.setattr(timeloop, "_project", poisoned)
+    with pytest.raises(RuntimeError, match="non-finite field values at t") as err:
+        nh.run(nh.make_solitary(101), nh.PhysicalParams(), t_end=0.5)
+    # raised at the poisoned step, before a third projection
+    assert len(calls) == 2
+    assert f"t = {calls[1]:.6g};" in str(err.value)
 
 
 def test_divergence_bound_enforced_every_step():
@@ -189,14 +218,16 @@ def test_divergence_bound_violation_raises(stepper, monkeypatch):
 # FlowState.velocities itself so that no helper can recompute them unseen
 # (Euler: the initial and the predicted state; Heun: the initial, the stage
 # and the averaged state).  Divergences: the rhs of each Schur system and
-# the corrected residual.
+# the corrected residual.  The energy is telemetry, computed by no step.
 WORK_PER_STEP = {
     "euler": {"assemble": 1, "build_schur": 1, "resolve_projection_bcs": 1,
               "velocities": 2, "apply_divergence": 2,
-              "predict": 1, "kinetic_flux": 1, "max_wave_speed": 2},
+              "predict": 1, "kinetic_flux": 1, "max_wave_speed": 2,
+              "total_energy": 0},
     "heun": {"assemble": 3, "build_schur": 3, "resolve_projection_bcs": 3,
              "velocities": 3, "apply_divergence": 4,
-             "predict": 2, "kinetic_flux": 2, "max_wave_speed": 3},
+             "predict": 2, "kinetic_flux": 2, "max_wave_speed": 3,
+             "total_energy": 0},
 }
 
 
@@ -222,6 +253,7 @@ def test_work_per_step(integrator, monkeypatch):
     count(timeloop, "predict")
     count(hyperbolic, "kinetic_flux")
     count(hyperbolic, "max_wave_speed")
+    count(timeloop, "total_energy")
     stepper = nh.step_euler if integrator == "euler" else nh.step_heun
     params = nh.PhysicalParams(h_eps=sc.h_eps)
     steps = 3
