@@ -20,12 +20,10 @@ from .core import (
 from .femops import ElementPair, OperatorSet, assemble, lump_mass
 from .hyperbolic import (
     HyperbolicBC,
-    apply_hyperbolic_bc,
     cfl_dt,
     predict,
 )
 from .projection import (
-    PressureBC,
     PressureField,
     SchurSystem,
     build_schur,
@@ -33,22 +31,16 @@ from .projection import (
     solve_pressure,
 )
 from .scenarios import (
-    GaugeRecord,
-    GaugeSet,
     Scenario,
-    SolitaryWaveParams,
     dam_break_init,
     exact_sw_riemann,
     make_beach,
     make_dam_break,
     make_dingemans,
     make_solitary,
-    solitary_wave,
 )
 from .timeloop import (
     BoundarySpec,
-    RunResult,
-    StepReport,
     run,
     step_euler,
     step_heun,
@@ -64,21 +56,14 @@ __all__ = [
     "DryDomainError",
     "ElementPair",
     "FlowState",
-    "GaugeRecord",
-    "GaugeSet",
     "HyperbolicBC",
     "Mesh1D",
     "OperatorSet",
     "PhysicalParams",
-    "PressureBC",
     "PressureField",
-    "RunResult",
     "Scenario",
     "SchurSystem",
-    "SolitaryWaveParams",
-    "StepReport",
     "TorrentialBoundaryError",
-    "apply_hyperbolic_bc",
     "assemble",
     "build_schur",
     "cfl_dt",
@@ -92,7 +77,6 @@ __all__ = [
     "make_solitary",
     "predict",
     "run",
-    "solitary_wave",
     "solve_pressure",
     "step_euler",
     "step_heun",

@@ -30,7 +30,7 @@ only ever meets a dry state (see _equilibrium_support).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -53,30 +53,35 @@ class HyperbolicBC:
     """Boundary condition for the hydrostatic step.
 
     kind: "imposed_flux" (carries finite q0=(q01, q02)), "imposed_depth"
-    (carries a finite h_given > 0), "free_outflow", or "wall".  side is "in"
-    (left) or "out" (right).  Boundary data is checked here, once.
+    (carries a finite h_given > 0), "free_outflow", or "wall".  The data
+    are keyword-only and a kind takes no data it does not read.  The
+    condition holds no side: the slot it fills (BoundarySpec.left/right,
+    predict's bc_in/bc_out) is its side.  Boundary data is checked here,
+    once.
     """
 
     kind: str
-    side: str
+    _: KW_ONLY
     q0: tuple[float, float] | None = None
     h_given: float | None = None
 
     def __post_init__(self):
         if self.kind not in ("imposed_flux", "imposed_depth", "free_outflow", "wall"):
             raise ValueError(f"unknown boundary kind {self.kind!r}")
-        if self.side not in ("in", "out"):
-            raise ValueError(f"side must be 'in' or 'out', got {self.side!r}")
         if self.kind == "imposed_flux":
             if self.q0 is None or len(self.q0) != 2:
                 raise ValueError("imposed_flux requires both components of q0")
             if not all(math.isfinite(q) for q in self.q0):
                 raise ValueError(f"q0 must be finite, got {self.q0!r}")
+        elif self.q0 is not None:
+            raise ValueError(f"q0 is imposed_flux data, not {self.kind} data")
         if self.kind == "imposed_depth":
             if self.h_given is None:
                 raise ValueError("imposed_depth requires h_given")
             if not (math.isfinite(self.h_given) and self.h_given > 0.0):
                 raise ValueError(f"h_given must be finite and positive, got {self.h_given!r}")
+        elif self.h_given is not None:
+            raise ValueError(f"h_given is imposed_depth data, not {self.kind} data")
 
 
 class GhostState(NamedTuple):
@@ -219,18 +224,20 @@ def _bisect(fun, lo: float, hi: float, flo: float, fhi: float, rtol: float = 1e-
     return 0.5 * (lo + hi)
 
 
-def apply_hyperbolic_bc(state: FlowState, bc: HyperbolicBC, g: float) -> GhostState:
-    """Ghost state closing the boundary Riemann problem.
+def apply_hyperbolic_bc(
+    bc: HyperbolicBC, side: str, Hb: float, ub: float, wb: float, g: float
+) -> GhostState:
+    """Ghost state closing the boundary Riemann problem on side "in" (left)
+    or "out" (right).
 
+    (Hb, ub, wb) are the depth and velocities of the end node on that side,
+    the velocities those of FlowState.velocities (0 on a dry node).
     Subcritical imposed conditions are closed with the outgoing invariant
     u -+ 2 sqrt(g H); walls mirror the interior state with negated u and
     free outflow copies it.
     """
-    idx = 0 if bc.side == "in" else state.n_nodes - 1
-    Hb = float(state.H[idx])
-    ub = float(state.Hu[idx] / Hb) if Hb > 0.0 else 0.0
-    wb = float(state.Hw[idx] / Hb) if Hb > 0.0 else 0.0
-
+    if side not in ("in", "out"):
+        raise ValueError(f"side must be 'in' or 'out', got {side!r}")
     if bc.kind == "wall":
         return GhostState(Hb, -ub, wb)
     if bc.kind == "free_outflow":
@@ -243,12 +250,12 @@ def apply_hyperbolic_bc(state: FlowState, bc: HyperbolicBC, g: float) -> GhostSt
     froude = abs(ub) / math.sqrt(g * Hb)
     if froude >= 1.0:
         raise TorrentialBoundaryError(
-            f"torrential regime at {bc.side} boundary (Fr = {froude:.3f}); "
+            f"torrential regime at {side} boundary (Fr = {froude:.3f}); "
             "only fluvial boundaries are supported"
         )
 
     # outgoing Riemann invariant seen from the interior
-    sign = -1.0 if bc.side == "in" else 1.0
+    sign = -1.0 if side == "in" else 1.0
     invariant = ub + sign * 2.0 * math.sqrt(g * Hb)
 
     if bc.kind == "imposed_depth":
@@ -306,10 +313,13 @@ def predict(
 
     (u, w) are the state's velocities, state.velocities(params.h_eps): the
     stepper evaluates them once and shares them with its CFL step and the
-    projection.  Returns the predicted state at t + dt.  A dt beyond the
-    CFL bound the velocities give raises CFLViolationError.  Depth stays
-    non-negative under the CFL bound; a produced negative depth beyond
-    round-off is an internal invariant violation and raises.
+    projection, and the boundary ghosts are built from their end values, so
+    a dry end node (H < h_eps) enters a ghost with zero velocity.  bc_in
+    closes the left end and bc_out the right one.  Returns the predicted
+    state at t + dt.  A dt beyond the CFL bound the velocities give raises
+    CFLViolationError.  Depth stays non-negative under the CFL bound; a
+    produced negative depth beyond round-off is an internal invariant
+    violation and raises.
     """
     n = mesh.n_nodes
     if state.n_nodes != n or bathy.zb.size != n or u.size != n or w.size != n:
@@ -320,8 +330,11 @@ def predict(
             f"CFL violation: dt = {dt:.3e} exceeds admissible {admissible:.3e}"
         )
 
-    ghost_l = apply_hyperbolic_bc(state, bc_in, params.g)
-    ghost_r = apply_hyperbolic_bc(state, bc_out, params.g)
+    # each ghost sees its end node through the shared velocities
+    ghost_l, ghost_r = (
+        apply_hyperbolic_bc(bc, side, float(state.H[i]), float(u[i]), float(w[i]), params.g)
+        for bc, side, i in ((bc_in, "in", 0), (bc_out, "out", -1))
+    )
 
     # extended arrays with one ghost node per side; ghost bottom copies the
     # edge value so the boundary interface reconstruction is the identity

@@ -16,16 +16,18 @@ the elimination is exact and the corrected velocity is
 
     U = U* + dt A_H^-1 B^T P.
 
-Boundary handling: every boundary condition holds its data at 0 or at the
+Boundary handling: a closure is the (left, right) pair of pressure
+condition kinds, the side of each given by its slot; None leaves that side
+without a condition.  Every condition holds its data at 0 or at the
 predicted trace.
-  * dirichlet: the boundary pressure dof is pinned to 0 (row/column
+  * "dirichlet": the boundary pressure dof is pinned to 0 (row/column
     eliminated symmetrically, which keeps the matrix SPD); the boundary
     velocity is corrected like any interior dof.
-  * wall and neumann: the boundary horizontal velocity is held, at 0 for
-    a wall and at its predicted trace for neumann; its column is masked
-    out of the Schur operator and the held value enters the right-hand
-    side through B U*.  An imposed depth closes as neumann: its Robin
-    coefficient dH/dn needs no kind of its own, because the
+  * "wall" and "neumann": the boundary horizontal velocity is held, at 0
+    for a wall and at its predicted trace for neumann; its column is
+    masked out of the Schur operator and the held value enters the
+    right-hand side through B U*.  An imposed depth closes as neumann: its
+    Robin coefficient dH/dn needs no kind of its own, because the
     depth-dependent boundary entries of B and C already carry it.
 
 Velocity dofs on dry nodes (H < h_eps) are excluded from the correction and
@@ -55,25 +57,6 @@ from scipy.linalg.lapack import dpbsv, dptsv
 from .femops import OperatorSet
 
 
-@dataclass(frozen=True)
-class PressureBC:
-    """Pressure boundary condition induced by the hyperbolic closure.
-
-    kind: "dirichlet" (boundary pressure 0), "wall" (horizontal boundary
-    velocity held at 0) or "neumann" (horizontal boundary velocity held at
-    its predicted trace).
-    """
-
-    side: str
-    kind: str
-
-    def __post_init__(self):
-        if self.side not in ("in", "out"):
-            raise ValueError(f"side must be 'in' or 'out', got {self.side!r}")
-        if self.kind not in ("dirichlet", "wall", "neumann"):
-            raise ValueError(f"unknown pressure BC kind {self.kind!r}")
-
-
 @dataclass
 class PressureField:
     """Pressure coefficients on the pressure space of one element pair."""
@@ -90,10 +73,13 @@ class _BCPlan:
 
 
 def resolve_projection_bcs(ops: OperatorSet, bcs, u: np.ndarray, w: np.ndarray) -> _BCPlan:
-    """The masks and base velocity (u*, w*) of one projection under bcs.
+    """The masks and base velocity (u*, w*) of one projection under the
+    (left, right) pair of pressure condition kinds bcs.
 
     u_base is a copy of u with the wall values set; w_base is w itself.
     """
+    if len(bcs) != 2:
+        raise ValueError(f"bcs must be a (left, right) pair of kinds, got {bcs!r}")
     n = ops.n_nodes
     u = np.asarray(u, dtype=float)
     w = np.asarray(w, dtype=float)
@@ -101,16 +87,16 @@ def resolve_projection_bcs(ops: OperatorSet, bcs, u: np.ndarray, w: np.ndarray) 
         raise ValueError(f"u and w need one entry per node ({n})")
     u_base = u.copy()
     free_u = ops.wet_nodes()
-    m = ops.n_pressure
     pinned = ops.dry_pressure_dofs()
-    for bc in bcs:
-        if bc.kind == "dirichlet":
-            pinned[0 if bc.side == "in" else m - 1] = True
-            continue
-        node = 0 if bc.side == "in" else n - 1
-        free_u[node] = False
-        if bc.kind == "wall":
-            u_base[node] = 0.0
+    for kind, node, pdof in zip(bcs, (0, n - 1), (0, ops.n_pressure - 1)):
+        if kind == "dirichlet":
+            pinned[pdof] = True
+        elif kind in ("wall", "neumann"):
+            free_u[node] = False
+            if kind == "wall":
+                u_base[node] = 0.0
+        elif kind is not None:
+            raise ValueError(f"unknown pressure BC kind {kind!r}")
     return _BCPlan(free_u, u_base, w, pinned)
 
 
@@ -183,10 +169,11 @@ def build_schur(
     u: np.ndarray,
     w: np.ndarray,
     dt: float,
-    bcs=(),
+    bcs=(None, None),
 ) -> SchurSystem:
     """Assemble the banded Schur complement and its right-hand side for the
-    predicted velocity (u*, w*) = (u, w).
+    predicted velocity (u*, w*) = (u, w), closed by the (left, right) pair
+    of pressure condition kinds bcs (module docstring).
 
     The boundary plan is resolved once, here; the system keeps it (and w
     itself, see the module docstring) for the correction.
@@ -273,15 +260,16 @@ def correct_velocity(
     P: np.ndarray,
     ops: OperatorSet,
     dt: float,
-    bcs=(),
+    bcs=(None, None),
 ) -> tuple[np.ndarray, np.ndarray]:
     """The corrected pair (u, w) = (u*, w*) + dt A_H^-1 B^T P on the free dofs.
 
     (u*, w*) = (u, w) is the predicted velocity.  The entry point for a
     caller that holds a pressure but no Schur system: it builds the system
-    of (u, w) under bcs and applies SchurSystem.corrected_velocity, so bcs
-    must be those that produced P.  No step calls it; it is kept because
-    the benchmark tracer wraps this name on timeloop.
+    of (u, w) under the (left, right) pair of kinds bcs and applies
+    SchurSystem.corrected_velocity, so bcs must be those that produced P.
+    No step calls it; it is kept because the benchmark tracer wraps this
+    name on timeloop.
     """
     P = np.asarray(P, dtype=float)
     if P.size != ops.n_pressure:

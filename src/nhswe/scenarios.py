@@ -248,7 +248,7 @@ def sine_flux_wavemaker(amplitude: float, depth: float, period: float,
         q1 = scale * np.sin(phase)
         if pulse and t >= 0.5 * period:
             q1 = 0.0
-        return HyperbolicBC("imposed_flux", "in", q0=(q1, 0.0))
+        return HyperbolicBC("imposed_flux", q0=(q1, 0.0))
 
     return q_of_t
 
@@ -312,8 +312,8 @@ def make_beach(
     if amplitude > 0.0:
         left = sine_flux_wavemaker(amplitude, 1.0, pulse_period, pulse=True)
     else:
-        left = HyperbolicBC("imposed_flux", "in", q0=(0.0, 0.0))
-    bounds = BoundarySpec(left=left, right=HyperbolicBC("free_outflow", "out"))
+        left = HyperbolicBC("imposed_flux", q0=(0.0, 0.0))
+    bounds = BoundarySpec(left=left, right=HyperbolicBC("free_outflow"))
     return Scenario(
         mesh=mesh,
         bathy=bathy,
@@ -351,7 +351,7 @@ def make_dingemans(
     state = FlowState(H, np.zeros_like(H), np.zeros_like(H), 0.0)
     bounds = BoundarySpec(
         left=sine_flux_wavemaker(amplitude, 0.4, period),
-        right=HyperbolicBC("free_outflow", "out"),
+        right=HyperbolicBC("free_outflow"),
     )
     gauges = GaugeSet.at(mesh, bathy, DINGEMANS_GAUGES)
     return Scenario(

@@ -51,7 +51,6 @@ from .core import total_energy  # noqa: F401
 from .femops import ElementPair, OperatorSet, assemble
 from .hyperbolic import HyperbolicBC, cfl_dt, cfl_step, predict  # noqa: F401
 from .projection import (  # noqa: F401
-    PressureBC,
     PressureField,
     SchurSystem,
     build_schur,
@@ -67,9 +66,12 @@ HyperbolicSide = HyperbolicBC | Callable[[float], HyperbolicBC]
 class BoundarySpec:
     """Per-side hyperbolic condition; the pressure condition follows its kind.
 
-    The hyperbolic entry may be a callable of time (wavemakers).  Each
-    projection, and each stage rate of step_heun, closes the pressure
-    problem with the condition the hyperbolic kind induces (_PRESSURE_KIND).
+    The slot is the side: left closes the first node ("in") and right the
+    last one ("out"), for the hyperbolic ghost and the pressure closure
+    alike.  The hyperbolic entry may be a callable of time (wavemakers).
+    Each projection, and each stage rate of step_heun, closes the pressure
+    problem with the (left, right) pair of kinds the hyperbolic kinds
+    induce (_PRESSURE_KIND).
     """
 
     left: HyperbolicSide
@@ -82,17 +84,11 @@ class BoundarySpec:
 
     @classmethod
     def walls(cls) -> "BoundarySpec":
-        return cls(
-            left=HyperbolicBC("wall", "in"),
-            right=HyperbolicBC("wall", "out"),
-        )
+        return cls(HyperbolicBC("wall"), HyperbolicBC("wall"))
 
     @classmethod
     def open(cls) -> "BoundarySpec":
-        return cls(
-            left=HyperbolicBC("free_outflow", "in"),
-            right=HyperbolicBC("free_outflow", "out"),
-        )
+        return cls(HyperbolicBC("free_outflow"), HyperbolicBC("free_outflow"))
 
 
 # pressure closure induced by each hyperbolic kind: an imposed flux pins the
@@ -106,12 +102,9 @@ _PRESSURE_KIND = {
 }
 
 
-def _pressure_bcs(hyp: tuple[HyperbolicBC, HyperbolicBC]) -> tuple[PressureBC, PressureBC]:
-    """(left, right) pressure conditions induced by the hyperbolic kinds."""
-    return (
-        PressureBC("in", _PRESSURE_KIND[hyp[0].kind]),
-        PressureBC("out", _PRESSURE_KIND[hyp[1].kind]),
-    )
+def _pressure_bcs(hyp: tuple[HyperbolicBC, HyperbolicBC]) -> tuple[str, str]:
+    """(left, right) pressure condition kinds induced by the hyperbolic kinds."""
+    return _PRESSURE_KIND[hyp[0].kind], _PRESSURE_KIND[hyp[1].kind]
 
 
 @dataclass

@@ -143,30 +143,53 @@ def test_cfl_dry_domain_raises():
 
 
 def test_wall_mirror():
-    state = nh.FlowState(np.array([1.0, 1.0]), np.array([0.3, 0.0]), np.zeros(2))
-    ghost = apply_hyperbolic_bc(state, nh.HyperbolicBC("wall", "in"), G)
+    ghost = apply_hyperbolic_bc(nh.HyperbolicBC("wall"), "in", 1.0, 0.3, 0.0, G)
     assert ghost == GhostState(1.0, -0.3, 0.0)
+    # the side is checked where it is given
+    with pytest.raises(ValueError, match="side"):
+        apply_hyperbolic_bc(nh.HyperbolicBC("wall"), "left", 1.0, 0.3, 0.0, G)
 
 
 def test_free_outflow_copy():
-    state = nh.FlowState(np.array([1.0, 2.0]), np.array([0.0, 1.0]), np.array([0.0, 0.5]))
-    ghost = apply_hyperbolic_bc(state, nh.HyperbolicBC("free_outflow", "out"), G)
+    ghost = apply_hyperbolic_bc(nh.HyperbolicBC("free_outflow"), "out", 2.0, 0.5, 0.25, G)
     assert ghost == GhostState(2.0, 0.5, 0.25)
 
 
+def test_wall_ghost_of_a_sub_threshold_node_has_zero_velocity():
+    # 0 < H < h_eps with a nonzero discharge: the ghost takes the node's
+    # velocity from FlowState.velocities, which is 0 on a dry node, so the
+    # ghost and the flux agree on which nodes are dry
+    params = nh.PhysicalParams(h_eps=1e-6)
+    mesh = nh.Mesh1D.uniform(0.0, 1.0, 11)
+    H = np.full(11, 0.5)
+    H[0] = 5e-7
+    Hu = np.zeros(11)
+    Hu[0] = 3e-7
+    state = nh.FlowState(H, Hu, np.zeros(11))
+    u, w = state.velocities(params.h_eps)
+    assert u[0] == 0.0
+    ghost = apply_hyperbolic_bc(nh.HyperbolicBC("wall"), "in", H[0], u[0], w[0], G)
+    assert ghost == GhostState(5e-7, 0.0, 0.0)
+    # predict builds its ghosts the same way: the mirrored dry node carries
+    # no discharge, so the left wall passes no mass
+    bathy = nh.Bathymetry.flat(mesh)
+    dt = 0.5 * nh.cfl_dt(state, mesh, params)
+    walls = nh.BoundarySpec.walls()
+    out = nh.predict(state, u, w, mesh, bathy, params, walls.left, walls.right, dt)
+    assert np.isclose(nh.total_mass(out, mesh), nh.total_mass(state, mesh), rtol=0.0, atol=1e-15)
+
+
 def test_imposed_flux_zero_recovers_rest():
-    state = nh.FlowState(np.array([1.0, 1.0]), np.zeros(2), np.zeros(2))
-    bc = nh.HyperbolicBC("imposed_flux", "in", q0=(0.0, 0.0))
-    ghost = apply_hyperbolic_bc(state, bc, G)
+    bc = nh.HyperbolicBC("imposed_flux", q0=(0.0, 0.0))
+    ghost = apply_hyperbolic_bc(bc, "in", 1.0, 0.0, 0.0, G)
     assert ghost.H == pytest.approx(1.0, abs=1e-11)
     assert ghost.u == pytest.approx(0.0, abs=1e-11)
 
 
 def test_imposed_flux_against_bisection_oracle():
-    state = nh.FlowState(np.array([1.0, 1.0]), np.array([0.2, 0.2]), np.zeros(2))
     q = 0.35
-    bc = nh.HyperbolicBC("imposed_flux", "in", q0=(q, 0.1))
-    ghost = apply_hyperbolic_bc(state, bc, G)
+    bc = nh.HyperbolicBC("imposed_flux", q0=(q, 0.1))
+    ghost = apply_hyperbolic_bc(bc, "in", 1.0, 0.2, 0.0, G)
     # independent bisection of q/H - 2 sqrt(gH) = u1 - 2 sqrt(g H1)
     R = 0.2 - 2.0 * np.sqrt(G)
     lo, hi = 1e-8, 10.0
@@ -195,19 +218,15 @@ def test_imposed_flux_against_bisection_oracle():
 def test_imposed_flux_ghost_matches_numpy_scalar_closure(H, froude, q01, q02, side):
     # the closure on Python floats reproduces the numpy-scalar one bit for
     # bit, and raises in exactly the same cases
-    u = froude * np.sqrt(G * H)
-    state = nh.FlowState(np.full(3, H), np.full(3, H * u), np.full(3, 0.1 * H))
-    idx = 0 if side == "in" else 2
-    Hb = float(state.H[idx])
-    ub = float(state.Hu[idx] / Hb) if Hb > 0.0 else 0.0
-    bc = nh.HyperbolicBC("imposed_flux", side, q0=(q01, q02))
+    ub = float(froude * np.sqrt(G * H))
+    bc = nh.HyperbolicBC("imposed_flux", q0=(q01, q02))
     try:
-        ref = imposed_flux_ghost_numpy(Hb, ub, 0.0, side, q01, q02, G)
+        ref = imposed_flux_ghost_numpy(H, ub, 0.1, side, q01, q02, G)
     except TorrentialBoundaryError:
         with pytest.raises(TorrentialBoundaryError):
-            apply_hyperbolic_bc(state, bc, G)
+            apply_hyperbolic_bc(bc, side, H, ub, 0.1, G)
         return
-    ghost = apply_hyperbolic_bc(state, bc, G)
+    ghost = apply_hyperbolic_bc(bc, side, H, ub, 0.1, G)
     assert np.array_equal(float_bits(ghost), float_bits(ref))
 
 
@@ -281,42 +300,60 @@ def test_max_wave_speed_matches_gather_formulation(data):
 
 
 def test_imposed_depth_outflow():
-    state = nh.FlowState(np.array([1.0, 1.0]), np.array([0.1, 0.1]), np.zeros(2))
-    bc = nh.HyperbolicBC("imposed_depth", "out", h_given=0.9)
-    ghost = apply_hyperbolic_bc(state, bc, G)
+    bc = nh.HyperbolicBC("imposed_depth", h_given=0.9)
+    ghost = apply_hyperbolic_bc(bc, "out", 1.0, 0.1, 0.0, G)
     expect_u = 0.1 + 2.0 * np.sqrt(G) - 2.0 * np.sqrt(G * 0.9)
     assert ghost.H == 0.9
     assert ghost.u == pytest.approx(expect_u, rel=1e-12)
 
 
 def test_torrential_inflow_rejected():
-    state = nh.FlowState(np.array([1.0, 1.0]), np.array([12.0, 12.0]), np.zeros(2))
-    bc = nh.HyperbolicBC("imposed_flux", "in", q0=(1.0, 0.0))
+    bc = nh.HyperbolicBC("imposed_flux", q0=(1.0, 0.0))
     with pytest.raises(TorrentialBoundaryError):
-        apply_hyperbolic_bc(state, bc, G)
+        apply_hyperbolic_bc(bc, "in", 1.0, 12.0, 0.0, G)
 
 
 def test_bc_validation():
     with pytest.raises(ValueError):
-        nh.HyperbolicBC("imposed_flux", "in")  # missing q0
+        nh.HyperbolicBC("imposed_flux")  # missing q0
     with pytest.raises(ValueError):
-        nh.HyperbolicBC("imposed_depth", "out")  # missing depth
+        nh.HyperbolicBC("imposed_depth")  # missing depth
     with pytest.raises(ValueError):
-        nh.HyperbolicBC("slip", "in")
+        nh.HyperbolicBC("slip")
     # boundary data is checked at construction, not on the first step
     for depth in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="h_given"):
-            nh.HyperbolicBC("imposed_depth", "out", h_given=depth)
+            nh.HyperbolicBC("imposed_depth", h_given=depth)
     for q0 in ((float("nan"), 0.0), (0.0, float("nan"))):
         with pytest.raises(ValueError, match="q0"):
-            nh.HyperbolicBC("imposed_flux", "in", q0=q0)
+            nh.HyperbolicBC("imposed_flux", q0=q0)
+    # a kind takes no data it never reads
+    for kind in ("wall", "free_outflow"):
+        with pytest.raises(ValueError, match="q0"):
+            nh.HyperbolicBC(kind, q0=(1.0, 0.0))
+        with pytest.raises(ValueError, match="h_given"):
+            nh.HyperbolicBC(kind, h_given=0.9)
+    with pytest.raises(ValueError, match="q0"):
+        nh.HyperbolicBC("imposed_depth", h_given=0.9, q0=(1.0, 0.0))
+    with pytest.raises(ValueError, match="h_given"):
+        nh.HyperbolicBC("imposed_flux", q0=(1.0, 0.0), h_given=0.9)
+
+
+def test_bc_side_is_not_a_field():
+    # the slot a condition fills is its side; a positional second argument
+    # is rejected instead of being bound to the boundary data
+    with pytest.raises(TypeError):
+        nh.HyperbolicBC("wall", "out")
+    with pytest.raises(TypeError):
+        nh.HyperbolicBC("imposed_flux", "in", (1.0, 0.0))
+    assert not hasattr(nh.HyperbolicBC("wall"), "side")
 
 
 # -- predict ----------------------------------------------------------------
 
 
 def _walls():
-    return nh.HyperbolicBC("wall", "in"), nh.HyperbolicBC("wall", "out")
+    return nh.HyperbolicBC("wall"), nh.HyperbolicBC("wall")
 
 
 def test_predict_lake_at_rest_with_topography():

@@ -14,7 +14,7 @@ from oracles import float_bits, random_wet_setup, solveh_banded_lower
 PAIRS = (P1P0, P1ISOP2P1)
 
 
-def _random_system(rng, tag, bcs=(), n_min=7, n_max=13):
+def _random_system(rng, tag, bcs=(None, None), n_min=7, n_max=13):
     mesh, H, zb = random_wet_setup(rng, n_min=n_min, n_max=n_max, odd=True)
     ops = nh.assemble(nh.ElementPair.from_tag(tag, mesh.n_nodes), mesh, H, zb)
     n = mesh.n_nodes
@@ -22,10 +22,6 @@ def _random_system(rng, tag, bcs=(), n_min=7, n_max=13):
     dt = 0.01 * (1.0 + rng.random())
     sys = nh.build_schur(ops, U[:n], U[n:], dt, bcs=bcs)
     return sys, ops, (U[:n], U[n:]), dt
-
-
-def _dirichlet_both():
-    return (nh.PressureBC("in", "dirichlet"), nh.PressureBC("out", "dirichlet"))
 
 
 # -- build_schur -------------------------------------------------------------
@@ -66,7 +62,7 @@ def test_schur_rhs_zero_for_divergence_free_data():
 def test_schur_symmetry_random_wet_dirichlet(tag):
     rng = np.random.default_rng(12)
     for _ in range(50):
-        sys, _, _, _ = _random_system(rng, tag, bcs=_dirichlet_both())
+        sys, _, _, _ = _random_system(rng, tag, bcs=("dirichlet", "dirichlet"))
         S = sys.dense()
         assert np.abs(S - S.T).max() <= 1e-12 * max(1.0, np.abs(S).max())
 
@@ -75,7 +71,7 @@ def test_schur_symmetry_random_wet_dirichlet(tag):
 def test_schur_spd_random_wet_dirichlet(tag):
     rng = np.random.default_rng(21)
     for _ in range(25):
-        sys, _, _, _ = _random_system(rng, tag, bcs=_dirichlet_both())
+        sys, _, _, _ = _random_system(rng, tag, bcs=("dirichlet", "dirichlet"))
         eig = np.linalg.eigvalsh(sys.dense())
         assert eig.min() > 0.0
 
@@ -106,8 +102,8 @@ def test_schur_dense_equals_masked_operator_product(tag):
     # identity; the lower band storage must reproduce it
     rng = np.random.default_rng(33)
     for bcs in (
-        (nh.PressureBC("in", "dirichlet"),),
-        (nh.PressureBC("out", "wall"),),
+        ("dirichlet", None),
+        (None, "wall"),
     ):
         mesh, H, zb = random_wet_setup(rng, n_min=15, n_max=21, odd=True)
         n = mesh.n_nodes
@@ -209,7 +205,7 @@ def test_cg_agrees_with_direct():
     tol = 1e-10
     for tag in PAIRS:
         for _ in range(10):
-            sys, _, _, _ = _random_system(rng, tag, bcs=_dirichlet_both())
+            sys, _, _, _ = _random_system(rng, tag, bcs=("dirichlet", "dirichlet"))
             sys.rhs[:] = np.where(sys.plan.pinned, sys.rhs, rng.standard_normal(sys.n_pressure))
             p_direct = nh.solve_pressure(sys).values
             p_cg, _ = _solve_cg(sys, tol)
@@ -267,7 +263,7 @@ def test_zero_pressure_identity():
 @pytest.mark.parametrize("tag", PAIRS)
 def test_corrected_field_is_divergence_free(tag):
     rng = np.random.default_rng(19)
-    for bcs in ((), _dirichlet_both()):
+    for bcs in ((None, None), ("dirichlet", "dirichlet")):
         sys, ops, (u, w), dt = _random_system(rng, tag, bcs=bcs)
         p = nh.solve_pressure(sys)
         u_new, w_new = nh.correct_velocity(u, w, p.values, ops, dt, bcs=bcs)
@@ -297,7 +293,7 @@ def test_dirichlet_value_enters_solution():
     ops = nh.assemble(nh.ElementPair.p1p0(mesh.n_nodes), mesh, H, zb)
     n = mesh.n_nodes
     U = rng.standard_normal(2 * n)
-    bcs = (nh.PressureBC("in", "dirichlet"),)
+    bcs = ("dirichlet", None)
     sys = nh.build_schur(ops, U[:n], U[n:], 0.05, bcs=bcs)
     p = nh.solve_pressure(sys)
     assert p.values[0] == 0.0
@@ -313,7 +309,7 @@ def test_neumann_pins_boundary_velocity():
     n = mesh.n_nodes
     ops = nh.assemble(nh.ElementPair.p1p0(n), mesh, H, zb)
     u, w = rng.standard_normal(2 * n).reshape(2, n)
-    bcs = (nh.PressureBC("in", "wall"), nh.PressureBC("out", "neumann"))
+    bcs = ("wall", "neumann")
     sys = nh.build_schur(ops, u, w, 0.05, bcs=bcs)
     p = nh.solve_pressure(sys)
     u_new, w_new = nh.correct_velocity(u, w, p.values, ops, 0.05, bcs=bcs)
@@ -325,9 +321,14 @@ def test_neumann_pins_boundary_velocity():
 def test_pressure_bc_kinds_are_dirichlet_and_neumann():
     # "wall" is the Neumann condition with zero velocity; an imposed depth
     # closes as Neumann (its Robin coefficient lives in the depth-dependent
-    # boundary entries of B and C), so no "mixed" kind exists
-    with pytest.raises(ValueError):
-        nh.PressureBC("out", "mixed")
+    # boundary entries of B and C), so no "mixed" kind exists; a closure is
+    # a (left, right) pair, so a lone kind is rejected too
+    n = 5
+    mesh = nh.Mesh1D.uniform(0.0, 1.0, n)
+    ops = nh.assemble(nh.ElementPair.p1p0(n), mesh, np.ones(n), np.zeros(n))
+    for bcs in (("mixed", None), ("dirichlet",)):
+        with pytest.raises(ValueError):
+            nh.build_schur(ops, np.zeros(n), np.zeros(n), 0.05, bcs)
 
 
 def test_dry_pressure_dofs_pinned_to_zero():
@@ -348,7 +349,7 @@ def test_plan_masks():
     H = np.ones(5)
     ops = nh.assemble(nh.ElementPair.p1p0(5), mesh, H, np.zeros(5))
     u, w = np.arange(5.0), np.arange(5.0, 10.0)
-    plan = resolve_projection_bcs(ops, (nh.PressureBC("in", "wall"),), u, w)
+    plan = resolve_projection_bcs(ops, ("wall", None), u, w)
     assert not plan.free_u[0] and plan.free_u[1:].all()
     assert ops.wet_nodes().all()
     assert plan.u_base[0] == 0.0

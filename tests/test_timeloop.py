@@ -280,7 +280,7 @@ def test_stage_rate_follows_the_boundary_kind():
     # velocity; a wall holds it, so the two closures give different rates
     walls = nh.BoundarySpec.walls()
     sc, (_, mom_u, mom_w) = _rate(walls)
-    flux = nh.BoundarySpec(nh.HyperbolicBC("imposed_flux", "in", q0=(0.0, 0.0)), walls.right)
+    flux = nh.BoundarySpec(nh.HyperbolicBC("imposed_flux", q0=(0.0, 0.0)), walls.right)
     _, (T_H, mom_u_f, mom_w_f) = _rate(flux)
     u, _ = sc.state0.velocities(nh.PhysicalParams().h_eps)
     assert abs(mom_u_f[0] - u[0] * T_H[0]) > 1e-6
@@ -319,10 +319,12 @@ def test_pressure_closure_of_each_hyperbolic_kind(kind, side):
     U = np.random.default_rng(7).standard_normal(2 * n)
     node, pdof = (0, 0) if side == "in" else (n - 1, ops.n_pressure - 1)
     assert U[node] != 0.0
-    closed = nh.HyperbolicBC(kind, side, **_HYPERBOLIC_DATA[kind])
-    other = nh.HyperbolicBC("free_outflow", "out" if side == "in" else "in")
+    closed = nh.HyperbolicBC(kind, **_HYPERBOLIC_DATA[kind])
+    other = nh.HyperbolicBC("free_outflow")
     bcs = timeloop._pressure_bcs((closed, other) if side == "in" else (other, closed))
-    assert [bc.side for bc in bcs] == ["in", "out"]
+    # the slot is the side: the closed kind lands in its own slot only
+    slot = 0 if side == "in" else 1
+    assert bcs[slot] == timeloop._PRESSURE_KIND[kind] and bcs[1 - slot] == "neumann"
     u, w = U[:n], U[n:]
     plan = projection.resolve_projection_bcs(ops, bcs, u, w)
     assert plan.pinned[pdof] == (kind == "imposed_flux")
