@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-# gravity (m/s^2): PhysicalParams' default and the scenarios' exact solutions
-DEFAULT_G = 9.81
+# gravity (m/s^2) of the flux, the energy and every scenario
+G = 9.81
 
 
 class DryDomainError(ValueError):
@@ -140,26 +140,22 @@ class Bathymetry:
 
 @dataclass
 class PhysicalParams:
-    """Gravity, CFL number, dry threshold and divergence tolerance.
+    """The dry threshold and the divergence tolerance.
 
-    tol scales the bound the corrected velocity must meet: the divergence
-    residual after a projection may not exceed tol times the residual of
-    the predicted velocity (plus 1e-12).
+    A node with H < h_eps is dry.  tol scales the bound the corrected
+    velocity must meet: the divergence residual after a projection may not
+    exceed tol times the residual of the predicted velocity (plus 1e-12).
     """
 
-    g: float = DEFAULT_G
-    cfl: float = 0.5
     h_eps: float = 1e-8
     tol: float = 1e-10
 
     def __post_init__(self):
-        for name in ("g", "h_eps", "tol"):
+        for name in ("h_eps", "tol"):
             value = getattr(self, name)
             # a NaN fails every comparison, so test finiteness first
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
-        if not 0.0 < self.cfl <= 1.0:
-            raise ValueError("cfl must lie in (0, 1]")
 
 
 def _check_sizes(state: FlowState, mesh: Mesh1D):
@@ -175,11 +171,11 @@ def total_mass(state: FlowState, mesh: Mesh1D) -> float:
     return float(np.sum(mesh.dual_widths * state.H))
 
 
-def total_energy(state: FlowState, mesh: Mesh1D, bathy: Bathymetry, g: float) -> float:
+def total_energy(state: FlowState, mesh: Mesh1D, bathy: Bathymetry) -> float:
     """Discrete total energy sum(dx_i * E_i).
 
-    E = H (u^2 + w^2) / 2 + g H (eta + zb) / 2 with eta = H + zb, so the
-    potential part reads g H (H + 2 zb) / 2.  Dry nodes contribute no
+    E = H (u^2 + w^2) / 2 + G H (eta + zb) / 2 with eta = H + zb, so the
+    potential part reads G H (H + 2 zb) / 2.  Dry nodes contribute no
     kinetic energy.
     """
     _check_sizes(state, mesh)
@@ -188,5 +184,5 @@ def total_energy(state: FlowState, mesh: Mesh1D, bathy: Bathymetry, g: float) ->
     wet = state.H > 0.0
     kinetic = np.zeros_like(state.H)
     np.divide(state.Hu**2 + state.Hw**2, state.H, out=kinetic, where=wet)
-    density = 0.5 * kinetic + 0.5 * g * state.H * (state.H + 2.0 * bathy.zb)
+    density = 0.5 * kinetic + 0.5 * G * state.H * (state.H + 2.0 * bathy.zb)
     return float(np.sum(mesh.dual_widths * density))

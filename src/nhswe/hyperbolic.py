@@ -3,19 +3,19 @@
 Finite-volume update of the Saint-Venant subsystem
 
     dH/dt  + d(Hu)/dx                     = 0
-    dHu/dt + d(Hu^2 + g H^2 / 2)/dx       = -g H dzb/dx
+    dHu/dt + d(Hu^2 + G H^2 / 2)/dx       = -G H dzb/dx
     dHw/dt + d(Hw u)/dx                   = 0
 
-on node-centered dual cells.  Interface fluxes come from a kinetic solver
-with a compactly supported equilibrium,
+on node-centered dual cells, with gravity G.  Interface fluxes come from a
+kinetic solver with a compactly supported equilibrium,
 
-    M(xi) = H / (2 sqrt(3) c) for |xi - u| <= sqrt(3) c,  c = sqrt(g H / 2),
+    M(xi) = H / (2 sqrt(3) c) for |xi - u| <= sqrt(3) c,  c = sqrt(G H / 2),
 
 whose half-space moments are closed-form polynomials in (u, c).  Topography
 enters through hydrostatic reconstruction of the interface depths, which
 keeps the lake at rest exact and the depths non-negative under the CFL
-condition.  The vertical discharge Hw rides along as a passive scalar
-upwinded by the sign of the mass flux.
+condition; the CFL number is the constant CFL.  The vertical discharge Hw
+rides along as a passive scalar upwinded by the sign of the mass flux.
 
 The flux takes each interface state as (H, u): the reconstructed depth and
 the nodal velocity of the node it was reconstructed from.  Reconstruction
@@ -36,6 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (
+    G,
     Bathymetry,
     CFLViolationError,
     DryDomainError,
@@ -90,31 +91,31 @@ class GhostState(NamedTuple):
     w: float
 
 
-def _equilibrium_support(H, g):
+def _equilibrium_support(H):
     """Half-width s = sqrt(3) c of the equilibrium's support and its height k.
 
     The floor on the divisor only acts on a dry state, where it gives k = 0:
-    for g >= 1 and any H > 0, even the smallest subnormal, 0.5 g H does not
-    underflow, so 2 sqrt(3) c >= ~5e-162 lies far above 1e-300.
+    since G >= 1, for any H > 0, even the smallest subnormal, 0.5 G H does
+    not underflow, so 2 sqrt(3) c >= ~5e-162 lies far above 1e-300.
     """
-    c = np.sqrt(0.5 * g * H)
+    c = np.sqrt(0.5 * G * H)
     k = H / np.maximum(2.0 * _SQRT3 * c, 1e-300)
     return _SQRT3 * c, k
 
 
-def _half_flux_plus(H, u, g):
+def _half_flux_plus(H, u):
     """F+ = (F+_H, F+_Hu), the xi > 0 moments of the kinetic equilibrium.
 
-    F+ + F- equals the exact flux (Hu, Hu^2 + g H^2 / 2).
+    F+ + F- equals the exact flux (Hu, Hu^2 + G H^2 / 2).
     """
-    s, k = _equilibrium_support(H, g)
+    s, k = _equilibrium_support(H)
     b = u + s
     # generic subsonic expression; the one-sided-support cases are patched below
     f_H = 0.5 * k * b * b
     f_Hu = f_H * b * (2.0 / 3.0)
     sup_right = u - s >= 0.0   # whole support moves right
     if sup_right.any():
-        _set_exact_flux(f_H, f_Hu, sup_right, H, u, g)
+        _set_exact_flux(f_H, f_Hu, sup_right, H, u)
     sup_left = b <= 0.0        # whole support moves left
     if sup_left.any():
         f_H[sup_left] = 0.0
@@ -122,9 +123,9 @@ def _half_flux_plus(H, u, g):
     return f_H, f_Hu
 
 
-def _half_flux_minus(H, u, g):
+def _half_flux_minus(H, u):
     """F- = (F-_H, F-_Hu), the xi < 0 moments of the kinetic equilibrium."""
-    s, k = _equilibrium_support(H, g)
+    s, k = _equilibrium_support(H)
     a = u - s
     f_H = -0.5 * k * a * a
     f_Hu = f_H * a * (2.0 / 3.0)
@@ -134,23 +135,23 @@ def _half_flux_minus(H, u, g):
         f_Hu[sup_right] = 0.0
     sup_left = u + s <= 0.0
     if sup_left.any():
-        _set_exact_flux(f_H, f_Hu, sup_left, H, u, g)
+        _set_exact_flux(f_H, f_Hu, sup_left, H, u)
     return f_H, f_Hu
 
 
-def _set_exact_flux(f_H, f_Hu, mask, H, u, g):
-    """Overwrite the masked entries with the exact flux (Hu, Hu^2 + g H^2 / 2)."""
+def _set_exact_flux(f_H, f_Hu, mask, H, u):
+    """Overwrite the masked entries with the exact flux (Hu, Hu^2 + G H^2 / 2)."""
     Hm, um = H[mask], u[mask]
     f_H[mask] = Hm * um
-    f_Hu[mask] = Hm * um * um + 0.5 * g * Hm * Hm
+    f_Hu[mask] = Hm * um * um + 0.5 * G * Hm * Hm
 
 
-def kinetic_flux(xl, xr, g: float):
+def kinetic_flux(xl, xr):
     """Kinetic interface flux F+(XL) + F-(XR) for states given as (H, u).
 
     Each component is a float array with one entry per interface; u is a
     velocity, not a discharge.  Consistent (equal states reproduce the
-    exact flux (Hu, Hu^2 + g H^2 / 2)) and conservative.  A dry state
+    exact flux (Hu, Hu^2 + G H^2 / 2)) and conservative.  A dry state
     (H = 0) contributes zero flux whatever its u (u^2 finite), because its
     support height k is 0, so callers pass velocities unmasked.
     """
@@ -158,8 +159,8 @@ def kinetic_flux(xl, xr, g: float):
     HR, uR = xr
     if HL.min() < 0.0 or HR.min() < 0.0:
         raise ValueError("kinetic_flux requires non-negative depths")
-    fp_H, fp_Hu = _half_flux_plus(HL, uL, g)
-    fm_H, fm_Hu = _half_flux_minus(HR, uR, g)
+    fp_H, fp_Hu = _half_flux_plus(HL, uL)
+    fm_H, fm_Hu = _half_flux_minus(HR, uR)
     return fp_H + fm_H, fp_Hu + fm_Hu
 
 
@@ -177,12 +178,12 @@ def hydrostatic_reconstruct(Hi, Hj, zbi, zbj):
 
 
 def max_wave_speed(H: np.ndarray, u: np.ndarray, params: PhysicalParams) -> float:
-    """max(|u| + sqrt(g H)) over the wet nodes (H >= h_eps) of a depth H and
+    """max(|u| + sqrt(G H)) over the wet nodes (H >= h_eps) of a depth H and
     its velocities u; DryDomainError if all are dry."""
     wet = H >= params.h_eps
     if not wet.any():
         raise DryDomainError("no wet cell: no admissible wave speed")
-    speed = params.g * H
+    speed = G * H
     # a dry depth that rounded below 0 must not reach the sqrt
     np.maximum(speed, 0.0, out=speed)
     np.sqrt(speed, out=speed)
@@ -192,10 +193,15 @@ def max_wave_speed(H: np.ndarray, u: np.ndarray, params: PhysicalParams) -> floa
     return float(speed.max())
 
 
+# CFL number of every step: the scheme keeps depths non-negative only under
+# a CFL condition, and random wet/dry steps already break it at 0.6
+CFL = 0.5
+
+
 def cfl_step(H: np.ndarray, u: np.ndarray, mesh: Mesh1D, params: PhysicalParams) -> float:
-    """Adaptive time step cfl * min(dx) / max(|u| + sqrt(g H)) of a depth H
+    """Adaptive time step CFL * min(dx) / max(|u| + sqrt(G H)) of a depth H
     and its velocities u (those of FlowState.velocities)."""
-    return params.cfl * mesh.min_width / max_wave_speed(H, u, params)
+    return CFL * mesh.min_width / max_wave_speed(H, u, params)
 
 
 def cfl_dt(state: FlowState, mesh: Mesh1D, params: PhysicalParams) -> float:
@@ -225,7 +231,7 @@ def _bisect(fun, lo: float, hi: float, flo: float, fhi: float, rtol: float = 1e-
 
 
 def apply_hyperbolic_bc(
-    bc: HyperbolicBC, side: str, Hb: float, ub: float, wb: float, g: float
+    bc: HyperbolicBC, side: str, Hb: float, ub: float, wb: float
 ) -> GhostState:
     """Ghost state closing the boundary Riemann problem on side "in" (left)
     or "out" (right).
@@ -233,7 +239,7 @@ def apply_hyperbolic_bc(
     (Hb, ub, wb) are the depth and velocities of the end node on that side,
     the velocities those of FlowState.velocities (0 on a dry node).
     Subcritical imposed conditions are closed with the outgoing invariant
-    u -+ 2 sqrt(g H); walls mirror the interior state with negated u and
+    u -+ 2 sqrt(G H); walls mirror the interior state with negated u and
     free outflow copies it.
     """
     if side not in ("in", "out"):
@@ -247,7 +253,7 @@ def apply_hyperbolic_bc(
         raise TorrentialBoundaryError(
             f"{bc.kind} boundary on a dry node is not supported"
         )
-    froude = abs(ub) / math.sqrt(g * Hb)
+    froude = abs(ub) / math.sqrt(G * Hb)
     if froude >= 1.0:
         raise TorrentialBoundaryError(
             f"torrential regime at {side} boundary (Fr = {froude:.3f}); "
@@ -256,26 +262,26 @@ def apply_hyperbolic_bc(
 
     # outgoing Riemann invariant seen from the interior
     sign = -1.0 if side == "in" else 1.0
-    invariant = ub + sign * 2.0 * math.sqrt(g * Hb)
+    invariant = ub + sign * 2.0 * math.sqrt(G * Hb)
 
     if bc.kind == "imposed_depth":
         h0 = float(bc.h_given)
-        u0 = invariant - sign * 2.0 * math.sqrt(g * h0)
+        u0 = invariant - sign * 2.0 * math.sqrt(G * h0)
         return GhostState(h0, u0, wb)
 
     q01, q02 = float(bc.q0[0]), float(bc.q0[1])
 
     def residual(h):
-        return q01 / h + sign * 2.0 * math.sqrt(g * h) - invariant
+        return q01 / h + sign * 2.0 * math.sqrt(G * h) - invariant
 
     # For inflow-directed q01 the residual is monotone in h and the root is
     # unique.  For outflow-directed q01 there are two roots; the subcritical
     # one lies on h >= h_sonic, where h_sonic is the depth with Fr = 1.
     if sign * q01 > 0.0:
-        lo = (sign * q01 / math.sqrt(g)) ** (2.0 / 3.0)
+        lo = (sign * q01 / math.sqrt(G)) ** (2.0 / 3.0)
     else:
         lo = 1e-12 * max(Hb, 1.0)
-    hi = max(4.0 * Hb, 2.0 * lo, invariant**2 / g, 1.0)
+    hi = max(4.0 * Hb, 2.0 * lo, invariant**2 / G, 1.0)
     # a flux below the float range of lo underflows it to 0, where the
     # residual is infinite with the sign of q01
     flo = residual(lo) if lo > 0.0 else math.copysign(math.inf, q01)
@@ -291,7 +297,7 @@ def apply_hyperbolic_bc(
         )
     h0 = _bisect(residual, lo, hi, flo, fhi)
     u0 = q01 / h0
-    if abs(u0) / math.sqrt(g * h0) >= 1.0:
+    if abs(u0) / math.sqrt(G * h0) >= 1.0:
         raise TorrentialBoundaryError(
             "imposed flux leads to a torrential boundary state"
         )
@@ -317,9 +323,8 @@ def predict(
     a dry end node (H < h_eps) enters a ghost with zero velocity.  bc_in
     closes the left end and bc_out the right one.  Returns the predicted
     state at t + dt.  A dt beyond the CFL bound the velocities give raises
-    CFLViolationError.  Depth stays non-negative under the CFL bound; a
-    produced negative depth beyond round-off is an internal invariant
-    violation and raises.
+    CFLViolationError.  At CFL times that bound depth stays non-negative, as
+    a property test pins; a negative depth beyond round-off raises RuntimeError.
     """
     n = mesh.n_nodes
     if state.n_nodes != n or bathy.zb.size != n or u.size != n or w.size != n:
@@ -332,7 +337,7 @@ def predict(
 
     # each ghost sees its end node through the shared velocities
     ghost_l, ghost_r = (
-        apply_hyperbolic_bc(bc, side, float(state.H[i]), float(u[i]), float(w[i]), params.g)
+        apply_hyperbolic_bc(bc, side, float(state.H[i]), float(u[i]), float(w[i]))
         for bc, side, i in ((bc_in, "in", 0), (bc_out, "out", -1))
     )
 
@@ -344,11 +349,11 @@ def predict(
     zbe = np.concatenate(([bathy.zb[0]], bathy.zb, [bathy.zb[-1]]))
 
     HLs, HRs = hydrostatic_reconstruct(He[:-1], He[1:], zbe[:-1], zbe[1:])
-    F_H, F_Hu = kinetic_flux((HLs, ue[:-1]), (HRs, ue[1:]), params.g)
+    F_H, F_Hu = kinetic_flux((HLs, ue[:-1]), (HRs, ue[1:]))
     F_Hw = F_H * np.where(F_H >= 0.0, we[:-1], we[1:])
 
     sigma = dt / mesh.dual_widths
-    half_g = 0.5 * params.g
+    half_g = 0.5 * G
     H_new = state.H - sigma * (F_H[1:] - F_H[:-1])
     # hydrostatic-reconstruction corrections make the momentum balance exact
     # on the lake at rest

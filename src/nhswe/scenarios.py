@@ -8,12 +8,12 @@ The solitary wave is an exact traveling solution of the dispersive model
     w = a c0 d / (l H) sech^2(theta) tanh(theta),
     p = a c0^2 d^2 / (2 l^2 H^2) ((2 H0 - H) sech'^2 + H sech sech''),
 
-with l = sqrt(H0^3 / a + H0^2) and c0 = (l / d) sqrt(g H0^3 / (l^2 - H0^2)).
+with l = sqrt(H0^3 / a + H0^2) and c0 = (l / d) sqrt(G H0^3 / (l^2 - H0^2)).
 Dispersion balances nonlinearity, so the profile translates unchanged --
 the scheme's shape preservation and convergence are measured against it.
 
-The four factories build the paper's fixed set-ups; only the values the
-benchmark and `verify` vary are parameters:
+The four factories build the paper's fixed set-ups, all at the flux's
+gravity G; only the values the benchmark and `verify` vary are parameters:
 
   * make_solitary: 45 m closed basin, H0 = d = 1 m, crest at x_start;
   * make_dam_break: 600 m channel, DAM_BREAK depths 1.8 | 1.0 m at 300 m;
@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import DEFAULT_G, Bathymetry, FlowState, Mesh1D
+from .core import G, Bathymetry, FlowState, Mesh1D
 from .hyperbolic import HyperbolicBC
 from .timeloop import BoundarySpec
 
@@ -40,7 +40,7 @@ DAM_BREAK = (1.8, 1.0, 300.0)
 
 @dataclass(frozen=True)
 class SolitaryWaveParams:
-    """Amplitude a, reference depth H0 and scale depth d (gravity DEFAULT_G)."""
+    """Amplitude a, reference depth H0 and scale depth d (gravity G)."""
 
     a: float = 0.4
     h0: float = 1.0
@@ -57,7 +57,7 @@ class SolitaryWaveParams:
     @property
     def celerity(self) -> float:
         l = self.length_scale
-        return float(l / self.d * np.sqrt(DEFAULT_G * self.h0**3 / (l**2 - self.h0**2)))
+        return float(l / self.d * np.sqrt(G * self.h0**3 / (l**2 - self.h0**2)))
 
 
 def solitary_wave(x, t: float, params: SolitaryWaveParams):
@@ -105,11 +105,11 @@ def dam_break_init(x, h_left: float, h_right: float, x_dam: float, eps: float):
 # ---------------------------------------------------------------------------
 
 
-def _depth_fn(h: float, h_k: float, g: float) -> float:
+def _depth_fn(h: float, h_k: float) -> float:
     """Velocity jump absorbed by a wave connecting depth h_k to h."""
     if h <= h_k:
-        return 2.0 * (np.sqrt(g * h) - np.sqrt(g * h_k))
-    return (h - h_k) * np.sqrt(0.5 * g * (h + h_k) / (h * h_k))
+        return 2.0 * (np.sqrt(G * h) - np.sqrt(G * h_k))
+    return (h - h_k) * np.sqrt(0.5 * G * (h + h_k) / (h * h_k))
 
 
 @dataclass
@@ -132,23 +132,22 @@ class RiemannSolution:
         )
 
 
-def exact_sw_riemann(
-    h_left: float, u_left: float, h_right: float, u_right: float, g: float = DEFAULT_G
-) -> RiemannSolution:
+def exact_sw_riemann(h_left: float, u_left: float, h_right: float,
+                     u_right: float) -> RiemannSolution:
     """Exact two-wave solution by Newton iteration on the depth functions.
 
     Wet-wet data only; vacuum-forming data are rejected.
     """
     if h_left <= 0.0 or h_right <= 0.0:
         raise ValueError("exact_sw_riemann needs wet states on both sides")
-    if u_right - u_left >= 2.0 * (np.sqrt(g * h_left) + np.sqrt(g * h_right)):
+    if u_right - u_left >= 2.0 * (np.sqrt(G * h_left) + np.sqrt(G * h_right)):
         raise ValueError("data produce a vacuum region")
 
     def phi(h):
-        return _depth_fn(h, h_left, g) + _depth_fn(h, h_right, g) + u_right - u_left
+        return _depth_fn(h, h_left) + _depth_fn(h, h_right) + u_right - u_left
 
     # two-rarefaction estimate, then safeguarded Newton
-    h = (0.25 * (np.sqrt(g * h_left) + np.sqrt(g * h_right) - 0.5 * (u_right - u_left)) ** 2) / g * 4.0
+    h = (0.25 * (np.sqrt(G * h_left) + np.sqrt(G * h_right) - 0.5 * (u_right - u_left)) ** 2) / G * 4.0
     h = max(h, 1e-12)
     lo, hi = 1e-14, max(4.0 * max(h_left, h_right), h * 4.0)
     while phi(hi) < 0.0:
@@ -169,7 +168,7 @@ def exact_sw_riemann(
             break
         h = h_new
     u_star = 0.5 * (u_left + u_right) + 0.5 * (
-        _depth_fn(h, h_right, g) - _depth_fn(h, h_left, g)
+        _depth_fn(h, h_right) - _depth_fn(h, h_left)
     )
     return RiemannSolution(h_right, u_right, float(h), float(u_star))
 
@@ -236,12 +235,12 @@ class Scenario:
 
 def sine_flux_wavemaker(amplitude: float, depth: float, period: float,
                         pulse: bool = False):
-    """Inflow discharge from linear wave theory, q(t) = A sqrt(g H0) sin(2 pi t / T).
+    """Inflow discharge from linear wave theory, q(t) = A sqrt(G H0) sin(2 pi t / T).
 
     The corresponding surface signal is eta(t) = eta0 + A sin(2 pi t / T).
     With pulse=True only the first positive half period is emitted.
     """
-    scale = amplitude * np.sqrt(DEFAULT_G * depth)
+    scale = amplitude * np.sqrt(G * depth)
 
     def q_of_t(t: float) -> HyperbolicBC:
         phase = 2.0 * np.pi * t / period

@@ -26,7 +26,7 @@ A step computes only what the step and its checks need.  Its StepReport
 carries t, dt, the divergence residual with its bound, and the mass, which
 run() and the benchmark's per-step conservation check read.  The discrete
 energy is a diagnostic, not part of the scheme: a caller that wants it
-computes total_energy(step.state, mesh, bathy, g) itself, in an on_step
+computes total_energy(step.state, mesh, bathy) itself, in an on_step
 callback or from the final state.
 """
 
@@ -115,7 +115,7 @@ class StepReport:
 
     The report holds plain floats and no reference to the state.  The
     energy is not computed by the step: take
-    total_energy(step.state, mesh, bathy, params.g) where it is wanted.
+    total_energy(step.state, mesh, bathy) where it is wanted.
     """
 
     t: float
@@ -353,10 +353,10 @@ def run(
     else ValueError.
 
     Each step's StepReport is appended to result.reports, and on_step, if
-    given, is called with the StepResult; compute the energy there, from
-    step.state, when a per-step energy is wanted.  A non-finite field
-    raises RuntimeError: in the initial state, and after each step when the
-    mass, max H or any entry of Hu or Hw is not finite.
+    given, is called with the StepResult (a per-step energy is
+    total_energy(step.state, mesh, bathy)).  A non-finite field raises
+    RuntimeError: in the initial state, and after each step when the mass,
+    max H or any entry of Hu or Hw is not finite.
     """
     if t_end < 0.0:
         raise ValueError("t_end must be non-negative")

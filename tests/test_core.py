@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import nhswe as nh
+from nhswe.core import G
 from nhswe.scenarios import SolitaryWaveParams, solitary_wave
 
 # frozen golden values: high-resolution midpoint quadrature of the solitary
@@ -41,17 +42,15 @@ def test_total_energy_lake_at_rest():
     mesh = nh.Mesh1D.uniform(0.0, 7.0, 29)
     bathy = nh.Bathymetry.flat(mesh)
     state = nh.FlowState(np.ones(29), np.zeros(29), np.zeros(29))
-    g = 9.81
-    assert nh.total_energy(state, mesh, bathy, g) == pytest.approx(g * 7.0 / 2.0, rel=1e-13)
+    assert nh.total_energy(state, mesh, bathy) == pytest.approx(G * 7.0 / 2.0, rel=1e-13)
 
 
 def test_total_energy_direct_formula():
     mesh = nh.Mesh1D.uniform(0.0, 1.0, 11)
     bathy = nh.Bathymetry.flat(mesh)
     state = nh.FlowState(2.0 * np.ones(11), np.zeros(11), np.zeros(11))
-    g = 9.81
-    # E = g H (eta + zb) / 2 = g * 2 * 2 / 2 per unit length
-    assert nh.total_energy(state, mesh, bathy, g) == pytest.approx(2.0 * g, rel=1e-13)
+    # E = G H (eta + zb) / 2 = G * 2 * 2 / 2 per unit length
+    assert nh.total_energy(state, mesh, bathy) == pytest.approx(2.0 * G, rel=1e-13)
 
 
 def test_total_energy_solitary_golden():
@@ -60,18 +59,16 @@ def test_total_energy_solitary_golden():
     params = SolitaryWaveParams()
     H, u, w, _ = solitary_wave(mesh.nodes - 11.0, 0.0, params)
     state = nh.FlowState(H, H * u, H * w)
-    assert nh.total_energy(state, mesh, bathy, 9.81) == pytest.approx(
-        SOLITARY_ENERGY, abs=1e-5
-    )
+    assert nh.total_energy(state, mesh, bathy) == pytest.approx(SOLITARY_ENERGY, abs=1e-5)
 
 
 def test_dry_nodes_contribute_no_kinetic_energy():
     mesh = nh.Mesh1D.uniform(0.0, 1.0, 3)
     bathy = nh.Bathymetry.flat(mesh)
     state = nh.FlowState(np.array([0.0, 1.0, 0.0]), np.zeros(3), np.zeros(3))
-    e = nh.total_energy(state, mesh, bathy, 9.81)
+    e = nh.total_energy(state, mesh, bathy)
     assert np.isfinite(e)
-    assert e == pytest.approx(9.81 / 2.0 * mesh.dual_widths[1], rel=1e-13)
+    assert e == pytest.approx(G / 2.0 * mesh.dual_widths[1], rel=1e-13)
 
 
 def test_mesh_invariants():
@@ -86,14 +83,12 @@ def test_mesh_invariants():
 
 
 def test_physical_params_validation():
-    with pytest.raises(ValueError):
-        nh.PhysicalParams(cfl=0.0)
-    with pytest.raises(ValueError):
-        nh.PhysicalParams(cfl=1.5)
-    with pytest.raises(ValueError):
-        nh.PhysicalParams(g=-1.0)
+    # gravity and the CFL number are constants, not parameters
+    for knob in ({"g": 9.0}, {"cfl": 0.8}):
+        with pytest.raises(TypeError):
+            nh.PhysicalParams(**knob)
     # a NaN passes every "<= 0" test, so each field is checked for finiteness
-    for name in ("g", "h_eps", "tol"):
+    for name in ("h_eps", "tol"):
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match=name):
                 nh.PhysicalParams(**{name: bad})

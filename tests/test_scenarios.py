@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import nhswe as nh
+from nhswe.core import G
 from nhswe.scenarios import (
     DINGEMANS_GAUGES,
     GaugeSet,
@@ -11,8 +12,6 @@ from nhswe.scenarios import (
 )
 
 from oracles import riemann_star_bisection
-
-G = 9.81
 
 # frozen after cross-checking the package Newton iteration against the
 # independent bisection oracle (both to 1e-12)
@@ -43,7 +42,7 @@ def test_solitary_speed_and_length_formulas():
     p = SolitaryWaveParams(a=0.4, h0=1.0, d=1.0)
     assert p.length_scale == pytest.approx(np.sqrt(3.5), rel=1e-14)
     assert p.celerity == pytest.approx(
-        np.sqrt(3.5) * np.sqrt(9.81 / 2.5), rel=1e-14
+        np.sqrt(3.5) * np.sqrt(G / 2.5), rel=1e-14
     )
     assert p.celerity == pytest.approx(3.7059411760037424, rel=1e-13)
 
@@ -110,19 +109,19 @@ def test_dam_break_rejects_bad_input():
 
 
 def test_riemann_constant_state():
-    sol = nh.exact_sw_riemann(1.3, 0.4, 1.3, 0.4, G)
+    sol = nh.exact_sw_riemann(1.3, 0.4, 1.3, 0.4)
     assert sol.h_star == pytest.approx(1.3, rel=1e-12)
     assert sol.u_star == pytest.approx(0.4, rel=1e-12)
 
 
 def test_riemann_symmetric_collision():
-    sol = nh.exact_sw_riemann(1.0, 0.5, 1.0, -0.5, G)
+    sol = nh.exact_sw_riemann(1.0, 0.5, 1.0, -0.5)
     assert sol.u_star == pytest.approx(0.0, abs=1e-12)
     assert sol.h_star > 1.0
 
 
 def test_riemann_dam_break_golden():
-    sol = nh.exact_sw_riemann(1.8, 0.0, 1.0, 0.0, G)
+    sol = nh.exact_sw_riemann(1.8, 0.0, 1.0, 0.0)
     assert sol.h_star == pytest.approx(RIEMANN_HSTAR_18_10, abs=1e-10)
     assert sol.u_star == pytest.approx(RIEMANN_USTAR_18_10, abs=1e-10)
     # two independent root finders agree
@@ -132,7 +131,7 @@ def test_riemann_dam_break_golden():
 
 
 def test_riemann_rankine_hugoniot_across_shock():
-    sol = nh.exact_sw_riemann(1.8, 0.0, 1.0, 0.0, G)
+    sol = nh.exact_sw_riemann(1.8, 0.0, 1.0, 0.0)
     assert sol.right_is_shock()
     s = sol.right_shock_speed()
     jump_mass = sol.h_star * sol.u_star - 1.0 * 0.0
@@ -147,9 +146,9 @@ def test_riemann_rankine_hugoniot_across_shock():
 
 def test_riemann_vacuum_rejected():
     with pytest.raises(ValueError):
-        nh.exact_sw_riemann(1.0, -20.0, 1.0, 20.0, G)
+        nh.exact_sw_riemann(1.0, -20.0, 1.0, 20.0)
     with pytest.raises(ValueError):
-        nh.exact_sw_riemann(0.0, 0.0, 1.0, 0.0, G)
+        nh.exact_sw_riemann(0.0, 0.0, 1.0, 0.0)
 
 
 # -- beach / dingemans ----------------------------------------------------------

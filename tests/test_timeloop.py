@@ -49,7 +49,7 @@ def test_step_report_fields():
     r = res.report
     assert r.dt > 0 and r.t == pytest.approx(r.dt)
     assert r.mass == pytest.approx(10.0, rel=1e-13)
-    assert np.isfinite(nh.total_energy(res.state, mesh, bathy, params.g))
+    assert np.isfinite(nh.total_energy(res.state, mesh, bathy))
     assert r.div_residual <= r.div_bound
 
 
@@ -115,7 +115,7 @@ def test_energy_never_grows_on_closed_domain():
     out = nh.run(
         sc, params, t_end=0.5,
         on_step=lambda step: energies.append(
-            nh.total_energy(step.state, sc.mesh, sc.bathy, params.g)
+            nh.total_energy(step.state, sc.mesh, sc.bathy)
         ),
     )
     assert len(energies) == len(out.reports)
@@ -128,9 +128,9 @@ def test_energy_dissipation_decreases_under_refinement():
     drifts = []
     for n in (151, 301):
         sc = nh.make_solitary(n)
-        e0 = nh.total_energy(sc.state0, sc.mesh, sc.bathy, params.g)
+        e0 = nh.total_energy(sc.state0, sc.mesh, sc.bathy)
         out = nh.run(sc, params, t_end=1.0)
-        e1 = nh.total_energy(out.final, sc.mesh, sc.bathy, params.g)
+        e1 = nh.total_energy(out.final, sc.mesh, sc.bathy)
         drifts.append(abs(e1 - e0) / e0)
     assert drifts[1] < drifts[0]
     assert drifts[0] < 0.05
