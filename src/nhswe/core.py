@@ -41,6 +41,14 @@ def _as_float_array(values, name: str) -> np.ndarray:
     return arr
 
 
+def _finite_array(values, name: str) -> np.ndarray:
+    arr = _as_float_array(values, name)
+    # a NaN passes every "<= 0" test, so finiteness is checked on its own
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite")
+    return arr
+
+
 @dataclass
 class Mesh1D:
     """1D node mesh with element widths and node-centered dual cells.
@@ -61,7 +69,7 @@ class Mesh1D:
     _geometry: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.nodes = _as_float_array(self.nodes, "nodes")
+        self.nodes = _finite_array(self.nodes, "nodes")
         if self.nodes.size < 2:
             raise ValueError("mesh needs at least two nodes")
         widths = np.diff(self.nodes)
@@ -119,12 +127,12 @@ class FlowState:
 
 @dataclass
 class Bathymetry:
-    """Nodal bottom elevation zb."""
+    """Nodal bottom elevation zb, finite everywhere."""
 
     zb: np.ndarray
 
     def __post_init__(self):
-        self.zb = _as_float_array(self.zb, "zb")
+        self.zb = _finite_array(self.zb, "zb")
 
     @classmethod
     def flat(cls, mesh: Mesh1D) -> "Bathymetry":

@@ -25,6 +25,15 @@ support has height k = 0, and each half flux it enters is either 0 or its
 exact-flux patch H u = 0, whatever its u (as long as u^2 is finite).  The
 height k = H / max(2 sqrt(3) c, 1e-300) needs no mask either: the floor
 only ever meets a dry state (see _equilibrium_support).
+
+On a bottom that is zero everywhere, the reconstruction max(0, H + 0 - 0)
+is max(0, H): the interface states are the extended nodes' own states, so
+predict evaluates each node's support once and lets it serve both of the
+node's interfaces, and one nodal G H^2 / 2 serves both correction terms.
+It builds no interface depths there and calls neither
+hydrostatic_reconstruct nor kinetic_flux; the bits are those of the
+reconstructed path.  A flat bottom at a nonzero height z keeps the
+reconstructed path: H + z - z is not H exactly in floating point.
 """
 
 from __future__ import annotations
@@ -103,12 +112,12 @@ def _equilibrium_support(H):
     return _SQRT3 * c, k
 
 
-def _half_flux_plus(H, u):
-    """F+ = (F+_H, F+_Hu), the xi > 0 moments of the kinetic equilibrium.
+def _half_flux_plus(H, u, s, k):
+    """F+ = (F+_H, F+_Hu), the xi > 0 moments of the kinetic equilibrium of
+    the states (H, u) with support (s, k) = _equilibrium_support(H).
 
     F+ + F- equals the exact flux (Hu, Hu^2 + G H^2 / 2).
     """
-    s, k = _equilibrium_support(H)
     b = u + s
     # generic subsonic expression; the one-sided-support cases are patched below
     f_H = 0.5 * k * b * b
@@ -123,9 +132,9 @@ def _half_flux_plus(H, u):
     return f_H, f_Hu
 
 
-def _half_flux_minus(H, u):
-    """F- = (F-_H, F-_Hu), the xi < 0 moments of the kinetic equilibrium."""
-    s, k = _equilibrium_support(H)
+def _half_flux_minus(H, u, s, k):
+    """F- = (F-_H, F-_Hu), the xi < 0 moments of the kinetic equilibrium of
+    the states (H, u) with support (s, k) = _equilibrium_support(H)."""
     a = u - s
     f_H = -0.5 * k * a * a
     f_Hu = f_H * a * (2.0 / 3.0)
@@ -159,9 +168,21 @@ def kinetic_flux(xl, xr):
     HR, uR = xr
     if HL.min() < 0.0 or HR.min() < 0.0:
         raise ValueError("kinetic_flux requires non-negative depths")
-    fp_H, fp_Hu = _half_flux_plus(HL, uL)
-    fm_H, fm_Hu = _half_flux_minus(HR, uR)
+    fp_H, fp_Hu = _half_flux_plus(HL, uL, *_equilibrium_support(HL))
+    fm_H, fm_Hu = _half_flux_minus(HR, uR, *_equilibrium_support(HR))
     return fp_H + fm_H, fp_Hu + fm_Hu
+
+
+def _node_flux(H, u):
+    """Kinetic flux F+(node i) + F-(node i + 1) between consecutive node
+    states (H, u), non-negative depths with one support per node: the
+    interfaces of a zero bottom (module docstring)."""
+    s, k = _equilibrium_support(H)
+    F_H, F_Hu = _half_flux_plus(H[:-1], u[:-1], s[:-1], k[:-1])
+    fm_H, fm_Hu = _half_flux_minus(H[1:], u[1:], s[1:], k[1:])
+    F_H += fm_H
+    F_Hu += fm_Hu
+    return F_H, F_Hu
 
 
 def hydrostatic_reconstruct(Hi, Hj, zbi, zbj):
@@ -198,16 +219,27 @@ def max_wave_speed(H: np.ndarray, u: np.ndarray, params: PhysicalParams) -> floa
 CFL = 0.5
 
 
-def cfl_step(H: np.ndarray, u: np.ndarray, mesh: Mesh1D, params: PhysicalParams) -> float:
-    """Adaptive time step CFL * min(dx) / max(|u| + sqrt(G H)) of a depth H
-    and its velocities u (those of FlowState.velocities)."""
-    return CFL * mesh.min_width / max_wave_speed(H, u, params)
+def cfl_step(
+    H: np.ndarray, u: np.ndarray, mesh: Mesh1D, params: PhysicalParams
+) -> tuple[float, float]:
+    """(dt, speed): the adaptive time step CFL * min(dx) / speed of a depth H
+    and its velocities u (those of FlowState.velocities), and the speed
+    max_wave_speed(H, u, params) it was taken from."""
+    speed = max_wave_speed(H, u, params)
+    return CFL * mesh.min_width / speed, speed
+
+
+def cfl_admits(dt: float, speed: float, mesh: Mesh1D) -> bool:
+    """Whether predict accepts dt on a state of max wave speed `speed`: dt
+    within min(dx) / speed, the CFL bound at CFL number 1, up to a relative
+    1e-9."""
+    return dt <= mesh.min_width / speed * (1.0 + 1e-9)
 
 
 def cfl_dt(state: FlowState, mesh: Mesh1D, params: PhysicalParams) -> float:
-    """cfl_step of a state, its velocities evaluated here."""
+    """The cfl_step of a state, its velocities evaluated here."""
     u, _ = state.velocities(params.h_eps)
-    return cfl_step(state.H, u, mesh, params)
+    return cfl_step(state.H, u, mesh, params)[0]
 
 
 def _bisect(fun, lo: float, hi: float, flo: float, fhi: float, rtol: float = 1e-12) -> float:
@@ -314,6 +346,7 @@ def predict(
     bc_in: HyperbolicBC,
     bc_out: HyperbolicBC,
     dt: float,
+    speed: float | None = None,
 ) -> FlowState:
     """One explicit finite-volume step of the hydrostatic subsystem.
 
@@ -325,14 +358,23 @@ def predict(
     state at t + dt.  A dt beyond the CFL bound the velocities give raises
     CFLViolationError.  At CFL times that bound depth stays non-negative, as
     a property test pins; a negative depth beyond round-off raises RuntimeError.
+
+    speed, when given, must be max_wave_speed(state.H, u, params), as
+    cfl_step returns it: a stepper that took its step from that speed passes
+    it on rather than have it evaluated twice.  The CFL guard reads it as it
+    would read its own evaluation, so passing it changes no result.
+
+    A bottom that is zero everywhere takes the per-node path of the module
+    docstring; any other bottom is reconstructed at each interface.
     """
     n = mesh.n_nodes
     if state.n_nodes != n or bathy.zb.size != n or u.size != n or w.size != n:
         raise ValueError("state/velocity/mesh/bathymetry size mismatch")
-    admissible = mesh.min_width / max_wave_speed(state.H, u, params)
-    if not dt <= admissible * (1.0 + 1e-9):
+    if speed is None:
+        speed = max_wave_speed(state.H, u, params)
+    if not cfl_admits(dt, speed, mesh):
         raise CFLViolationError(
-            f"CFL violation: dt = {dt:.3e} exceeds admissible {admissible:.3e}"
+            f"CFL violation: dt = {dt:.3e} exceeds admissible {mesh.min_width / speed:.3e}"
         )
 
     # each ghost sees its end node through the shared velocities
@@ -341,25 +383,32 @@ def predict(
         for bc, side, i in ((bc_in, "in", 0), (bc_out, "out", -1))
     )
 
-    # extended arrays with one ghost node per side; ghost bottom copies the
-    # edge value so the boundary interface reconstruction is the identity
+    # extended arrays with one ghost node per side
     He = np.concatenate(([ghost_l.H], state.H, [ghost_r.H]))
     ue = np.concatenate(([ghost_l.u], u, [ghost_r.u]))
     we = np.concatenate(([ghost_l.w], w, [ghost_r.w]))
-    zbe = np.concatenate(([bathy.zb[0]], bathy.zb, [bathy.zb[-1]]))
 
-    HLs, HRs = hydrostatic_reconstruct(He[:-1], He[1:], zbe[:-1], zbe[1:])
-    F_H, F_Hu = kinetic_flux((HLs, ue[:-1]), (HRs, ue[1:]))
+    half_g = 0.5 * G
+    if bathy.zb.any():
+        # the ghost bottom copies the edge value so the boundary interface
+        # reconstruction is the identity
+        zbe = np.concatenate(([bathy.zb[0]], bathy.zb, [bathy.zb[-1]]))
+        HLs, HRs = hydrostatic_reconstruct(He[:-1], He[1:], zbe[:-1], zbe[1:])
+        F_H, F_Hu = kinetic_flux((HLs, ue[:-1]), (HRs, ue[1:]))
+        # the pressure of the reconstructed depth on each side of a node
+        p_left, p_right = half_g * HLs[1:] ** 2, half_g * HRs[:-1] ** 2
+    else:
+        # max(H, 0.0) gives +0.0 for -0.0, as max(0, H + 0 - 0) does
+        Hp = np.maximum(He, 0.0, out=He)
+        F_H, F_Hu = _node_flux(Hp, ue)
+        p_left = p_right = half_g * Hp[1:-1] ** 2
     F_Hw = F_H * np.where(F_H >= 0.0, we[:-1], we[1:])
 
     sigma = dt / mesh.dual_widths
-    half_g = 0.5 * G
     H_new = state.H - sigma * (F_H[1:] - F_H[:-1])
     # hydrostatic-reconstruction corrections make the momentum balance exact
     # on the lake at rest
-    Hu_new = state.Hu - sigma * (
-        F_Hu[1:] - half_g * HLs[1:] ** 2 - F_Hu[:-1] + half_g * HRs[:-1] ** 2
-    )
+    Hu_new = state.Hu - sigma * (F_Hu[1:] - p_left - F_Hu[:-1] + p_right)
     Hw_new = state.Hw - sigma * (F_Hw[1:] - F_Hw[:-1])
 
     floor = -1e-12 * max(1.0, float(state.H.max()))

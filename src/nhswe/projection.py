@@ -45,14 +45,23 @@ correction returns the corrected (u, w), and divergence_residual measures a
 pair.  Only u is written by a boundary condition (held at 0 at a wall), so
 the base velocity copies u and shares w with the caller, who must not write
 into w while the system is in use.
+
+The band, the masks and A_H^-1 depend on the depth and the closure, not on
+the velocity or dt.  solve_pressure keeps the band's Cholesky factor on the
+system it solves, and SchurSystem.with_velocity gives the system of another
+predicted velocity at the same depth and closure, sharing that band, those
+masks and that factor: it builds only the base velocity, B U* and the rhs,
+and its solve runs only the two triangular solves.  The solution equals
+that of a fresh build bit for bit, because the factor is computed by the
+same LAPACK routines a fresh solve runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpbsv, dptsv
+from scipy.linalg.lapack import dpbsv, dpbtrs, dptsv, dpttrs
 
 from .femops import OperatorSet
 
@@ -70,6 +79,20 @@ class _BCPlan:
     u_base: np.ndarray
     w_base: np.ndarray
     pinned: np.ndarray  # bool mask over pressure dofs, each held at 0
+    bcs: tuple  # the (left, right) pair of kinds the plan resolves
+
+    def rebased(self, u: np.ndarray, w: np.ndarray) -> "_BCPlan":
+        """This plan's masks and closure with the base velocity (u, w)."""
+        return _BCPlan(self.free_u, _wall_base(self.bcs, u), w, self.pinned, self.bcs)
+
+
+def _wall_base(bcs, u: np.ndarray) -> np.ndarray:
+    """A copy of u with the velocity at each wall side set to 0."""
+    u_base = u.copy()
+    for kind, node in zip(bcs, (0, -1)):
+        if kind == "wall":
+            u_base[node] = 0.0
+    return u_base
 
 
 def resolve_projection_bcs(ops: OperatorSet, bcs, u: np.ndarray, w: np.ndarray) -> _BCPlan:
@@ -85,7 +108,6 @@ def resolve_projection_bcs(ops: OperatorSet, bcs, u: np.ndarray, w: np.ndarray) 
     w = np.asarray(w, dtype=float)
     if u.shape != (n,) or w.shape != (n,):
         raise ValueError(f"u and w need one entry per node ({n})")
-    u_base = u.copy()
     free_u = ops.wet_nodes()
     pinned = ops.dry_pressure_dofs()
     for kind, node, pdof in zip(bcs, (0, n - 1), (0, ops.n_pressure - 1)):
@@ -93,11 +115,9 @@ def resolve_projection_bcs(ops: OperatorSet, bcs, u: np.ndarray, w: np.ndarray) 
             pinned[pdof] = True
         elif kind in ("wall", "neumann"):
             free_u[node] = False
-            if kind == "wall":
-                u_base[node] = 0.0
         elif kind is not None:
             raise ValueError(f"unknown pressure BC kind {kind!r}")
-    return _BCPlan(free_u, u_base, w, pinned)
+    return _BCPlan(free_u, _wall_base(bcs, u), w, pinned, tuple(bcs))
 
 
 @dataclass
@@ -113,7 +133,8 @@ class SchurSystem:
     consistent with the system that produced the pressure.
 
     base_divergence is the B U* the rhs was formed from, kept as the scale
-    of the post-correction residual.
+    of the post-correction residual.  factor is the band's Cholesky factor,
+    set by the first solve_pressure that factors the band (None before).
     """
 
     ab: np.ndarray
@@ -124,6 +145,7 @@ class SchurSystem:
     invA_u: np.ndarray
     invA_w: np.ndarray
     base_divergence: np.ndarray
+    factor: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def n_pressure(self) -> int:
@@ -155,6 +177,19 @@ class SchurSystem:
         w = self.plan.w_base + self.dt * self.invA_w * dw
         return u, w
 
+    def with_velocity(self, u: np.ndarray, w: np.ndarray, dt: float) -> "SchurSystem":
+        """The system of the predicted velocity (u*, w*) = (u, w) and dt at
+        this system's depth and closure.
+
+        The band, masks, masked inverse mass and factor are this system's,
+        shared and not copied (none is written after the build); only the
+        base velocity, B U* and the rhs are built.
+        """
+        return _system(
+            self.ops, self.plan.rebased(u, w), self.ab, self.invA_u, self.invA_w, dt,
+            self.factor,
+        )
+
     def dense(self) -> np.ndarray:
         m = self.n_pressure
         out = np.diag(self.ab[0].copy())
@@ -178,8 +213,6 @@ def build_schur(
     The boundary plan is resolved once, here; the system keeps it (and w
     itself, see the module docstring) for the correction.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
     plan = resolve_projection_bcs(ops, bcs, u, w)
     m = ops.n_pressure
     bw = ops.bandwidth
@@ -201,23 +234,30 @@ def build_schur(
                 Du[rows, k] * Du[rows_d, k_d] * invA_u[nodes] + w_factor * invA_w[nodes]
             )
 
-    base_divergence = ops.apply_divergence(plan.u_base, plan.w_base)
-    rhs = -(1.0 / dt) * base_divergence
-
     # symmetric elimination of the pinned dofs (Dirichlet sides and dry
-    # supports), each held at 0
+    # supports), each held at 0; _system zeroes their rhs
     if plan.pinned.any():
         for d in range(1, bw + 1):
             ab[d, : m - d][plan.pinned[d:] | plan.pinned[: m - d]] = 0.0
         ab[0, plan.pinned] = 1.0
-        rhs[plan.pinned] = 0.0
 
     if ab[0].min() <= 0.0:
         raise ValueError(
             "Schur diagonal is not positive: the pressure problem is fully "
             "determined, so a singular assembly indicates a bug"
         )
+    return _system(ops, plan, ab, invA_u, invA_w, dt)
 
+
+def _system(ops, plan, ab, invA_u, invA_w, dt, factor=None) -> SchurSystem:
+    """The system of the band ab (factor: its Cholesky factor, if known) with
+    the rhs of the plan's base velocity and dt."""
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
+    base_divergence = ops.apply_divergence(plan.u_base, plan.w_base)
+    rhs = -(1.0 / dt) * base_divergence
+    if plan.pinned.any():
+        rhs[plan.pinned] = 0.0
     return SchurSystem(
         ab=ab,
         rhs=rhs,
@@ -227,6 +267,7 @@ def build_schur(
         invA_u=invA_u,
         invA_w=invA_w,
         base_divergence=base_divergence,
+        factor=factor,
     )
 
 
@@ -239,18 +280,27 @@ def solve_pressure(sys: SchurSystem) -> PressureField:
     is called directly: dptsv (tridiagonal L D L^T) for bandwidth 1 and
     dpbsv for bandwidth 2, the routines scipy.linalg.solveh_banded
     dispatches to, on copies of the same inputs, so sys.ab and sys.rhs are
-    left as they are.  A right-hand side without a nonzero entry returns the
-    zero pressure without factoring.
+    left as they are.  Each factors (dpttrf, dpbtrf) and then solves
+    (dpttrs, dpbtrs); the factor is kept in sys.factor, and a system that
+    already holds one (SchurSystem.with_velocity) runs only that second,
+    triangular half, for the same bits.  A right-hand side without a
+    nonzero entry returns the zero pressure without factoring.
     """
     ab, rhs = sys.ab, sys.rhs
     if not rhs.any():
         return PressureField(np.zeros(sys.n_pressure))
-    if sys.bandwidth == 1:
-        _, _, p, info = dptsv(ab[0], ab[1, :-1], rhs)
+    factor = sys.factor
+    if factor is not None and sys.bandwidth == 1:
+        p, info = dpttrs(*factor, rhs)
+    elif factor is not None:
+        p, info = dpbtrs(*factor, rhs, lower=1)
+    elif sys.bandwidth == 1:
+        *factor, p, info = dptsv(ab[0], ab[1, :-1], rhs)
     else:
-        _, p, info = dpbsv(ab, rhs, lower=1)
+        *factor, p, info = dpbsv(ab, rhs, lower=1)
     if info != 0:  # pragma: no cover - assembly bug guard
         raise ValueError(f"indefinite pivot in the banded factorization (LAPACK info {info})")
+    sys.factor = tuple(factor)
     return PressureField(p)
 
 

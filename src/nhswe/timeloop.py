@@ -20,7 +20,21 @@ The velocities of each state are evaluated once per step and passed along
 (Euler: the initial and the predicted state; Heun: the initial, the stage
 and the averaged state).  The initial state's serve its CFL step, its
 prediction and, in Heun, its stage rate; velocities travel as (u, w) pairs
-through the projection.
+through the projection.  So does the wave speed of each state a prediction
+starts from: the CFL step is taken from it and predict's CFL guard reads it
+(Euler: the initial state; Heun: the initial and the stage state).
+
+Heun's stages are both admissible: when the stage state is faster than the
+step's dt allows, the step restarts at the stage state's CFL step (at most
+_HEUN_ATTEMPTS tries, then CFLViolationError), since SSP-RK2 keeps the
+positivity of its Euler stages only when each meets the CFL bound.
+
+Heun's first stage rate is taken at the initial state's depth, which is the
+depth of the previous step's final projection.  run() hands each Heun step
+the previous StepResult, and when the depth has equal contents and the
+pressure closure the same kinds, the stage reuses that projection's
+assembly and Schur system (SchurSystem.with_velocity: band, masks and
+Cholesky factor), for the same bits as a fresh build.
 
 A step computes only what the step and its checks need.  Its StepReport
 carries t, dt, the divergence residual with its bound, and the mass, which
@@ -39,6 +53,7 @@ import numpy as np
 
 from .core import (
     Bathymetry,
+    CFLViolationError,
     DivergenceBoundError,
     FlowState,
     Mesh1D,
@@ -49,7 +64,7 @@ from .core import (
 # imported because perfbench/tracer.py rebinds these names on this module
 from .core import total_energy  # noqa: F401
 from .femops import ElementPair, OperatorSet, assemble
-from .hyperbolic import HyperbolicBC, cfl_dt, cfl_step, predict  # noqa: F401
+from .hyperbolic import HyperbolicBC, cfl_admits, cfl_dt, cfl_step, predict  # noqa: F401
 from .projection import (  # noqa: F401
     PressureField,
     SchurSystem,
@@ -208,15 +223,15 @@ def step_euler(
 ) -> StepResult:
     """One prediction + correction step; dt caps the internal CFL step.
 
-    The initial state's velocities give both the CFL step and the
-    prediction.
+    The initial state's velocities and wave speed give both the CFL step
+    and the prediction.
     """
     pair = pair or ElementPair.p1p0(mesh.n_nodes)
     u, w = state.velocities(params.h_eps)
-    dt_cfl = cfl_step(state.H, u, mesh, params)
+    dt_cfl, speed = cfl_step(state.H, u, mesh, params)
     dt = dt_cfl if dt is None else min(dt, dt_cfl)
     hyp = bounds.hyperbolic_at(state.t)
-    half = predict(state, u, w, mesh, bathy, params, *hyp, dt)
+    half = predict(state, u, w, mesh, bathy, params, *hyp, dt, speed)
     return _project(half, mesh, bathy, params, pair, hyp, dt)
 
 
@@ -230,11 +245,18 @@ def _stage_rate(
     bounds: BoundarySpec,
     pair: ElementPair,
     dt_probe: float,
+    speed: float | None = None,
+    last: SchurSystem | None = None,
 ):
     """Constraint-consistent time derivative of a constrained state.
 
-    (u, w) are the state's velocities, state.velocities(params.h_eps),
-    evaluated once by the stepper and shared with the state's prediction.
+    (u, w) are the state's velocities, state.velocities(params.h_eps), and
+    speed, if given, its max_wave_speed, evaluated once by the stepper and
+    shared with the state's prediction.  last, if given, is the Schur
+    system of an earlier projection on the same mesh, bathymetry, params
+    and pair; it serves in place of a new assembly and Schur build when its
+    depth equals state.H and its closure has the kinds of this one.
+
     The hyperbolic tendency is read off one explicit flux evaluation (the
     update is exactly linear in dt), and the pressure tendency is the
     multiplier that keeps d/dt (B u) = 0:
@@ -250,7 +272,7 @@ def _stage_rate(
     to it.
     """
     hyp = bounds.hyperbolic_at(state.t)
-    pred = predict(state, u, w, mesh, bathy, params, *hyp, dt_probe)
+    pred = predict(state, u, w, mesh, bathy, params, *hyp, dt_probe, speed)
     T_H = (pred.H - state.H) / dt_probe
     T_Hu = (pred.Hu - state.Hu) / dt_probe
     T_Hw = (pred.Hw - state.Hw) / dt_probe
@@ -260,16 +282,25 @@ def _stage_rate(
     du = np.where(wet, (T_Hu - u * T_H) / H_safe, 0.0)
     dw = np.where(wet, (T_Hw - w * T_H) / H_safe, 0.0)
 
-    ops = assemble(pair, mesh, state.H, bathy.zb, params.h_eps)
-    dD_u = ops.apply_depth_derivative(T_H, u)
-
-    sys = build_schur(ops, du, dw, 1.0, _pressure_bcs(hyp))
+    bcs = _pressure_bcs(hyp)
+    if last is not None and last.plan.bcs == bcs and np.array_equal(last.ops.H, state.H):
+        sys = last.with_velocity(du, dw, 1.0)
+    else:
+        sys = build_schur(
+            assemble(pair, mesh, state.H, bathy.zb, params.h_eps), du, dw, 1.0, bcs
+        )
+    dD_u = sys.ops.apply_depth_derivative(T_H, u)
     sys.rhs[:] = sys.rhs - np.where(sys.plan.pinned, 0.0, dD_u)
     p_rate = solve_pressure(sys)
     du_corr, dw_corr = sys.corrected_velocity(p_rate.values)
     mom_u = state.H * du_corr + u * T_H
     mom_w = state.H * dw_corr + w * T_H
     return T_H, mom_u, mom_w
+
+
+# tries of a Heun step, each after the first at the CFL step of the stage
+# state of the try before
+_HEUN_ATTEMPTS = 3
 
 
 def step_heun(
@@ -280,10 +311,18 @@ def step_heun(
     bounds: BoundarySpec,
     pair: ElementPair | None = None,
     dt: float | None = None,
+    *,
+    _last: StepResult | None = None,
 ) -> StepResult:
     """Second-order step: two Euler stages of the constraint-consistent
     tendency at a shared dt, the Heun average with the initial state, and a
     final projection restoring B u = 0 exactly.
+
+    dt caps the internal CFL step; when the stage state is too fast for it,
+    the step restarts at the stage state's CFL step (module docstring), so
+    the report's dt may be smaller.  _last is the previous step's result,
+    which run() passes so that the first stage can reuse its projection
+    (module docstring); callers leave it out.
 
     Projecting each stage end-state instead (the first-order splitting
     recipe applied twice) looks natural but measures first order: the
@@ -295,15 +334,28 @@ def step_heun(
     """
     pair = pair or ElementPair.p1p0(mesh.n_nodes)
     u, w = state.velocities(params.h_eps)
-    dt_cfl = cfl_step(state.H, u, mesh, params)
+    dt_cfl, speed = cfl_step(state.H, u, mesh, params)
     dt = dt_cfl if dt is None else min(dt, dt_cfl)
+    last = None if _last is None else _last.schur
 
-    def stage(y: FlowState, u: np.ndarray, w: np.ndarray) -> FlowState:
-        T_H, mom_u, mom_w = _stage_rate(y, u, w, mesh, bathy, params, bounds, pair, dt)
+    def stage(y: FlowState, u, w, speed, dt, last=None) -> FlowState:
+        T_H, mom_u, mom_w = _stage_rate(
+            y, u, w, mesh, bathy, params, bounds, pair, dt, speed, last
+        )
         return FlowState(y.H + dt * T_H, y.Hu + dt * mom_u, y.Hw + dt * mom_w, y.t + dt)
 
-    first = stage(state, u, w)
-    second = stage(first, *first.velocities(params.h_eps))
+    for _ in range(_HEUN_ATTEMPTS):
+        first = stage(state, u, w, speed, dt, last)
+        u1, w1 = first.velocities(params.h_eps)
+        dt_stage, speed1 = cfl_step(first.H, u1, mesh, params)
+        if cfl_admits(dt, speed1, mesh):
+            break
+        dt = dt_stage
+    else:
+        raise CFLViolationError(
+            f"no Heun step with both stages admissible after {_HEUN_ATTEMPTS} tries"
+        )
+    second = stage(first, u1, w1, speed1, dt)
     avg = FlowState(
         0.5 * (state.H + second.H),
         0.5 * (state.Hu + second.Hu),
@@ -354,7 +406,8 @@ def run(
 
     Each step's StepReport is appended to result.reports, and on_step, if
     given, is called with the StepResult (a per-step energy is
-    total_energy(step.state, mesh, bathy)).  A non-finite field raises
+    total_energy(step.state, mesh, bathy)); it must not write into the
+    step's arrays, which the next Heun step reuses.  A non-finite field raises
     RuntimeError: in the initial state, and after each step when the mass,
     max H or any entry of Hu or Hw is not finite.
     """
@@ -369,7 +422,6 @@ def run(
     pair = pair or ElementPair.p1p0(mesh.n_nodes)
     if integrator not in ("euler", "heun"):
         raise ValueError(f"unknown integrator {integrator!r}")
-    stepper = step_euler if integrator == "euler" else step_heun
 
     state = scenario.state0.copy()
     if not (
@@ -383,9 +435,9 @@ def run(
 
     result = RunResult(mesh=mesh, bathy=bathy)
 
-    def emit(st: FlowState, pressure: PressureField | None, ops):
-        if pressure is not None and ops is not None:
-            p_nodes = ops.interpolate_pressure_to_nodes(pressure.values)
+    def emit(st: FlowState, step: StepResult | None):
+        if step is not None:
+            p_nodes = step.ops.interpolate_pressure_to_nodes(step.pressure.values)
         else:
             p_nodes = np.zeros(mesh.n_nodes)
         result.snapshots.append(Snapshot(st.t, st.copy(), p_nodes))
@@ -393,18 +445,22 @@ def run(
             scenario.gauges.record(st)
 
     if t_end == 0.0:
-        emit(state, None, None)
+        emit(state, None)
         return result
 
-    last_pressure = None
-    last_ops = None
+    step = None
     for target in events:
         while state.t < target - 1e-12 * max(1.0, target):
-            dt_cap = target - state.t
-            step = stepper(state, mesh, bathy, params, scenario.bounds, pair, dt=dt_cap)
+            args = (state, mesh, bathy, params, scenario.bounds, pair)
+            if integrator == "euler":
+                # an Euler step reads nothing of the last result: let it go
+                # before the step allocates
+                step = None
+                step = step_euler(*args, dt=target - state.t)
+            else:
+                step = step_heun(*args, dt=target - state.t, _last=step)
             state = step.state
             result.reports.append(step.report)
-            last_pressure, last_ops = step.pressure, step.ops
             if not (
                 np.isfinite(step.report.mass)
                 and np.isfinite(state.H.max())
@@ -417,5 +473,5 @@ def run(
             if on_step is not None:
                 on_step(step)
         state.t = target
-        emit(state, last_pressure, last_ops)
+        emit(state, step)
     return result

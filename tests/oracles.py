@@ -12,8 +12,9 @@ Some routines are kept here in an earlier, slower formulation that the
 package replaced by one with the same arithmetic: the divergence window
 coefficients built from the mesh on every call, the kinetic half fluxes
 patched with np.where, the kinetic flux on (H, Hu) states, the wave speed
-over gathered wet nodes, and the imposed-flux boundary closure on numpy
-scalars.  Tests require the package to match them bit for bit, or in value
+over gathered wet nodes, the imposed-flux boundary closure on numpy
+scalars, and the prediction that reconstructs every interface whatever the
+bottom.  Tests require the package to match them bit for bit, or in value
 where the package's arithmetic differs only by a round trip it removed.
 """
 
@@ -521,6 +522,55 @@ def imposed_flux_ghost_numpy(Hb, ub, wb, side, q01, q02, g):
     if abs(u0) / np.sqrt(g * h0) >= 1.0:
         raise TorrentialBoundaryError("torrential boundary state")
     return h0, u0, q02 / h0
+
+
+# -- prediction reconstructed at every interface ------------------------------
+
+
+def predict_reconstructed(state, u, w, mesh, bathy, params, bc_in, bc_out, dt):
+    """hyperbolic.predict as it was before its zero-bottom path: hydrostatic
+    reconstruction and the kinetic flux at every interface, on any bottom."""
+    from nhswe import FlowState
+    from nhswe.core import G, CFLViolationError
+    from nhswe.hyperbolic import (
+        apply_hyperbolic_bc,
+        hydrostatic_reconstruct,
+        kinetic_flux,
+        max_wave_speed,
+    )
+
+    admissible = mesh.min_width / max_wave_speed(state.H, u, params)
+    if not dt <= admissible * (1.0 + 1e-9):
+        raise CFLViolationError(f"dt = {dt:.3e} exceeds admissible {admissible:.3e}")
+    ghost_l, ghost_r = (
+        apply_hyperbolic_bc(bc, side, float(state.H[i]), float(u[i]), float(w[i]))
+        for bc, side, i in ((bc_in, "in", 0), (bc_out, "out", -1))
+    )
+    He = np.concatenate(([ghost_l.H], state.H, [ghost_r.H]))
+    ue = np.concatenate(([ghost_l.u], u, [ghost_r.u]))
+    we = np.concatenate(([ghost_l.w], w, [ghost_r.w]))
+    zbe = np.concatenate(([bathy.zb[0]], bathy.zb, [bathy.zb[-1]]))
+
+    HLs, HRs = hydrostatic_reconstruct(He[:-1], He[1:], zbe[:-1], zbe[1:])
+    F_H, F_Hu = kinetic_flux((HLs, ue[:-1]), (HRs, ue[1:]))
+    F_Hw = F_H * np.where(F_H >= 0.0, we[:-1], we[1:])
+
+    sigma = dt / mesh.dual_widths
+    half_g = 0.5 * G
+    H_new = state.H - sigma * (F_H[1:] - F_H[:-1])
+    Hu_new = state.Hu - sigma * (
+        F_Hu[1:] - half_g * HLs[1:] ** 2 - F_Hu[:-1] + half_g * HRs[:-1] ** 2
+    )
+    Hw_new = state.Hw - sigma * (F_Hw[1:] - F_Hw[:-1])
+
+    floor = -1e-12 * max(1.0, float(state.H.max()))
+    if H_new.min() < floor:
+        raise RuntimeError(f"negative depth (min {H_new.min():.3e})")
+    np.maximum(H_new, 0.0, out=H_new)
+    dry = H_new < params.h_eps
+    Hu_new[dry] = 0.0
+    Hw_new[dry] = 0.0
+    return FlowState(H_new, Hu_new, Hw_new, state.t + dt)
 
 
 def solveh_banded_lower(ab, rhs):

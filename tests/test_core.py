@@ -80,6 +80,20 @@ def test_mesh_invariants():
     assert mesh.dual_widths.sum() == pytest.approx(mesh.nodes[-1] - mesh.nodes[0], rel=1e-15)
     with pytest.raises(ValueError):
         nh.Mesh1D(np.array([0.0, 1.0, 1.0]))
+    # a NaN passes the "<= 0" width test, and an infinite end gives an
+    # infinite width
+    for bad in ([0.0, np.nan, 2.0], [0.0, 1.0, np.inf], [-np.inf, 0.0, 1.0]):
+        with pytest.raises(ValueError, match="nodes must be finite"):
+            nh.Mesh1D(bad)
+
+
+def test_bathymetry_rejects_non_finite_values():
+    mesh = nh.Mesh1D.uniform(0.0, 1.0, 3)
+    for bad in ([0.0, np.nan, 0.0], [np.inf, 0.0, 0.0], [0.0, 0.0, -np.inf]):
+        with pytest.raises(ValueError, match="zb must be finite"):
+            nh.Bathymetry(bad)
+        with pytest.raises(ValueError, match="zb must be finite"):
+            nh.Bathymetry.from_nodal(mesh, bad)
 
 
 def test_physical_params_validation():

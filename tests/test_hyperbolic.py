@@ -7,9 +7,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import nhswe as nh
+from nhswe import hyperbolic, timeloop
 from nhswe.core import G, TorrentialBoundaryError
+from nhswe.timeloop import project_state
 from nhswe.hyperbolic import (
     GhostState,
+    _equilibrium_support,
     _half_flux_minus,
     _half_flux_plus,
     apply_hyperbolic_bc,
@@ -25,6 +28,7 @@ from oracles import (
     imposed_flux_ghost_numpy,
     kinetic_flux_discharge,
     max_wave_speed_gather,
+    predict_reconstructed,
     rusanov_step,
 )
 
@@ -234,7 +238,7 @@ def test_half_fluxes_match_where_formulation(data):
     u = data.draw(arrays(float, n, elements=_velocities))
     for half, ref in ((_half_flux_plus, half_flux_plus_where),
                       (_half_flux_minus, half_flux_minus_where)):
-        for got, want in zip(half(H, u), ref(H, u, G)):
+        for got, want in zip(half(H, u, *_equilibrium_support(H)), ref(H, u, G)):
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
 
@@ -441,6 +445,116 @@ def test_predict_positivity_property(data):
     u, w = state.velocities(params.h_eps)
     out = nh.predict(state, u, w, mesh, bathy, params, bc_in, bc_out, dt)
     assert out.H.min() >= 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_heun_steps_stay_admissible_and_positive(data):
+    # three Heun steps from a projected random walled wet/dry state on an
+    # uneven mesh and a flat or random bottom: no CFLViolationError (a stage
+    # state too fast for the step's dt restarts it at the stage's CFL step)
+    # and no negative depth, in the stage states either
+    params = nh.PhysicalParams()
+    n = data.draw(st.integers(8, 59))
+    widths = data.draw(arrays(float, n - 1, elements=st.floats(0.05, 1.05)))
+    mesh = nh.Mesh1D(np.concatenate(([0.0], np.cumsum(widths))))
+    if data.draw(st.booleans()):
+        bathy = nh.Bathymetry.flat(mesh)
+    else:
+        bathy = nh.Bathymetry(data.draw(arrays(float, n, elements=st.floats(-1.0, 1.0))))
+    H = data.draw(arrays(float, n, elements=st.one_of(st.just(0.0), st.floats(0.0, 2.0))))
+    # enough water that the walled basin cannot dry out entirely
+    assume(H.max() >= 0.1)
+    u = data.draw(arrays(float, n, elements=st.floats(-4.0, 4.0)))
+    w = data.draw(arrays(float, n, elements=st.floats(-2.0, 2.0)))
+    bounds = nh.BoundarySpec.walls()
+    state = project_state(nh.FlowState(H, H * u, H * w), mesh, bathy, params, bounds)
+    stage_depths = []
+    predict = timeloop.predict
+
+    def recording(state, *args, **kwargs):
+        stage_depths.append(float(state.H.min()))
+        return predict(state, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(timeloop, "predict", recording)
+        for _ in range(3):
+            state = nh.step_heun(state, mesh, bathy, params, bounds).state
+            assert state.H.min() >= 0.0
+    assert min(stage_depths) >= 0.0
+
+
+_zero_bottom_depths = st.one_of(
+    st.floats(0.0, 3.0),
+    st.sampled_from([0.0, -0.0, -1e-20, -5e-324]),  # dry, signed and tiny negative
+)
+_BC_DATA = {
+    "wall": st.just({}),
+    "free_outflow": st.just({}),
+    "imposed_depth": st.fixed_dictionaries({"h_given": st.floats(0.05, 3.0)}),
+    "imposed_flux": st.fixed_dictionaries(
+        {"q0": st.tuples(st.floats(-2.0, 2.0), st.floats(-1.0, 1.0))}),
+}
+
+
+def _any_bc(data):
+    kind = data.draw(st.sampled_from(sorted(_BC_DATA)))
+    return nh.HyperbolicBC(kind, **data.draw(_BC_DATA[kind]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_zero_bottom_predict_matches_reconstructed_oracle(data):
+    # the per-node flux on a zero bottom gives the bits of the reconstructed
+    # path: dry and signed-zero depths, tiny negative (stage) depths, flows
+    # supersonic either way, every boundary kind, with and without the
+    # stepper's wave speed
+    params = nh.PhysicalParams()
+    n = data.draw(st.integers(2, 30))
+    widths = data.draw(arrays(float, n - 1, elements=st.floats(0.05, 1.05)))
+    mesh = nh.Mesh1D(np.concatenate(([0.0], np.cumsum(widths))))
+    bathy = nh.Bathymetry.flat(mesh)
+    H = data.draw(arrays(float, n, elements=_zero_bottom_depths))
+    assume(np.any(H >= params.h_eps))
+    u = data.draw(arrays(float, n, elements=st.one_of(
+        st.floats(-30.0, 30.0), st.sampled_from([0.0, -0.0]))))
+    w = data.draw(arrays(float, n, elements=st.floats(-4.0, 4.0)))
+    state = nh.FlowState(H, H * u, H * w)
+    u, w = state.velocities(params.h_eps)
+    bc_in, bc_out = _any_bc(data), _any_bc(data)
+    dt = nh.cfl_dt(state, mesh, params) * data.draw(st.floats(0.1, 1.0))
+    args = (state, u, w, mesh, bathy, params, bc_in, bc_out, dt)
+    try:
+        want = predict_reconstructed(*args)
+    except (TorrentialBoundaryError, RuntimeError) as err:
+        with pytest.raises(type(err)):
+            nh.predict(*args)
+        return
+    for speed in (None, max_wave_speed(state.H, u, params)):
+        got = nh.predict(*args, speed)
+        for name in ("H", "Hu", "Hw"):
+            assert np.array_equal(float_bits(getattr(got, name)),
+                                  float_bits(getattr(want, name)))
+        assert got.t == want.t
+
+
+def test_flat_bottom_at_nonzero_height_is_reconstructed(monkeypatch):
+    # H + z - z need not be H, so only a bottom that is zero everywhere takes
+    # the per-node path
+    mesh = nh.Mesh1D.uniform(0.0, 1.0, 11)
+    state = nh.FlowState(np.linspace(0.5, 1.0, 11), np.zeros(11), np.zeros(11))
+    params = nh.PhysicalParams()
+    u, w = state.velocities(params.h_eps)
+    dt = nh.cfl_dt(state, mesh, params)
+    calls = []
+    reconstruct = hyperbolic.hydrostatic_reconstruct
+    monkeypatch.setattr(hyperbolic, "hydrostatic_reconstruct",
+                        lambda *a: calls.append(1) or reconstruct(*a))
+    for zb, expected in ((0.0, 0), (-0.0, 0), (0.3, 1)):
+        bathy = nh.Bathymetry(np.full(11, zb))
+        nh.predict(state, u, w, mesh, bathy, params, *_walls(), dt)
+        assert len(calls) == expected
+        calls.clear()
 
 
 def test_predict_conservation_with_walls():

@@ -4,7 +4,7 @@ import pytest
 import nhswe as nh
 from nhswe import hyperbolic, projection, timeloop
 
-from oracles import depth_derivative_by_differencing
+from oracles import depth_derivative_by_differencing, float_bits
 
 
 def _lake(n=41, L=10.0):
@@ -217,50 +217,129 @@ def test_divergence_bound_violation_raises(stepper, monkeypatch):
 # correction).  Velocities: once per distinct state, counted on
 # FlowState.velocities itself so that no helper can recompute them unseen
 # (Euler: the initial and the predicted state; Heun: the initial, the stage
-# and the averaged state).  Divergences: the rhs of each Schur system and
-# the corrected residual.  The energy is telemetry, computed by no step.
+# and the averaged state).  The wave speed: once per state a prediction
+# starts from (Euler: the initial state; Heun: the initial and the stage
+# state), shared by its CFL step and predict's guard.  Divergences: the rhs
+# of each Schur system and the corrected residual.  The beach's bottom is
+# reconstructed at each interface; the solitary wave's is zero, so its
+# prediction takes the per-node flux and neither reconstructs nor calls
+# kinetic_flux.  The energy is telemetry, computed by no step.
 WORK_PER_STEP = {
     "euler": {"assemble": 1, "build_schur": 1, "resolve_projection_bcs": 1,
               "velocities": 2, "apply_divergence": 2,
-              "predict": 1, "kinetic_flux": 1, "max_wave_speed": 2,
-              "total_energy": 0},
+              "predict": 1, "kinetic_flux": 1, "max_wave_speed": 1,
+              "hydrostatic_reconstruct": 1, "total_energy": 0},
     "heun": {"assemble": 3, "build_schur": 3, "resolve_projection_bcs": 3,
              "velocities": 3, "apply_divergence": 4,
-             "predict": 2, "kinetic_flux": 2, "max_wave_speed": 3,
-             "total_energy": 0},
+             "predict": 2, "kinetic_flux": 2, "max_wave_speed": 2,
+             "hydrostatic_reconstruct": 2, "total_energy": 0},
+    "euler_zero_bottom": {"assemble": 1, "build_schur": 1, "resolve_projection_bcs": 1,
+                          "velocities": 2, "apply_divergence": 2,
+                          "predict": 1, "kinetic_flux": 0, "max_wave_speed": 1,
+                          "hydrostatic_reconstruct": 0, "total_energy": 0},
 }
 
 
-@pytest.mark.parametrize("integrator", sorted(WORK_PER_STEP))
-def test_work_per_step(integrator, monkeypatch):
-    sc = nh.make_beach(n_nodes=300)
-    calls = dict.fromkeys(WORK_PER_STEP[integrator], 0)
+def _count_calls(monkeypatch, targets):
+    """Wrap each (owner, name) so that its calls are counted; returns the
+    counts by name."""
+    calls = {}
+    for owner, name in targets:
+        calls[name] = 0
 
-    def count(owner, name):
-        fn = getattr(owner, name)
-
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
+        def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, counted)
+    return calls
 
-    count(timeloop, "assemble")
-    count(timeloop, "build_schur")
-    count(projection, "resolve_projection_bcs")
-    count(nh.FlowState, "velocities")
-    count(nh.OperatorSet, "apply_divergence")
-    count(timeloop, "predict")
-    count(hyperbolic, "kinetic_flux")
-    count(hyperbolic, "max_wave_speed")
-    count(timeloop, "total_energy")
-    stepper = nh.step_euler if integrator == "euler" else nh.step_heun
+
+@pytest.mark.parametrize("row", sorted(WORK_PER_STEP))
+def test_work_per_step(row, monkeypatch):
+    sc = nh.make_solitary(301) if row.endswith("zero_bottom") else nh.make_beach(n_nodes=300)
+    calls = _count_calls(monkeypatch, [
+        (timeloop, "assemble"), (timeloop, "build_schur"),
+        (projection, "resolve_projection_bcs"), (nh.FlowState, "velocities"),
+        (nh.OperatorSet, "apply_divergence"), (timeloop, "predict"),
+        (hyperbolic, "kinetic_flux"), (hyperbolic, "max_wave_speed"),
+        (hyperbolic, "hydrostatic_reconstruct"), (timeloop, "total_energy"),
+    ])
+    stepper = nh.step_heun if row == "heun" else nh.step_euler
     params = nh.PhysicalParams(h_eps=sc.h_eps)
     steps = 3
     state = sc.state0
     for _ in range(steps):
         state = stepper(state, sc.mesh, sc.bathy, params, sc.bounds).state
-    assert {k: v / steps for k, v in calls.items()} == WORK_PER_STEP[integrator]
+    assert {k: v / steps for k, v in calls.items()} == WORK_PER_STEP[row]
+
+
+def test_run_reuses_the_last_projection_in_heun_stage_one(monkeypatch):
+    # after the first step, each Heun step's first stage takes the previous
+    # final projection's assembly and factor: 3 -> 2 assemblies, Schur
+    # builds and factorizations, plus the one triangular solve of the reuse
+    calls = _count_calls(monkeypatch, [
+        (timeloop, "assemble"), (timeloop, "build_schur"),
+        (projection, "dptsv"), (projection, "dpttrs"),
+    ])
+    per_step = []
+    sc = nh.make_beach(n_nodes=300)
+    out = nh.run(sc, nh.PhysicalParams(h_eps=sc.h_eps), t_end=0.1, integrator="heun",
+                 on_step=lambda step: per_step.append(dict(calls)))
+    assert len(out.reports) >= 4
+    assert per_step[0] == {"assemble": 3, "build_schur": 3, "dptsv": 3, "dpttrs": 0}
+    for before, after in zip(per_step, per_step[1:]):
+        assert {k: after[k] - before[k] for k in calls} == {
+            "assemble": 2, "build_schur": 2, "dptsv": 2, "dpttrs": 1}
+
+
+def _bits_of(step):
+    """The IEEE bits of a step's fields, pressure and report."""
+    r = step.report
+    return [float_bits(a) for a in (step.state.H, step.state.Hu, step.state.Hw,
+                                    step.pressure.values,
+                                    [r.t, r.dt, r.div_residual, r.div_bound, r.mass])]
+
+
+@pytest.mark.parametrize("tag", ["P1P0", "P1isoP2P1"])
+def test_heun_stage_one_reuse_equals_a_fresh_build(tag, monkeypatch):
+    # the reused band and factor (dpttrs / dpbtrs on the kept factor) give
+    # the bits of a fresh assembly, Schur build and factorization
+    sc = nh.make_beach(n_nodes=301)
+    params = nh.PhysicalParams(h_eps=sc.h_eps)
+    pair = nh.ElementPair.from_tag(tag, sc.mesh.n_nodes)
+    prev = None
+    for _ in range(4):
+        state = sc.state0 if prev is None else prev.state
+        prev = nh.step_heun(state, sc.mesh, sc.bathy, params, sc.bounds, pair, _last=prev)
+    assert prev.schur.factor is not None
+    builds = _count_calls(monkeypatch, [(timeloop, "build_schur")])
+
+    def step(state, bounds=sc.bounds, last=None):
+        builds["build_schur"] = 0
+        res = nh.step_heun(state, sc.mesh, sc.bathy, params, bounds, pair, _last=last)
+        return res, builds["build_schur"]
+
+    fresh, fresh_builds = step(prev.state)
+    assert fresh_builds == 3
+    # equal contents suffice: the depth need not be the same array
+    for state in (prev.state, nh.FlowState(prev.state.H.copy(), prev.state.Hu,
+                                           prev.state.Hw, prev.state.t)):
+        reused, reused_builds = step(state, last=prev)
+        assert reused_builds == 2
+        for got, want in zip(_bits_of(reused), _bits_of(fresh)):
+            assert np.array_equal(got, want)
+
+    # a depth one ulp away, or another closure kind, is built afresh
+    H = prev.state.H.copy()
+    H[5] = np.nextafter(H[5], 2.0)
+    nudged = nh.FlowState(H, prev.state.Hu, prev.state.Hw, prev.state.t)
+    walls = nh.BoundarySpec(nh.HyperbolicBC("wall"), sc.bounds.right)
+    for state, bounds in ((nudged, sc.bounds), (prev.state, walls)):
+        refused, refused_builds = step(state, bounds, last=prev)
+        assert refused_builds == 3
+        for got, want in zip(_bits_of(refused), _bits_of(step(state, bounds)[0])):
+            assert np.array_equal(got, want)
 
 
 # -- stage rate boundary closure -----------------------------------------------
