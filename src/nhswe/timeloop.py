@@ -3,33 +3,39 @@
 A first-order step advances the hydrostatic subsystem explicitly, then
 re-assembles the depth-dependent operators on the predicted depth and
 projects the velocity onto the discretely divergence-free space (the depth
-itself is untouched by the correction).  The second-order step takes two
-Euler stages of the constraint-consistent tendency at a shared dt, averages
-with the initial state,
+itself is untouched by the correction).  The second-order step is SSP-RK2
+in Shu-Osher form: two stages at a shared dt, averaged with the initial
+state,
 
     X^{n+1} = (X^n + stage(stage(X^n))) / 2,
 
-and projects the average once.  Each stage costs one prediction, one
-assembly and one Schur solve: the depth derivative of the divergence in the
-stage rate is applied exactly from the current assembly.  Every projection
-resolves its boundary plan once, in build_schur, and corrects the velocity
-with that plan; both steppers raise DivergenceBoundError when the corrected
-velocity misses its divergence bound.
+and the average projected once.  A stage is the Euler prediction plus one
+correction (_stage): its depth is the predicted depth, bit for bit, and the
+prediction's velocity increment is corrected at the stage's initial depth
+so that the linearized divergence stays constant.  Each
+stage therefore inherits predict's non-negative depth exactly, and so does
+the average (H^n + H^2) / 2.  A stage costs one prediction, one assembly
+and one Schur solve: the depth derivative of the divergence is applied
+exactly from the current assembly.  Every projection resolves its boundary
+plan once, in build_schur, and corrects the velocity with that plan; both
+steppers raise DivergenceBoundError when the corrected velocity misses its
+divergence bound.
 
 The velocities of each state are evaluated once per step and passed along
 (Euler: the initial and the predicted state; Heun: the initial, the stage
 and the averaged state).  The initial state's serve its CFL step, its
-prediction and, in Heun, its stage rate; velocities travel as (u, w) pairs
-through the projection.  So does the wave speed of each state a prediction
-starts from: the CFL step is taken from it and predict's CFL guard reads it
-(Euler: the initial state; Heun: the initial and the stage state).
+prediction and, in Heun, its stage correction; velocities travel as (u, w)
+pairs through the projection.  So does the wave speed of each state a
+prediction starts from: the CFL step is taken from it and predict's CFL
+guard reads it (Euler: the initial state; Heun: the initial and the stage
+state).
 
 Heun's stages are both admissible: when the stage state is faster than the
 step's dt allows, the step restarts at the stage state's CFL step (at most
 _HEUN_ATTEMPTS tries, then CFLViolationError), since SSP-RK2 keeps the
 positivity of its Euler stages only when each meets the CFL bound.
 
-Heun's first stage rate is taken at the initial state's depth, which is the
+Heun's first stage is corrected at the initial state's depth, which is the
 depth of the previous step's final projection.  run() hands each Heun step
 the previous StepResult, and when the depth has equal contents and the
 pressure closure the same kinds, the stage reuses that projection's
@@ -84,7 +90,7 @@ class BoundarySpec:
     The slot is the side: left closes the first node ("in") and right the
     last one ("out"), for the hyperbolic ghost and the pressure closure
     alike.  The hyperbolic entry may be a callable of time (wavemakers).
-    Each projection, and each stage rate of step_heun, closes the pressure
+    Each projection, and each stage of step_heun, closes the pressure
     problem with the (left, right) pair of kinds the hyperbolic kinds
     induce (_PRESSURE_KIND).
     """
@@ -235,67 +241,59 @@ def step_euler(
     return _project(half, mesh, bathy, params, pair, hyp, dt)
 
 
-def _stage_rate(
-    state: FlowState,
+def _stage(
+    y: FlowState,
     u: np.ndarray,
     w: np.ndarray,
+    speed: float,
+    dt: float,
     mesh: Mesh1D,
     bathy: Bathymetry,
     params: PhysicalParams,
     bounds: BoundarySpec,
     pair: ElementPair,
-    dt_probe: float,
-    speed: float | None = None,
     last: SchurSystem | None = None,
-):
-    """Constraint-consistent time derivative of a constrained state.
+) -> FlowState:
+    """One Heun stage from the constrained state y: its Euler prediction,
+    with the velocity increment corrected to keep B u constant.
 
-    (u, w) are the state's velocities, state.velocities(params.h_eps), and
-    speed, if given, its max_wave_speed, evaluated once by the stepper and
-    shared with the state's prediction.  last, if given, is the Schur
-    system of an earlier projection on the same mesh, bathymetry, params
-    and pair; it serves in place of a new assembly and Schur build when its
-    depth equals state.H and its closure has the kinds of this one.
+    (u, w) are y's velocities and speed their max_wave_speed, evaluated
+    once by the stepper and shared with the prediction.  last, if given, is
+    the Schur system of an earlier projection on the same mesh, bathymetry,
+    params and pair; it serves in place of a new assembly and Schur build
+    when its depth equals y.H and its closure has the kinds of this one.
 
-    The hyperbolic tendency is read off one explicit flux evaluation (the
-    update is exactly linear in dt), and the pressure tendency is the
-    multiplier that keeps d/dt (B u) = 0:
+    The stage depth is the predicted depth.  The predicted momentum splits
+    into the depth increment dH carrying u and the velocity increment du at
+    frozen depth (0 on dry nodes), and the pressure increment cancels the
+    linearized change of the divergence,
 
-        S p = -(B du/dt + (dB/dH)[dH/dt] u),
+        S p = -(B du + (dB/dH)[dH] u),
 
-    where (dB/dH)[T_H] u is applied exactly from the assembly at the
-    current depth (OperatorSet.apply_depth_derivative: the u-coefficients
-    of B are linear in (H, dzeta)).  The boundary conditions are the step's
-    pressure conditions: a velocity held at 0 has rate 0, and a kept trace
-    or a pressure pinned to 0 carries over as is.  The result is a smooth
-    function of the state alone, so classical Runge-Kutta theory applies
-    to it.
+    with (dB/dH)[dH] u applied exactly from the assembly at y's depth
+    (OperatorSet.apply_depth_derivative).  The system is linear in
+    (du, dH), so it is solved at unit dt.  The step's pressure conditions
+    close it: a velocity held at 0 has increment 0, and a kept trace or a
+    pressure pinned to 0 carries over as is.
     """
-    hyp = bounds.hyperbolic_at(state.t)
-    pred = predict(state, u, w, mesh, bathy, params, *hyp, dt_probe, speed)
-    T_H = (pred.H - state.H) / dt_probe
-    T_Hu = (pred.Hu - state.Hu) / dt_probe
-    T_Hw = (pred.Hw - state.Hw) / dt_probe
+    hyp = bounds.hyperbolic_at(y.t)
+    pred = predict(y, u, w, mesh, bathy, params, *hyp, dt, speed)
+    dH = pred.H - y.H
 
-    wet = state.H >= params.h_eps
-    H_safe = np.maximum(state.H, 1e-300)
-    du = np.where(wet, (T_Hu - u * T_H) / H_safe, 0.0)
-    dw = np.where(wet, (T_Hw - w * T_H) / H_safe, 0.0)
+    wet = y.H >= params.h_eps
+    H_safe = np.maximum(y.H, 1e-300)
+    du = np.where(wet, (pred.Hu - y.Hu - u * dH) / H_safe, 0.0)
+    dw = np.where(wet, (pred.Hw - y.Hw - w * dH) / H_safe, 0.0)
 
     bcs = _pressure_bcs(hyp)
-    if last is not None and last.plan.bcs == bcs and np.array_equal(last.ops.H, state.H):
+    if last is not None and last.plan.bcs == bcs and np.array_equal(last.ops.H, y.H):
         sys = last.with_velocity(du, dw, 1.0)
     else:
-        sys = build_schur(
-            assemble(pair, mesh, state.H, bathy.zb, params.h_eps), du, dw, 1.0, bcs
-        )
-    dD_u = sys.ops.apply_depth_derivative(T_H, u)
+        sys = build_schur(assemble(pair, mesh, y.H, bathy.zb, params.h_eps), du, dw, 1.0, bcs)
+    dD_u = sys.ops.apply_depth_derivative(dH, u)
     sys.rhs[:] = sys.rhs - np.where(sys.plan.pinned, 0.0, dD_u)
-    p_rate = solve_pressure(sys)
-    du_corr, dw_corr = sys.corrected_velocity(p_rate.values)
-    mom_u = state.H * du_corr + u * T_H
-    mom_w = state.H * dw_corr + w * T_H
-    return T_H, mom_u, mom_w
+    du_c, dw_c = sys.corrected_velocity(solve_pressure(sys).values)
+    return FlowState(pred.H, y.Hu + (y.H * du_c + u * dH), y.Hw + (y.H * dw_c + w * dH), pred.t)
 
 
 # tries of a Heun step, each after the first at the CFL step of the stage
@@ -314,38 +312,35 @@ def step_heun(
     *,
     _last: StepResult | None = None,
 ) -> StepResult:
-    """Second-order step: two Euler stages of the constraint-consistent
-    tendency at a shared dt, the Heun average with the initial state, and a
-    final projection restoring B u = 0 exactly.
+    """Second-order step: two stages at a shared dt, each an Euler
+    prediction plus one correction (_stage), the Heun average with the
+    initial state, and a final projection restoring B u = 0 exactly.
 
-    dt caps the internal CFL step; when the stage state is too fast for it,
-    the step restarts at the stage state's CFL step (module docstring), so
-    the report's dt may be smaller.  _last is the previous step's result,
-    which run() passes so that the first stage can reuse its projection
-    (module docstring); callers leave it out.
+    Each stage's depth is its prediction's depth, so every stage depth and
+    the average's are non-negative wherever predict's are.  dt caps the
+    internal CFL step; when the stage state is too fast for it, the step
+    restarts at the stage state's CFL step (module docstring), so the
+    report's dt may be smaller.  _last is the previous step's result, which
+    run() passes so that the first stage can reuse its projection (module
+    docstring); callers leave it out.
 
     Projecting each stage end-state instead (the first-order splitting
     recipe applied twice) looks natural but measures first order: the
     stage projections depend on the evolving depth and their curvature
-    injects an O(dt) defect the averaging cannot remove.  Differentiating
-    the constraint in time instead makes each stage a smooth state function
-    (classical second-order theory applies) and the end-of-step projection
-    keeps the result on the constraint manifold without order loss.
+    injects an O(dt) defect the averaging cannot remove.  Correcting the
+    stage's velocity increment against the linearized constraint instead
+    makes each stage a smooth state function (classical second-order theory
+    applies) and the end-of-step projection keeps the result on the
+    constraint manifold without order loss.
     """
     pair = pair or ElementPair.p1p0(mesh.n_nodes)
     u, w = state.velocities(params.h_eps)
     dt_cfl, speed = cfl_step(state.H, u, mesh, params)
     dt = dt_cfl if dt is None else min(dt, dt_cfl)
     last = None if _last is None else _last.schur
-
-    def stage(y: FlowState, u, w, speed, dt, last=None) -> FlowState:
-        T_H, mom_u, mom_w = _stage_rate(
-            y, u, w, mesh, bathy, params, bounds, pair, dt, speed, last
-        )
-        return FlowState(y.H + dt * T_H, y.Hu + dt * mom_u, y.Hw + dt * mom_w, y.t + dt)
-
+    args = (mesh, bathy, params, bounds, pair)
     for _ in range(_HEUN_ATTEMPTS):
-        first = stage(state, u, w, speed, dt, last)
+        first = _stage(state, u, w, speed, dt, *args, last)
         u1, w1 = first.velocities(params.h_eps)
         dt_stage, speed1 = cfl_step(first.H, u1, mesh, params)
         if cfl_admits(dt, speed1, mesh):
@@ -355,7 +350,7 @@ def step_heun(
         raise CFLViolationError(
             f"no Heun step with both stages admissible after {_HEUN_ATTEMPTS} tries"
         )
-    second = stage(first, u1, w1, speed1, dt)
+    second = _stage(first, u1, w1, speed1, dt, *args)
     avg = FlowState(
         0.5 * (state.H + second.H),
         0.5 * (state.Hu + second.Hu),

@@ -453,7 +453,8 @@ def test_heun_steps_stay_admissible_and_positive(data):
     # three Heun steps from a projected random walled wet/dry state on an
     # uneven mesh and a flat or random bottom: no CFLViolationError (a stage
     # state too fast for the step's dt restarts it at the stage's CFL step)
-    # and no negative depth, in the stage states either
+    # and no negative depth, in the stage states either; the second stage
+    # starts from exactly the depth the first stage's prediction returned
     params = nh.PhysicalParams()
     n = data.draw(st.integers(8, 59))
     widths = data.draw(arrays(float, n - 1, elements=st.floats(0.05, 1.05)))
@@ -469,19 +470,24 @@ def test_heun_steps_stay_admissible_and_positive(data):
     w = data.draw(arrays(float, n, elements=st.floats(-2.0, 2.0)))
     bounds = nh.BoundarySpec.walls()
     state = project_state(nh.FlowState(H, H * u, H * w), mesh, bathy, params, bounds)
-    stage_depths = []
+    calls = []  # (input depth, output depth) of each prediction of a step
     predict = timeloop.predict
 
     def recording(state, *args, **kwargs):
-        stage_depths.append(float(state.H.min()))
-        return predict(state, *args, **kwargs)
+        pred = predict(state, *args, **kwargs)
+        calls.append((state.H.copy(), pred.H.copy()))
+        return pred
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(timeloop, "predict", recording)
         for _ in range(3):
+            calls.clear()
             state = nh.step_heun(state, mesh, bathy, params, bounds).state
             assert state.H.min() >= 0.0
-    assert min(stage_depths) >= 0.0
+            assert min(H_in.min() for H_in, _ in calls) >= 0.0
+            # a retry restarts stage 1, so only the last pair is a stage chain
+            (_, first_out), (second_in, _) = calls[-2:]
+            assert np.array_equal(second_in, first_out)
 
 
 _zero_bottom_depths = st.one_of(

@@ -283,6 +283,36 @@ def test_projection_idempotence(tag):
     assert np.linalg.norm(p2.values) <= 10.0 * tol * max(np.linalg.norm(p1.values), 1.0)
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_correction_never_raises_the_kinetic_energy(data):
+    # with walls the held velocities are 0 (at the walls and, through
+    # FlowState.velocities, on dry nodes), so the correction is an
+    # A_H-orthogonal projection and cannot raise sum a_node (u^2 + w^2).
+    # The norm is the lumped mass A_H the projection is orthogonal in, not
+    # total_energy's nodal one; dry means H < h_eps, as in the projection.
+    params = nh.PhysicalParams()
+    tag = data.draw(st.sampled_from(PAIRS))
+    n = 2 * data.draw(st.integers(3, 30)) + 1
+    widths = data.draw(arrays(float, n - 1, elements=st.floats(0.05, 1.05)))
+    mesh = nh.Mesh1D(np.concatenate(([0.0], np.cumsum(widths))))
+    if data.draw(st.booleans()):
+        zb = np.zeros(n)
+    else:
+        zb = data.draw(arrays(float, n, elements=st.floats(-1.0, 1.0)))
+    H = data.draw(arrays(float, n, elements=st.one_of(st.just(0.0), st.floats(0.0, 2.0))))
+    Hu = H * data.draw(arrays(float, n, elements=st.floats(-4.0, 4.0)))
+    Hw = H * data.draw(arrays(float, n, elements=st.floats(-2.0, 2.0)))
+    u, w = nh.FlowState(H, Hu, Hw).velocities(params.h_eps)
+    dt = data.draw(st.floats(1e-4, 1.0))
+    ops = nh.assemble(nh.ElementPair.from_tag(tag, n), mesh, H, zb, params.h_eps)
+    sys = nh.build_schur(ops, u, w, dt, ("wall", "wall"))
+    u_c, w_c = sys.corrected_velocity(nh.solve_pressure(sys).values)
+    before = np.sum(ops.a_node * (sys.plan.u_base**2 + sys.plan.w_base**2))
+    after = np.sum(ops.a_node * (u_c**2 + w_c**2))
+    assert after <= before * (1.0 + 1e-12)
+
+
 # -- boundary handling --------------------------------------------------------
 
 

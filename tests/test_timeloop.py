@@ -342,41 +342,46 @@ def test_heun_stage_one_reuse_equals_a_fresh_build(tag, monkeypatch):
             assert np.array_equal(got, want)
 
 
-# -- stage rate boundary closure -----------------------------------------------
+# -- stage boundary closure ----------------------------------------------------
 
 
-def _rate(bounds):
+def _stage(bounds):
+    """The solitary scenario, its initial velocities, one stage and its dt."""
     sc = nh.make_solitary(201)
     params = nh.PhysicalParams()
     pair = nh.ElementPair.p1p0(sc.mesh.n_nodes)
-    dt = nh.cfl_dt(sc.state0, sc.mesh, params)
     u, w = sc.state0.velocities(params.h_eps)
-    return sc, timeloop._stage_rate(sc.state0, u, w, sc.mesh, sc.bathy, params, bounds, pair, dt)
+    dt, speed = hyperbolic.cfl_step(sc.state0.H, u, sc.mesh, params)
+    stage = timeloop._stage(
+        sc.state0, u, w, speed, dt, sc.mesh, sc.bathy, params, bounds, pair
+    )
+    return sc, (u, w), stage, dt
 
 
-def test_stage_rate_follows_the_boundary_kind():
-    # an imposed flux pins the pressure rate to 0 and corrects the boundary
-    # velocity; a wall holds it, so the two closures give different rates
+def test_stage_follows_the_boundary_kind():
+    # an imposed flux pins the pressure increment to 0 and corrects the
+    # boundary velocity; a wall holds it, so the two closures give different
+    # stages (bounds are the rate bounds times dt)
     walls = nh.BoundarySpec.walls()
-    sc, (_, mom_u, mom_w) = _rate(walls)
+    sc, (u, _), stage, dt = _stage(walls)
     flux = nh.BoundarySpec(nh.HyperbolicBC("imposed_flux", q0=(0.0, 0.0)), walls.right)
-    _, (T_H, mom_u_f, mom_w_f) = _rate(flux)
-    u, _ = sc.state0.velocities(nh.PhysicalParams().h_eps)
-    assert abs(mom_u_f[0] - u[0] * T_H[0]) > 1e-6
-    assert not np.allclose(mom_u, mom_u_f, rtol=0.0, atol=1e-9)
-    assert not np.allclose(mom_w, mom_w_f, rtol=0.0, atol=1e-9)
+    _, _, stage_f, _ = _stage(flux)
+    y = sc.state0
+    assert abs(stage_f.Hu[0] - y.Hu[0] - u[0] * (stage_f.H[0] - y.H[0])) > 1e-6 * dt
+    assert not np.allclose(stage.Hu, stage_f.Hu, rtol=0.0, atol=1e-9 * dt)
+    assert not np.allclose(stage.Hw, stage_f.Hw, rtol=0.0, atol=1e-9 * dt)
 
 
-def test_stage_rate_holds_an_imposed_boundary_velocity():
-    sc, (T_H, mom_u, _) = _rate(nh.BoundarySpec.walls())
-    u, _ = sc.state0.velocities(nh.PhysicalParams().h_eps)
-    # a wall holds the velocity at 0, so its rate is 0 and only the depth
-    # change moves H u there
-    assert mom_u[0] == u[0] * T_H[0]
-    assert mom_u[-1] == u[-1] * T_H[-1]
-    # free outflow keeps the predicted trace, whose rate is not held
-    _, (T_H_open, mom_u_kept, _) = _rate(nh.BoundarySpec.open())
-    assert mom_u_kept[-1] != u[-1] * T_H_open[-1]
+def test_stage_holds_an_imposed_boundary_velocity():
+    sc, (u, _), stage, _ = _stage(nh.BoundarySpec.walls())
+    y = sc.state0
+    # a wall holds the velocity at 0, so its increment is 0 and only the
+    # depth change moves H u there
+    assert stage.Hu[0] == y.Hu[0] + u[0] * (stage.H[0] - y.H[0])
+    assert stage.Hu[-1] == y.Hu[-1] + u[-1] * (stage.H[-1] - y.H[-1])
+    # free outflow keeps the predicted trace, whose increment is not held
+    _, _, kept, _ = _stage(nh.BoundarySpec.open())
+    assert kept.Hu[-1] != y.Hu[-1] + u[-1] * (kept.H[-1] - y.H[-1])
 
 
 _HYPERBOLIC_DATA = {
@@ -416,15 +421,16 @@ def test_pressure_closure_of_each_hyperbolic_kind(kind, side):
         assert sys.rhs[pdof] == 0.0 and sys.ab[0, pdof] == 1.0
 
 
-def test_stage_rate_keeps_the_divergence_constant():
-    # d/dt (B(H) u) = B du/dt + (dB/dH)[dH/dt] u vanishes on the stage rate
-    sc, (T_H, mom_u, mom_w) = _rate(nh.BoundarySpec.walls())
-    state = sc.state0
+def test_stage_keeps_the_divergence_constant():
+    # the stage's increments keep the linearized divergence:
+    # B(H^n) du + (dB/dH)[dH] u vanishes (bounds are the rate bounds times dt)
+    sc, (u, w), stage, dt = _stage(nh.BoundarySpec.walls())
+    y = sc.state0
     pair = nh.ElementPair.p1p0(sc.mesh.n_nodes)
-    u, w = state.velocities(nh.PhysicalParams().h_eps)
-    du = (mom_u - u * T_H) / state.H
-    dw = (mom_w - w * T_H) / state.H
-    B_rate = nh.assemble(pair, sc.mesh, state.H, sc.bathy.zb).apply_divergence(du, dw)
-    dB_u = depth_derivative_by_differencing(pair, sc.mesh, sc.bathy.zb, T_H, u, w)
-    assert np.abs(dB_u).max() > 1e-6
-    assert np.abs(B_rate + dB_u).max() <= 1e-9 * np.abs(dB_u).max()
+    dH = stage.H - y.H
+    du = (stage.Hu - y.Hu - u * dH) / y.H
+    dw = (stage.Hw - y.Hw - w * dH) / y.H
+    B_du = nh.assemble(pair, sc.mesh, y.H, sc.bathy.zb).apply_divergence(du, dw)
+    dB_u = depth_derivative_by_differencing(pair, sc.mesh, sc.bathy.zb, dH, u, w)
+    assert np.abs(dB_u).max() > 1e-6 * dt
+    assert np.abs(B_du + dB_u).max() <= 1e-9 * np.abs(dB_u).max()
