@@ -59,39 +59,32 @@ P1P0 = "P1P0"
 P1ISOP2P1 = "P1isoP2P1"
 
 
-def _n_pressure(tag: str, n_nodes: int) -> int:
-    """Pressure dofs of pair `tag` on n_nodes velocity nodes."""
-    if tag == P1P0:
-        return n_nodes - 1
-    if tag == P1ISOP2P1:
-        return (n_nodes - 1) // 2 + 1
-    raise ValueError(f"unknown element pair {tag!r}")
-
-
 @dataclass(frozen=True)
 class ElementPair:
     """Velocity/pressure space pairing: tag, N velocity nodes, M pressure dofs.
 
-    Validated on construction: a known tag, a node count the pair admits
-    (P1/P0 at least 2, P1-iso-P2/P1 odd and at least 5) and the M that
-    the tag and N give.
+    Validated on construction: a known tag and a node count the pair admits
+    (P1/P0 at least 2, P1-iso-P2/P1 odd and at least 5).  M follows from
+    the two.
     """
 
     tag: str
     n_velocity: int
-    n_pressure: int
 
     def __post_init__(self):
         n = self.n_velocity
-        m = _n_pressure(self.tag, n)
+        if self.tag not in (P1P0, P1ISOP2P1):
+            raise ValueError(f"unknown element pair {self.tag!r}")
         if self.tag == P1P0 and n < 2:
             raise ValueError(f"P1P0 needs at least two nodes, got {n}")
         if self.tag == P1ISOP2P1 and (n % 2 == 0 or n < 5):
             raise ValueError(f"P1isoP2P1 needs an odd number of nodes, at least five, got {n}")
-        if self.n_pressure != m:
-            raise ValueError(
-                f"{self.tag} on {n} nodes has {m} pressure dofs, got {self.n_pressure}"
-            )
+
+    @property
+    def n_pressure(self) -> int:
+        """M: one dof per element (P1/P0) or per coarse node (P1-iso-P2/P1)."""
+        n = self.n_velocity
+        return n - 1 if self.tag == P1P0 else (n - 1) // 2 + 1
 
     @classmethod
     def p1p0(cls, n_nodes: int) -> "ElementPair":
@@ -103,7 +96,7 @@ class ElementPair:
 
     @classmethod
     def from_tag(cls, tag: str, n_nodes: int) -> "ElementPair":
-        return cls(tag, n_nodes, _n_pressure(tag, n_nodes))
+        return cls(tag, n_nodes)
 
 
 def lump_mass(H, mesh: Mesh1D, h_eps: float = 1e-8) -> np.ndarray:
@@ -128,7 +121,7 @@ def lump_mass(H, mesh: Mesh1D, h_eps: float = 1e-8) -> np.ndarray:
 def _read_only(a):
     """Lock an array against in-place writes (scalars pass through)."""
     if isinstance(a, np.ndarray):
-        a.flags.writeable = False
+        a.setflags(write=False)
     return a
 
 

@@ -46,24 +46,26 @@ pair.  Only u is written by a boundary condition (held at 0 at a wall), so
 the base velocity copies u and shares w with the caller, who must not write
 into w while the system is in use.
 
-The band, the masks and A_H^-1 depend on the depth and the closure, not on
-the velocity or dt.  solve_pressure keeps the band's Cholesky factor on the
-system it solves, and SchurSystem.with_velocity gives the system of another
-predicted velocity at the same depth and closure, sharing that band, those
-masks and that factor: it builds only the base velocity, B U* and the rhs,
-and its solve runs only the two triangular solves.  The solution equals
-that of a fresh build bit for bit, because the factor is computed by the
-same LAPACK routines a fresh solve runs.
+A Schur system is finished when build_schur returns it: build_schur
+factors the band once (banded Cholesky, dpttrf for bandwidth 1 and dpbtrf
+for bandwidth 2) and marks every array it made read-only, and nothing
+writes into a system afterwards; solve_pressure runs only the triangular
+solves on that factor.  The band, the masks, A_H^-1 and the factor depend
+on the depth and the closure, not on the velocity or dt, so a sibling
+system shares them by identity: SchurSystem.with_velocity is the system of
+another predicted velocity at the same depth and closure, and
+SchurSystem.with_divergence the system whose rhs also carries an added
+divergence.  Each sibling builds only its own base velocity, B U* and rhs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg.lapack import dpbsv, dpbtrs, dptsv, dpttrs
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dpttrf, dpttrs
 
-from .femops import OperatorSet
+from .femops import OperatorSet, _read_only
 
 
 @dataclass
@@ -73,7 +75,7 @@ class PressureField:
     values: np.ndarray
 
 
-@dataclass
+@dataclass(frozen=True)
 class _BCPlan:
     free_u: np.ndarray
     u_base: np.ndarray
@@ -81,18 +83,14 @@ class _BCPlan:
     pinned: np.ndarray  # bool mask over pressure dofs, each held at 0
     bcs: tuple  # the (left, right) pair of kinds the plan resolves
 
-    def rebased(self, u: np.ndarray, w: np.ndarray) -> "_BCPlan":
-        """This plan's masks and closure with the base velocity (u, w)."""
-        return _BCPlan(self.free_u, _wall_base(self.bcs, u), w, self.pinned, self.bcs)
-
 
 def _wall_base(bcs, u: np.ndarray) -> np.ndarray:
-    """A copy of u with the velocity at each wall side set to 0."""
+    """A read-only copy of u with the velocity at each wall side set to 0."""
     u_base = u.copy()
     for kind, node in zip(bcs, (0, -1)):
         if kind == "wall":
             u_base[node] = 0.0
-    return u_base
+    return _read_only(u_base)
 
 
 def resolve_projection_bcs(ops: OperatorSet, bcs, u: np.ndarray, w: np.ndarray) -> _BCPlan:
@@ -100,6 +98,7 @@ def resolve_projection_bcs(ops: OperatorSet, bcs, u: np.ndarray, w: np.ndarray) 
     (left, right) pair of pressure condition kinds bcs.
 
     u_base is a copy of u with the wall values set; w_base is w itself.
+    The masks and u_base are read-only.
     """
     if len(bcs) != 2:
         raise ValueError(f"bcs must be a (left, right) pair of kinds, got {bcs!r}")
@@ -117,10 +116,10 @@ def resolve_projection_bcs(ops: OperatorSet, bcs, u: np.ndarray, w: np.ndarray) 
             free_u[node] = False
         elif kind is not None:
             raise ValueError(f"unknown pressure BC kind {kind!r}")
-    return _BCPlan(free_u, _wall_base(bcs, u), w, pinned, tuple(bcs))
+    return _BCPlan(_read_only(free_u), _wall_base(bcs, u), w, _read_only(pinned), tuple(bcs))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SchurSystem:
     """Banded SPD pressure system with its saddle-point context.
 
@@ -133,8 +132,8 @@ class SchurSystem:
     consistent with the system that produced the pressure.
 
     base_divergence is the B U* the rhs was formed from, kept as the scale
-    of the post-correction residual.  factor is the band's Cholesky factor,
-    set by the first solve_pressure that factors the band (None before).
+    of the post-correction residual.  factor is the band's Cholesky factor
+    (_cholesky).
     """
 
     ab: np.ndarray
@@ -145,7 +144,7 @@ class SchurSystem:
     invA_u: np.ndarray
     invA_w: np.ndarray
     base_divergence: np.ndarray
-    factor: tuple | None = field(default=None, repr=False, compare=False)
+    factor: tuple = field(repr=False, compare=False)
 
     @property
     def n_pressure(self) -> int:
@@ -179,16 +178,16 @@ class SchurSystem:
 
     def with_velocity(self, u: np.ndarray, w: np.ndarray, dt: float) -> "SchurSystem":
         """The system of the predicted velocity (u*, w*) = (u, w) and dt at
-        this system's depth and closure.
+        this system's depth and closure."""
+        plan = replace(self.plan, u_base=_wall_base(self.plan.bcs, u), w_base=w)
+        return _system(self.ops, plan, self.ab, self.factor, self.invA_u, self.invA_w, dt)
 
-        The band, masks, masked inverse mass and factor are this system's,
-        shared and not copied (none is written after the build); only the
-        base velocity, B U* and the rhs are built.
-        """
-        return _system(
-            self.ops, self.plan.rebased(u, w), self.ab, self.invA_u, self.invA_w, dt,
-            self.factor,
-        )
+    def with_divergence(self, extra: np.ndarray) -> "SchurSystem":
+        """This system with the divergence extra added to B U*: the rhs
+        becomes rhs - (1/dt) extra on the enforced rows (pinned rows stay 0)."""
+        rhs = self.rhs - (1.0 / self.dt) * np.where(self.plan.pinned, 0.0, extra)
+        div = self.base_divergence + extra
+        return replace(self, rhs=_read_only(rhs), base_divergence=_read_only(div))
 
     def dense(self) -> np.ndarray:
         m = self.n_pressure
@@ -246,12 +245,27 @@ def build_schur(
             "Schur diagonal is not positive: the pressure problem is fully "
             "determined, so a singular assembly indicates a bug"
         )
-    return _system(ops, plan, ab, invA_u, invA_w, dt)
+    return _system(
+        ops, plan, _read_only(ab), _cholesky(ab), _read_only(invA_u), _read_only(invA_w), dt
+    )
 
 
-def _system(ops, plan, ab, invA_u, invA_w, dt, factor=None) -> SchurSystem:
-    """The system of the band ab (factor: its Cholesky factor, if known) with
-    the rhs of the plan's base velocity and dt."""
+def _cholesky(ab: np.ndarray) -> tuple:
+    """The read-only Cholesky factor of the lower band ab: (d, e) of
+    L D L^T for bandwidth 1 (dpttrf), (c,) for bandwidth 2 (dpbtrf): the
+    factorizations scipy.linalg.solveh_banded runs before its solve."""
+    if ab.shape[0] == 2:
+        *factor, info = dpttrf(ab[0], ab[1, :-1])
+    else:
+        *factor, info = dpbtrf(ab, lower=1)
+    if info != 0:  # pragma: no cover - assembly bug guard
+        raise ValueError(f"indefinite pivot in the banded factorization (LAPACK info {info})")
+    return tuple(_read_only(f) for f in factor)
+
+
+def _system(ops, plan, ab, factor, invA_u, invA_w, dt) -> SchurSystem:
+    """The system of the band ab and its factor with the rhs of the plan's
+    base velocity and dt."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     base_divergence = ops.apply_divergence(plan.u_base, plan.w_base)
@@ -260,47 +274,32 @@ def _system(ops, plan, ab, invA_u, invA_w, dt, factor=None) -> SchurSystem:
         rhs[plan.pinned] = 0.0
     return SchurSystem(
         ab=ab,
-        rhs=rhs,
+        rhs=_read_only(rhs),
         ops=ops,
         dt=dt,
         plan=plan,
         invA_u=invA_u,
         invA_w=invA_w,
-        base_divergence=base_divergence,
+        base_divergence=_read_only(base_divergence),
         factor=factor,
     )
 
 
 def solve_pressure(sys: SchurSystem) -> PressureField:
-    """Solve the Schur system by banded Cholesky factorization.
+    """Solve the Schur system with the triangular solves on its factor.
 
     The system is SPD with bandwidth 1 (P1/P0) or 2 (P1-iso-P2/P1), so the
-    solve is exact up to round-off in O(M) work.  The band is stored lower
-    (SchurSystem), the layout LAPACK's banded Cholesky runs fastest.  LAPACK
-    is called directly: dptsv (tridiagonal L D L^T) for bandwidth 1 and
-    dpbsv for bandwidth 2, the routines scipy.linalg.solveh_banded
-    dispatches to, on copies of the same inputs, so sys.ab and sys.rhs are
-    left as they are.  Each factors (dpttrf, dpbtrf) and then solves
-    (dpttrs, dpbtrs); the factor is kept in sys.factor, and a system that
-    already holds one (SchurSystem.with_velocity) runs only that second,
-    triangular half, for the same bits.  A right-hand side without a
-    nonzero entry returns the zero pressure without factoring.
+    solve is exact up to round-off in O(M) work: dpttrs (L D L^T) or dpbtrs
+    on sys.factor, the second half of scipy.linalg.solveh_banded, for its
+    bits.  A right-hand side without a nonzero entry returns the zero
+    pressure.
     """
-    ab, rhs = sys.ab, sys.rhs
-    if not rhs.any():
+    if not sys.rhs.any():
         return PressureField(np.zeros(sys.n_pressure))
-    factor = sys.factor
-    if factor is not None and sys.bandwidth == 1:
-        p, info = dpttrs(*factor, rhs)
-    elif factor is not None:
-        p, info = dpbtrs(*factor, rhs, lower=1)
-    elif sys.bandwidth == 1:
-        *factor, p, info = dptsv(ab[0], ab[1, :-1], rhs)
+    if sys.bandwidth == 1:
+        p, _ = dpttrs(*sys.factor, sys.rhs)
     else:
-        *factor, p, info = dpbsv(ab, rhs, lower=1)
-    if info != 0:  # pragma: no cover - assembly bug guard
-        raise ValueError(f"indefinite pivot in the banded factorization (LAPACK info {info})")
-    sys.factor = tuple(factor)
+        p, _ = dpbtrs(*sys.factor, sys.rhs, lower=1)
     return PressureField(p)
 
 

@@ -36,28 +36,31 @@ from .timeloop import BoundarySpec
 
 # dam-break set-up: (h_left, h_right, x_dam)
 DAM_BREAK = (1.8, 1.0, 300.0)
+# solitary-wave reference depth H0 and scale depth d: the paper's 1 m, the
+# same in every caller
+SOLITARY_H0 = 1.0
+SOLITARY_D = 1.0
 
 
 @dataclass(frozen=True)
 class SolitaryWaveParams:
-    """Amplitude a, reference depth H0 and scale depth d (gravity G)."""
+    """Amplitude a over the reference depth SOLITARY_H0, with scale depth
+    SOLITARY_D (gravity G)."""
 
     a: float = 0.4
-    h0: float = 1.0
-    d: float = 1.0
 
     def __post_init__(self):
-        if self.a <= 0.0 or self.h0 <= 0.0:
-            raise ValueError("amplitude and reference depth must be positive")
+        if self.a <= 0.0:
+            raise ValueError("amplitude must be positive")
 
     @property
     def length_scale(self) -> float:
-        return float(np.sqrt(self.h0**3 / self.a + self.h0**2))
+        return float(np.sqrt(SOLITARY_H0**3 / self.a + SOLITARY_H0**2))
 
     @property
     def celerity(self) -> float:
         l = self.length_scale
-        return float(l / self.d * np.sqrt(G * self.h0**3 / (l**2 - self.h0**2)))
+        return float(l / SOLITARY_D * np.sqrt(G * SOLITARY_H0**3 / (l**2 - SOLITARY_H0**2)))
 
 
 def solitary_wave(x, t: float, params: SolitaryWaveParams):
@@ -68,17 +71,17 @@ def solitary_wave(x, t: float, params: SolitaryWaveParams):
     theta = (x - c0 * t) / l
     sech = 1.0 / np.cosh(theta)
     tanh = np.tanh(theta)
-    H = params.h0 + params.a * sech**2
-    u = c0 * (1.0 - params.d / H)
+    H = SOLITARY_H0 + params.a * sech**2
+    u = c0 * (1.0 - SOLITARY_D / H)
     sech_p = -sech * tanh
     sech_pp = sech - 2.0 * sech**3
-    w = -params.a * c0 * params.d / (l * H) * sech * sech_p
+    w = -params.a * c0 * SOLITARY_D / (l * H) * sech * sech_p
     p = (
         params.a
         * c0**2
-        * params.d**2
+        * SOLITARY_D**2
         / (2.0 * l**2 * H**2)
-        * ((2.0 * params.h0 - H) * sech_p**2 + H * sech * sech_pp)
+        * ((2.0 * SOLITARY_H0 - H) * sech_p**2 + H * sech * sech_pp)
     )
     return H, u, w, p
 
@@ -205,6 +208,11 @@ class GaugeSet:
             recs.append(GaugeRecord(float(p)))
         return cls(mesh, bathy, recs)
 
+    def reset(self):
+        """Start every record afresh: empty series at the same positions.
+        The old records are replaced, not emptied."""
+        self.records = [GaugeRecord(rec.position) for rec in self.records]
+
     def record(self, state: FlowState):
         eta = state.H + self.bathy.zb
         for rec in self.records:
@@ -259,7 +267,7 @@ def make_solitary(n_nodes: int, x_start: float = 11.0, a: float = 0.4) -> Scenar
     """
     mesh = Mesh1D.uniform(0.0, 45.0, n_nodes)
     bathy = Bathymetry.flat(mesh)
-    params = SolitaryWaveParams(a, h0=1.0, d=1.0)
+    params = SolitaryWaveParams(a)
     # the crest starts at x_start: evaluate the profile in shifted coordinates
     H, u, w, _ = solitary_wave(mesh.nodes - x_start, 0.0, params)
     state = FlowState(H, H * u, H * w, 0.0)

@@ -38,9 +38,9 @@ positivity of its Euler stages only when each meets the CFL bound.
 Heun's first stage is corrected at the initial state's depth, which is the
 depth of the previous step's final projection.  run() hands each Heun step
 the previous StepResult, and when the depth has equal contents and the
-pressure closure the same kinds, the stage reuses that projection's
-assembly and Schur system (SchurSystem.with_velocity: band, masks and
-Cholesky factor), for the same bits as a fresh build.
+pressure closure the same kinds, the stage's Schur system is a sibling of
+that projection's (SchurSystem.with_velocity), for the same bits as a
+fresh build.
 
 A step computes only what the step and its checks need.  Its StepReport
 carries t, dt, the divergence residual with its bound, and the mass, which
@@ -271,7 +271,8 @@ def _stage(
         S p = -(B du + (dB/dH)[dH] u),
 
     with (dB/dH)[dH] u applied exactly from the assembly at y's depth
-    (OperatorSet.apply_depth_derivative).  The system is linear in
+    (OperatorSet.apply_depth_derivative) and added to the system's B du
+    (SchurSystem.with_divergence).  The system is linear in
     (du, dH), so it is solved at unit dt.  The step's pressure conditions
     close it: a velocity held at 0 has increment 0, and a kept trace or a
     pressure pinned to 0 carries over as is.
@@ -290,8 +291,7 @@ def _stage(
         sys = last.with_velocity(du, dw, 1.0)
     else:
         sys = build_schur(assemble(pair, mesh, y.H, bathy.zb, params.h_eps), du, dw, 1.0, bcs)
-    dD_u = sys.ops.apply_depth_derivative(dH, u)
-    sys.rhs[:] = sys.rhs - np.where(sys.plan.pinned, 0.0, dD_u)
+    sys = sys.with_divergence(sys.ops.apply_depth_derivative(dH, u))
     du_c, dw_c = sys.corrected_velocity(solve_pressure(sys).values)
     return FlowState(pred.H, y.Hu + (y.H * du_c + u * dH), y.Hw + (y.H * dw_c + w * dH), pred.t)
 
@@ -395,7 +395,8 @@ def run(
 
     Steps are CFL-adaptive with the last step of each segment clipped, so
     snapshots are taken at the exact requested times (and at t_end).  Gauge
-    records attached to the scenario are sampled at the same times.  The
+    records attached to the scenario are sampled at the same times, in
+    fresh records for each run (GaugeSet.reset).  The
     dry threshold is the scenario's: params.h_eps must equal scenario.h_eps,
     else ValueError.
 
@@ -429,6 +430,8 @@ def run(
     events.append(float(t_end))
 
     result = RunResult(mesh=mesh, bathy=bathy)
+    if scenario.gauges is not None:
+        scenario.gauges.reset()
 
     def emit(st: FlowState, step: StepResult | None):
         if step is not None:
@@ -438,10 +441,6 @@ def run(
         result.snapshots.append(Snapshot(st.t, st.copy(), p_nodes))
         if scenario.gauges is not None:
             scenario.gauges.record(st)
-
-    if t_end == 0.0:
-        emit(state, None)
-        return result
 
     step = None
     for target in events:

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -6,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 import nhswe as nh
 from nhswe.femops import P1ISOP2P1, P1P0
-from nhswe.projection import divergence_residual, resolve_projection_bcs
+from nhswe.projection import _cholesky, divergence_residual, resolve_projection_bcs
 from nhswe.verify import SolverConvergenceError, _solve_cg, _solve_uzawa
 
 from oracles import float_bits, random_wet_setup, solveh_banded_lower
@@ -126,6 +128,36 @@ def test_schur_dense_equals_masked_operator_product(tag):
         assert np.allclose(sys.matvec(x), S @ x, rtol=0.0, atol=tol * np.abs(x).sum())
 
 
+@pytest.mark.parametrize("tag", PAIRS)
+def test_a_built_system_is_never_written(tag):
+    # siblings share the band, masks and factor by identity, so a write into
+    # one system would corrupt the others: every write raises instead
+    rng = np.random.default_rng(5)
+    sys, _, (u, w), dt = _random_system(rng, tag, bcs=("wall", "dirichlet"))
+    with pytest.raises(FrozenInstanceError):
+        sys.factor = None
+    for array in (sys.ab, sys.rhs, sys.invA_u, sys.invA_w, sys.base_divergence,
+                  sys.plan.free_u, sys.plan.pinned, sys.plan.u_base, *sys.factor):
+        with pytest.raises(ValueError, match="read-only"):
+            array.flat[0] = 1.0
+    rhs = sys.rhs.copy()
+    sibling = sys.with_velocity(-u, -w, dt)
+    extra = rng.standard_normal(sys.n_pressure)
+    shifted = sys.with_divergence(extra)
+    for other in (sibling, shifted):
+        assert other.ab is sys.ab and other.factor is sys.factor
+        assert other.plan.pinned is sys.plan.pinned and other.invA_u is sys.invA_u
+        assert not np.shares_memory(other.rhs, sys.rhs)
+    assert np.array_equal(float_bits(sys.rhs), float_bits(rhs))
+    assert np.array_equal(sibling.rhs, -rhs)
+    # the added divergence enters the rhs and B U* alike; pinned rows stay 0
+    pinned = sys.plan.pinned
+    assert pinned.any()
+    assert np.array_equal(shifted.rhs[pinned], np.zeros(pinned.sum()))
+    assert np.allclose(shifted.rhs, np.where(pinned, 0.0, -shifted.base_divergence / dt),
+                       rtol=1e-13, atol=1e-13 * np.abs(shifted.rhs).max())
+
+
 def test_schur_rejects_bad_dt():
     rng = np.random.default_rng(6)
     mesh, H, zb = random_wet_setup(rng)
@@ -140,7 +172,7 @@ def test_schur_rejects_bad_dt():
 def test_zero_rhs_gives_zero_pressure_all_methods():
     rng = np.random.default_rng(9)
     sys, _, _, _ = _random_system(rng, P1P0)
-    sys.rhs[:] = 0.0
+    sys = replace(sys, rhs=np.zeros(sys.n_pressure))
     assert np.abs(nh.solve_pressure(sys).values).max() == 0.0
     for reference in (_solve_cg, _solve_uzawa):
         p, iterations = reference(sys, 1e-10)
@@ -190,9 +222,11 @@ _PENTADIAGONAL = np.array([[4.0, 5.0, 5.0, 4.0], [-1.0, -1.0, -1.0, 0.0], [0.5, 
 @example(case=(_PENTADIAGONAL, np.full(4, 1e-200)))
 def test_solve_pressure_equals_scipy_banded_solve(case):
     ab, rhs = case
-    # solve_pressure reads only the band and the rhs
+    # solve_pressure reads only the band, its factor and the rhs; the factor
+    # is build_schur's
     sys = nh.SchurSystem(ab=ab.copy(), rhs=rhs.copy(), ops=None, dt=1.0, plan=None,
-                         invA_u=None, invA_w=None, base_divergence=None)
+                         invA_u=None, invA_w=None, base_divergence=None,
+                         factor=_cholesky(ab))
     p = nh.solve_pressure(sys).values
     assert np.array_equal(float_bits(p), float_bits(solveh_banded_lower(ab, rhs)))
     # the system is left as it was
@@ -206,7 +240,8 @@ def test_cg_agrees_with_direct():
     for tag in PAIRS:
         for _ in range(10):
             sys, _, _, _ = _random_system(rng, tag, bcs=("dirichlet", "dirichlet"))
-            sys.rhs[:] = np.where(sys.plan.pinned, sys.rhs, rng.standard_normal(sys.n_pressure))
+            rhs = np.where(sys.plan.pinned, sys.rhs, rng.standard_normal(sys.n_pressure))
+            sys = replace(sys, rhs=rhs)
             p_direct = nh.solve_pressure(sys).values
             p_cg, _ = _solve_cg(sys, tol)
             rel = np.linalg.norm(p_cg - p_direct) / np.linalg.norm(p_direct)

@@ -23,7 +23,7 @@ RIEMANN_USTAR_18_10 = 1.074982617121092
 
 
 def test_solitary_crest_values():
-    p = SolitaryWaveParams(a=0.4, h0=1.0, d=1.0)
+    p = SolitaryWaveParams(a=0.4)
     H, u, w, pnh = solitary_wave(0.0, 0.0, p)
     assert H == pytest.approx(1.4, rel=1e-14)
     assert w == pytest.approx(0.0, abs=1e-14)
@@ -39,7 +39,7 @@ def test_solitary_far_field():
 
 
 def test_solitary_speed_and_length_formulas():
-    p = SolitaryWaveParams(a=0.4, h0=1.0, d=1.0)
+    p = SolitaryWaveParams(a=0.4)
     assert p.length_scale == pytest.approx(np.sqrt(3.5), rel=1e-14)
     assert p.celerity == pytest.approx(
         np.sqrt(3.5) * np.sqrt(G / 2.5), rel=1e-14

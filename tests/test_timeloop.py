@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import nhswe as nh
 from nhswe import hyperbolic, projection, timeloop
@@ -24,6 +27,38 @@ def test_euler_lake_at_rest_fixed_point():
     assert np.abs(cur.H - state.H).max() <= 1e-12
     assert np.abs(cur.Hu).max() <= 1e-12
     assert np.abs(cur.Hw).max() <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_lake_at_rest_on_random_wet_dry_bathymetry(data):
+    # a flat free surface over a random bottom, dry where the bottom rises
+    # above it, on an uneven mesh with walled or open ends: three Euler and
+    # three Heun steps, both pairs, keep the depth and leave no velocity
+    params = nh.PhysicalParams()
+    tag = data.draw(st.sampled_from(["P1P0", "P1isoP2P1"]))
+    n = data.draw(st.integers(7, 61))
+    if tag == "P1isoP2P1":
+        n |= 1
+    widths = data.draw(arrays(float, n - 1, elements=st.floats(0.05, 1.05)))
+    mesh = nh.Mesh1D(np.concatenate(([0.0], np.cumsum(widths))))
+    zb = data.draw(arrays(float, n, elements=st.floats(-1.0, 1.0)))
+    eta = data.draw(st.floats(-0.5, 0.5))
+    H = np.maximum(eta - zb, 0.0)
+    assume(np.any(H >= params.h_eps))
+    kinds = st.sampled_from(["wall", "free_outflow"])
+    bounds = nh.BoundarySpec(*(nh.HyperbolicBC(data.draw(kinds)) for _ in range(2)))
+    bathy, pair = nh.Bathymetry(zb), nh.ElementPair.from_tag(tag, n)
+    state0 = nh.FlowState(H, np.zeros(n), np.zeros(n))
+    for stepper in (nh.step_euler, nh.step_heun):
+        state, last = state0, None
+        for _ in range(3):
+            kwargs = {"_last": last} if stepper is nh.step_heun else {}
+            last = stepper(state, mesh, bathy, params, bounds, pair, **kwargs)
+            state = last.state
+            assert np.abs(state.H - H).max() <= 1e-12
+            assert np.abs(state.Hu).max() <= 1e-12
+            assert np.abs(state.Hw).max() <= 1e-12
 
 
 def test_heun_lake_at_rest_fixed_point():
@@ -83,6 +118,22 @@ def test_run_t_end_zero_returns_initial_state():
     assert len(out.snapshots) == 1
     assert out.snapshots[0].t == 0.0
     assert np.array_equal(out.snapshots[0].state.H, sc.state0.H)
+
+
+def test_a_rerun_records_the_gauges_of_a_fresh_scenario():
+    # every run starts its scenario's gauge records afresh; the records of
+    # the run before are replaced, not emptied
+    params = nh.PhysicalParams()
+    sc = nh.make_dingemans(n_nodes=201)
+    nh.run(sc, params, t_end=0.25, output_times=(0.15,))
+    first = sc.gauges.records
+    nh.run(sc, params, t_end=0.3, output_times=(0.1, 0.2))
+    fresh = nh.make_dingemans(n_nodes=201)
+    nh.run(fresh, params, t_end=0.3, output_times=(0.1, 0.2))
+    for got, want, old in zip(sc.gauges.records, fresh.gauges.records, first, strict=True):
+        assert got.times == want.times == [0.1, 0.2, 0.3]
+        assert np.array_equal(float_bits(got.eta), float_bits(want.eta))
+        assert old.times == [0.15, 0.25] and len(old.eta) == 2
 
 
 def test_run_lands_exactly_on_output_times():
@@ -277,20 +328,20 @@ def test_work_per_step(row, monkeypatch):
 def test_run_reuses_the_last_projection_in_heun_stage_one(monkeypatch):
     # after the first step, each Heun step's first stage takes the previous
     # final projection's assembly and factor: 3 -> 2 assemblies, Schur
-    # builds and factorizations, plus the one triangular solve of the reuse
+    # builds and factorizations; every projection solves once
     calls = _count_calls(monkeypatch, [
         (timeloop, "assemble"), (timeloop, "build_schur"),
-        (projection, "dptsv"), (projection, "dpttrs"),
+        (projection, "dpttrf"), (projection, "dpttrs"),
     ])
     per_step = []
     sc = nh.make_beach(n_nodes=300)
     out = nh.run(sc, nh.PhysicalParams(h_eps=sc.h_eps), t_end=0.1, integrator="heun",
                  on_step=lambda step: per_step.append(dict(calls)))
     assert len(out.reports) >= 4
-    assert per_step[0] == {"assemble": 3, "build_schur": 3, "dptsv": 3, "dpttrs": 0}
+    assert per_step[0] == {"assemble": 3, "build_schur": 3, "dpttrf": 3, "dpttrs": 3}
     for before, after in zip(per_step, per_step[1:]):
         assert {k: after[k] - before[k] for k in calls} == {
-            "assemble": 2, "build_schur": 2, "dptsv": 2, "dpttrs": 1}
+            "assemble": 2, "build_schur": 2, "dpttrf": 2, "dpttrs": 3}
 
 
 def _bits_of(step):
@@ -303,8 +354,8 @@ def _bits_of(step):
 
 @pytest.mark.parametrize("tag", ["P1P0", "P1isoP2P1"])
 def test_heun_stage_one_reuse_equals_a_fresh_build(tag, monkeypatch):
-    # the reused band and factor (dpttrs / dpbtrs on the kept factor) give
-    # the bits of a fresh assembly, Schur build and factorization
+    # the reused band and factor give the bits of a fresh assembly, Schur
+    # build and factorization
     sc = nh.make_beach(n_nodes=301)
     params = nh.PhysicalParams(h_eps=sc.h_eps)
     pair = nh.ElementPair.from_tag(tag, sc.mesh.n_nodes)
