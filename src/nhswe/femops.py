@@ -170,8 +170,9 @@ class OperatorSet:
     every assembly by one loop over the pair's fine-element terms; Dw and
     the rest of the mesh-only data are the read-only geometry shared by
     every assembly on the same mesh (see the module docstring).  The
-    boundary matrix C has exactly two entries, (u_0, first pressure dof) =
-    -H_0 and (u_{N-1}, last pressure dof) = +H_{N-1}.
+    projection uses only Bt - C = -B^T, so C is not built here; the test
+    oracles build it from its two entries, (u_0, first pressure dof) = -H_0
+    and (u_{N-1}, last pressure dof) = +H_{N-1}.
     """
 
     pair: ElementPair
@@ -200,15 +201,6 @@ class OperatorSet:
     def bandwidth(self) -> int:
         """Schur bandwidth in pressure dofs (1 tridiagonal, 2 pentadiagonal)."""
         return len(self.geometry.schur_terms) - 1
-
-    @property
-    def boundary_entries(self) -> tuple[tuple[int, int, float], tuple[int, int, float]]:
-        """C as (row, col, value) triplets in (2N, M) indexing."""
-        n = self.n_nodes
-        return (
-            (0, 0, -float(self.H[0])),
-            (n - 1, self.n_pressure - 1, float(self.H[-1])),
-        )
 
     # -- wet/dry masks ------------------------------------------------------
 
@@ -258,30 +250,6 @@ class OperatorSet:
             du[nodes] += Du[rows, k] * pk
             dw[nodes] += Dw[rows, k] * pk
         return du, dw
-
-    # -- dense views (tests, small systems) ----------------------------------
-
-    def dense_divergence(self) -> np.ndarray:
-        """B as a dense (M, 2N) matrix."""
-        n, m = self.n_nodes, self.n_pressure
-        out = np.zeros((m, 2 * n))
-        row_ids, node_ids = np.arange(m), np.arange(n)
-        for k, (rows, nodes) in enumerate(self.geometry.columns):
-            r, c = row_ids[rows], node_ids[nodes]
-            out[r, c] += self.Du[rows, k]
-            out[r, n + c] += self.Dw[rows, k]
-        return out
-
-    def dense_boundary(self) -> np.ndarray:
-        """C as a dense (2N, M) matrix."""
-        out = np.zeros((2 * self.n_nodes, self.n_pressure))
-        for row, col, val in self.boundary_entries:
-            out[row, col] = val
-        return out
-
-    def dense_gradient(self) -> np.ndarray:
-        """Bt = -B^T + C as a dense (2N, M) matrix."""
-        return -self.dense_divergence().T + self.dense_boundary()
 
     def interpolate_pressure_to_nodes(self, p: np.ndarray) -> np.ndarray:
         """Nodal pressure samples for output: a dof's value on the node that

@@ -78,6 +78,7 @@ from .projection import (  # noqa: F401
     correct_velocity,
     divergence_residual,
     solve_pressure,
+    solve_round_off,
 )
 
 HyperbolicSide = HyperbolicBC | Callable[[float], HyperbolicBC]
@@ -168,8 +169,8 @@ def _project(
 
     The state's velocities are evaluated here, once, and carried through
     the projection as the pair (u, w).  The corrected state shares state.H.
-    Raises DivergenceBoundError when the corrected residual exceeds tol
-    times the uncorrected one plus 1e-12.
+    Raises DivergenceBoundError when the corrected residual exceeds both
+    tol times the uncorrected one plus 1e-12 and solve_round_off.
     """
     ops = assemble(pair, mesh, state.H, bathy.zb, params.h_eps)
     u, w = state.velocities(params.h_eps)
@@ -179,6 +180,8 @@ def _project(
 
     residual = divergence_residual(sys, u, w)
     bound = params.tol * sys.base_residual + 1e-12
+    if residual > bound:
+        bound = max(bound, solve_round_off(sys, pressure.values))
     if residual > bound:
         raise DivergenceBoundError(
             f"divergence bound violated after correction: {residual:.3e} > {bound:.3e}"
@@ -402,10 +405,10 @@ def run(
 
     Each step's StepReport is appended to result.reports, and on_step, if
     given, is called with the StepResult (a per-step energy is
-    total_energy(step.state, mesh, bathy)); it must not write into the
-    step's arrays, which the next Heun step reuses.  A non-finite field raises
-    RuntimeError: in the initial state, and after each step when the mass,
-    max H or any entry of Hu or Hw is not finite.
+    total_energy(step.state, mesh, bathy)), whose H, Hu and Hw are
+    read-only: the next Heun step may reuse the Schur band of that depth.
+    A non-finite field raises RuntimeError: in the initial state, and after
+    each step when the mass, max H or any entry of Hu or Hw is not finite.
     """
     if t_end < 0.0:
         raise ValueError("t_end must be non-negative")
@@ -454,6 +457,9 @@ def run(
             else:
                 step = step_heun(*args, dt=target - state.t, _last=step)
             state = step.state
+            # the next Heun step may reuse the Schur band built on this depth
+            for values in (state.H, state.Hu, state.Hw):
+                values.flags.writeable = False
             result.reports.append(step.report)
             if not (
                 np.isfinite(step.report.mass)

@@ -8,6 +8,12 @@ self-contained.  The depth derivative of the divergence is taken here by
 differencing two package assemblies, against the package's exact
 derivative that builds no second assembly.
 
+The dense views of the windowed divergence, the boundary matrix C, the
+gradient Bt = -B^T + C and the banded Schur matrix live here, not on the
+package's classes, since no step reads them.  So do the iterative
+reference pressure solvers (conjugate gradients and Uzawa), which tests
+hold against the package's direct banded solve.
+
 Some routines are kept here in an earlier, slower formulation that the
 package replaced by one with the same arithmetic: the divergence window
 coefficients built from the mesh on every call, the kinetic half fluxes
@@ -582,3 +588,182 @@ def solveh_banded_lower(ab, rhs):
 def float_bits(values):
     """The IEEE bit patterns of a sequence of floats (signed zeros differ)."""
     return np.asarray(values, dtype=float).view(np.int64)
+
+
+# -- dense views of the windowed operators and the banded Schur system ---------
+
+
+def boundary_entries(ops):
+    """The two entries of the boundary matrix C as (row, col, value)
+    triplets in (2N, M) indexing: (u_0, first dof) = -H_0 and
+    (u_{N-1}, last dof) = +H_{N-1}."""
+    n = ops.n_nodes
+    return (
+        (0, 0, -float(ops.H[0])),
+        (n - 1, ops.n_pressure - 1, float(ops.H[-1])),
+    )
+
+
+def dense_divergence(ops):
+    """B as a dense (M, 2N) matrix, scattered from the operator's windows."""
+    n, m = ops.n_nodes, ops.n_pressure
+    out = np.zeros((m, 2 * n))
+    row_ids, node_ids = np.arange(m), np.arange(n)
+    for k, (rows, nodes) in enumerate(ops.geometry.columns):
+        r, c = row_ids[rows], node_ids[nodes]
+        out[r, c] += ops.Du[rows, k]
+        out[r, n + c] += ops.Dw[rows, k]
+    return out
+
+
+def dense_boundary(ops):
+    """C as a dense (2N, M) matrix."""
+    out = np.zeros((2 * ops.n_nodes, ops.n_pressure))
+    for row, col, val in boundary_entries(ops):
+        out[row, col] = val
+    return out
+
+
+def dense_gradient(ops):
+    """Bt = -B^T + C as a dense (2N, M) matrix."""
+    return -dense_divergence(ops).T + dense_boundary(ops)
+
+
+def schur_dense(sys):
+    """The Schur matrix of sys as a dense (M, M) matrix, from its lower band."""
+    m = sys.n_pressure
+    out = np.diag(sys.ab[0].copy())
+    for d in range(1, sys.bandwidth + 1):
+        band = sys.ab[d, : m - d]
+        out += np.diag(band, k=d) + np.diag(band, k=-d)
+    return out
+
+
+def schur_matvec(sys, x):
+    """S x from the lower band of sys."""
+    m = sys.n_pressure
+    y = sys.ab[0] * x
+    for d in range(1, sys.bandwidth + 1):
+        band = sys.ab[d, : m - d]
+        y[:-d] += band * x[d:]
+        y[d:] += band * x[:-d]
+    return y
+
+
+# -- iterative reference pressure solvers -------------------------------------
+
+# the iterative solves stop below this fraction of the nominal tolerance so
+# they agree with the direct solve well inside 10*tol
+_STOP_SAFETY = 0.05
+
+
+class SolverConvergenceError(RuntimeError):
+    """An iterative reference pressure solve diverged or hit its iteration cap.
+
+    Attributes:
+        residual: relative residual when the solve stopped.
+        iterations: number of iterations performed.
+    """
+
+    def __init__(self, message, residual, iterations):
+        super().__init__(message)
+        self.residual = residual
+        self.iterations = iterations
+
+
+def solve_cg(sys, tol):
+    """Conjugate gradients on the Schur system: (pressure, iterations).
+
+    Stops at |S p - rhs| <= max(_STOP_SAFETY tol, 1e-14) |rhs| and raises
+    SolverConvergenceError when the cap of 4 M + 100 iterations leaves the
+    residual above tol |rhs|.
+    """
+    rhs = sys.rhs
+    rhs_norm = float(np.linalg.norm(rhs))
+    if rhs_norm == 0.0:
+        return np.zeros_like(rhs), 0
+    target = max(_STOP_SAFETY * tol, 1e-14) * rhs_norm
+    x = np.zeros_like(rhs)
+    r = rhs.copy()
+    d = r.copy()
+    rr = float(r @ r)
+    cap = 4 * sys.n_pressure + 100
+    for it in range(1, cap + 1):
+        Sd = schur_matvec(sys, d)
+        alpha = rr / float(d @ Sd)
+        x += alpha * d
+        r -= alpha * Sd
+        rr_new = float(r @ r)
+        if np.sqrt(rr_new) <= target:
+            return x, it
+        d = r + (rr_new / rr) * d
+        rr = rr_new
+    achieved = float(np.linalg.norm(rhs - schur_matvec(sys, x)))
+    if achieved <= tol * rhs_norm:
+        return x, cap
+    raise SolverConvergenceError(
+        f"conjugate gradient hit the iteration cap ({cap}) at relative "
+        f"residual {achieved / rhs_norm:.3e}",
+        residual=achieved / rhs_norm,
+        iterations=cap,
+    )
+
+
+def solve_uzawa(sys, tol):
+    """Fixed-relaxation Uzawa iteration on the saddle form: (pressure, iterations).
+
+    Each pass corrects the velocity with the current pressure and feeds the
+    remaining constraint residual back, P <- P + alpha (-(1/dt) B U(P)),
+    with alpha = 1 / max|diag(S)| and an iteration cap of 10 M.  Stops like
+    solve_cg and raises SolverConvergenceError on divergence or at the cap.
+    """
+    m = sys.n_pressure
+    rhs_norm = float(np.linalg.norm(sys.rhs))
+    if rhs_norm == 0.0:
+        return np.zeros(m), 0
+    target = max(_STOP_SAFETY * tol, 1e-14) * rhs_norm
+    alpha = 1.0 / float(np.max(sys.ab[0]))  # ab[0]: the diagonal
+    pinned = sys.plan.pinned
+    p = np.zeros(m)
+    cap = 10 * m
+    r0 = None
+    for it in range(1, cap + 1):
+        u, w = sys.corrected_velocity(p)
+        r = -(1.0 / sys.dt) * sys.ops.apply_divergence(u, w)
+        # pinned rows carry no equation; with P fixed there this equals the
+        # residual of the eliminated system on the free rows
+        r[pinned] = 0.0
+        res = float(np.linalg.norm(r))
+        if r0 is None:
+            r0 = res
+        if res <= target:
+            return p, it
+        if not np.isfinite(res) or res > 1e6 * max(r0, rhs_norm):
+            raise SolverConvergenceError(
+                f"Uzawa iteration diverged (residual {res:.3e})",
+                residual=res / max(rhs_norm, 1e-300),
+                iterations=it,
+            )
+        p = p + alpha * r
+    achieved = float(np.linalg.norm(sys.rhs - schur_matvec(sys, p)))
+    if achieved <= tol * rhs_norm:
+        return p, cap
+    raise SolverConvergenceError(
+        f"Uzawa hit the iteration cap ({cap}) at relative residual "
+        f"{achieved / rhs_norm:.3e}",
+        residual=achieved / rhs_norm,
+        iterations=cap,
+    )
+
+
+def method_spread(step_result, tol):
+    """Re-solve the step's Schur system with solve_cg and solve_uzawa; the
+    largest deviation from the step's direct pressure, relative to its norm."""
+    sys = step_result.schur
+    base = step_result.pressure.values
+    scale = max(float(np.linalg.norm(base)), 1e-300)
+    spread = 0.0
+    for solve in (solve_cg, solve_uzawa):
+        p, _ = solve(sys, tol)
+        spread = max(spread, float(np.linalg.norm(p - base)) / scale)
+    return spread

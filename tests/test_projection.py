@@ -9,9 +9,19 @@ from hypothesis.extra.numpy import arrays
 import nhswe as nh
 from nhswe.femops import P1ISOP2P1, P1P0
 from nhswe.projection import _cholesky, divergence_residual, resolve_projection_bcs
-from nhswe.verify import SolverConvergenceError, _solve_cg, _solve_uzawa
 
-from oracles import float_bits, random_wet_setup, solveh_banded_lower
+from oracles import (
+    SolverConvergenceError,
+    dense_divergence,
+    float_bits,
+    method_spread,
+    random_wet_setup,
+    schur_dense,
+    schur_matvec,
+    solve_cg,
+    solve_uzawa,
+    solveh_banded_lower,
+)
 
 PAIRS = (P1P0, P1ISOP2P1)
 
@@ -47,7 +57,7 @@ def test_schur_n3_dense_hand_assembly():
     ])
     S_hand = D @ np.diag(1.0 / np.r_[a, a]) @ D.T
     rhs_hand = -(1.0 / dt) * D @ U
-    assert np.allclose(sys.dense(), S_hand, atol=1e-13)
+    assert np.allclose(schur_dense(sys), S_hand, atol=1e-13)
     assert np.allclose(sys.rhs, rhs_hand, atol=1e-13)
 
 
@@ -65,7 +75,7 @@ def test_schur_symmetry_random_wet_dirichlet(tag):
     rng = np.random.default_rng(12)
     for _ in range(50):
         sys, _, _, _ = _random_system(rng, tag, bcs=("dirichlet", "dirichlet"))
-        S = sys.dense()
+        S = schur_dense(sys)
         assert np.abs(S - S.T).max() <= 1e-12 * max(1.0, np.abs(S).max())
 
 
@@ -74,14 +84,27 @@ def test_schur_spd_random_wet_dirichlet(tag):
     rng = np.random.default_rng(21)
     for _ in range(25):
         sys, _, _, _ = _random_system(rng, tag, bcs=("dirichlet", "dirichlet"))
-        eig = np.linalg.eigvalsh(sys.dense())
+        eig = np.linalg.eigvalsh(schur_dense(sys))
         assert eig.min() > 0.0
+
+
+def test_schur_spd_on_fifty_random_dirichlet_systems():
+    # N 5-21 (odd), each system on a pair drawn at random, dt = 0.01
+    rng = np.random.default_rng(4321)
+    for _ in range(50):
+        mesh, H, zb = random_wet_setup(rng, n_min=5, n_max=21, odd=True)
+        n = mesh.n_nodes
+        tag = PAIRS[int(rng.integers(0, 2))]
+        ops = nh.assemble(nh.ElementPair.from_tag(tag, n), mesh, H, zb)
+        U = rng.standard_normal(2 * n)
+        sys = nh.build_schur(ops, U[:n], U[n:], 0.01, bcs=("dirichlet", "dirichlet"))
+        assert np.linalg.eigvalsh(schur_dense(sys)).min() > 0.0
 
 
 def test_schur_natural_system_nonsingular():
     rng = np.random.default_rng(4)
     sys, _, _, _ = _random_system(rng, P1P0)
-    eig = np.linalg.eigvalsh(sys.dense())
+    eig = np.linalg.eigvalsh(schur_dense(sys))
     assert eig.min() > 0.0
 
 
@@ -91,7 +114,7 @@ def test_schur_bandwidth_structure():
     assert sys1.bandwidth == 1
     sys2, _, _, _ = _random_system(rng, P1ISOP2P1)
     assert sys2.bandwidth == 2
-    S = sys2.dense()
+    S = schur_dense(sys2)
     m = S.shape[0]
     for d in range(3, m):
         assert np.abs(np.diag(S, k=d)).max() == 0.0
@@ -116,7 +139,7 @@ def test_schur_dense_equals_masked_operator_product(tag):
         pinned = sys.plan.pinned
         assert pinned.any() and not pinned.all()
         free = np.r_[sys.plan.free_u, ops.wet_nodes()]
-        B = ops.dense_divergence()
+        B = dense_divergence(ops)
         inv_mass = np.where(free, 1.0 / np.r_[ops.a_node, ops.a_node], 0.0)
         S = B @ np.diag(inv_mass) @ B.T
         S[pinned, :] = 0.0
@@ -124,8 +147,9 @@ def test_schur_dense_equals_masked_operator_product(tag):
         S[pinned, pinned] = 1.0
         x = rng.standard_normal(ops.n_pressure)
         tol = 1e-12 * np.abs(S).max()
-        assert np.allclose(sys.dense(), S, rtol=0.0, atol=tol)
-        assert np.allclose(sys.matvec(x), S @ x, rtol=0.0, atol=tol * np.abs(x).sum())
+        assert np.allclose(schur_dense(sys), S, rtol=0.0, atol=tol)
+        assert np.allclose(schur_matvec(sys, x), S @ x, rtol=0.0,
+                           atol=tol * np.abs(x).sum())
 
 
 @pytest.mark.parametrize("tag", PAIRS)
@@ -174,7 +198,7 @@ def test_zero_rhs_gives_zero_pressure_all_methods():
     sys, _, _, _ = _random_system(rng, P1P0)
     sys = replace(sys, rhs=np.zeros(sys.n_pressure))
     assert np.abs(nh.solve_pressure(sys).values).max() == 0.0
-    for reference in (_solve_cg, _solve_uzawa):
+    for reference in (solve_cg, solve_uzawa):
         p, iterations = reference(sys, 1e-10)
         assert np.abs(p).max() == 0.0
         assert iterations == 0
@@ -243,7 +267,7 @@ def test_cg_agrees_with_direct():
             rhs = np.where(sys.plan.pinned, sys.rhs, rng.standard_normal(sys.n_pressure))
             sys = replace(sys, rhs=rhs)
             p_direct = nh.solve_pressure(sys).values
-            p_cg, _ = _solve_cg(sys, tol)
+            p_cg, _ = solve_cg(sys, tol)
             rel = np.linalg.norm(p_cg - p_direct) / np.linalg.norm(p_direct)
             assert rel <= 10.0 * tol
 
@@ -254,7 +278,7 @@ def test_uzawa_agrees_with_direct():
     for tag in PAIRS:
         sys, _, _, _ = _random_system(rng, tag, n_min=21, n_max=27)
         p_direct = nh.solve_pressure(sys).values
-        p_uz, _ = _solve_uzawa(sys, tol)
+        p_uz, _ = solve_uzawa(sys, tol)
         rel = np.linalg.norm(p_uz - p_direct) / max(np.linalg.norm(p_direct), 1e-300)
         assert rel <= 10.0 * tol
 
@@ -263,8 +287,8 @@ def test_direct_residual_reported():
     rng = np.random.default_rng(15)
     sys, _, _, _ = _random_system(rng, P1P0)
     p = nh.solve_pressure(sys)
-    residual = np.linalg.norm(sys.dense() @ p.values - sys.rhs) / np.linalg.norm(sys.rhs)
-    assert residual <= 1e-10
+    residual = np.linalg.norm(schur_dense(sys) @ p.values - sys.rhs)
+    assert residual / np.linalg.norm(sys.rhs) <= 1e-10
 
 
 def test_uzawa_iteration_cap_error():
@@ -277,9 +301,27 @@ def test_uzawa_iteration_cap_error():
     U = rng.standard_normal(2 * n)
     sys = nh.build_schur(ops, U[:n], U[n:], 0.01)
     with pytest.raises(SolverConvergenceError) as err:
-        _solve_uzawa(sys, 1e-13)
+        solve_uzawa(sys, 1e-13)
     assert err.value.residual > 0.0
     assert err.value.iterations > 0
+
+
+def test_cg_and_uzawa_agree_with_the_direct_solve_on_dingemans():
+    # every 100th Schur system of a Dingemans run (N = 981, P1-iso-P2/P1,
+    # tol 1e-5, to t = 25), re-solved by CG and Uzawa, gives the pressure
+    # of the banded Cholesky solve to 10 tol
+    tol, n = 1e-5, 981
+    steps, spreads = [], []
+
+    def sample(step):
+        steps.append(step.report.t)
+        if len(steps) % 100 == 0:
+            spreads.append(method_spread(step, tol))
+
+    nh.run(nh.make_dingemans(n_nodes=n), nh.PhysicalParams(tol=tol), t_end=25.0,
+           pair=nh.ElementPair.p1isop2p1(n), on_step=sample)
+    assert len(spreads) == len(steps) // 100 > 0
+    assert max(spreads) <= 10.0 * tol
 
 
 # -- correct_velocity ---------------------------------------------------------
@@ -364,7 +406,7 @@ def test_dirichlet_value_enters_solution():
     assert p.values[0] == 0.0
     assert np.abs(p.values[1:]).max() > 0.0
     # against a dense solve of the same eliminated system
-    ref = np.linalg.solve(sys.dense(), sys.rhs)
+    ref = np.linalg.solve(schur_dense(sys), sys.rhs)
     assert np.allclose(p.values, ref, atol=1e-10)
 
 

@@ -230,6 +230,20 @@ def test_in_loop_guard_checks_each_discharge(field, monkeypatch):
     assert f"t = {calls[1]:.6g};" in str(err.value)
 
 
+@pytest.mark.parametrize("field", ["H", "Hu", "Hw"])
+def test_on_step_cannot_write_the_step_state(field):
+    # the next Heun step may reuse the Schur band built on the reported
+    # depth, which a write into the state would leave stale
+    sc = nh.make_beach(n_nodes=301)
+
+    def scale(step):
+        getattr(step.state, field)[...] *= 1.01
+
+    with pytest.raises(ValueError, match="read-only"):
+        nh.run(sc, nh.PhysicalParams(h_eps=sc.h_eps), t_end=0.05, integrator="heun",
+               on_step=scale)
+
+
 def test_divergence_bound_enforced_every_step():
     sc = nh.make_solitary(201)
     params = nh.PhysicalParams()
@@ -259,6 +273,22 @@ def test_divergence_bound_violation_raises(stepper, monkeypatch):
     monkeypatch.setattr(timeloop, "solve_pressure", no_pressure)
     with pytest.raises(nh.DivergenceBoundError):
         stepper(state, mesh, bathy, nh.PhysicalParams(), nh.BoundarySpec.walls())
+
+
+def test_near_dry_step_is_held_to_the_round_off_of_its_solve():
+    # depths at h_eps give lumped masses near 1e-8 and a Schur matrix of
+    # condition about 1e8: the first Heun step's final solve misses
+    # tol |rhs| by round-off, 1.02e-9 against 7.08e-10, and is held to
+    # solve_round_off, 1.01e-7 (1.4e-8 of the uncorrected residual)
+    params = nh.PhysicalParams()
+    mesh = nh.Mesh1D(np.arange(8.0))
+    bathy = nh.Bathymetry.flat(mesh)
+    H = np.array([1.0, 1e-8, 1e-8, 1e-8, 2.0, 1e-8, 1e-8, 1e-8])
+    bounds = nh.BoundarySpec.walls()
+    state = timeloop.project_state(nh.FlowState(H, 0.0 * H, 0.0 * H), mesh, bathy, params,
+                                   bounds)
+    report = nh.step_heun(state, mesh, bathy, params, bounds).report
+    assert report.div_residual <= report.div_bound < 1e-6
 
 
 # -- work per step ------------------------------------------------------------

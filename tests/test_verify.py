@@ -1,12 +1,12 @@
 """Every verify check, each run at its own mesh and asserted to pass.
 
 Four checks carry the `slow` marker, which the default run deselects;
-`python -m pytest -m slow` runs them (about 80 s on 2 vCPUs):
+`python -m pytest -m slow` runs them (48 s on 2 vCPUs):
   * convergence_order and shape_preservation read one solitary-wave
-    convergence table per pair (five meshes up to N = 6495, about a
-    minute), which verify.solitary_l2_errors builds once per process;
+    convergence table per pair (five meshes up to N = 6495, 37 s), which
+    verify.solitary_l2_errors builds once per process;
   * wellbalanced_positivity (a 3000-node beach run plus 1000 random steps)
-    and dam_break_plateau (N = 6000 to t = 45) take about 10 s each.
+    and dam_break_plateau (N = 6000 to t = 45) take 5.7 s and 4.5 s.
 """
 
 from collections import Counter
@@ -16,12 +16,8 @@ import pytest
 from nhswe import verify
 
 FAST_CHECKS = (
-    "operator_duality",
-    "fd_equivalence",
-    "schur_spd",
     "mass_conservation",
     "discrete_divergence",
-    "solver_agreement",
     "heun_order",
 )
 SLOW_CHECKS = (
