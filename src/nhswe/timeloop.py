@@ -14,12 +14,13 @@ correction (_stage): its depth is the predicted depth, bit for bit, and the
 prediction's velocity increment is corrected at the stage's initial depth
 so that the linearized divergence stays constant.  Each
 stage therefore inherits predict's non-negative depth exactly, and so does
-the average (H^n + H^2) / 2.  A stage costs one prediction, one assembly
-and one Schur solve: the depth derivative of the divergence is applied
-exactly from the current assembly.  Every projection resolves its boundary
-plan once, in build_schur, and corrects the velocity with that plan; both
-steppers raise DivergenceBoundError when the corrected velocity misses its
-divergence bound.
+the average (H^n + H^2) / 2.  A stage costs one prediction and one Schur
+solve, plus one assembly and Schur build unless it reuses the last
+projection's (below); the depth derivative of the divergence is applied
+exactly from the assembly at the stage's initial depth.  Every projection
+resolves its boundary plan once, in build_schur, and corrects the velocity
+with that plan; both steppers raise DivergenceBoundError when the
+corrected velocity misses its divergence bound.
 
 The velocities of each state are evaluated once per step and passed along
 (Euler: the initial and the predicted state; Heun: the initial, the stage
@@ -38,9 +39,10 @@ positivity of its Euler stages only when each meets the CFL bound.
 Heun's first stage is corrected at the initial state's depth, which is the
 depth of the previous step's final projection.  run() hands each Heun step
 the previous StepResult, and when the depth has equal contents and the
-pressure closure the same kinds, the stage's Schur system is a sibling of
-that projection's (SchurSystem.with_velocity), for the same bits as a
-fresh build.
+pressure closure the same kinds, the stage loads its velocity into that
+projection's Schur system as it is, for the same bits as a fresh build:
+under run(), a Heun step after the first makes two assemblies and Schur
+builds, not three.
 
 A step computes only what the step and its checks need.  Its StepReport
 carries t, dt, the divergence residual with its bound, and the mass, which
@@ -174,14 +176,15 @@ def _project(
     """
     ops = assemble(pair, mesh, state.H, bathy.zb, params.h_eps)
     u, w = state.velocities(params.h_eps)
-    sys = build_schur(ops, u, w, dt, _pressure_bcs(hyp))
-    pressure = solve_pressure(sys)
-    u, w = sys.corrected_velocity(pressure.values)
+    sys = build_schur(ops, _pressure_bcs(hyp))
+    u, div, rhs = sys.load(u, w, dt)
+    pressure = solve_pressure(sys, rhs)
+    u, w = sys.corrected_velocity(u, w, dt, pressure.values)
 
     residual = divergence_residual(sys, u, w)
-    bound = params.tol * sys.base_residual + 1e-12
+    bound = params.tol * sys.enforced_norm(div) + 1e-12
     if residual > bound:
-        bound = max(bound, solve_round_off(sys, pressure.values))
+        bound = max(bound, solve_round_off(sys, pressure.values, dt))
     if residual > bound:
         raise DivergenceBoundError(
             f"divergence bound violated after correction: {residual:.3e} > {bound:.3e}"
@@ -274,8 +277,8 @@ def _stage(
         S p = -(B du + (dB/dH)[dH] u),
 
     with (dB/dH)[dH] u applied exactly from the assembly at y's depth
-    (OperatorSet.apply_depth_derivative) and added to the system's B du
-    (SchurSystem.with_divergence).  The system is linear in
+    (OperatorSet.apply_depth_derivative) and added to B du by the load
+    (SchurSystem.load).  The system is linear in
     (du, dH), so it is solved at unit dt.  The step's pressure conditions
     close it: a velocity held at 0 has increment 0, and a kept trace or a
     pressure pinned to 0 carries over as is.
@@ -291,11 +294,11 @@ def _stage(
 
     bcs = _pressure_bcs(hyp)
     if last is not None and last.plan.bcs == bcs and np.array_equal(last.ops.H, y.H):
-        sys = last.with_velocity(du, dw, 1.0)
+        sys = last
     else:
-        sys = build_schur(assemble(pair, mesh, y.H, bathy.zb, params.h_eps), du, dw, 1.0, bcs)
-    sys = sys.with_divergence(sys.ops.apply_depth_derivative(dH, u))
-    du_c, dw_c = sys.corrected_velocity(solve_pressure(sys).values)
+        sys = build_schur(assemble(pair, mesh, y.H, bathy.zb, params.h_eps), bcs)
+    du, _, rhs = sys.load(du, dw, 1.0, sys.ops.apply_depth_derivative(dH, u))
+    du_c, dw_c = sys.corrected_velocity(du, dw, 1.0, solve_pressure(sys, rhs).values)
     return FlowState(pred.H, y.Hu + (y.H * du_c + u * dH), y.Hw + (y.H * dw_c + w * dH), pred.t)
 
 

@@ -671,14 +671,14 @@ class SolverConvergenceError(RuntimeError):
         self.iterations = iterations
 
 
-def solve_cg(sys, tol):
-    """Conjugate gradients on the Schur system: (pressure, iterations).
+def solve_cg(sys, rhs, tol):
+    """Conjugate gradients on the Schur system sys with the right-hand side
+    rhs: (pressure, iterations).
 
     Stops at |S p - rhs| <= max(_STOP_SAFETY tol, 1e-14) |rhs| and raises
     SolverConvergenceError when the cap of 4 M + 100 iterations leaves the
     residual above tol |rhs|.
     """
-    rhs = sys.rhs
     rhs_norm = float(np.linalg.norm(rhs))
     if rhs_norm == 0.0:
         return np.zeros_like(rhs), 0
@@ -709,8 +709,9 @@ def solve_cg(sys, tol):
     )
 
 
-def solve_uzawa(sys, tol):
-    """Fixed-relaxation Uzawa iteration on the saddle form: (pressure, iterations).
+def solve_uzawa(sys, u, w, dt, tol):
+    """Fixed-relaxation Uzawa iteration on the saddle form of the system sys
+    loaded with the predicted velocity (u, w) and dt: (pressure, iterations).
 
     Each pass corrects the velocity with the current pressure and feeds the
     remaining constraint residual back, P <- P + alpha (-(1/dt) B U(P)),
@@ -718,7 +719,8 @@ def solve_uzawa(sys, tol):
     solve_cg and raises SolverConvergenceError on divergence or at the cap.
     """
     m = sys.n_pressure
-    rhs_norm = float(np.linalg.norm(sys.rhs))
+    u_star, _, rhs = sys.load(u, w, dt)
+    rhs_norm = float(np.linalg.norm(rhs))
     if rhs_norm == 0.0:
         return np.zeros(m), 0
     target = max(_STOP_SAFETY * tol, 1e-14) * rhs_norm
@@ -728,8 +730,8 @@ def solve_uzawa(sys, tol):
     cap = 10 * m
     r0 = None
     for it in range(1, cap + 1):
-        u, w = sys.corrected_velocity(p)
-        r = -(1.0 / sys.dt) * sys.ops.apply_divergence(u, w)
+        u_p, w_p = sys.corrected_velocity(u_star.copy(), w, dt, p)
+        r = -(1.0 / dt) * sys.ops.apply_divergence(u_p, w_p)
         # pinned rows carry no equation; with P fixed there this equals the
         # residual of the eliminated system on the free rows
         r[pinned] = 0.0
@@ -745,7 +747,7 @@ def solve_uzawa(sys, tol):
                 iterations=it,
             )
         p = p + alpha * r
-    achieved = float(np.linalg.norm(sys.rhs - schur_matvec(sys, p)))
+    achieved = float(np.linalg.norm(rhs - schur_matvec(sys, p)))
     if achieved <= tol * rhs_norm:
         return p, cap
     raise SolverConvergenceError(
@@ -756,14 +758,12 @@ def solve_uzawa(sys, tol):
     )
 
 
-def method_spread(step_result, tol):
-    """Re-solve the step's Schur system with solve_cg and solve_uzawa; the
-    largest deviation from the step's direct pressure, relative to its norm."""
-    sys = step_result.schur
-    base = step_result.pressure.values
-    scale = max(float(np.linalg.norm(base)), 1e-300)
+def method_spread(sys, u, w, dt, p, tol):
+    """Re-solve the system sys loaded with (u, w) and dt by solve_cg and
+    solve_uzawa; the largest deviation from the direct pressure p, relative
+    to its norm."""
+    scale = max(float(np.linalg.norm(p)), 1e-300)
     spread = 0.0
-    for solve in (solve_cg, solve_uzawa):
-        p, _ = solve(sys, tol)
-        spread = max(spread, float(np.linalg.norm(p - base)) / scale)
+    for q, _ in (solve_cg(sys, sys.load(u, w, dt)[2], tol), solve_uzawa(sys, u, w, dt, tol)):
+        spread = max(spread, float(np.linalg.norm(q - p)) / scale)
     return spread

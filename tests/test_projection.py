@@ -1,4 +1,4 @@
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -32,8 +32,7 @@ def _random_system(rng, tag, bcs=(None, None), n_min=7, n_max=13):
     n = mesh.n_nodes
     U = rng.standard_normal(2 * n)
     dt = 0.01 * (1.0 + rng.random())
-    sys = nh.build_schur(ops, U[:n], U[n:], dt, bcs=bcs)
-    return sys, ops, (U[:n], U[n:]), dt
+    return nh.build_schur(ops, bcs), ops, (U[:n], U[n:]), dt
 
 
 # -- build_schur -------------------------------------------------------------
@@ -47,7 +46,8 @@ def test_schur_n3_dense_hand_assembly():
     ops = nh.assemble(nh.ElementPair.p1p0(3), mesh, np.ones(3), np.zeros(3))
     U = np.array([0.3, -0.2, 0.1, 0.05, -0.4, 0.25])
     dt = 0.02
-    sys = nh.build_schur(ops, U[:3], U[3:], dt)
+    sys = nh.build_schur(ops)
+    _, _, rhs = sys.load(U[:3], U[3:], dt)
     # divergence rows: (-u_l + u_{l+1}) + h (w_l + w_{l+1});
     # lumped mass: [h/2, h, h/2]
     a = np.array([h / 2.0, h, h / 2.0])
@@ -58,15 +58,16 @@ def test_schur_n3_dense_hand_assembly():
     S_hand = D @ np.diag(1.0 / np.r_[a, a]) @ D.T
     rhs_hand = -(1.0 / dt) * D @ U
     assert np.allclose(schur_dense(sys), S_hand, atol=1e-13)
-    assert np.allclose(sys.rhs, rhs_hand, atol=1e-13)
+    assert np.allclose(rhs, rhs_hand, atol=1e-13)
 
 
 def test_schur_rhs_zero_for_divergence_free_data():
     mesh = nh.Mesh1D.uniform(0.0, 1.0, 9)
     ops = nh.assemble(nh.ElementPair.p1p0(9), mesh, np.ones(9), np.zeros(9))
-    sys = nh.build_schur(ops, 0.7 * np.ones(9), np.zeros(9), 0.01)  # constant u, flat data
-    assert np.abs(sys.rhs).max() <= 1e-12
-    p = nh.solve_pressure(sys)
+    sys = nh.build_schur(ops)
+    _, _, rhs = sys.load(0.7 * np.ones(9), np.zeros(9), 0.01)  # constant u, flat data
+    assert np.abs(rhs).max() <= 1e-12
+    p = nh.solve_pressure(sys, rhs)
     assert np.abs(p.values).max() == 0.0
 
 
@@ -96,8 +97,7 @@ def test_schur_spd_on_fifty_random_dirichlet_systems():
         n = mesh.n_nodes
         tag = PAIRS[int(rng.integers(0, 2))]
         ops = nh.assemble(nh.ElementPair.from_tag(tag, n), mesh, H, zb)
-        U = rng.standard_normal(2 * n)
-        sys = nh.build_schur(ops, U[:n], U[n:], 0.01, bcs=("dirichlet", "dirichlet"))
+        sys = nh.build_schur(ops, ("dirichlet", "dirichlet"))
         assert np.linalg.eigvalsh(schur_dense(sys)).min() > 0.0
 
 
@@ -134,8 +134,7 @@ def test_schur_dense_equals_masked_operator_product(tag):
         n = mesh.n_nodes
         H[n // 2 - 2 : n // 2 + 3] = 0.0  # a dry patch pins the dofs it supports
         ops = nh.assemble(nh.ElementPair.from_tag(tag, n), mesh, H, zb)
-        U = rng.standard_normal(2 * n)
-        sys = nh.build_schur(ops, U[:n], U[n:], 0.05, bcs=bcs)
+        sys = nh.build_schur(ops, bcs)
         pinned = sys.plan.pinned
         assert pinned.any() and not pinned.all()
         free = np.r_[sys.plan.free_u, ops.wet_nodes()]
@@ -152,42 +151,61 @@ def test_schur_dense_equals_masked_operator_product(tag):
                            atol=tol * np.abs(x).sum())
 
 
+def _held_bits(sys):
+    """Copies of every array a Schur system holds, floats as their bits."""
+    floats = (sys.ab, sys.invA_u, sys.invA_w, *sys.factor)
+    return [float_bits(a).copy() for a in floats] + [sys.plan.free_u.copy(),
+                                                      sys.plan.pinned.copy()]
+
+
 @pytest.mark.parametrize("tag", PAIRS)
-def test_a_built_system_is_never_written(tag):
-    # siblings share the band, masks and factor by identity, so a write into
-    # one system would corrupt the others: every write raises instead
+def test_a_built_system_is_read_only_and_serves_every_load(tag):
+    # a system is one depth and one closure: every array it holds is
+    # read-only, and each load on it gives the bits of a load on a fresh
+    # build, writes nothing into it and leaves the caller's velocity as it was
     rng = np.random.default_rng(5)
-    sys, _, (u, w), dt = _random_system(rng, tag, bcs=("wall", "dirichlet"))
+    bcs = ("wall", "dirichlet")
+    sys, ops, (u, w), dt = _random_system(rng, tag, bcs=bcs)
     with pytest.raises(FrozenInstanceError):
         sys.factor = None
-    for array in (sys.ab, sys.rhs, sys.invA_u, sys.invA_w, sys.base_divergence,
-                  sys.plan.free_u, sys.plan.pinned, sys.plan.u_base, *sys.factor):
+    for array in (sys.ab, sys.invA_u, sys.invA_w, sys.plan.free_u, sys.plan.pinned,
+                  *sys.factor):
         with pytest.raises(ValueError, match="read-only"):
             array.flat[0] = 1.0
-    rhs = sys.rhs.copy()
-    sibling = sys.with_velocity(-u, -w, dt)
-    extra = rng.standard_normal(sys.n_pressure)
-    shifted = sys.with_divergence(extra)
-    for other in (sibling, shifted):
-        assert other.ab is sys.ab and other.factor is sys.factor
-        assert other.plan.pinned is sys.plan.pinned and other.invA_u is sys.invA_u
-        assert not np.shares_memory(other.rhs, sys.rhs)
-    assert np.array_equal(float_bits(sys.rhs), float_bits(rhs))
-    assert np.array_equal(sibling.rhs, -rhs)
-    # the added divergence enters the rhs and B U* alike; pinned rows stay 0
+    held = _held_bits(sys)
     pinned = sys.plan.pinned
     assert pinned.any()
-    assert np.array_equal(shifted.rhs[pinned], np.zeros(pinned.sum()))
-    assert np.allclose(shifted.rhs, np.where(pinned, 0.0, -shifted.base_divergence / dt),
-                       rtol=1e-13, atol=1e-13 * np.abs(shifted.rhs).max())
+    extra = rng.standard_normal(sys.n_pressure)
+    for load in ((u, w, dt), (-u, -w, 2.0 * dt), (u, w, dt, extra)):
+        given = [float_bits(a).copy() for a in load]
+        fresh = nh.build_schur(ops, bcs)
+        got, want = [], []
+        for system, out in ((sys, got), (fresh, want)):
+            u_star, div, rhs = system.load(*load)
+            p = nh.solve_pressure(system, rhs).values
+            out += [u_star.copy(), div, rhs, p,
+                    *system.corrected_velocity(u_star, load[1], load[2], p)]
+        for a, b in zip(got, want):
+            assert np.array_equal(float_bits(a), float_bits(b))
+        assert all(np.array_equal(float_bits(a), b) for a, b in zip(load, given))
+        assert all(np.array_equal(a, b) for a, b in zip(_held_bits(sys), held))
+    # an added divergence enters B U* and the rhs alike; pinned rows stay 0
+    _, div0, _ = sys.load(u, w, dt)
+    _, div, rhs = sys.load(u, w, dt, extra)
+    assert np.array_equal(div, div0 + extra)
+    assert np.array_equal(rhs[pinned], np.zeros(pinned.sum()))
+    assert np.allclose(rhs, np.where(pinned, 0.0, -div / dt),
+                       rtol=1e-13, atol=1e-13 * np.abs(rhs).max())
 
 
 def test_schur_rejects_bad_dt():
     rng = np.random.default_rng(6)
     mesh, H, zb = random_wet_setup(rng)
     ops = nh.assemble(nh.ElementPair.p1p0(mesh.n_nodes), mesh, H, zb)
-    with pytest.raises(ValueError):
-        nh.build_schur(ops, np.zeros(mesh.n_nodes), np.zeros(mesh.n_nodes), 0.0)
+    sys = nh.build_schur(ops)
+    for dt in (0.0, -0.01):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            sys.load(np.zeros(mesh.n_nodes), np.zeros(mesh.n_nodes), dt)
 
 
 # -- solve_pressure -----------------------------------------------------------
@@ -195,11 +213,11 @@ def test_schur_rejects_bad_dt():
 
 def test_zero_rhs_gives_zero_pressure_all_methods():
     rng = np.random.default_rng(9)
-    sys, _, _, _ = _random_system(rng, P1P0)
-    sys = replace(sys, rhs=np.zeros(sys.n_pressure))
-    assert np.abs(nh.solve_pressure(sys).values).max() == 0.0
-    for reference in (solve_cg, solve_uzawa):
-        p, iterations = reference(sys, 1e-10)
+    sys, _, _, dt = _random_system(rng, P1P0)
+    zero_p, zero_u = np.zeros(sys.n_pressure), np.zeros(sys.ops.n_nodes)
+    assert np.abs(nh.solve_pressure(sys, zero_p).values).max() == 0.0
+    for p, iterations in (solve_cg(sys, zero_p, 1e-10),
+                          solve_uzawa(sys, zero_u, zero_u, dt, 1e-10)):
         assert np.abs(p).max() == 0.0
         assert iterations == 0
 
@@ -246,16 +264,16 @@ _PENTADIAGONAL = np.array([[4.0, 5.0, 5.0, 4.0], [-1.0, -1.0, -1.0, 0.0], [0.5, 
 @example(case=(_PENTADIAGONAL, np.full(4, 1e-200)))
 def test_solve_pressure_equals_scipy_banded_solve(case):
     ab, rhs = case
-    # solve_pressure reads only the band, its factor and the rhs; the factor
-    # is build_schur's
-    sys = nh.SchurSystem(ab=ab.copy(), rhs=rhs.copy(), ops=None, dt=1.0, plan=None,
-                         invA_u=None, invA_w=None, base_divergence=None,
+    # solve_pressure reads only the band and its factor; the factor is
+    # build_schur's
+    sys = nh.SchurSystem(ab=ab.copy(), ops=None, plan=None, invA_u=None, invA_w=None,
                          factor=_cholesky(ab))
-    p = nh.solve_pressure(sys).values
+    b = rhs.copy()
+    p = nh.solve_pressure(sys, b).values
     assert np.array_equal(float_bits(p), float_bits(solveh_banded_lower(ab, rhs)))
-    # the system is left as it was
+    # the system and the rhs are left as they were
     assert np.array_equal(float_bits(sys.ab), float_bits(ab))
-    assert np.array_equal(float_bits(sys.rhs), float_bits(rhs))
+    assert np.array_equal(float_bits(b), float_bits(rhs))
 
 
 def test_cg_agrees_with_direct():
@@ -264,10 +282,9 @@ def test_cg_agrees_with_direct():
     for tag in PAIRS:
         for _ in range(10):
             sys, _, _, _ = _random_system(rng, tag, bcs=("dirichlet", "dirichlet"))
-            rhs = np.where(sys.plan.pinned, sys.rhs, rng.standard_normal(sys.n_pressure))
-            sys = replace(sys, rhs=rhs)
-            p_direct = nh.solve_pressure(sys).values
-            p_cg, _ = solve_cg(sys, tol)
+            rhs = np.where(sys.plan.pinned, 0.0, rng.standard_normal(sys.n_pressure))
+            p_direct = nh.solve_pressure(sys, rhs).values
+            p_cg, _ = solve_cg(sys, rhs, tol)
             rel = np.linalg.norm(p_cg - p_direct) / np.linalg.norm(p_direct)
             assert rel <= 10.0 * tol
 
@@ -276,19 +293,20 @@ def test_uzawa_agrees_with_direct():
     rng = np.random.default_rng(14)
     tol = 1e-6
     for tag in PAIRS:
-        sys, _, _, _ = _random_system(rng, tag, n_min=21, n_max=27)
-        p_direct = nh.solve_pressure(sys).values
-        p_uz, _ = solve_uzawa(sys, tol)
+        sys, _, (u, w), dt = _random_system(rng, tag, n_min=21, n_max=27)
+        p_direct = nh.solve_pressure(sys, sys.load(u, w, dt)[2]).values
+        p_uz, _ = solve_uzawa(sys, u, w, dt, tol)
         rel = np.linalg.norm(p_uz - p_direct) / max(np.linalg.norm(p_direct), 1e-300)
         assert rel <= 10.0 * tol
 
 
 def test_direct_residual_reported():
     rng = np.random.default_rng(15)
-    sys, _, _, _ = _random_system(rng, P1P0)
-    p = nh.solve_pressure(sys)
-    residual = np.linalg.norm(schur_dense(sys) @ p.values - sys.rhs)
-    assert residual / np.linalg.norm(sys.rhs) <= 1e-10
+    sys, _, (u, w), dt = _random_system(rng, P1P0)
+    _, _, rhs = sys.load(u, w, dt)
+    p = nh.solve_pressure(sys, rhs)
+    residual = np.linalg.norm(schur_dense(sys) @ p.values - rhs)
+    assert residual / np.linalg.norm(rhs) <= 1e-10
 
 
 def test_uzawa_iteration_cap_error():
@@ -299,28 +317,37 @@ def test_uzawa_iteration_cap_error():
     mesh = nh.Mesh1D.uniform(0.0, 0.4, n)
     ops = nh.assemble(nh.ElementPair.p1p0(n), mesh, np.ones(n), np.zeros(n))
     U = rng.standard_normal(2 * n)
-    sys = nh.build_schur(ops, U[:n], U[n:], 0.01)
     with pytest.raises(SolverConvergenceError) as err:
-        solve_uzawa(sys, 1e-13)
+        solve_uzawa(nh.build_schur(ops), U[:n], U[n:], 0.01, 1e-13)
     assert err.value.residual > 0.0
     assert err.value.iterations > 0
 
 
-def test_cg_and_uzawa_agree_with_the_direct_solve_on_dingemans():
+def test_cg_and_uzawa_agree_with_the_direct_solve_on_dingemans(monkeypatch):
     # every 100th Schur system of a Dingemans run (N = 981, P1-iso-P2/P1,
-    # tol 1e-5, to t = 25), re-solved by CG and Uzawa, gives the pressure
-    # of the banded Cholesky solve to 10 tol
+    # tol 1e-5, to t = 25), loaded again with the step's predicted velocity
+    # and dt, gives the step's pressure bit for bit by the direct solve, and
+    # CG and Uzawa give it to 10 tol
     tol, n = 1e-5, 981
-    steps, spreads = [], []
+    steps, spreads, loads = [], [], []
+    load = nh.SchurSystem.load
+
+    def recorded(sys, u, w, dt, extra=None):
+        loads[:] = [(u, w, dt)]
+        return load(sys, u, w, dt, extra)
 
     def sample(step):
         steps.append(step.report.t)
         if len(steps) % 100 == 0:
-            spreads.append(method_spread(step, tol))
+            u, w, dt = loads[0]
+            p = nh.solve_pressure(step.schur, load(step.schur, u, w, dt)[2]).values
+            assert np.array_equal(float_bits(p), float_bits(step.pressure.values))
+            spreads.append(method_spread(step.schur, u, w, dt, p, tol))
 
+    monkeypatch.setattr(nh.SchurSystem, "load", recorded)
     nh.run(nh.make_dingemans(n_nodes=n), nh.PhysicalParams(tol=tol), t_end=25.0,
            pair=nh.ElementPair.p1isop2p1(n), on_step=sample)
-    assert len(spreads) == len(steps) // 100 > 0
+    assert len(spreads) == len(steps) // 100 == 21
     assert max(spreads) <= 10.0 * tol
 
 
@@ -342,9 +369,10 @@ def test_corrected_field_is_divergence_free(tag):
     rng = np.random.default_rng(19)
     for bcs in ((None, None), ("dirichlet", "dirichlet")):
         sys, ops, (u, w), dt = _random_system(rng, tag, bcs=bcs)
-        p = nh.solve_pressure(sys)
+        u_star, _, rhs = sys.load(u, w, dt)
+        p = nh.solve_pressure(sys, rhs)
         u_new, w_new = nh.correct_velocity(u, w, p.values, ops, dt, bcs=bcs)
-        base = divergence_residual(sys, sys.plan.u_base, sys.plan.w_base)
+        base = divergence_residual(sys, u_star, w)
         assert divergence_residual(sys, u_new, w_new) <= 1e-10 * base + 1e-12
 
 
@@ -353,10 +381,9 @@ def test_projection_idempotence(tag):
     rng = np.random.default_rng(20)
     tol = 1e-10
     sys, ops, (u, w), dt = _random_system(rng, tag)
-    p1 = nh.solve_pressure(sys)
+    p1 = nh.solve_pressure(sys, sys.load(u, w, dt)[2])
     u1, w1 = nh.correct_velocity(u, w, p1.values, ops, dt)
-    sys2 = nh.build_schur(ops, u1, w1, dt)
-    p2 = nh.solve_pressure(sys2)
+    p2 = nh.solve_pressure(sys, sys.load(u1, w1, dt)[2])
     assert np.linalg.norm(p2.values) <= 10.0 * tol * max(np.linalg.norm(p1.values), 1.0)
 
 
@@ -383,9 +410,10 @@ def test_correction_never_raises_the_kinetic_energy(data):
     u, w = nh.FlowState(H, Hu, Hw).velocities(params.h_eps)
     dt = data.draw(st.floats(1e-4, 1.0))
     ops = nh.assemble(nh.ElementPair.from_tag(tag, n), mesh, H, zb, params.h_eps)
-    sys = nh.build_schur(ops, u, w, dt, ("wall", "wall"))
-    u_c, w_c = sys.corrected_velocity(nh.solve_pressure(sys).values)
-    before = np.sum(ops.a_node * (sys.plan.u_base**2 + sys.plan.w_base**2))
+    sys = nh.build_schur(ops, ("wall", "wall"))
+    u_star, _, rhs = sys.load(u, w, dt)
+    before = np.sum(ops.a_node * (u_star**2 + w**2))
+    u_c, w_c = sys.corrected_velocity(u_star, w, dt, nh.solve_pressure(sys, rhs).values)
     after = np.sum(ops.a_node * (u_c**2 + w_c**2))
     assert after <= before * (1.0 + 1e-12)
 
@@ -401,12 +429,13 @@ def test_dirichlet_value_enters_solution():
     n = mesh.n_nodes
     U = rng.standard_normal(2 * n)
     bcs = ("dirichlet", None)
-    sys = nh.build_schur(ops, U[:n], U[n:], 0.05, bcs=bcs)
-    p = nh.solve_pressure(sys)
+    sys = nh.build_schur(ops, bcs)
+    _, _, rhs = sys.load(U[:n], U[n:], 0.05)
+    p = nh.solve_pressure(sys, rhs)
     assert p.values[0] == 0.0
     assert np.abs(p.values[1:]).max() > 0.0
     # against a dense solve of the same eliminated system
-    ref = np.linalg.solve(schur_dense(sys), sys.rhs)
+    ref = np.linalg.solve(schur_dense(sys), rhs)
     assert np.allclose(p.values, ref, atol=1e-10)
 
 
@@ -417,8 +446,8 @@ def test_neumann_pins_boundary_velocity():
     ops = nh.assemble(nh.ElementPair.p1p0(n), mesh, H, zb)
     u, w = rng.standard_normal(2 * n).reshape(2, n)
     bcs = ("wall", "neumann")
-    sys = nh.build_schur(ops, u, w, 0.05, bcs=bcs)
-    p = nh.solve_pressure(sys)
+    sys = nh.build_schur(ops, bcs)
+    p = nh.solve_pressure(sys, sys.load(u, w, 0.05)[2])
     u_new, w_new = nh.correct_velocity(u, w, p.values, ops, 0.05, bcs=bcs)
     assert u_new[0] == 0.0
     assert u_new[n - 1] == u[n - 1]
@@ -435,7 +464,7 @@ def test_pressure_bc_kinds_are_dirichlet_and_neumann():
     ops = nh.assemble(nh.ElementPair.p1p0(n), mesh, np.ones(n), np.zeros(n))
     for bcs in (("mixed", None), ("dirichlet",)):
         with pytest.raises(ValueError):
-            nh.build_schur(ops, np.zeros(n), np.zeros(n), 0.05, bcs)
+            nh.build_schur(ops, bcs)
 
 
 def test_dry_pressure_dofs_pinned_to_zero():
@@ -443,8 +472,8 @@ def test_dry_pressure_dofs_pinned_to_zero():
     H = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0])
     ops = nh.assemble(nh.ElementPair.p1p0(9), mesh, H, np.zeros(9), h_eps=1e-8)
     u, w = np.zeros(9), np.where(H > 0, 0.3, 0.0)
-    sys = nh.build_schur(ops, u, w, 0.01)
-    p = nh.solve_pressure(sys)
+    sys = nh.build_schur(ops)
+    p = nh.solve_pressure(sys, sys.load(u, w, 0.01)[2])
     assert np.all(p.values[ops.dry_pressure_dofs()] == 0.0)
     u_new, w_new = nh.correct_velocity(u, w, p.values, ops, 0.01)
     # dry velocities untouched
@@ -455,11 +484,12 @@ def test_plan_masks():
     mesh = nh.Mesh1D.uniform(0.0, 1.0, 5)
     H = np.ones(5)
     ops = nh.assemble(nh.ElementPair.p1p0(5), mesh, H, np.zeros(5))
-    u, w = np.arange(5.0), np.arange(5.0, 10.0)
-    plan = resolve_projection_bcs(ops, ("wall", None), u, w)
+    u, w = np.arange(1.0, 6.0), np.arange(5.0, 10.0)
+    plan = resolve_projection_bcs(ops, ("wall", None))
     assert not plan.free_u[0] and plan.free_u[1:].all()
     assert ops.wet_nodes().all()
-    assert plan.u_base[0] == 0.0
-    assert np.array_equal(plan.u_base[1:], u[1:])
-    # only u is written (at the wall), so w is shared, not copied
-    assert u[0] == 0.0 and plan.w_base is w
+    # the load holds u at the wall in a copy; the caller's u keeps its value
+    u_star, _, _ = nh.build_schur(ops, ("wall", None)).load(u, w, 0.01)
+    assert u_star[0] == 0.0
+    assert np.array_equal(u_star[1:], u[1:])
+    assert u[0] == 1.0 and not np.shares_memory(u_star, u)

@@ -2,8 +2,11 @@
 classes, each workload calls a make_* factory with the inputs it draws, and
 the harness calls cfl_dt(state0, mesh, params), calls the steppers
 positionally and reads the fields of a step's result.  All must keep
-working, or a benchmark run breaks."""
+working, or a benchmark run breaks.  A step must also keep calling each
+traced layer through the name the tracer rebinds, or that layer's time
+moves unseen into its caller's."""
 
+import dataclasses
 import importlib.util
 import inspect
 import sys
@@ -64,3 +67,42 @@ def test_the_harness_steps_and_measures_every_workload(name, monkeypatch):
     res = next(harness.first_steps(harness.prepare(wl, wl.inputs(1)), wl.integrator, 1))
     assert res.state.t == res.report.dt > 0.0
     assert harness.computed_working_set(wl, wl.inputs(1))["bytes"] > 0
+
+
+# Reduced copies of the workloads, as in perfbench/tests: same scenario,
+# pair, integrator and boundary kinds, few nodes and steps.
+SMALL = {
+    "solitary_p1p0_euler_n100k": dict(n_nodes=401, t_end=0.05),
+    "dingemans_p1isop2p1_euler_n10k": dict(n_nodes=401),
+    "beach_p1p0_heun_n3k": dict(n_nodes=300, t_end=0.1),
+}
+
+# The traced spans a run of each workload never enters.  No step calls
+# cfl_dt, correct_velocity or total_energy; the solitary wave's zero bottom
+# takes the per-node flux, with no reconstruction and no kinetic_flux; only
+# Dingemans has gauges.
+_NEVER = {"core.total_energy", "hyperbolic.cfl_dt", "projection.correct_velocity"}
+UNCALLED = {
+    "solitary_p1p0_euler_n100k": _NEVER | {
+        "hyperbolic.hydrostatic_reconstruct", "hyperbolic.kinetic_flux",
+        "scenarios.gauge_record"},
+    "dingemans_p1isop2p1_euler_n10k": _NEVER,
+    "beach_p1p0_heun_n3k": _NEVER | {"scenarios.gauge_record"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_a_traced_run_enters_every_layer_its_step_calls(name, monkeypatch):
+    # per-layer figures are not gated: a layer called past its traced name
+    # (projection.solve_pressure through its module, say) would read 0
+    # calls, and its time would count as its caller's, with nothing failing
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    harness = importlib.import_module("harness")
+    tracer = importlib.import_module("tracer")
+    wl = dataclasses.replace(WORKLOADS[name], **SMALL[name])
+    targets = tracer.patch_targets()
+    tr = tracer.Tracer()
+    with tr.installed(targets):
+        batch, _ = harness.run_batch(wl, wl.inputs(3), harness.Checks(), tr)
+    assert batch.steps > 1
+    assert {span for _, _, span in targets} - set(tr.names) == UNCALLED[name]
