@@ -112,47 +112,36 @@ def _equilibrium_support(H):
     return _SQRT3 * c, k
 
 
-def _half_flux_plus(H, u, s, k):
-    """F+ = (F+_H, F+_Hu), the xi > 0 moments of the kinetic equilibrium of
-    the states (H, u) with support (s, k) = _equilibrium_support(H).
+def _half_flux(H, u, s, k, sign):
+    """F+ (sign 1) or F- (sign -1) = (F_H, F_Hu), the sign xi > 0 moments of
+    the kinetic equilibrium of the states (H, u) with support (s, k) =
+    _equilibrium_support(H).
 
-    F+ + F- equals the exact flux (Hu, Hu^2 + G H^2 / 2).
+    F- is F+ mirrored, F-(H, u) = (-F+_H, F+_Hu)(H, -u), and F+ + F- equals
+    the exact flux (Hu, Hu^2 + G H^2 / 2).  sign is a scalar; no array is
+    multiplied by it.
     """
-    b = u + s
+    b = u + s if sign > 0 else u - s  # the support's edge on the sign side
     # generic subsonic expression; the one-sided-support cases are patched below
-    f_H = 0.5 * k * b * b
+    f_H = (0.5 * sign) * k * b * b
     f_Hu = f_H * b * (2.0 / 3.0)
-    sup_right = u - s >= 0.0   # whole support moves right
-    if sup_right.any():
-        _set_exact_flux(f_H, f_Hu, sup_right, H, u)
-    sup_left = b <= 0.0        # whole support moves left
-    if sup_left.any():
-        f_H[sup_left] = 0.0
-        f_Hu[sup_left] = 0.0
+    # a support wholly on the sign side gives the exact flux, one wholly on
+    # the other side none.  A dry state at rest (s = 0, u = +-0) is both:
+    # F+ ends on the zero patch and F- on H u, which keeps the sign of u
+    if sign > 0:
+        patches = ((u - s >= 0.0, True), (b <= 0.0, False))
+    else:
+        patches = ((b >= 0.0, False), (u + s <= 0.0, True))
+    for mask, exact in patches:
+        if not mask.any():
+            continue
+        if exact:
+            Hm, um = H[mask], u[mask]
+            f_H[mask] = Hm * um
+            f_Hu[mask] = Hm * um * um + 0.5 * G * Hm * Hm
+        else:
+            f_H[mask] = f_Hu[mask] = 0.0
     return f_H, f_Hu
-
-
-def _half_flux_minus(H, u, s, k):
-    """F- = (F-_H, F-_Hu), the xi < 0 moments of the kinetic equilibrium of
-    the states (H, u) with support (s, k) = _equilibrium_support(H)."""
-    a = u - s
-    f_H = -0.5 * k * a * a
-    f_Hu = f_H * a * (2.0 / 3.0)
-    sup_right = a >= 0.0
-    if sup_right.any():
-        f_H[sup_right] = 0.0
-        f_Hu[sup_right] = 0.0
-    sup_left = u + s <= 0.0
-    if sup_left.any():
-        _set_exact_flux(f_H, f_Hu, sup_left, H, u)
-    return f_H, f_Hu
-
-
-def _set_exact_flux(f_H, f_Hu, mask, H, u):
-    """Overwrite the masked entries with the exact flux (Hu, Hu^2 + G H^2 / 2)."""
-    Hm, um = H[mask], u[mask]
-    f_H[mask] = Hm * um
-    f_Hu[mask] = Hm * um * um + 0.5 * G * Hm * Hm
 
 
 def kinetic_flux(xl, xr):
@@ -168,8 +157,8 @@ def kinetic_flux(xl, xr):
     HR, uR = xr
     if HL.min() < 0.0 or HR.min() < 0.0:
         raise ValueError("kinetic_flux requires non-negative depths")
-    fp_H, fp_Hu = _half_flux_plus(HL, uL, *_equilibrium_support(HL))
-    fm_H, fm_Hu = _half_flux_minus(HR, uR, *_equilibrium_support(HR))
+    fp_H, fp_Hu = _half_flux(HL, uL, *_equilibrium_support(HL), 1)
+    fm_H, fm_Hu = _half_flux(HR, uR, *_equilibrium_support(HR), -1)
     return fp_H + fm_H, fp_Hu + fm_Hu
 
 
@@ -178,8 +167,8 @@ def _node_flux(H, u):
     states (H, u), non-negative depths with one support per node: the
     interfaces of a zero bottom (module docstring)."""
     s, k = _equilibrium_support(H)
-    F_H, F_Hu = _half_flux_plus(H[:-1], u[:-1], s[:-1], k[:-1])
-    fm_H, fm_Hu = _half_flux_minus(H[1:], u[1:], s[1:], k[1:])
+    F_H, F_Hu = _half_flux(H[:-1], u[:-1], s[:-1], k[:-1], 1)
+    fm_H, fm_Hu = _half_flux(H[1:], u[1:], s[1:], k[1:], -1)
     F_H += fm_H
     F_Hu += fm_Hu
     return F_H, F_Hu

@@ -42,11 +42,11 @@ depth and closure.  A correction is then three calls:
 SchurSystem.load(u, w, dt) holds the predicted velocity's boundary values
 in a copy u* and returns it with B U* and the right-hand side;
 solve_pressure(sys, rhs) runs only the triangular solves on the factor;
-and SchurSystem.corrected_velocity(u*, w, dt, p) adds the correction into
-u* with the plan and the masked A_H^-1 that built the band, so the
-pressure and the correction cannot disagree on which dofs are held.  Velocities
-enter and leave as (u, w) pairs of nodal arrays, the two blocks of U that
-B acts on.
+and correct_velocity(sys, u*, w, dt, p) adds the correction into u* with
+the plan and the masked A_H^-1 that built the band, so the pressure and
+the correction cannot disagree on which dofs are held.  Velocities enter
+and leave as (u, w) pairs of nodal arrays, the two blocks of U that B acts
+on.
 """
 
 from __future__ import annotations
@@ -146,14 +146,6 @@ class SchurSystem:
             rhs[self.plan.pinned] = 0.0
         return u_star, div, rhs
 
-    def corrected_velocity(self, u_star, w, dt: float, p) -> tuple[np.ndarray, np.ndarray]:
-        """(u, w) = (u*, w) + dt A_H^-1 B^T p with this system's masks: u* is
-        load's own copy, so its correction is added in place; the caller's w
-        stays as it was, and the corrected w is new."""
-        du, dw = self.ops.scatter_divergence_t(p)
-        u_star += dt * self.invA_u * du
-        return u_star, w + dt * self.invA_w * dw
-
     def enforced_norm(self, div: np.ndarray) -> float:
         """2-norm of div over the enforced constraint rows (pinned rows
         carry no discrete equation and are excluded)."""
@@ -237,27 +229,16 @@ def solve_pressure(sys: SchurSystem, rhs: np.ndarray) -> PressureField:
 
 
 def correct_velocity(
-    u: np.ndarray,
-    w: np.ndarray,
-    P: np.ndarray,
-    ops: OperatorSet,
-    dt: float,
-    bcs=(None, None),
+    sys: SchurSystem, u_star: np.ndarray, w: np.ndarray, dt: float, p: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The corrected pair (u, w) = (u*, w*) + dt A_H^-1 B^T P on the free dofs.
-
-    (u*, w*) = (u, w) is the predicted velocity.  The entry point for a
-    caller that holds a pressure but no Schur system: it builds the system
-    of ops under the (left, right) pair of kinds bcs, loads (u, w) and
-    applies SchurSystem.corrected_velocity, so bcs must be those that
-    produced P.  No step calls it; it is kept because the benchmark tracer
-    wraps this name on timeloop.
-    """
-    P = np.asarray(P, dtype=float)
-    if P.size != ops.n_pressure:
+    """(u, w) = (u*, w) + dt A_H^-1 B^T p with the masks of sys: u* is
+    sys.load's own copy, so its correction is added in place; the caller's
+    w stays as it was, and the corrected w is new."""
+    if np.size(p) != sys.n_pressure:
         raise ValueError("pressure/operator size mismatch")
-    sys = build_schur(ops, bcs)
-    return sys.corrected_velocity(sys.load(u, w, dt)[0], w, dt, P)
+    du, dw = sys.ops.scatter_divergence_t(p)
+    u_star += dt * sys.invA_u * du
+    return u_star, w + dt * sys.invA_w * dw
 
 
 def divergence_residual(sys: SchurSystem, u: np.ndarray, w: np.ndarray) -> float:

@@ -68,12 +68,12 @@ from .core import (
     PhysicalParams,
     total_mass,
 )
-# cfl_dt, correct_velocity and total_energy are not called here; they stay
-# imported because perfbench/tracer.py rebinds these names on this module
+# cfl_dt and total_energy are not called here; they stay imported because
+# perfbench/tracer.py rebinds these names on this module
 from .core import total_energy  # noqa: F401
 from .femops import ElementPair, OperatorSet, assemble
 from .hyperbolic import HyperbolicBC, cfl_admits, cfl_dt, cfl_step, predict  # noqa: F401
-from .projection import (  # noqa: F401
+from .projection import (
     PressureField,
     SchurSystem,
     build_schur,
@@ -179,7 +179,7 @@ def _project(
     sys = build_schur(ops, _pressure_bcs(hyp))
     u, div, rhs = sys.load(u, w, dt)
     pressure = solve_pressure(sys, rhs)
-    u, w = sys.corrected_velocity(u, w, dt, pressure.values)
+    u, w = correct_velocity(sys, u, w, dt, pressure.values)
 
     residual = divergence_residual(sys, u, w)
     bound = params.tol * sys.enforced_norm(div) + 1e-12
@@ -288,9 +288,8 @@ def _stage(
     dH = pred.H - y.H
 
     wet = y.H >= params.h_eps
-    H_safe = np.maximum(y.H, 1e-300)
-    du = np.where(wet, (pred.Hu - y.Hu - u * dH) / H_safe, 0.0)
-    dw = np.where(wet, (pred.Hw - y.Hw - w * dH) / H_safe, 0.0)
+    du = np.divide(pred.Hu - y.Hu - u * dH, y.H, out=np.zeros_like(y.H), where=wet)
+    dw = np.divide(pred.Hw - y.Hw - w * dH, y.H, out=np.zeros_like(y.H), where=wet)
 
     bcs = _pressure_bcs(hyp)
     if last is not None and last.plan.bcs == bcs and np.array_equal(last.ops.H, y.H):
@@ -298,7 +297,7 @@ def _stage(
     else:
         sys = build_schur(assemble(pair, mesh, y.H, bathy.zb, params.h_eps), bcs)
     du, _, rhs = sys.load(du, dw, 1.0, sys.ops.apply_depth_derivative(dH, u))
-    du_c, dw_c = sys.corrected_velocity(du, dw, 1.0, solve_pressure(sys, rhs).values)
+    du_c, dw_c = correct_velocity(sys, du, dw, 1.0, solve_pressure(sys, rhs).values)
     return FlowState(pred.H, y.Hu + (y.H * du_c + u * dH), y.Hw + (y.H * dw_c + w * dH), pred.t)
 
 
@@ -400,11 +399,11 @@ def run(
     """March a scenario to t_end, landing exactly on every output time.
 
     Steps are CFL-adaptive with the last step of each segment clipped, so
-    snapshots are taken at the exact requested times (and at t_end).  Gauge
-    records attached to the scenario are sampled at the same times, in
-    fresh records for each run (GaugeSet.reset).  The
-    dry threshold is the scenario's: params.h_eps must equal scenario.h_eps,
-    else ValueError.
+    snapshots are taken at the exact requested times (and at t_end), which
+    must be finite, else ValueError.  Gauge records attached to the
+    scenario are sampled at the same times, in fresh records for each run
+    (GaugeSet.reset).  The dry threshold is the scenario's: params.h_eps
+    must equal scenario.h_eps, else ValueError.
 
     Each step's StepReport is appended to result.reports, and on_step, if
     given, is called with the StepResult (a per-step energy is
@@ -413,8 +412,11 @@ def run(
     A non-finite field raises RuntimeError: in the initial state, and after
     each step when the mass, max H or any entry of Hu or Hw is not finite.
     """
-    if t_end < 0.0:
-        raise ValueError("t_end must be non-negative")
+    if not (np.isfinite(t_end) and t_end >= 0.0):
+        raise ValueError(f"t_end must be finite and non-negative, got {t_end!r}")
+    times = [float(t) for t in output_times]
+    if not np.isfinite(times).all():
+        raise ValueError(f"output times must be finite, got {times!r}")
     if params.h_eps != scenario.h_eps:
         raise ValueError(
             f"params.h_eps = {params.h_eps:g} differs from the scenario's "
@@ -432,7 +434,7 @@ def run(
         and np.isfinite(state.Hw).all()
     ):
         raise RuntimeError("non-finite field values in the initial state")
-    events = sorted({float(t) for t in output_times if 0.0 < float(t) < t_end})
+    events = sorted({t for t in times if 0.0 < t < t_end})
     events.append(float(t_end))
 
     result = RunResult(mesh=mesh, bathy=bathy)

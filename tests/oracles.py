@@ -718,6 +718,8 @@ def solve_uzawa(sys, u, w, dt, tol):
     with alpha = 1 / max|diag(S)| and an iteration cap of 10 M.  Stops like
     solve_cg and raises SolverConvergenceError on divergence or at the cap.
     """
+    from nhswe import correct_velocity
+
     m = sys.n_pressure
     u_star, _, rhs = sys.load(u, w, dt)
     rhs_norm = float(np.linalg.norm(rhs))
@@ -730,7 +732,7 @@ def solve_uzawa(sys, u, w, dt, tol):
     cap = 10 * m
     r0 = None
     for it in range(1, cap + 1):
-        u_p, w_p = sys.corrected_velocity(u_star.copy(), w, dt, p)
+        u_p, w_p = correct_velocity(sys, u_star.copy(), w, dt, p)
         r = -(1.0 / dt) * sys.ops.apply_divergence(u_p, w_p)
         # pinned rows carry no equation; with P fixed there this equals the
         # residual of the eliminated system on the free rows

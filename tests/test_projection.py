@@ -184,7 +184,7 @@ def test_a_built_system_is_read_only_and_serves_every_load(tag):
             u_star, div, rhs = system.load(*load)
             p = nh.solve_pressure(system, rhs).values
             out += [u_star.copy(), div, rhs, p,
-                    *system.corrected_velocity(u_star, load[1], load[2], p)]
+                    *nh.correct_velocity(system, u_star, load[1], load[2], p)]
         for a, b in zip(got, want):
             assert np.array_equal(float_bits(a), float_bits(b))
         assert all(np.array_equal(float_bits(a), b) for a, b in zip(load, given))
@@ -360,8 +360,20 @@ def test_zero_pressure_identity():
     n = mesh.n_nodes
     ops = nh.assemble(nh.ElementPair.p1p0(n), mesh, H, zb)
     U = rng.standard_normal(2 * n)
-    u, w = nh.correct_velocity(U[:n], U[n:], np.zeros(ops.n_pressure), ops, 0.1)
+    sys = nh.build_schur(ops)
+    u_star = sys.load(U[:n], U[n:], 0.1)[0]
+    u, w = nh.correct_velocity(sys, u_star, U[n:], 0.1, np.zeros(ops.n_pressure))
     assert np.array_equal(u, U[:n]) and np.array_equal(w, U[n:])
+
+
+def test_correct_velocity_rejects_a_pressure_of_the_wrong_size():
+    rng = np.random.default_rng(21)
+    for tag in PAIRS:
+        sys, _, (u, w), dt = _random_system(rng, tag)
+        u_star = sys.load(u, w, dt)[0]
+        for m in (sys.n_pressure - 1, sys.n_pressure + 1):
+            with pytest.raises(ValueError, match="size mismatch"):
+                nh.correct_velocity(sys, u_star, w, dt, np.zeros(m))
 
 
 @pytest.mark.parametrize("tag", PAIRS)
@@ -371,8 +383,8 @@ def test_corrected_field_is_divergence_free(tag):
         sys, ops, (u, w), dt = _random_system(rng, tag, bcs=bcs)
         u_star, _, rhs = sys.load(u, w, dt)
         p = nh.solve_pressure(sys, rhs)
-        u_new, w_new = nh.correct_velocity(u, w, p.values, ops, dt, bcs=bcs)
         base = divergence_residual(sys, u_star, w)
+        u_new, w_new = nh.correct_velocity(sys, u_star, w, dt, p.values)
         assert divergence_residual(sys, u_new, w_new) <= 1e-10 * base + 1e-12
 
 
@@ -381,8 +393,9 @@ def test_projection_idempotence(tag):
     rng = np.random.default_rng(20)
     tol = 1e-10
     sys, ops, (u, w), dt = _random_system(rng, tag)
-    p1 = nh.solve_pressure(sys, sys.load(u, w, dt)[2])
-    u1, w1 = nh.correct_velocity(u, w, p1.values, ops, dt)
+    u_star, _, rhs = sys.load(u, w, dt)
+    p1 = nh.solve_pressure(sys, rhs)
+    u1, w1 = nh.correct_velocity(sys, u_star, w, dt, p1.values)
     p2 = nh.solve_pressure(sys, sys.load(u1, w1, dt)[2])
     assert np.linalg.norm(p2.values) <= 10.0 * tol * max(np.linalg.norm(p1.values), 1.0)
 
@@ -413,7 +426,7 @@ def test_correction_never_raises_the_kinetic_energy(data):
     sys = nh.build_schur(ops, ("wall", "wall"))
     u_star, _, rhs = sys.load(u, w, dt)
     before = np.sum(ops.a_node * (u_star**2 + w**2))
-    u_c, w_c = sys.corrected_velocity(u_star, w, dt, nh.solve_pressure(sys, rhs).values)
+    u_c, w_c = nh.correct_velocity(sys, u_star, w, dt, nh.solve_pressure(sys, rhs).values)
     after = np.sum(ops.a_node * (u_c**2 + w_c**2))
     assert after <= before * (1.0 + 1e-12)
 
@@ -447,8 +460,9 @@ def test_neumann_pins_boundary_velocity():
     u, w = rng.standard_normal(2 * n).reshape(2, n)
     bcs = ("wall", "neumann")
     sys = nh.build_schur(ops, bcs)
-    p = nh.solve_pressure(sys, sys.load(u, w, 0.05)[2])
-    u_new, w_new = nh.correct_velocity(u, w, p.values, ops, 0.05, bcs=bcs)
+    u_star, _, rhs = sys.load(u, w, 0.05)
+    p = nh.solve_pressure(sys, rhs)
+    u_new, w_new = nh.correct_velocity(sys, u_star, w, 0.05, p.values)
     assert u_new[0] == 0.0
     assert u_new[n - 1] == u[n - 1]
     assert divergence_residual(sys, u_new, w_new) <= 1e-9
@@ -473,9 +487,10 @@ def test_dry_pressure_dofs_pinned_to_zero():
     ops = nh.assemble(nh.ElementPair.p1p0(9), mesh, H, np.zeros(9), h_eps=1e-8)
     u, w = np.zeros(9), np.where(H > 0, 0.3, 0.0)
     sys = nh.build_schur(ops)
-    p = nh.solve_pressure(sys, sys.load(u, w, 0.01)[2])
+    u_star, _, rhs = sys.load(u, w, 0.01)
+    p = nh.solve_pressure(sys, rhs)
     assert np.all(p.values[ops.dry_pressure_dofs()] == 0.0)
-    u_new, w_new = nh.correct_velocity(u, w, p.values, ops, 0.01)
+    u_new, w_new = nh.correct_velocity(sys, u_star, w, 0.01, p.values)
     # dry velocities untouched
     assert np.array_equal(w_new[5:], w[5:])
 

@@ -153,6 +153,18 @@ def test_run_rejects_params_that_drop_the_scenario_h_eps():
     assert out.final.t == 0.05
 
 
+def test_run_rejects_a_non_finite_end_or_output_time():
+    # no run can land on a NaN or infinite time, so none is silently taken
+    # as a run of no step or dropped from the output times
+    sc = nh.make_solitary(101)
+    for t_end in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="t_end"):
+            nh.run(sc, nh.PhysicalParams(), t_end=t_end)
+    for times in ((0.05, np.nan), (np.inf,), (-np.inf, 0.1)):
+        with pytest.raises(ValueError, match="output times"):
+            nh.run(sc, nh.PhysicalParams(), t_end=0.1, output_times=times)
+
+
 def test_run_rejects_unknown_integrator():
     sc = nh.make_solitary(51)
     with pytest.raises(ValueError):
@@ -304,17 +316,21 @@ def test_near_dry_step_is_held_to_the_round_off_of_its_solve():
 # of each Schur system and the corrected residual.  The beach's bottom is
 # reconstructed at each interface; the solitary wave's is zero, so its
 # prediction takes the per-node flux and neither reconstructs nor calls
-# kinetic_flux.  The energy is telemetry, computed by no step.
+# kinetic_flux.  Each projection and each stage solves its Schur system
+# once and corrects once.  The energy is telemetry, computed by no step.
 WORK_PER_STEP = {
     "euler": {"assemble": 1, "build_schur": 1, "resolve_projection_bcs": 1,
+              "solve_pressure": 1, "correct_velocity": 1,
               "velocities": 2, "apply_divergence": 2,
               "predict": 1, "kinetic_flux": 1, "max_wave_speed": 1,
               "hydrostatic_reconstruct": 1, "total_energy": 0},
     "heun": {"assemble": 3, "build_schur": 3, "resolve_projection_bcs": 3,
+             "solve_pressure": 3, "correct_velocity": 3,
              "velocities": 3, "apply_divergence": 4,
              "predict": 2, "kinetic_flux": 2, "max_wave_speed": 2,
              "hydrostatic_reconstruct": 2, "total_energy": 0},
     "euler_zero_bottom": {"assemble": 1, "build_schur": 1, "resolve_projection_bcs": 1,
+                          "solve_pressure": 1, "correct_velocity": 1,
                           "velocities": 2, "apply_divergence": 2,
                           "predict": 1, "kinetic_flux": 0, "max_wave_speed": 1,
                           "hydrostatic_reconstruct": 0, "total_energy": 0},
@@ -341,7 +357,8 @@ def test_work_per_step(row, monkeypatch):
     sc = nh.make_solitary(301) if row.endswith("zero_bottom") else nh.make_beach(n_nodes=300)
     calls = _count_calls(monkeypatch, [
         (timeloop, "assemble"), (timeloop, "build_schur"),
-        (projection, "resolve_projection_bcs"), (nh.FlowState, "velocities"),
+        (projection, "resolve_projection_bcs"), (timeloop, "solve_pressure"),
+        (timeloop, "correct_velocity"), (nh.FlowState, "velocities"),
         (nh.OperatorSet, "apply_divergence"), (timeloop, "predict"),
         (hyperbolic, "kinetic_flux"), (hyperbolic, "max_wave_speed"),
         (hyperbolic, "hydrostatic_reconstruct"), (timeloop, "total_energy"),
