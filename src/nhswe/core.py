@@ -148,22 +148,14 @@ class Bathymetry:
 
 @dataclass
 class PhysicalParams:
-    """The dry threshold and the divergence tolerance.
-
-    A node with H < h_eps is dry.  tol scales the bound the corrected
-    velocity must meet: the divergence residual after a projection may not
-    exceed tol times the residual of the predicted velocity (plus 1e-12).
-    """
+    """The dry threshold: a node with H < h_eps is dry."""
 
     h_eps: float = 1e-8
-    tol: float = 1e-10
 
     def __post_init__(self):
-        for name in ("h_eps", "tol"):
-            value = getattr(self, name)
-            # a NaN fails every comparison, so test finiteness first
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        # a NaN fails every comparison, so test finiteness first
+        if not (math.isfinite(self.h_eps) and self.h_eps > 0.0):
+            raise ValueError(f"h_eps must be finite and positive, got {self.h_eps!r}")
 
 
 def _check_sizes(state: FlowState, mesh: Mesh1D):

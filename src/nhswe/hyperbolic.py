@@ -344,7 +344,8 @@ def predict(
     projection, and the boundary ghosts are built from their end values, so
     a dry end node (H < h_eps) enters a ghost with zero velocity.  bc_in
     closes the left end and bc_out the right one.  Returns the predicted
-    state at t + dt.  A dt beyond the CFL bound the velocities give raises
+    state at t + dt.  A dt that is not finite and positive raises
+    ValueError, and one beyond the CFL bound the velocities give raises
     CFLViolationError.  At CFL times that bound depth stays non-negative, as
     a property test pins; a negative depth beyond round-off raises RuntimeError.
 
@@ -359,6 +360,9 @@ def predict(
     n = mesh.n_nodes
     if state.n_nodes != n or bathy.zb.size != n or u.size != n or w.size != n:
         raise ValueError("state/velocity/mesh/bathymetry size mismatch")
+    # a NaN fails every comparison, so test finiteness first
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be finite and positive, got {dt!r}")
     if speed is None:
         speed = max_wave_speed(state.H, u, params)
     if not cfl_admits(dt, speed, mesh):

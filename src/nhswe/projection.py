@@ -216,11 +216,8 @@ def solve_pressure(sys: SchurSystem, rhs: np.ndarray) -> PressureField:
     The system is SPD with bandwidth 1 (P1/P0) or 2 (P1-iso-P2/P1), so the
     solve is exact up to round-off in O(M) work: dpttrs (L D L^T) or dpbtrs
     on sys.factor, the second half of scipy.linalg.solveh_banded, for its
-    bits.  A right-hand side without a nonzero entry returns the zero
-    pressure.
+    bits.
     """
-    if not rhs.any():
-        return PressureField(np.zeros(sys.n_pressure))
     if sys.bandwidth == 1:
         p, _ = dpttrs(*sys.factor, rhs)
     else:
@@ -251,7 +248,7 @@ def solve_round_off(sys: SchurSystem, p: np.ndarray, dt: float) -> float:
     correction at dt by the solution p: B U = dt (S p - rhs) on the enforced
     rows, and a banded Cholesky solve meets S p = rhs only to about
     eps |S| |p|, which tiny lumped masses at near-dry nodes can raise above
-    tol |rhs|."""
+    TOL |rhs|."""
     m, q, ab = sys.n_pressure, np.abs(p), np.abs(sys.ab)
     y = ab[0] * q
     for d in range(1, sys.bandwidth + 1):

@@ -25,6 +25,7 @@ An exact hydrostatic Riemann solver gives the dam-break star state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -42,6 +43,18 @@ SOLITARY_H0 = 1.0
 SOLITARY_D = 1.0
 
 
+def _check_input(name: str, value: float, rule: str = "finite and positive"):
+    """Raise ValueError naming the scenario input unless value meets rule."""
+    meets = {
+        "finite": True,
+        "finite and positive": value > 0.0,
+        "finite and non-negative": value >= 0.0,
+    }[rule]
+    # a NaN fails every comparison, so finiteness is tested on its own
+    if not (math.isfinite(value) and meets):
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SolitaryWaveParams:
     """Amplitude a over the reference depth SOLITARY_H0, with scale depth
@@ -50,8 +63,7 @@ class SolitaryWaveParams:
     a: float = 0.4
 
     def __post_init__(self):
-        if self.a <= 0.0:
-            raise ValueError("amplitude must be positive")
+        _check_input("amplitude a", self.a)
 
     @property
     def length_scale(self) -> float:
@@ -92,10 +104,10 @@ def dam_break_init(x, h_left: float, h_right: float, x_dam: float, eps: float):
     H(x) = (h_left + h_right)/2 - (h_left - h_right)/2 * tanh((x - x_dam)/eps),
     which tends to h_left far left and h_right far right.
     """
-    if h_left <= 0.0 or h_right <= 0.0:
-        raise ValueError("dam-break depths must be positive")
-    if eps <= 0.0:
-        raise ValueError("smoothing width must be positive")
+    _check_input("h_left", h_left)
+    _check_input("h_right", h_right)
+    _check_input("x_dam", x_dam, "finite")
+    _check_input("smoothing width eps", eps)
     x = np.asarray(x, dtype=float)
     s = np.tanh((x - x_dam) / eps)
     mid = 0.5 * (h_left + h_right)
@@ -248,6 +260,9 @@ def sine_flux_wavemaker(amplitude: float, depth: float, period: float,
     The corresponding surface signal is eta(t) = eta0 + A sin(2 pi t / T).
     With pulse=True only the first positive half period is emitted.
     """
+    _check_input("amplitude", amplitude, "finite")
+    _check_input("depth", depth)
+    _check_input("period", period)
     scale = amplitude * np.sqrt(G * depth)
 
     def q_of_t(t: float) -> HyperbolicBC:
@@ -265,6 +280,7 @@ def make_solitary(n_nodes: int, x_start: float = 11.0, a: float = 0.4) -> Scenar
 
     Flat bottom, H0 = d = 1 m, walls at both ends; exact solution attached.
     """
+    _check_input("x_start", x_start, "finite")
     mesh = Mesh1D.uniform(0.0, 45.0, n_nodes)
     bathy = Bathymetry.flat(mesh)
     params = SolitaryWaveParams(a)
@@ -311,6 +327,8 @@ def make_beach(
     amplitude `amplitude` (zero amplitude gives the lake at rest), the right
     end is a free outflow.
     """
+    _check_input("amplitude", amplitude, "finite and non-negative")
+    _check_input("pulse_period", pulse_period)
     mesh = Mesh1D.uniform(0.0, 35.0, n_nodes)
     zb = np.maximum(0.0, 0.15 * (mesh.nodes - 25.0))
     bathy = Bathymetry.from_nodal(mesh, zb)

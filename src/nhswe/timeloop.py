@@ -158,6 +158,12 @@ class StepResult:
     schur: SchurSystem
 
 
+# divergence tolerance of every projection: the corrected residual may not
+# exceed TOL times the predicted one (plus 1e-12).  The banded Cholesky
+# solve is exact up to round-off, so no run needs a looser value
+TOL = 1e-10
+
+
 def _project(
     state: FlowState,
     mesh: Mesh1D,
@@ -172,7 +178,7 @@ def _project(
     The state's velocities are evaluated here, once, and carried through
     the projection as the pair (u, w).  The corrected state shares state.H.
     Raises DivergenceBoundError when the corrected residual exceeds both
-    tol times the uncorrected one plus 1e-12 and solve_round_off.
+    TOL times the uncorrected one plus 1e-12 and solve_round_off.
     """
     ops = assemble(pair, mesh, state.H, bathy.zb, params.h_eps)
     u, w = state.velocities(params.h_eps)
@@ -182,7 +188,7 @@ def _project(
     u, w = correct_velocity(sys, u, w, dt, pressure.values)
 
     residual = divergence_residual(sys, u, w)
-    bound = params.tol * sys.enforced_norm(div) + 1e-12
+    bound = TOL * sys.enforced_norm(div) + 1e-12
     if residual > bound:
         bound = max(bound, solve_round_off(sys, pressure.values, dt))
     if residual > bound:
@@ -400,7 +406,8 @@ def run(
 
     Steps are CFL-adaptive with the last step of each segment clipped, so
     snapshots are taken at the exact requested times (and at t_end), which
-    must be finite, else ValueError.  Gauge records attached to the
+    must be finite and, for the output times, in [0, t_end], else
+    ValueError.  Gauge records attached to the
     scenario are sampled at the same times, in fresh records for each run
     (GaugeSet.reset).  The dry threshold is the scenario's: params.h_eps
     must equal scenario.h_eps, else ValueError.
@@ -411,12 +418,15 @@ def run(
     read-only: the next Heun step may reuse the Schur band of that depth.
     A non-finite field raises RuntimeError: in the initial state, and after
     each step when the mass, max H or any entry of Hu or Hw is not finite.
+    A negative initial depth raises ValueError.
     """
     if not (np.isfinite(t_end) and t_end >= 0.0):
         raise ValueError(f"t_end must be finite and non-negative, got {t_end!r}")
     times = [float(t) for t in output_times]
     if not np.isfinite(times).all():
         raise ValueError(f"output times must be finite, got {times!r}")
+    if times and not 0.0 <= min(times) <= max(times) <= t_end:
+        raise ValueError(f"output times must lie in [0, t_end = {t_end!r}], got {times!r}")
     if params.h_eps != scenario.h_eps:
         raise ValueError(
             f"params.h_eps = {params.h_eps:g} differs from the scenario's "
@@ -434,7 +444,9 @@ def run(
         and np.isfinite(state.Hw).all()
     ):
         raise RuntimeError("non-finite field values in the initial state")
-    events = sorted({t for t in times if 0.0 < t < t_end})
+    if state.H.min() < 0.0:
+        raise ValueError(f"initial depth must be non-negative, min {state.H.min():.3e}")
+    events = sorted({t for t in times if t < t_end})
     events.append(float(t_end))
 
     result = RunResult(mesh=mesh, bathy=bathy)

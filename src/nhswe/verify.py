@@ -131,20 +131,18 @@ def check_shape_preservation() -> CheckResult:
 
 
 def _divergence_runs():
-    params = PhysicalParams()
-    yield "solitary", make_solitary(501), params, 1.0, P1P0
-    yield "dam_break", make_dam_break(1201), params, 5.0, P1P0
-    beach = make_beach(n_nodes=801)
-    yield "beach", beach, PhysicalParams(h_eps=beach.h_eps), 4.0, P1P0
-    yield "dingemans", make_dingemans(n_nodes=981), PhysicalParams(tol=1e-5), 4.0, P1ISOP2P1
+    yield "solitary", make_solitary(501), 1.0, P1P0
+    yield "dam_break", make_dam_break(1201), 5.0, P1P0
+    yield "beach", make_beach(n_nodes=801), 4.0, P1P0
+    yield "dingemans", make_dingemans(n_nodes=981), 4.0, P1ISOP2P1
 
 
 def check_discrete_divergence() -> CheckResult:
     worst = 0.0
     total = 0
-    for name, sc, params, t_end, tag in _divergence_runs():
+    for name, sc, t_end, tag in _divergence_runs():
         pair = ElementPair.from_tag(tag, sc.mesh.n_nodes)
-        out = run(sc, params, t_end=t_end, pair=pair)
+        out = run(sc, PhysicalParams(h_eps=sc.h_eps), t_end=t_end, pair=pair)
         total += len(out.reports)
         for r in out.reports:
             if r.div_bound > 0:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -97,15 +99,16 @@ def test_bathymetry_rejects_non_finite_values():
 
 
 def test_physical_params_validation():
-    # gravity and the CFL number are constants, not parameters
-    for knob in ({"g": 9.0}, {"cfl": 0.8}):
+    # gravity, the CFL number and the divergence tolerance are constants,
+    # not parameters: the dry threshold is the only field
+    assert [f.name for f in dataclasses.fields(nh.PhysicalParams)] == ["h_eps"]
+    for knob in ({"g": 9.0}, {"cfl": 0.8}, {"tol": 1e-5}):
         with pytest.raises(TypeError):
             nh.PhysicalParams(**knob)
-    # a NaN passes every "<= 0" test, so each field is checked for finiteness
-    for name in ("h_eps", "tol"):
-        for bad in (np.nan, np.inf, -np.inf):
-            with pytest.raises(ValueError, match=name):
-                nh.PhysicalParams(**{name: bad})
+    # a NaN passes every "<= 0" test, so h_eps is checked for finiteness
+    for bad in (np.nan, np.inf, -np.inf, 0.0, -1e-8):
+        with pytest.raises(ValueError, match="h_eps"):
+            nh.PhysicalParams(h_eps=bad)
 
 
 def test_mass_invariant_under_walled_stepping():

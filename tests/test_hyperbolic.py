@@ -580,6 +580,23 @@ def test_predict_conservation_with_walls():
     assert abs(nh.total_mass(state, sc.mesh) - m0) <= 1e-12 * m0
 
 
+def test_predict_rejects_a_dt_that_is_not_finite_and_positive():
+    # a negative dt stepped backward in time and a zero dt returned the
+    # input; a NaN was reported as a CFL violation.  Each is a ValueError
+    # before the CFL guard, and a stepper's dt raises it before any work
+    sc = nh.make_dam_break(101)
+    params = nh.PhysicalParams()
+    u, w = sc.state0.velocities(params.h_eps)
+    bcs = sc.bounds.hyperbolic_at(0.0)
+    for dt in (-0.05, 0.0, -0.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="dt must be finite and positive"):
+            nh.predict(sc.state0, u, w, sc.mesh, sc.bathy, params, *bcs, dt)
+    for stepper in (nh.step_euler, nh.step_heun):
+        for dt in (-0.05, np.nan):
+            with pytest.raises(ValueError, match="dt must be finite and positive"):
+                stepper(sc.state0, sc.mesh, sc.bathy, params, sc.bounds, dt=dt)
+
+
 def test_predict_cfl_assertion():
     mesh = nh.Mesh1D.uniform(0.0, 1.0, 11)
     bathy = nh.Bathymetry.flat(mesh)

@@ -212,14 +212,26 @@ def test_schur_rejects_bad_dt():
 
 
 def test_zero_rhs_gives_zero_pressure_all_methods():
+    # solve_pressure has no zero-rhs shortcut: the triangular solves on the
+    # factor give +0.0 bits for a +0.0 rhs, on both pairs and with pinned
+    # rows.  A velocity at rest loads the rhs -(1/dt) 0 = -0.0 on its free
+    # rows, which solves to zeros of either sign.  CG and Uzawa take no
+    # iteration.
     rng = np.random.default_rng(9)
-    sys, _, _, dt = _random_system(rng, P1P0)
-    zero_p, zero_u = np.zeros(sys.n_pressure), np.zeros(sys.ops.n_nodes)
-    assert np.abs(nh.solve_pressure(sys, zero_p).values).max() == 0.0
-    for p, iterations in (solve_cg(sys, zero_p, 1e-10),
-                          solve_uzawa(sys, zero_u, zero_u, dt, 1e-10)):
-        assert np.abs(p).max() == 0.0
-        assert iterations == 0
+    for tag in PAIRS:
+        for bcs in ((None, None), ("dirichlet", "wall")):
+            sys, _, _, dt = _random_system(rng, tag, bcs=bcs)
+            assert sys.plan.pinned.any() == (bcs[0] == "dirichlet")
+            zero_p, zero_u = np.zeros(sys.n_pressure), np.zeros(sys.ops.n_nodes)
+            p = nh.solve_pressure(sys, zero_p).values
+            assert np.array_equal(float_bits(p), float_bits(zero_p))
+            rest = sys.load(zero_u, zero_u, dt)[2]
+            assert np.signbit(rest).any()
+            assert np.all(nh.solve_pressure(sys, rest).values == 0.0)
+            for q, iterations in (solve_cg(sys, zero_p, 1e-10),
+                                  solve_uzawa(sys, zero_u, zero_u, dt, 1e-10)):
+                assert np.abs(q).max() == 0.0
+                assert iterations == 0
 
 
 @st.composite
@@ -325,9 +337,9 @@ def test_uzawa_iteration_cap_error():
 
 def test_cg_and_uzawa_agree_with_the_direct_solve_on_dingemans(monkeypatch):
     # every 100th Schur system of a Dingemans run (N = 981, P1-iso-P2/P1,
-    # tol 1e-5, to t = 25), loaded again with the step's predicted velocity
-    # and dt, gives the step's pressure bit for bit by the direct solve, and
-    # CG and Uzawa give it to 10 tol
+    # to t = 25), loaded again with the step's predicted velocity and dt,
+    # gives the step's pressure bit for bit by the direct solve, and CG and
+    # Uzawa, run to the reference tolerance tol, give it to 10 tol
     tol, n = 1e-5, 981
     steps, spreads, loads = [], [], []
     load = nh.SchurSystem.load
@@ -345,7 +357,7 @@ def test_cg_and_uzawa_agree_with_the_direct_solve_on_dingemans(monkeypatch):
             spreads.append(method_spread(step.schur, u, w, dt, p, tol))
 
     monkeypatch.setattr(nh.SchurSystem, "load", recorded)
-    nh.run(nh.make_dingemans(n_nodes=n), nh.PhysicalParams(tol=tol), t_end=25.0,
+    nh.run(nh.make_dingemans(n_nodes=n), nh.PhysicalParams(), t_end=25.0,
            pair=nh.ElementPair.p1isop2p1(n), on_step=sample)
     assert len(spreads) == len(steps) // 100 == 21
     assert max(spreads) <= 10.0 * tol

@@ -105,6 +105,40 @@ def test_dam_break_rejects_bad_input():
         nh.dam_break_init(np.zeros(3), 1.0, 1.0, 0.0, -0.1)
 
 
+def test_scenario_inputs_are_checked_at_construction():
+    # each of these built a scenario that ran wrong or failed late: a NaN
+    # or negative beach amplitude gave the lake at rest, a NaN solitary
+    # amplitude passed and an infinite one divided by zero, a NaN dam-break
+    # depth gave an all-NaN profile, a zero wavemaker period divided by
+    # zero at its first call, and a NaN period or a negative depth failed
+    # at the first step
+    cases = (
+        (lambda: nh.make_beach(101, amplitude=np.nan), "amplitude"),
+        (lambda: nh.make_beach(101, amplitude=-0.2), "amplitude"),
+        (lambda: nh.make_beach(101, pulse_period=0.0), "pulse_period"),
+        (lambda: nh.make_solitary(101, a=np.nan), "amplitude a"),
+        (lambda: nh.make_solitary(101, a=np.inf), "amplitude a"),
+        (lambda: nh.make_solitary(101, x_start=np.nan), "x_start"),
+        (lambda: SolitaryWaveParams(a=-0.1), "amplitude a"),
+        (lambda: nh.dam_break_init(np.zeros(3), np.nan, 1.0, 0.0, 0.1), "h_left"),
+        (lambda: nh.dam_break_init(np.zeros(3), 1.0, np.inf, 0.0, 0.1), "h_right"),
+        (lambda: nh.dam_break_init(np.zeros(3), 1.0, 1.0, np.nan, 0.1), "x_dam"),
+        (lambda: nh.dam_break_init(np.zeros(3), 1.0, 1.0, 0.0, np.nan), "eps"),
+        (lambda: sine_flux_wavemaker(0.02, 0.4, 0.0), "period"),
+        (lambda: sine_flux_wavemaker(0.02, 0.4, np.nan), "period"),
+        (lambda: sine_flux_wavemaker(0.02, -0.4, 2.0), "depth"),
+        (lambda: sine_flux_wavemaker(np.inf, 0.4, 2.0), "amplitude"),
+        (lambda: nh.make_dingemans(101, period=0.0), "period"),
+        (lambda: nh.make_dingemans(101, amplitude=np.nan), "amplitude"),
+    )
+    for build, name in cases:
+        with pytest.raises(ValueError, match=name):
+            build()
+    # amplitude 0 keeps giving the lake at rest, with a still inflow
+    left = nh.make_beach(101, amplitude=0.0).bounds.left
+    assert left == nh.HyperbolicBC("imposed_flux", q0=(0.0, 0.0))
+
+
 # -- exact Riemann solution ----------------------------------------------------
 
 

@@ -165,6 +165,41 @@ def test_run_rejects_a_non_finite_end_or_output_time():
             nh.run(sc, nh.PhysicalParams(), t_end=0.1, output_times=times)
 
 
+def test_run_rejects_a_negative_initial_depth_or_an_output_time_outside_the_run():
+    # a negative initial depth was reported as one the prediction made, and
+    # output times outside [0, t_end] were dropped without a word
+    sc = nh.make_solitary(101)
+    for times in ((-1.0, 0.2, 7.0), (0.2, 0.5000001), (-1e-300,)):
+        with pytest.raises(ValueError, match="output times must lie in"):
+            nh.run(sc, nh.PhysicalParams(), t_end=0.5, output_times=times)
+    out = nh.run(sc, nh.PhysicalParams(), t_end=0.1, output_times=(0.0, 0.05, 0.1))
+    assert [s.t for s in out.snapshots] == [0.0, 0.05, 0.1]
+    assert np.array_equal(out.snapshots[0].state.H, sc.state0.H)
+    H = sc.state0.H.copy()
+    H[7] = -1e-3
+    sc.state0 = nh.FlowState(H, sc.state0.Hu, sc.state0.Hw)
+    with pytest.raises(ValueError, match="initial depth must be non-negative"):
+        nh.run(sc, nh.PhysicalParams(), t_end=0.1)
+
+
+def test_a_still_basin_stays_still_with_zero_pressure():
+    # at rest on a flat bottom every load is the rhs -(1/dt) 0: the
+    # triangular solves give a pressure that is 0 in value, and every step
+    # keeps the depth and the +0.0 discharges bit for bit
+    mesh, bathy, state = _lake(41)
+    sc = nh.Scenario(mesh, bathy, state, nh.BoundarySpec.walls())
+    for tag in ("P1P0", "P1isoP2P1"):
+        for integrator in ("euler", "heun"):
+            out = nh.run(sc, nh.PhysicalParams(), t_end=0.3, output_times=(0.1, 0.2),
+                         pair=nh.ElementPair.from_tag(tag, 41), integrator=integrator)
+            assert len(out.reports) > 3
+            for snap in out.snapshots:
+                assert np.array_equal(float_bits(snap.state.H), float_bits(state.H))
+                for discharge in (snap.state.Hu, snap.state.Hw):
+                    assert np.array_equal(float_bits(discharge), float_bits(np.zeros(41)))
+                assert np.all(snap.p_nodes == 0.0)
+
+
 def test_run_rejects_unknown_integrator():
     sc = nh.make_solitary(51)
     with pytest.raises(ValueError):
@@ -290,7 +325,7 @@ def test_divergence_bound_violation_raises(stepper, monkeypatch):
 def test_near_dry_step_is_held_to_the_round_off_of_its_solve():
     # depths at h_eps give lumped masses near 1e-8 and a Schur matrix of
     # condition about 1e8: the first Heun step's final solve misses
-    # tol |rhs| by round-off, 1.02e-9 against 7.08e-10, and is held to
+    # TOL |rhs| by round-off, 1.02e-9 against 7.08e-10, and is held to
     # solve_round_off, 1.01e-7 (1.4e-8 of the uncorrected residual)
     params = nh.PhysicalParams()
     mesh = nh.Mesh1D(np.arange(8.0))

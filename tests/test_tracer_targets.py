@@ -66,6 +66,15 @@ def test_every_workload_input_is_a_factory_parameter(name):
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_every_workload_builds_at_both_ends_of_its_input_ranges(name):
+    # the factories check their inputs: every value a seed can draw is valid
+    wl = WORKLOADS[name]
+    for end in (1, 2):
+        inputs = {param: bounds[end - 1] for param, *bounds in wl.ranges}
+        getattr(nhswe, wl.maker)(n_nodes=101, **inputs)
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_cfl_dt_takes_what_the_harness_passes(name):
     sc = WORKLOADS[name].build(WORKLOADS[name].inputs(1))
     params = nhswe.PhysicalParams(h_eps=sc.h_eps)
