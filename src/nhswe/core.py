@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -39,6 +40,13 @@ def _as_float_array(values, name: str) -> np.ndarray:
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
     return arr
+
+
+def _read_only(a):
+    """Lock an array against in-place writes (scalars pass through)."""
+    if isinstance(a, np.ndarray):
+        a.setflags(write=False)
+    return a
 
 
 def _finite_array(values, name: str) -> np.ndarray:
@@ -115,9 +123,17 @@ class FlowState:
     def copy(self) -> "FlowState":
         return FlowState(self.H.copy(), self.Hu.copy(), self.Hw.copy(), self.t)
 
-    def velocities(self, h_eps: float) -> tuple[np.ndarray, np.ndarray]:
-        """(u, w) with dry nodes (H < h_eps) forced to zero velocity."""
-        wet = self.H >= h_eps
+    def velocities(
+        self, h_eps: float, wet: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(u, w) with dry nodes (H < h_eps) forced to zero velocity.
+
+        wet, if given, is this state's own mask H >= h_eps, which a caller
+        that reads the mask elsewhere too computes once; the result is the
+        same, bit for bit.
+        """
+        if wet is None:
+            wet = self.H >= h_eps
         u = np.zeros_like(self.H)
         w = np.zeros_like(self.H)
         np.divide(self.Hu, self.H, out=u, where=wet)
@@ -125,14 +141,37 @@ class FlowState:
         return u, w
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Bathymetry:
-    """Nodal bottom elevation zb, finite everywhere."""
+    """Nodal bottom elevation zb, finite everywhere.
+
+    zb is the bathymetry's own read-only copy, and the bottom-only terms of
+    a step are kept on the bathymetry, each built on first use: `nonzero`
+    (some zb is not 0), `two_zb` (2 zb, the bottom part of zeta = H + 2 zb)
+    and `zbe` (zb extended by one ghost node per side).  They are read-only
+    and the dataclass is frozen, so no write can leave a kept term stale.
+    Two bathymetries are equal only if they are the same object.
+    """
 
     zb: np.ndarray
 
     def __post_init__(self):
-        self.zb = _finite_array(self.zb, "zb")
+        object.__setattr__(self, "zb", _read_only(_finite_array(self.zb, "zb").copy()))
+
+    @cached_property
+    def nonzero(self) -> bool:
+        return bool(self.zb.any())
+
+    @cached_property
+    def two_zb(self) -> np.ndarray:
+        return _read_only(2.0 * self.zb)
+
+    @cached_property
+    def zbe(self) -> np.ndarray:
+        """zb with a ghost node per side that copies the edge value, so the
+        reconstruction at a boundary interface is the identity."""
+        zb = self.zb
+        return _read_only(np.concatenate(([zb[0]], zb, [zb[-1]])))
 
     @classmethod
     def flat(cls, mesh: Mesh1D) -> "Bathymetry":
@@ -184,5 +223,5 @@ def total_energy(state: FlowState, mesh: Mesh1D, bathy: Bathymetry) -> float:
     wet = state.H > 0.0
     kinetic = np.zeros_like(state.H)
     np.divide(state.Hu**2 + state.Hw**2, state.H, out=kinetic, where=wet)
-    density = 0.5 * kinetic + 0.5 * G * state.H * (state.H + 2.0 * bathy.zb)
+    density = 0.5 * kinetic + 0.5 * G * state.H * (state.H + bathy.two_zb)
     return float(np.sum(mesh.dual_widths * density))

@@ -44,7 +44,9 @@ layout of the nodal pressure output and the Dw x Dw factors of the Schur
 bands.  This geometry is kept on the mesh
 (Mesh1D._geometry, keyed by pair tag), so it lives as long as the mesh and
 is never shared between meshes.  Its arrays are read-only: an in-place
-write raises instead of corrupting later steps.
+write raises instead of corrupting later steps.  The bottom-only term
+2 zb is likewise kept on the Bathymetry, and the depth-only wet mask on
+the OperatorSet (OperatorSet.wet), so an assembly computes each once.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Mesh1D
+from .core import Bathymetry, Mesh1D, _read_only
 
 P1P0 = "P1P0"
 P1ISOP2P1 = "P1isoP2P1"
@@ -112,17 +114,17 @@ def lump_mass(H, mesh: Mesh1D, h_eps: float = 1e-8) -> np.ndarray:
     if H.min() < 0.0:
         raise ValueError("negative depth in mass assembly")
     h = mesh.element_widths
-    a = np.zeros(mesh.n_nodes)
-    a[:-1] += h * (H[:-1] / 3.0 + H[1:] / 6.0)
-    a[1:] += h * (H[:-1] / 6.0 + H[1:] / 3.0)
-    return np.maximum(a, h_eps * mesh.dual_widths)
-
-
-def _read_only(a):
-    """Lock an array against in-place writes (scalars pass through)."""
-    if isinstance(a, np.ndarray):
-        a.setflags(write=False)
-    return a
+    third, sixth = H / 3.0, H / 6.0
+    # an interior entry sums h_r (H_i/3 + H_{i+1}/6) + h_l (H_{i-1}/6 + H_i/3)
+    # in this order; the second terms are formed in the thirds' buffer
+    a = np.empty(mesh.n_nodes)
+    left = np.add(third[:-1], sixth[1:], out=a[:-1])
+    left *= h
+    a[-1] = 0.0
+    right = np.add(sixth[:-1], third[1:], out=third[1:])
+    right *= h
+    a[1:] += right
+    return np.maximum(a, h_eps * mesh.dual_widths, out=a)
 
 
 @dataclass(frozen=True)
@@ -173,14 +175,18 @@ class OperatorSet:
     projection uses only Bt - C = -B^T, so C is not built here; the test
     oracles build it from its two entries, (u_0, first pressure dof) = -H_0
     and (u_{N-1}, last pressure dof) = +H_{N-1}.
+
+    wet is the read-only mask H >= h_eps of the assembly's depth, computed
+    once: the dry pressure dofs, the projection's boundary plan and masked
+    inverse mass, and the velocities of the state it projects all read it.
     """
 
     pair: ElementPair
     mesh: Mesh1D
     H: np.ndarray
+    wet: np.ndarray
     a_node: np.ndarray
     Du: np.ndarray
-    h_eps: float
     geometry: _Geometry = field(repr=False)
 
     # -- basic shapes -------------------------------------------------------
@@ -204,12 +210,9 @@ class OperatorSet:
 
     # -- wet/dry masks ------------------------------------------------------
 
-    def wet_nodes(self) -> np.ndarray:
-        return self.H >= self.h_eps
-
     def dry_pressure_dofs(self) -> np.ndarray:
         """Pressure dofs whose supporting fine elements all have a dry end."""
-        wet = self.wet_nodes()
+        wet = self.wet
         wet_el = wet[:-1] & wet[1:]
         any_wet = np.zeros(self.n_pressure, dtype=bool)
         for rows, el, *_ in self.geometry.u_terms:
@@ -379,30 +382,33 @@ def _u_windows(geom: _Geometry, H: np.ndarray, dzeta: np.ndarray) -> np.ndarray:
     return Du
 
 
-def assemble(pair: ElementPair, mesh: Mesh1D, H, zb, h_eps: float = 1e-8) -> OperatorSet:
-    """Assemble the lumped mass, divergence windows and boundary data.
+def assemble(
+    pair: ElementPair, mesh: Mesh1D, H, bathy: Bathymetry, h_eps: float = 1e-8
+) -> OperatorSet:
+    """Assemble the wet mask, lumped mass and divergence windows of the
+    depth H over the bottom bathy; a node is wet where H >= h_eps.
 
     Exact closed-form element integrals; see the module docstring for the
     interpolation conventions.  The mesh-only part is taken from the
-    mesh's geometry cache (built on the first assembly of this pair).
+    mesh's geometry cache (built on the first assembly of this pair), and
+    2 zb from the bathymetry's.
     """
     n = mesh.n_nodes
     if pair.n_velocity != n:
         raise ValueError("element pair/mesh size mismatch")
-    zb = np.asarray(zb, dtype=float)
-    if zb.size != n:
+    if bathy.zb.size != n:
         raise ValueError("zb/mesh size mismatch")
 
     H = np.asarray(H, dtype=float)
     a_node = lump_mass(H, mesh, h_eps)  # rejects a wrong size or a negative depth
     geom = _geometry(pair, mesh)
-    dzeta = np.diff(H + 2.0 * zb)
+    dzeta = np.diff(H + bathy.two_zb)
     return OperatorSet(
         pair=pair,
         mesh=mesh,
         H=H,
+        wet=_read_only(H >= h_eps),
         a_node=a_node,
         Du=_u_windows(geom, H, dzeta),
-        h_eps=h_eps,
         geometry=geom,
     )

@@ -107,9 +107,13 @@ def _equilibrium_support(H):
     since G >= 1, for any H > 0, even the smallest subnormal, 0.5 G H does
     not underflow, so 2 sqrt(3) c >= ~5e-162 lies far above 1e-300.
     """
-    c = np.sqrt(0.5 * G * H)
-    k = H / np.maximum(2.0 * _SQRT3 * c, 1e-300)
-    return _SQRT3 * c, k
+    c = np.multiply(0.5 * G, H)
+    np.sqrt(c, out=c)
+    k = np.multiply(2.0 * _SQRT3, c)
+    np.maximum(k, 1e-300, out=k)
+    np.divide(H, k, out=k)
+    c *= _SQRT3
+    return c, k
 
 
 def _half_flux(H, u, s, k, sign):
@@ -122,23 +126,31 @@ def _half_flux(H, u, s, k, sign):
     multiplied by it.
     """
     b = u + s if sign > 0 else u - s  # the support's edge on the sign side
-    # generic subsonic expression; the one-sided-support cases are patched below
-    f_H = (0.5 * sign) * k * b * b
-    f_Hu = f_H * b * (2.0 / 3.0)
+    # the support's other edge, in the buffer f_Hu takes below
+    f_Hu = np.subtract(u, s) if sign > 0 else np.add(u, s)
     # a support wholly on the sign side gives the exact flux, one wholly on
     # the other side none.  A dry state at rest (s = 0, u = +-0) is both:
     # F+ ends on the zero patch and F- on H u, which keeps the sign of u
     if sign > 0:
-        patches = ((u - s >= 0.0, True), (b <= 0.0, False))
+        patches = ((f_Hu >= 0.0, True), (b <= 0.0, False))
     else:
-        patches = ((b >= 0.0, False), (u + s <= 0.0, True))
+        patches = ((b >= 0.0, False), (f_Hu <= 0.0, True))
+    # generic subsonic expression; the one-sided-support cases are patched
+    f_H = np.multiply(0.5 * sign, k)
+    f_H *= b
+    f_H *= b
+    np.multiply(f_H, b, out=f_Hu)
+    f_Hu *= 2.0 / 3.0
     for mask, exact in patches:
         if not mask.any():
             continue
         if exact:
             Hm, um = H[mask], u[mask]
-            f_H[mask] = Hm * um
-            f_Hu[mask] = Hm * um * um + 0.5 * G * Hm * Hm
+            q = Hm * um
+            f_H[mask] = q
+            q *= um
+            q += 0.5 * G * Hm * Hm
+            f_Hu[mask] = q
         else:
             f_H[mask] = f_Hu[mask] = 0.0
     return f_H, f_Hu
@@ -157,9 +169,11 @@ def kinetic_flux(xl, xr):
     HR, uR = xr
     if HL.min() < 0.0 or HR.min() < 0.0:
         raise ValueError("kinetic_flux requires non-negative depths")
-    fp_H, fp_Hu = _half_flux(HL, uL, *_equilibrium_support(HL), 1)
+    F_H, F_Hu = _half_flux(HL, uL, *_equilibrium_support(HL), 1)
     fm_H, fm_Hu = _half_flux(HR, uR, *_equilibrium_support(HR), -1)
-    return fp_H + fm_H, fp_Hu + fm_Hu
+    F_H += fm_H
+    F_Hu += fm_Hu
+    return F_H, F_Hu
 
 
 def _node_flux(H, u):
@@ -182,15 +196,21 @@ def hydrostatic_reconstruct(Hi, Hj, zbi, zbj):
     non-negative and the reconstruction is the identity on a flat bottom.
     """
     z_star = np.maximum(zbi, zbj)
-    HL = np.maximum(0.0, Hi + zbi - z_star)
-    HR = np.maximum(0.0, Hj + zbj - z_star)
-    return HL, HR
+    HL = np.add(Hi, zbi)
+    HL -= z_star
+    HR = np.add(Hj, zbj)
+    HR -= z_star
+    return np.maximum(0.0, HL, out=HL), np.maximum(0.0, HR, out=HR)
 
 
-def max_wave_speed(H: np.ndarray, u: np.ndarray, params: PhysicalParams) -> float:
+def max_wave_speed(
+    H: np.ndarray, u: np.ndarray, params: PhysicalParams, wet: np.ndarray | None = None
+) -> float:
     """max(|u| + sqrt(G H)) over the wet nodes (H >= h_eps) of a depth H and
-    its velocities u; DryDomainError if all are dry."""
-    wet = H >= params.h_eps
+    its velocities u; DryDomainError if all are dry.  wet, if given, is the
+    mask H >= h_eps, computed once by a caller that reads it elsewhere too."""
+    if wet is None:
+        wet = H >= params.h_eps
     if not wet.any():
         raise DryDomainError("no wet cell: no admissible wave speed")
     speed = G * H
@@ -209,12 +229,16 @@ CFL = 0.5
 
 
 def cfl_step(
-    H: np.ndarray, u: np.ndarray, mesh: Mesh1D, params: PhysicalParams
+    H: np.ndarray,
+    u: np.ndarray,
+    mesh: Mesh1D,
+    params: PhysicalParams,
+    wet: np.ndarray | None = None,
 ) -> tuple[float, float]:
     """(dt, speed): the adaptive time step CFL * min(dx) / speed of a depth H
     and its velocities u (those of FlowState.velocities), and the speed
-    max_wave_speed(H, u, params) it was taken from."""
-    speed = max_wave_speed(H, u, params)
+    max_wave_speed(H, u, params, wet) it was taken from."""
+    speed = max_wave_speed(H, u, params, wet)
     return CFL * mesh.min_width / speed, speed
 
 
@@ -382,27 +406,40 @@ def predict(
     we = np.concatenate(([ghost_l.w], w, [ghost_r.w]))
 
     half_g = 0.5 * G
-    if bathy.zb.any():
-        # the ghost bottom copies the edge value so the boundary interface
-        # reconstruction is the identity
-        zbe = np.concatenate(([bathy.zb[0]], bathy.zb, [bathy.zb[-1]]))
+    if bathy.nonzero:
+        zbe = bathy.zbe
         HLs, HRs = hydrostatic_reconstruct(He[:-1], He[1:], zbe[:-1], zbe[1:])
         F_H, F_Hu = kinetic_flux((HLs, ue[:-1]), (HRs, ue[1:]))
         # the pressure of the reconstructed depth on each side of a node
-        p_left, p_right = half_g * HLs[1:] ** 2, half_g * HRs[:-1] ** 2
+        p_left = np.square(HLs[1:], out=HLs[1:])
+        p_left *= half_g
+        p_right = np.square(HRs[:-1], out=HRs[:-1])
+        p_right *= half_g
     else:
         # max(H, 0.0) gives +0.0 for -0.0, as max(0, H + 0 - 0) does
         Hp = np.maximum(He, 0.0, out=He)
         F_H, F_Hu = _node_flux(Hp, ue)
-        p_left = p_right = half_g * Hp[1:-1] ** 2
-    F_Hw = F_H * np.where(F_H >= 0.0, we[:-1], we[1:])
+        p_left = p_right = np.square(Hp[1:-1], out=Hp[1:-1])
+        p_left *= half_g
+    F_Hw = np.where(F_H >= 0.0, we[:-1], we[1:])
+    F_Hw *= F_H
 
+    # each update forms its increment in a fresh difference array, scales it
+    # by sigma and subtracts it from the old value into the same array
     sigma = dt / mesh.dual_widths
-    H_new = state.H - sigma * (F_H[1:] - F_H[:-1])
+    dF = np.subtract(F_H[1:], F_H[:-1])
+    dF *= sigma
+    H_new = np.subtract(state.H, dF, out=dF)
     # hydrostatic-reconstruction corrections make the momentum balance exact
     # on the lake at rest
-    Hu_new = state.Hu - sigma * (F_Hu[1:] - p_left - F_Hu[:-1] + p_right)
-    Hw_new = state.Hw - sigma * (F_Hw[1:] - F_Hw[:-1])
+    dF = np.subtract(F_Hu[1:], p_left)
+    dF -= F_Hu[:-1]
+    dF += p_right
+    dF *= sigma
+    Hu_new = np.subtract(state.Hu, dF, out=dF)
+    dF = np.subtract(F_Hw[1:], F_Hw[:-1])
+    dF *= sigma
+    Hw_new = np.subtract(state.Hw, dF, out=dF)
 
     floor = -1e-12 * max(1.0, float(state.H.max()))
     if H_new.min() < floor:

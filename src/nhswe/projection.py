@@ -31,7 +31,11 @@ predicted trace.
     depth-dependent boundary entries of B and C already carry it.
 
 Velocity dofs on dry nodes (H < h_eps) are excluded from the correction and
-pressure dofs with an entirely dry support are pinned to zero.
+pressure dofs with an entirely dry support are pinned to zero.  The
+boundary plan reads the wet mask the assembly computed (OperatorSet.wet)
+and lists the pinned dofs once as an index array, by which the band's
+elimination, the load's zeroed rows and the enforced residual norm take
+them, with no scan of a boolean mask.
 
 A Schur system is a depth and a closure; the load is per call.
 build_schur(ops, bcs) resolves the boundary plan, assembles the band,
@@ -51,12 +55,14 @@ on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.lapack import dpbtrf, dpbtrs, dpttrf, dpttrs
 
-from .femops import OperatorSet, _read_only
+from .core import _read_only
+from .femops import OperatorSet
 
 
 @dataclass
@@ -70,15 +76,16 @@ class PressureField:
 class _BCPlan:
     free_u: np.ndarray  # bool mask over nodes, each u corrected
     pinned: np.ndarray  # bool mask over pressure dofs, each held at 0
+    pinned_dofs: np.ndarray  # the indices of the pinned dofs, ascending
     bcs: tuple  # the (left, right) pair of kinds the plan resolves
 
 
 def resolve_projection_bcs(ops: OperatorSet, bcs) -> _BCPlan:
-    """The read-only masks of one projection under the (left, right) pair
-    of pressure condition kinds bcs."""
+    """The read-only masks and pinned indices of one projection under the
+    (left, right) pair of pressure condition kinds bcs."""
     if len(bcs) != 2:
         raise ValueError(f"bcs must be a (left, right) pair of kinds, got {bcs!r}")
-    free_u = ops.wet_nodes()
+    free_u = ops.wet.copy()
     pinned = ops.dry_pressure_dofs()
     for kind, end in zip(bcs, (0, -1)):  # the first or last node and dof
         if kind == "dirichlet":
@@ -87,7 +94,8 @@ def resolve_projection_bcs(ops: OperatorSet, bcs) -> _BCPlan:
             free_u[end] = False
         elif kind is not None:
             raise ValueError(f"unknown pressure BC kind {kind!r}")
-    return _BCPlan(_read_only(free_u), _read_only(pinned), tuple(bcs))
+    pinned_dofs = np.flatnonzero(pinned)
+    return _BCPlan(_read_only(free_u), _read_only(pinned), _read_only(pinned_dofs), tuple(bcs))
 
 
 @dataclass(frozen=True)
@@ -124,10 +132,12 @@ class SchurSystem:
         u* is a copy of u with the velocity at each wall side set to 0, and
         w* is w.  B U* has the divergence extra added, if given, and
         rhs = -(1/dt) B U* is 0 on the pinned rows.  The caller's arrays
-        are left as they were.
+        are left as they were.  A dt that is not finite and positive
+        raises ValueError.
         """
-        if dt <= 0.0:
-            raise ValueError("dt must be positive")
+        # a NaN fails every comparison, so test finiteness first
+        if not (math.isfinite(dt) and dt > 0.0):
+            raise ValueError(f"dt must be positive and finite, got {dt!r}")
         n = self.ops.n_nodes
         u_star = np.array(u, dtype=float)
         if u_star.shape != (n,) or np.shape(w) != (n,):
@@ -140,18 +150,20 @@ class SchurSystem:
         if extra is not None:
             # subtracted apart: -(1/dt) (a + e) can differ from
             # -(1/dt) a - (1/dt) e in the sign of a zero
-            div = div + extra
+            div += extra
             rhs -= (1.0 / dt) * extra
-        if self.plan.pinned.any():
-            rhs[self.plan.pinned] = 0.0
+        rhs[self.plan.pinned_dofs] = 0.0
         return u_star, div, rhs
 
     def enforced_norm(self, div: np.ndarray) -> float:
         """2-norm of div over the enforced constraint rows (pinned rows
         carry no discrete equation and are excluded)."""
-        pinned = self.plan.pinned
+        pinned = self.plan.pinned_dofs
         # with no pinned row the norm is over div itself: no masked copy
-        return float(np.linalg.norm(np.where(pinned, 0.0, div) if pinned.any() else div))
+        if pinned.size:
+            div = div.copy()
+            div[pinned] = 0.0
+        return float(np.linalg.norm(div))
 
 
 def build_schur(ops: OperatorSet, bcs=(None, None)) -> SchurSystem:
@@ -167,7 +179,7 @@ def build_schur(ops: OperatorSet, bcs=(None, None)) -> SchurSystem:
     # (the free w-dofs are the wet nodes)
     inv_a = 1.0 / ops.a_node
     invA_u = np.where(plan.free_u, inv_a, 0.0)
-    invA_w = np.where(ops.wet_nodes(), inv_a, 0.0)
+    invA_w = np.where(ops.wet, inv_a, 0.0)
 
     # S = B A_H^-1 B^T band by band, in the lower layout (see SchurSystem);
     # the geometry lists the window products that meet inside the mesh
@@ -175,16 +187,19 @@ def build_schur(ops: OperatorSet, bcs=(None, None)) -> SchurSystem:
     for d, terms in enumerate(ops.geometry.schur_terms):
         band = ab[d, : m - d]
         for k, k_d, rows, rows_d, nodes, w_factor in terms:
-            band[rows] += (
-                Du[rows, k] * Du[rows_d, k_d] * invA_u[nodes] + w_factor * invA_w[nodes]
-            )
+            term = Du[rows, k] * Du[rows_d, k_d]
+            term *= invA_u[nodes]
+            term += w_factor * invA_w[nodes]
+            band[rows] += term
 
     # symmetric elimination of the pinned dofs (Dirichlet sides and dry
-    # supports), each held at 0; load zeroes their rhs
-    if plan.pinned.any():
-        for d in range(1, bw + 1):
-            ab[d, : m - d][plan.pinned[d:] | plan.pinned[: m - d]] = 0.0
-        ab[0, plan.pinned] = 1.0
+    # supports), each held at 0; load zeroes their rhs.  Entry l of band d
+    # couples dofs l and l + d
+    pinned = plan.pinned_dofs
+    for d in range(1, bw + 1):
+        ab[d, pinned[pinned < m - d]] = 0.0
+        ab[d, pinned[pinned >= d] - d] = 0.0
+    ab[0, pinned] = 1.0
 
     if ab[0].min() <= 0.0:
         raise ValueError(
@@ -234,8 +249,11 @@ def correct_velocity(
     if np.size(p) != sys.n_pressure:
         raise ValueError("pressure/operator size mismatch")
     du, dw = sys.ops.scatter_divergence_t(p)
-    u_star += dt * sys.invA_u * du
-    return u_star, w + dt * sys.invA_w * dw
+    # (dt A_H^-1) B^T p, each product formed in place in the scattered array
+    du *= dt * sys.invA_u
+    u_star += du
+    dw *= dt * sys.invA_w
+    return u_star, np.add(w, dw, out=dw)
 
 
 def divergence_residual(sys: SchurSystem, u: np.ndarray, w: np.ndarray) -> float:

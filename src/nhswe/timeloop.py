@@ -29,7 +29,13 @@ prediction and, in Heun, its stage correction; velocities travel as (u, w)
 pairs through the projection.  So does the wave speed of each state a
 prediction starts from: the CFL step is taken from it and predict's CFL
 guard reads it (Euler: the initial state; Heun: the initial and the stage
-state).
+state).  Each state's wet mask H >= h_eps is computed once too and serves
+its velocities, its wave speed and, in Heun, its stage's velocity
+increments; a projected state takes its mask from the assembly
+(OperatorSet.wet).  A stage forms the depth increment's momenta u dH and
+w dH once, for its velocity increments and its stage momenta alike, and
+the arithmetic of a step writes its temporaries in place, each result
+evaluated in the order of its formula, so the bits do not depend on it.
 
 Heun's stages are both admissible: when the stage state is faster than the
 step's dt allows, the step restarts at the stage state's CFL step (at most
@@ -180,8 +186,8 @@ def _project(
     Raises DivergenceBoundError when the corrected residual exceeds both
     TOL times the uncorrected one plus 1e-12 and solve_round_off.
     """
-    ops = assemble(pair, mesh, state.H, bathy.zb, params.h_eps)
-    u, w = state.velocities(params.h_eps)
+    ops = assemble(pair, mesh, state.H, bathy, params.h_eps)
+    u, w = state.velocities(params.h_eps, ops.wet)
     sys = build_schur(ops, _pressure_bcs(hyp))
     u, div, rhs = sys.load(u, w, dt)
     pressure = solve_pressure(sys, rhs)
@@ -196,7 +202,11 @@ def _project(
             f"divergence bound violated after correction: {residual:.3e} > {bound:.3e}"
         )
 
-    new = FlowState(state.H, state.H * u, state.H * w, state.t)
+    # u is load's copy and w correct_velocity's new array: H u and H w are
+    # formed in them
+    new = FlowState(
+        state.H, np.multiply(state.H, u, out=u), np.multiply(state.H, w, out=w), state.t
+    )
     report = StepReport(
         t=new.t,
         dt=dt,
@@ -245,8 +255,9 @@ def step_euler(
     and the prediction.
     """
     pair = pair or ElementPair.p1p0(mesh.n_nodes)
-    u, w = state.velocities(params.h_eps)
-    dt_cfl, speed = cfl_step(state.H, u, mesh, params)
+    wet = state.H >= params.h_eps
+    u, w = state.velocities(params.h_eps, wet)
+    dt_cfl, speed = cfl_step(state.H, u, mesh, params, wet)
     dt = dt_cfl if dt is None else min(dt, dt_cfl)
     hyp = bounds.hyperbolic_at(state.t)
     half = predict(state, u, w, mesh, bathy, params, *hyp, dt, speed)
@@ -255,6 +266,7 @@ def step_euler(
 
 def _stage(
     y: FlowState,
+    wet: np.ndarray,
     u: np.ndarray,
     w: np.ndarray,
     speed: float,
@@ -269,11 +281,12 @@ def _stage(
     """One Heun stage from the constrained state y: its Euler prediction,
     with the velocity increment corrected to keep B u constant.
 
-    (u, w) are y's velocities and speed their max_wave_speed, evaluated
-    once by the stepper and shared with the prediction.  last, if given, is
-    the Schur system of an earlier projection on the same mesh, bathymetry,
-    params and pair; it serves in place of a new assembly and Schur build
-    when its depth equals y.H and its closure has the kinds of this one.
+    wet is y's mask H >= h_eps, (u, w) are y's velocities and speed their
+    max_wave_speed, evaluated once by the stepper and shared with the
+    prediction.  last, if given, is the Schur system of an earlier
+    projection on the same mesh, bathymetry, params and pair; it serves in
+    place of a new assembly and Schur build when its depth equals y.H and
+    its closure has the kinds of this one.
 
     The stage depth is the predicted depth.  The predicted momentum splits
     into the depth increment dH carrying u and the velocity increment du at
@@ -292,19 +305,35 @@ def _stage(
     hyp = bounds.hyperbolic_at(y.t)
     pred = predict(y, u, w, mesh, bathy, params, *hyp, dt, speed)
     dH = pred.H - y.H
+    # the depth increment's momenta u dH and w dH, formed once: the
+    # velocity increments exclude them and the stage state adds them back
+    u_dH, w_dH = u * dH, w * dH
 
-    wet = y.H >= params.h_eps
-    du = np.divide(pred.Hu - y.Hu - u * dH, y.H, out=np.zeros_like(y.H), where=wet)
-    dw = np.divide(pred.Hw - y.Hw - w * dH, y.H, out=np.zeros_like(y.H), where=wet)
+    def increment(d_momentum, old_momentum, carried):
+        d_momentum -= old_momentum
+        d_momentum -= carried
+        return np.divide(d_momentum, y.H, out=np.zeros_like(y.H), where=wet)
+
+    # predict's momenta are its own new arrays
+    du = increment(pred.Hu, y.Hu, u_dH)
+    dw = increment(pred.Hw, y.Hw, w_dH)
 
     bcs = _pressure_bcs(hyp)
     if last is not None and last.plan.bcs == bcs and np.array_equal(last.ops.H, y.H):
         sys = last
     else:
-        sys = build_schur(assemble(pair, mesh, y.H, bathy.zb, params.h_eps), bcs)
+        sys = build_schur(assemble(pair, mesh, y.H, bathy, params.h_eps), bcs)
     du, _, rhs = sys.load(du, dw, 1.0, sys.ops.apply_depth_derivative(dH, u))
     du_c, dw_c = correct_velocity(sys, du, dw, 1.0, solve_pressure(sys, rhs).values)
-    return FlowState(pred.H, y.Hu + (y.H * du_c + u * dH), y.Hw + (y.H * dw_c + w * dH), pred.t)
+
+    def momentum(d_velocity, old_momentum, carried):
+        # old + (H d_velocity + carried), in the velocity's own array
+        np.multiply(y.H, d_velocity, out=d_velocity)
+        d_velocity += carried
+        d_velocity += old_momentum
+        return d_velocity
+
+    return FlowState(pred.H, momentum(du_c, y.Hu, u_dH), momentum(dw_c, y.Hw, w_dH), pred.t)
 
 
 # tries of a Heun step, each after the first at the CFL step of the stage
@@ -345,15 +374,17 @@ def step_heun(
     constraint manifold without order loss.
     """
     pair = pair or ElementPair.p1p0(mesh.n_nodes)
-    u, w = state.velocities(params.h_eps)
-    dt_cfl, speed = cfl_step(state.H, u, mesh, params)
+    wet = state.H >= params.h_eps
+    u, w = state.velocities(params.h_eps, wet)
+    dt_cfl, speed = cfl_step(state.H, u, mesh, params, wet)
     dt = dt_cfl if dt is None else min(dt, dt_cfl)
     last = None if _last is None else _last.schur
     args = (mesh, bathy, params, bounds, pair)
     for _ in range(_HEUN_ATTEMPTS):
-        first = _stage(state, u, w, speed, dt, *args, last)
-        u1, w1 = first.velocities(params.h_eps)
-        dt_stage, speed1 = cfl_step(first.H, u1, mesh, params)
+        first = _stage(state, wet, u, w, speed, dt, *args, last)
+        wet1 = first.H >= params.h_eps
+        u1, w1 = first.velocities(params.h_eps, wet1)
+        dt_stage, speed1 = cfl_step(first.H, u1, mesh, params, wet1)
         if cfl_admits(dt, speed1, mesh):
             break
         dt = dt_stage
@@ -361,13 +392,12 @@ def step_heun(
         raise CFLViolationError(
             f"no Heun step with both stages admissible after {_HEUN_ATTEMPTS} tries"
         )
-    second = _stage(first, u1, w1, speed1, dt, *args)
-    avg = FlowState(
-        0.5 * (state.H + second.H),
-        0.5 * (state.Hu + second.Hu),
-        0.5 * (state.Hw + second.Hw),
-        state.t + dt,
-    )
+    second = _stage(first, wet1, u1, w1, speed1, dt, *args)
+    # the average (X^n + X^2) / 2, formed in the second stage's own arrays
+    for x_n, x_2 in ((state.H, second.H), (state.Hu, second.Hu), (state.Hw, second.Hw)):
+        x_2 += x_n
+        x_2 *= 0.5
+    avg = FlowState(second.H, second.Hu, second.Hw, state.t + dt)
 
     # restore div_sw u = 0 on the averaged state (operators at its own depth)
     hyp = bounds.hyperbolic_at(avg.t)
@@ -405,8 +435,10 @@ def run(
     """March a scenario to t_end, landing exactly on every output time.
 
     Steps are CFL-adaptive with the last step of each segment clipped, so
-    snapshots are taken at the exact requested times (and at t_end), which
-    must be finite and, for the output times, in [0, t_end], else
+    snapshots are taken at the exact requested times (and at t_end).  The
+    run marches from the initial state's time t0 = scenario.state0.t and
+    never rewinds the clock: t_end must be finite, non-negative and not
+    before t0, and the output times finite and in [t0, t_end], else
     ValueError.  Gauge records attached to the
     scenario are sampled at the same times, in fresh records for each run
     (GaugeSet.reset).  The dry threshold is the scenario's: params.h_eps
@@ -422,11 +454,16 @@ def run(
     """
     if not (np.isfinite(t_end) and t_end >= 0.0):
         raise ValueError(f"t_end must be finite and non-negative, got {t_end!r}")
+    t0 = scenario.state0.t
+    if not t_end >= t0:
+        raise ValueError(f"t_end = {t_end!r} lies before the initial time t0 = {t0!r}")
     times = [float(t) for t in output_times]
     if not np.isfinite(times).all():
         raise ValueError(f"output times must be finite, got {times!r}")
-    if times and not 0.0 <= min(times) <= max(times) <= t_end:
-        raise ValueError(f"output times must lie in [0, t_end = {t_end!r}], got {times!r}")
+    if times and not t0 <= min(times) <= max(times) <= t_end:
+        raise ValueError(
+            f"output times must lie in [t0 = {t0!r}, t_end = {t_end!r}], got {times!r}"
+        )
     if params.h_eps != scenario.h_eps:
         raise ValueError(
             f"params.h_eps = {params.h_eps:g} differs from the scenario's "

@@ -341,11 +341,11 @@ def depth_derivative_by_differencing(pair, mesh, zb, T_H, u, w, h_eps=1e-8):
     assemblies is the directional derivative; the shift s keeps both
     depths non-negative.
     """
-    from nhswe import assemble
+    from nhswe import Bathymetry, assemble
 
     shift = float(np.abs(T_H).max()) + 1.0
-    hi = assemble(pair, mesh, shift + T_H, zb, h_eps)
-    lo = assemble(pair, mesh, np.full(mesh.n_nodes, shift), zb, h_eps)
+    hi = assemble(pair, mesh, shift + T_H, Bathymetry(zb), h_eps)
+    lo = assemble(pair, mesh, np.full(mesh.n_nodes, shift), Bathymetry(zb), h_eps)
     return hi.apply_divergence(u, w) - lo.apply_divergence(u, w)
 
 

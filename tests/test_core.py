@@ -98,6 +98,43 @@ def test_bathymetry_rejects_non_finite_values():
             nh.Bathymetry.from_nodal(mesh, bad)
 
 
+def test_bathymetry_keeps_read_only_terms_on_itself():
+    # zb is the bathymetry's own copy, and its bottom-only terms are built
+    # on first use and kept: a write into any of them raises instead of
+    # leaving a kept term stale
+    zb = np.array([0.0, 0.25, -0.5, 1.0])
+    bathy = nh.Bathymetry(zb)
+    zb[0] = 7.0
+    assert bathy.zb[0] == 0.0
+    assert bathy.nonzero
+    assert not nh.Bathymetry(np.zeros(4)).nonzero
+    assert not nh.Bathymetry(np.full(4, -0.0)).nonzero
+    assert np.array_equal(bathy.two_zb, 2.0 * bathy.zb)
+    assert np.array_equal(bathy.zbe, [0.0, 0.0, 0.25, -0.5, 1.0, 1.0])
+    assert bathy.two_zb is bathy.two_zb and bathy.zbe is bathy.zbe
+    for term in (bathy.zb, bathy.two_zb, bathy.zbe):
+        with pytest.raises(ValueError, match="read-only"):
+            term[1] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        bathy.zb = np.zeros(4)
+
+
+def test_velocities_given_the_state_own_wet_mask_are_the_same_bits():
+    # a caller that computed H >= h_eps once passes it; dry nodes, depths of
+    # either zero sign and depths at the threshold take the same branch
+    rng = np.random.default_rng(3)
+    h_eps = 1e-6
+    H = rng.uniform(0.0, 2.0, 40)
+    H[::5] = 0.0
+    H[1::7] = -0.0
+    H[2::9] = h_eps
+    H[3::11] = np.nextafter(h_eps, 0.0)
+    state = nh.FlowState(H, rng.standard_normal(40), rng.standard_normal(40))
+    wet = state.H >= h_eps
+    for got, want in zip(state.velocities(h_eps, wet), state.velocities(h_eps), strict=True):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_physical_params_validation():
     # gravity, the CFL number and the divergence tolerance are constants,
     # not parameters: the dry threshold is the only field

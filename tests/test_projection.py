@@ -28,7 +28,7 @@ PAIRS = (P1P0, P1ISOP2P1)
 
 def _random_system(rng, tag, bcs=(None, None), n_min=7, n_max=13):
     mesh, H, zb = random_wet_setup(rng, n_min=n_min, n_max=n_max, odd=True)
-    ops = nh.assemble(nh.ElementPair.from_tag(tag, mesh.n_nodes), mesh, H, zb)
+    ops = nh.assemble(nh.ElementPair.from_tag(tag, mesh.n_nodes), mesh, H, nh.Bathymetry(zb))
     n = mesh.n_nodes
     U = rng.standard_normal(2 * n)
     dt = 0.01 * (1.0 + rng.random())
@@ -43,7 +43,7 @@ def test_schur_n3_dense_hand_assembly():
     # written out by hand from the interface stencils
     h = 0.5
     mesh = nh.Mesh1D.uniform(0.0, 1.0, 3)
-    ops = nh.assemble(nh.ElementPair.p1p0(3), mesh, np.ones(3), np.zeros(3))
+    ops = nh.assemble(nh.ElementPair.p1p0(3), mesh, np.ones(3), nh.Bathymetry.flat(mesh))
     U = np.array([0.3, -0.2, 0.1, 0.05, -0.4, 0.25])
     dt = 0.02
     sys = nh.build_schur(ops)
@@ -63,7 +63,7 @@ def test_schur_n3_dense_hand_assembly():
 
 def test_schur_rhs_zero_for_divergence_free_data():
     mesh = nh.Mesh1D.uniform(0.0, 1.0, 9)
-    ops = nh.assemble(nh.ElementPair.p1p0(9), mesh, np.ones(9), np.zeros(9))
+    ops = nh.assemble(nh.ElementPair.p1p0(9), mesh, np.ones(9), nh.Bathymetry.flat(mesh))
     sys = nh.build_schur(ops)
     _, _, rhs = sys.load(0.7 * np.ones(9), np.zeros(9), 0.01)  # constant u, flat data
     assert np.abs(rhs).max() <= 1e-12
@@ -96,7 +96,7 @@ def test_schur_spd_on_fifty_random_dirichlet_systems():
         mesh, H, zb = random_wet_setup(rng, n_min=5, n_max=21, odd=True)
         n = mesh.n_nodes
         tag = PAIRS[int(rng.integers(0, 2))]
-        ops = nh.assemble(nh.ElementPair.from_tag(tag, n), mesh, H, zb)
+        ops = nh.assemble(nh.ElementPair.from_tag(tag, n), mesh, H, nh.Bathymetry(zb))
         sys = nh.build_schur(ops, ("dirichlet", "dirichlet"))
         assert np.linalg.eigvalsh(schur_dense(sys)).min() > 0.0
 
@@ -133,11 +133,11 @@ def test_schur_dense_equals_masked_operator_product(tag):
         mesh, H, zb = random_wet_setup(rng, n_min=15, n_max=21, odd=True)
         n = mesh.n_nodes
         H[n // 2 - 2 : n // 2 + 3] = 0.0  # a dry patch pins the dofs it supports
-        ops = nh.assemble(nh.ElementPair.from_tag(tag, n), mesh, H, zb)
+        ops = nh.assemble(nh.ElementPair.from_tag(tag, n), mesh, H, nh.Bathymetry(zb))
         sys = nh.build_schur(ops, bcs)
         pinned = sys.plan.pinned
         assert pinned.any() and not pinned.all()
-        free = np.r_[sys.plan.free_u, ops.wet_nodes()]
+        free = np.r_[sys.plan.free_u, ops.wet]
         B = dense_divergence(ops)
         inv_mass = np.where(free, 1.0 / np.r_[ops.a_node, ops.a_node], 0.0)
         S = B @ np.diag(inv_mass) @ B.T
@@ -169,7 +169,7 @@ def test_a_built_system_is_read_only_and_serves_every_load(tag):
     with pytest.raises(FrozenInstanceError):
         sys.factor = None
     for array in (sys.ab, sys.invA_u, sys.invA_w, sys.plan.free_u, sys.plan.pinned,
-                  *sys.factor):
+                  sys.plan.pinned_dofs, *sys.factor):
         with pytest.raises(ValueError, match="read-only"):
             array.flat[0] = 1.0
     held = _held_bits(sys)
@@ -201,9 +201,10 @@ def test_a_built_system_is_read_only_and_serves_every_load(tag):
 def test_schur_rejects_bad_dt():
     rng = np.random.default_rng(6)
     mesh, H, zb = random_wet_setup(rng)
-    ops = nh.assemble(nh.ElementPair.p1p0(mesh.n_nodes), mesh, H, zb)
+    ops = nh.assemble(nh.ElementPair.p1p0(mesh.n_nodes), mesh, H, nh.Bathymetry(zb))
     sys = nh.build_schur(ops)
-    for dt in (0.0, -0.01):
+    # a NaN fails every comparison and an infinite dt loads a NaN or -0 rhs
+    for dt in (0.0, -0.01, -1.0, np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="dt must be positive"):
             sys.load(np.zeros(mesh.n_nodes), np.zeros(mesh.n_nodes), dt)
 
@@ -327,7 +328,7 @@ def test_uzawa_iteration_cap_error():
     rng = np.random.default_rng(16)
     n = 81
     mesh = nh.Mesh1D.uniform(0.0, 0.4, n)
-    ops = nh.assemble(nh.ElementPair.p1p0(n), mesh, np.ones(n), np.zeros(n))
+    ops = nh.assemble(nh.ElementPair.p1p0(n), mesh, np.ones(n), nh.Bathymetry.flat(mesh))
     U = rng.standard_normal(2 * n)
     with pytest.raises(SolverConvergenceError) as err:
         solve_uzawa(nh.build_schur(ops), U[:n], U[n:], 0.01, 1e-13)
@@ -370,7 +371,7 @@ def test_zero_pressure_identity():
     rng = np.random.default_rng(18)
     mesh, H, zb = random_wet_setup(rng)
     n = mesh.n_nodes
-    ops = nh.assemble(nh.ElementPair.p1p0(n), mesh, H, zb)
+    ops = nh.assemble(nh.ElementPair.p1p0(n), mesh, H, nh.Bathymetry(zb))
     U = rng.standard_normal(2 * n)
     sys = nh.build_schur(ops)
     u_star = sys.load(U[:n], U[n:], 0.1)[0]
@@ -434,7 +435,7 @@ def test_correction_never_raises_the_kinetic_energy(data):
     Hw = H * data.draw(arrays(float, n, elements=st.floats(-2.0, 2.0)))
     u, w = nh.FlowState(H, Hu, Hw).velocities(params.h_eps)
     dt = data.draw(st.floats(1e-4, 1.0))
-    ops = nh.assemble(nh.ElementPair.from_tag(tag, n), mesh, H, zb, params.h_eps)
+    ops = nh.assemble(nh.ElementPair.from_tag(tag, n), mesh, H, nh.Bathymetry(zb), params.h_eps)
     sys = nh.build_schur(ops, ("wall", "wall"))
     u_star, _, rhs = sys.load(u, w, dt)
     before = np.sum(ops.a_node * (u_star**2 + w**2))
@@ -450,7 +451,7 @@ def test_dirichlet_value_enters_solution():
     # the Dirichlet value is 0: the pinned dof solves to exactly 0
     rng = np.random.default_rng(22)
     mesh, H, zb = random_wet_setup(rng)
-    ops = nh.assemble(nh.ElementPair.p1p0(mesh.n_nodes), mesh, H, zb)
+    ops = nh.assemble(nh.ElementPair.p1p0(mesh.n_nodes), mesh, H, nh.Bathymetry(zb))
     n = mesh.n_nodes
     U = rng.standard_normal(2 * n)
     bcs = ("dirichlet", None)
@@ -468,7 +469,7 @@ def test_neumann_pins_boundary_velocity():
     rng = np.random.default_rng(23)
     mesh, H, zb = random_wet_setup(rng)
     n = mesh.n_nodes
-    ops = nh.assemble(nh.ElementPair.p1p0(n), mesh, H, zb)
+    ops = nh.assemble(nh.ElementPair.p1p0(n), mesh, H, nh.Bathymetry(zb))
     u, w = rng.standard_normal(2 * n).reshape(2, n)
     bcs = ("wall", "neumann")
     sys = nh.build_schur(ops, bcs)
@@ -487,7 +488,7 @@ def test_pressure_bc_kinds_are_dirichlet_and_neumann():
     # a (left, right) pair, so a lone kind is rejected too
     n = 5
     mesh = nh.Mesh1D.uniform(0.0, 1.0, n)
-    ops = nh.assemble(nh.ElementPair.p1p0(n), mesh, np.ones(n), np.zeros(n))
+    ops = nh.assemble(nh.ElementPair.p1p0(n), mesh, np.ones(n), nh.Bathymetry.flat(mesh))
     for bcs in (("mixed", None), ("dirichlet",)):
         with pytest.raises(ValueError):
             nh.build_schur(ops, bcs)
@@ -496,7 +497,7 @@ def test_pressure_bc_kinds_are_dirichlet_and_neumann():
 def test_dry_pressure_dofs_pinned_to_zero():
     mesh = nh.Mesh1D.uniform(0.0, 1.0, 9)
     H = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0])
-    ops = nh.assemble(nh.ElementPair.p1p0(9), mesh, H, np.zeros(9), h_eps=1e-8)
+    ops = nh.assemble(nh.ElementPair.p1p0(9), mesh, H, nh.Bathymetry.flat(mesh), h_eps=1e-8)
     u, w = np.zeros(9), np.where(H > 0, 0.3, 0.0)
     sys = nh.build_schur(ops)
     u_star, _, rhs = sys.load(u, w, 0.01)
@@ -507,14 +508,35 @@ def test_dry_pressure_dofs_pinned_to_zero():
     assert np.array_equal(w_new[5:], w[5:])
 
 
+@pytest.mark.parametrize("tag", PAIRS)
+def test_the_plan_lists_its_pinned_dofs_once(tag):
+    # the plan's free velocities are its own copy of the assembly's wet
+    # mask, which a held side leaves as it was, and its pinned dofs are the
+    # ascending indices of its pinned mask
+    rng = np.random.default_rng(64)
+    for bcs in ((None, None), ("dirichlet", "wall"), ("wall", "dirichlet")):
+        mesh, H, zb = random_wet_setup(rng, n_min=15, n_max=21, odd=True)
+        n = mesh.n_nodes
+        H[n // 2 - 2 : n // 2 + 3] = 0.0
+        ops = nh.assemble(nh.ElementPair.from_tag(tag, n), mesh, H, nh.Bathymetry(zb))
+        plan = resolve_projection_bcs(ops, bcs)
+        assert plan.free_u is not ops.wet and not np.shares_memory(plan.free_u, ops.wet)
+        assert np.array_equal(ops.wet, H >= 1e-8)
+        assert np.array_equal(plan.free_u[1:-1], ops.wet[1:-1])
+        assert plan.pinned_dofs.size > 0
+        assert np.array_equal(plan.pinned_dofs, np.flatnonzero(plan.pinned))
+        with pytest.raises(ValueError, match="read-only"):
+            plan.pinned_dofs[0] = 0
+
+
 def test_plan_masks():
     mesh = nh.Mesh1D.uniform(0.0, 1.0, 5)
     H = np.ones(5)
-    ops = nh.assemble(nh.ElementPair.p1p0(5), mesh, H, np.zeros(5))
+    ops = nh.assemble(nh.ElementPair.p1p0(5), mesh, H, nh.Bathymetry.flat(mesh))
     u, w = np.arange(1.0, 6.0), np.arange(5.0, 10.0)
     plan = resolve_projection_bcs(ops, ("wall", None))
     assert not plan.free_u[0] and plan.free_u[1:].all()
-    assert ops.wet_nodes().all()
+    assert ops.wet.all()
     # the load holds u at the wall in a copy; the caller's u keeps its value
     u_star, _, _ = nh.build_schur(ops, ("wall", None)).load(u, w, 0.01)
     assert u_star[0] == 0.0
