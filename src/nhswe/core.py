@@ -123,17 +123,12 @@ class FlowState:
     def copy(self) -> "FlowState":
         return FlowState(self.H.copy(), self.Hu.copy(), self.Hw.copy(), self.t)
 
-    def velocities(
-        self, h_eps: float, wet: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(u, w) with dry nodes (H < h_eps) forced to zero velocity.
+    def velocities(self, wet: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(u, w) with the nodes outside wet forced to zero velocity.
 
-        wet, if given, is this state's own mask H >= h_eps, which a caller
-        that reads the mask elsewhere too computes once; the result is the
-        same, bit for bit.
+        wet is this state's own mask H >= h_eps, which the caller computes
+        once and reads elsewhere too.
         """
-        if wet is None:
-            wet = self.H >= h_eps
         u = np.zeros_like(self.H)
         w = np.zeros_like(self.H)
         np.divide(self.Hu, self.H, out=u, where=wet)

@@ -88,25 +88,20 @@ class ElementPair:
         n = self.n_velocity
         return n - 1 if self.tag == P1P0 else (n - 1) // 2 + 1
 
-    @classmethod
-    def p1p0(cls, n_nodes: int) -> "ElementPair":
-        return cls.from_tag(P1P0, n_nodes)
-
-    @classmethod
-    def p1isop2p1(cls, n_nodes: int) -> "ElementPair":
-        return cls.from_tag(P1ISOP2P1, n_nodes)
-
+    # the same as ElementPair(tag, n_nodes); kept because the benchmark's
+    # workloads build their pairs through it
     @classmethod
     def from_tag(cls, tag: str, n_nodes: int) -> "ElementPair":
         return cls(tag, n_nodes)
 
 
-def lump_mass(H, mesh: Mesh1D, h_eps: float = 1e-8) -> np.ndarray:
+def lump_mass(H, mesh: Mesh1D, h_eps: float) -> np.ndarray:
     """Row-sum lumped depth-weighted mass, a_i = integral(H_h phi_i).
 
     H is interpolated linearly, so an interior entry is
     h_l (H_{i-1}/6 + H_i/3) + h_r (H_i/3 + H_{i+1}/6).  Entries are floored
-    at h_eps * dx_i so the matrix stays invertible on dry nodes.
+    at h_eps * dx_i, h_eps the run's dry threshold, so the matrix stays
+    invertible on dry nodes.
     """
     H = np.asarray(H, dtype=float)
     if H.size != mesh.n_nodes:
@@ -383,7 +378,7 @@ def _u_windows(geom: _Geometry, H: np.ndarray, dzeta: np.ndarray) -> np.ndarray:
 
 
 def assemble(
-    pair: ElementPair, mesh: Mesh1D, H, bathy: Bathymetry, h_eps: float = 1e-8
+    pair: ElementPair, mesh: Mesh1D, H, bathy: Bathymetry, h_eps: float
 ) -> OperatorSet:
     """Assemble the wet mask, lumped mass and divergence windows of the
     depth H over the bottom bathy; a node is wet where H >= h_eps.

@@ -203,14 +203,9 @@ def hydrostatic_reconstruct(Hi, Hj, zbi, zbj):
     return np.maximum(0.0, HL, out=HL), np.maximum(0.0, HR, out=HR)
 
 
-def max_wave_speed(
-    H: np.ndarray, u: np.ndarray, params: PhysicalParams, wet: np.ndarray | None = None
-) -> float:
-    """max(|u| + sqrt(G H)) over the wet nodes (H >= h_eps) of a depth H and
-    its velocities u; DryDomainError if all are dry.  wet, if given, is the
-    mask H >= h_eps, computed once by a caller that reads it elsewhere too."""
-    if wet is None:
-        wet = H >= params.h_eps
+def max_wave_speed(H: np.ndarray, u: np.ndarray, wet: np.ndarray) -> float:
+    """max(|u| + sqrt(G H)) over the wet nodes of a depth H and its
+    velocities u, wet its mask H >= h_eps; DryDomainError if all are dry."""
     if not wet.any():
         raise DryDomainError("no wet cell: no admissible wave speed")
     speed = G * H
@@ -229,16 +224,12 @@ CFL = 0.5
 
 
 def cfl_step(
-    H: np.ndarray,
-    u: np.ndarray,
-    mesh: Mesh1D,
-    params: PhysicalParams,
-    wet: np.ndarray | None = None,
+    H: np.ndarray, u: np.ndarray, mesh: Mesh1D, wet: np.ndarray
 ) -> tuple[float, float]:
     """(dt, speed): the adaptive time step CFL * min(dx) / speed of a depth H
-    and its velocities u (those of FlowState.velocities), and the speed
-    max_wave_speed(H, u, params, wet) it was taken from."""
-    speed = max_wave_speed(H, u, params, wet)
+    and its velocities u (those of FlowState.velocities(wet)), and the speed
+    max_wave_speed(H, u, wet) it was taken from."""
+    speed = max_wave_speed(H, u, wet)
     return CFL * mesh.min_width / speed, speed
 
 
@@ -250,9 +241,10 @@ def cfl_admits(dt: float, speed: float, mesh: Mesh1D) -> bool:
 
 
 def cfl_dt(state: FlowState, mesh: Mesh1D, params: PhysicalParams) -> float:
-    """The cfl_step of a state, its velocities evaluated here."""
-    u, _ = state.velocities(params.h_eps)
-    return cfl_step(state.H, u, mesh, params)[0]
+    """The cfl_step of a state, its wet mask and velocities evaluated here."""
+    wet = state.H >= params.h_eps
+    u, _ = state.velocities(wet)
+    return cfl_step(state.H, u, mesh, wet)[0]
 
 
 def _bisect(fun, lo: float, hi: float, flo: float, fhi: float, rtol: float = 1e-12) -> float:
@@ -355,28 +347,26 @@ def predict(
     w: np.ndarray,
     mesh: Mesh1D,
     bathy: Bathymetry,
-    params: PhysicalParams,
+    h_eps: float,
     bc_in: HyperbolicBC,
     bc_out: HyperbolicBC,
     dt: float,
-    speed: float | None = None,
+    speed: float,
 ) -> FlowState:
     """One explicit finite-volume step of the hydrostatic subsystem.
 
-    (u, w) are the state's velocities, state.velocities(params.h_eps): the
-    stepper evaluates them once and shares them with its CFL step and the
-    projection, and the boundary ghosts are built from their end values, so
-    a dry end node (H < h_eps) enters a ghost with zero velocity.  bc_in
-    closes the left end and bc_out the right one.  Returns the predicted
-    state at t + dt.  A dt that is not finite and positive raises
-    ValueError, and one beyond the CFL bound the velocities give raises
-    CFLViolationError.  At CFL times that bound depth stays non-negative, as
-    a property test pins; a negative depth beyond round-off raises RuntimeError.
-
-    speed, when given, must be max_wave_speed(state.H, u, params), as
-    cfl_step returns it: a stepper that took its step from that speed passes
-    it on rather than have it evaluated twice.  The CFL guard reads it as it
-    would read its own evaluation, so passing it changes no result.
+    (u, w) are the state's velocities, state.velocities(wet) for its wet
+    mask H >= h_eps, and speed is their max_wave_speed(state.H, u, wet):
+    the stepper evaluates all three once, takes its CFL step from
+    cfl_step, which returns the speed with the step, and shares the
+    velocities with the projection.  The boundary ghosts are built from
+    the velocities' end values, so a dry end node enters a ghost with zero
+    velocity.  bc_in closes the left end and bc_out the right one.  Returns
+    the predicted state at t + dt, whose nodes with H < h_eps carry no
+    discharge.  A dt that is not finite and positive raises ValueError, and
+    one beyond the CFL bound of speed raises CFLViolationError.  At CFL
+    times that bound depth stays non-negative, as a property test pins; a
+    negative depth beyond round-off raises RuntimeError.
 
     A bottom that is zero everywhere takes the per-node path of the module
     docstring; any other bottom is reconstructed at each interface.
@@ -387,8 +377,6 @@ def predict(
     # a NaN fails every comparison, so test finiteness first
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be finite and positive, got {dt!r}")
-    if speed is None:
-        speed = max_wave_speed(state.H, u, params)
     if not cfl_admits(dt, speed, mesh):
         raise CFLViolationError(
             f"CFL violation: dt = {dt:.3e} exceeds admissible {mesh.min_width / speed:.3e}"
@@ -447,7 +435,7 @@ def predict(
             f"negative depth produced by the prediction step (min {H_new.min():.3e})"
         )
     np.maximum(H_new, 0.0, out=H_new)
-    dry = H_new < params.h_eps
+    dry = H_new < h_eps
     Hu_new[dry] = 0.0
     Hw_new[dry] = 0.0
     return FlowState(H_new, Hu_new, Hw_new, state.t + dt)

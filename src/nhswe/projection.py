@@ -17,9 +17,9 @@ the elimination is exact and the corrected velocity is
     U = U* + dt A_H^-1 B^T P.
 
 Boundary handling: a closure is the (left, right) pair of pressure
-condition kinds, the side of each given by its slot; None leaves that side
-without a condition.  Every condition holds its data at 0 or at the
-predicted trace.
+condition kinds, the side of each given by its slot; every side takes one
+of the three kinds below, and every condition holds its data at 0 or at
+the predicted trace.
   * "dirichlet": the boundary pressure dof is pinned to 0 (row/column
     eliminated symmetrically, which keeps the matrix SPD); the boundary
     velocity is corrected like any interior dof.
@@ -75,14 +75,13 @@ class PressureField:
 @dataclass(frozen=True)
 class _BCPlan:
     free_u: np.ndarray  # bool mask over nodes, each u corrected
-    pinned: np.ndarray  # bool mask over pressure dofs, each held at 0
-    pinned_dofs: np.ndarray  # the indices of the pinned dofs, ascending
+    pinned_dofs: np.ndarray  # the pressure dofs held at 0, ascending
     bcs: tuple  # the (left, right) pair of kinds the plan resolves
 
 
 def resolve_projection_bcs(ops: OperatorSet, bcs) -> _BCPlan:
-    """The read-only masks and pinned indices of one projection under the
-    (left, right) pair of pressure condition kinds bcs."""
+    """The read-only velocity mask and pinned indices of one projection
+    under the (left, right) pair of pressure condition kinds bcs."""
     if len(bcs) != 2:
         raise ValueError(f"bcs must be a (left, right) pair of kinds, got {bcs!r}")
     free_u = ops.wet.copy()
@@ -92,10 +91,9 @@ def resolve_projection_bcs(ops: OperatorSet, bcs) -> _BCPlan:
             pinned[end] = True
         elif kind in ("wall", "neumann"):
             free_u[end] = False
-        elif kind is not None:
+        else:
             raise ValueError(f"unknown pressure BC kind {kind!r}")
-    pinned_dofs = np.flatnonzero(pinned)
-    return _BCPlan(_read_only(free_u), _read_only(pinned), _read_only(pinned_dofs), tuple(bcs))
+    return _BCPlan(_read_only(free_u), _read_only(np.flatnonzero(pinned)), tuple(bcs))
 
 
 @dataclass(frozen=True)
@@ -166,7 +164,7 @@ class SchurSystem:
         return float(np.linalg.norm(div))
 
 
-def build_schur(ops: OperatorSet, bcs=(None, None)) -> SchurSystem:
+def build_schur(ops: OperatorSet, bcs) -> SchurSystem:
     """Assemble and factor the banded Schur complement of the operators ops,
     closed by the (left, right) pair of pressure condition kinds bcs (module
     docstring).  The boundary plan is resolved once, here."""

@@ -32,8 +32,11 @@ guard reads it (Euler: the initial state; Heun: the initial and the stage
 state).  Each state's wet mask H >= h_eps is computed once too and serves
 its velocities, its wave speed and, in Heun, its stage's velocity
 increments; a projected state takes its mask from the assembly
-(OperatorSet.wet).  A stage forms the depth increment's momenta u dH and
-w dH once, for its velocity increments and its stage momenta alike, and
+(OperatorSet.wet).  The entry points (run, step_euler, step_heun,
+project_state and hyperbolic.cfl_dt) read the dry threshold params.h_eps
+once; every layer below takes the h_eps, wet mask or wave speed it reads
+as a required argument.  A stage forms the depth increment's momenta u dH
+and w dH once, for its velocity increments and its stage momenta alike, and
 the arithmetic of a step writes its temporaries in place, each result
 evaluated in the order of its formula, so the bits do not depend on it.
 
@@ -77,7 +80,7 @@ from .core import (
 # cfl_dt and total_energy are not called here; they stay imported because
 # perfbench/tracer.py rebinds these names on this module
 from .core import total_energy  # noqa: F401
-from .femops import ElementPair, OperatorSet, assemble
+from .femops import P1P0, ElementPair, OperatorSet, assemble
 from .hyperbolic import HyperbolicBC, cfl_admits, cfl_dt, cfl_step, predict  # noqa: F401
 from .projection import (
     PressureField,
@@ -174,20 +177,22 @@ def _project(
     state: FlowState,
     mesh: Mesh1D,
     bathy: Bathymetry,
-    params: PhysicalParams,
+    h_eps: float,
     pair: ElementPair,
     hyp: tuple[HyperbolicBC, HyperbolicBC],
     dt: float,
 ) -> StepResult:
-    """Correct the velocity of `state` onto B U = 0 at its own depth.
+    """Correct the velocity of `state` onto B U = 0 at its own depth, a
+    node being dry where H < h_eps.
 
-    The state's velocities are evaluated here, once, and carried through
-    the projection as the pair (u, w).  The corrected state shares state.H.
+    The state's velocities are evaluated here, once, on the assembly's wet
+    mask, and carried through the projection as the pair (u, w).  The
+    corrected state shares state.H.
     Raises DivergenceBoundError when the corrected residual exceeds both
     TOL times the uncorrected one plus 1e-12 and solve_round_off.
     """
-    ops = assemble(pair, mesh, state.H, bathy, params.h_eps)
-    u, w = state.velocities(params.h_eps, ops.wet)
+    ops = assemble(pair, mesh, state.H, bathy, h_eps)
+    u, w = state.velocities(ops.wet)
     sys = build_schur(ops, _pressure_bcs(hyp))
     u, div, rhs = sys.load(u, w, dt)
     pressure = solve_pressure(sys, rhs)
@@ -234,9 +239,9 @@ def project_state(
     dt is used internally.  Like the steppers, it raises
     DivergenceBoundError when the projected velocity misses its bound.
     """
-    pair = pair or ElementPair.p1p0(mesh.n_nodes)
+    pair = pair or ElementPair(P1P0, mesh.n_nodes)
     hyp = bounds.hyperbolic_at(state.t)
-    new = _project(state, mesh, bathy, params, pair, hyp, 1.0).state
+    new = _project(state, mesh, bathy, params.h_eps, pair, hyp, 1.0).state
     return FlowState(state.H.copy(), new.Hu, new.Hw, new.t)
 
 
@@ -254,14 +259,15 @@ def step_euler(
     The initial state's velocities and wave speed give both the CFL step
     and the prediction.
     """
-    pair = pair or ElementPair.p1p0(mesh.n_nodes)
-    wet = state.H >= params.h_eps
-    u, w = state.velocities(params.h_eps, wet)
-    dt_cfl, speed = cfl_step(state.H, u, mesh, params, wet)
+    pair = pair or ElementPair(P1P0, mesh.n_nodes)
+    h_eps = params.h_eps
+    wet = state.H >= h_eps
+    u, w = state.velocities(wet)
+    dt_cfl, speed = cfl_step(state.H, u, mesh, wet)
     dt = dt_cfl if dt is None else min(dt, dt_cfl)
     hyp = bounds.hyperbolic_at(state.t)
-    half = predict(state, u, w, mesh, bathy, params, *hyp, dt, speed)
-    return _project(half, mesh, bathy, params, pair, hyp, dt)
+    half = predict(state, u, w, mesh, bathy, h_eps, *hyp, dt, speed)
+    return _project(half, mesh, bathy, h_eps, pair, hyp, dt)
 
 
 def _stage(
@@ -273,7 +279,7 @@ def _stage(
     dt: float,
     mesh: Mesh1D,
     bathy: Bathymetry,
-    params: PhysicalParams,
+    h_eps: float,
     bounds: BoundarySpec,
     pair: ElementPair,
     last: SchurSystem | None = None,
@@ -284,7 +290,7 @@ def _stage(
     wet is y's mask H >= h_eps, (u, w) are y's velocities and speed their
     max_wave_speed, evaluated once by the stepper and shared with the
     prediction.  last, if given, is the Schur system of an earlier
-    projection on the same mesh, bathymetry, params and pair; it serves in
+    projection on the same mesh, bathymetry, h_eps and pair; it serves in
     place of a new assembly and Schur build when its depth equals y.H and
     its closure has the kinds of this one.
 
@@ -303,7 +309,7 @@ def _stage(
     pressure pinned to 0 carries over as is.
     """
     hyp = bounds.hyperbolic_at(y.t)
-    pred = predict(y, u, w, mesh, bathy, params, *hyp, dt, speed)
+    pred = predict(y, u, w, mesh, bathy, h_eps, *hyp, dt, speed)
     dH = pred.H - y.H
     # the depth increment's momenta u dH and w dH, formed once: the
     # velocity increments exclude them and the stage state adds them back
@@ -322,7 +328,7 @@ def _stage(
     if last is not None and last.plan.bcs == bcs and np.array_equal(last.ops.H, y.H):
         sys = last
     else:
-        sys = build_schur(assemble(pair, mesh, y.H, bathy, params.h_eps), bcs)
+        sys = build_schur(assemble(pair, mesh, y.H, bathy, h_eps), bcs)
     du, _, rhs = sys.load(du, dw, 1.0, sys.ops.apply_depth_derivative(dH, u))
     du_c, dw_c = correct_velocity(sys, du, dw, 1.0, solve_pressure(sys, rhs).values)
 
@@ -373,18 +379,19 @@ def step_heun(
     applies) and the end-of-step projection keeps the result on the
     constraint manifold without order loss.
     """
-    pair = pair or ElementPair.p1p0(mesh.n_nodes)
-    wet = state.H >= params.h_eps
-    u, w = state.velocities(params.h_eps, wet)
-    dt_cfl, speed = cfl_step(state.H, u, mesh, params, wet)
+    pair = pair or ElementPair(P1P0, mesh.n_nodes)
+    h_eps = params.h_eps
+    wet = state.H >= h_eps
+    u, w = state.velocities(wet)
+    dt_cfl, speed = cfl_step(state.H, u, mesh, wet)
     dt = dt_cfl if dt is None else min(dt, dt_cfl)
     last = None if _last is None else _last.schur
-    args = (mesh, bathy, params, bounds, pair)
+    args = (mesh, bathy, h_eps, bounds, pair)
     for _ in range(_HEUN_ATTEMPTS):
         first = _stage(state, wet, u, w, speed, dt, *args, last)
-        wet1 = first.H >= params.h_eps
-        u1, w1 = first.velocities(params.h_eps, wet1)
-        dt_stage, speed1 = cfl_step(first.H, u1, mesh, params, wet1)
+        wet1 = first.H >= h_eps
+        u1, w1 = first.velocities(wet1)
+        dt_stage, speed1 = cfl_step(first.H, u1, mesh, wet1)
         if cfl_admits(dt, speed1, mesh):
             break
         dt = dt_stage
@@ -401,7 +408,7 @@ def step_heun(
 
     # restore div_sw u = 0 on the averaged state (operators at its own depth)
     hyp = bounds.hyperbolic_at(avg.t)
-    return _project(avg, mesh, bathy, params, pair, hyp, dt)
+    return _project(avg, mesh, bathy, h_eps, pair, hyp, dt)
 
 
 @dataclass
@@ -470,7 +477,7 @@ def run(
             f"h_eps = {scenario.h_eps:g}; pass PhysicalParams(h_eps=scenario.h_eps)"
         )
     mesh, bathy = scenario.mesh, scenario.bathy
-    pair = pair or ElementPair.p1p0(mesh.n_nodes)
+    pair = pair or ElementPair(P1P0, mesh.n_nodes)
     if integrator not in ("euler", "heun"):
         raise ValueError(f"unknown integrator {integrator!r}")
 

@@ -33,7 +33,7 @@ import numpy as np
 from . import timeloop
 from .core import G, Bathymetry, FlowState, Mesh1D, PhysicalParams, total_mass
 from .femops import P1ISOP2P1, P1P0, ElementPair
-from .hyperbolic import cfl_dt, predict
+from .hyperbolic import cfl_dt, cfl_step, predict
 from .scenarios import (
     DAM_BREAK,
     exact_sw_riemann,
@@ -82,7 +82,7 @@ def solitary_l2_errors(pair_tag: str) -> np.ndarray:
     errors = []
     for n in CONVERGENCE_MESHES:
         sc = make_solitary(n)
-        pair = ElementPair.from_tag(pair_tag, n)
+        pair = ElementPair(pair_tag, n)
         out = run(sc, params, t_end=SOLITARY_T_END, pair=pair)
         errors.append(relative_l2_depth_error(sc, out))
     errors = np.asarray(errors)
@@ -141,7 +141,7 @@ def check_discrete_divergence() -> CheckResult:
     worst = 0.0
     total = 0
     for name, sc, t_end, tag in _divergence_runs():
-        pair = ElementPair.from_tag(tag, sc.mesh.n_nodes)
+        pair = ElementPair(tag, sc.mesh.n_nodes)
         out = run(sc, PhysicalParams(h_eps=sc.h_eps), t_end=t_end, pair=pair)
         total += len(out.reports)
         for r in out.reports:
@@ -175,7 +175,7 @@ def check_wellbalanced_positivity() -> CheckResult:
     # positivity in 1000 random CFL steps
     rng = np.random.default_rng(2718)
     wall = BoundarySpec.walls()
-    pparams = PhysicalParams()
+    h_eps = PhysicalParams().h_eps
     min_h = np.inf
     for _ in range(1000):
         n = int(rng.integers(8, 40))
@@ -183,14 +183,16 @@ def check_wellbalanced_positivity() -> CheckResult:
         mesh = Mesh1D(x)
         bathy = Bathymetry.from_nodal(mesh, 0.5 * rng.standard_normal(n))
         H = np.where(rng.random(n) < 0.2, 0.0, 2.0 * rng.random(n))
-        if not np.any(H >= pparams.h_eps):
+        if not np.any(H >= h_eps):
             H[0] = 1.0
         u = np.where(H > 0, 2.0 * rng.standard_normal(n), 0.0)
         w = np.where(H > 0, rng.standard_normal(n), 0.0)
         st = FlowState(H, H * u, H * w)
-        dt = cfl_dt(st, mesh, pparams)
+        wet = H >= h_eps
+        u, w = st.velocities(wet)
+        dt, speed = cfl_step(H, u, mesh, wet)
         bl, br = wall.hyperbolic_at(0.0)
-        out = predict(st, *st.velocities(pparams.h_eps), mesh, bathy, pparams, bl, br, dt)
+        out = predict(st, u, w, mesh, bathy, h_eps, bl, br, dt, speed)
         min_h = min(min_h, float(out.H.min()))
     ok &= min_h >= 0.0
     notes.append(f"min depth over 1000 random steps {min_h:.2e}")
@@ -294,8 +296,12 @@ def check_mass_conservation() -> CheckResult:
         worst = max(worst, abs(res.report.mass - m_prev) / m_prev)
         if k == 0:
             bc_l, bc_r = sc.bounds.hyperbolic_at(state.t)
-            u, w = state.velocities(params.h_eps)
-            half = predict(state, u, w, sc.mesh, sc.bathy, params, bc_l, bc_r, res.report.dt)
+            wet = state.H >= params.h_eps
+            u, w = state.velocities(wet)
+            _, speed = cfl_step(state.H, u, sc.mesh, wet)
+            half = predict(
+                state, u, w, sc.mesh, sc.bathy, params.h_eps, bc_l, bc_r, res.report.dt, speed
+            )
             correction_exact = bool(np.array_equal(res.state.H, half.H))
         state = res.state
         m_prev = res.report.mass

@@ -22,6 +22,9 @@ over gathered wet nodes, the imposed-flux boundary closure on numpy
 scalars, and the prediction that reconstructs every interface whatever the
 bottom.  Tests require the package to match them bit for bit, or in value
 where the package's arithmetic differs only by a round trip it removed.
+
+One helper is not a reference: prediction_inputs gathers a state's
+velocities and CFL step the way a stepper hands them to predict.
 """
 
 import numpy as np
@@ -533,7 +536,18 @@ def imposed_flux_ghost_numpy(Hb, ub, wb, side, q01, q02, g):
 # -- prediction reconstructed at every interface ------------------------------
 
 
-def predict_reconstructed(state, u, w, mesh, bathy, params, bc_in, bc_out, dt):
+def prediction_inputs(state, mesh, h_eps):
+    """(u, w, dt, speed) of a state as a stepper hands them to predict: its
+    velocities on its wet mask H >= h_eps, and its CFL step with the wave
+    speed the step was taken from."""
+    from nhswe.hyperbolic import cfl_step
+
+    wet = state.H >= h_eps
+    u, w = state.velocities(wet)
+    return (u, w, *cfl_step(state.H, u, mesh, wet))
+
+
+def predict_reconstructed(state, u, w, mesh, bathy, h_eps, bc_in, bc_out, dt, speed):
     """hyperbolic.predict as it was before its zero-bottom path: hydrostatic
     reconstruction and the kinetic flux at every interface, on any bottom."""
     from nhswe import FlowState
@@ -542,10 +556,9 @@ def predict_reconstructed(state, u, w, mesh, bathy, params, bc_in, bc_out, dt):
         apply_hyperbolic_bc,
         hydrostatic_reconstruct,
         kinetic_flux,
-        max_wave_speed,
     )
 
-    admissible = mesh.min_width / max_wave_speed(state.H, u, params)
+    admissible = mesh.min_width / speed
     if not dt <= admissible * (1.0 + 1e-9):
         raise CFLViolationError(f"dt = {dt:.3e} exceeds admissible {admissible:.3e}")
     ghost_l, ghost_r = (
@@ -573,7 +586,7 @@ def predict_reconstructed(state, u, w, mesh, bathy, params, bc_in, bc_out, dt):
     if H_new.min() < floor:
         raise RuntimeError(f"negative depth (min {H_new.min():.3e})")
     np.maximum(H_new, 0.0, out=H_new)
-    dry = H_new < params.h_eps
+    dry = H_new < h_eps
     Hu_new[dry] = 0.0
     Hw_new[dry] = 0.0
     return FlowState(H_new, Hu_new, Hw_new, state.t + dt)
@@ -727,7 +740,7 @@ def solve_uzawa(sys, u, w, dt, tol):
         return np.zeros(m), 0
     target = max(_STOP_SAFETY * tol, 1e-14) * rhs_norm
     alpha = 1.0 / float(np.max(sys.ab[0]))  # ab[0]: the diagonal
-    pinned = sys.plan.pinned
+    pinned = sys.plan.pinned_dofs
     p = np.zeros(m)
     cap = 10 * m
     r0 = None

@@ -7,6 +7,8 @@ import nhswe as nh
 from nhswe.core import G
 from nhswe.scenarios import SolitaryWaveParams, solitary_wave
 
+from oracles import prediction_inputs
+
 # frozen golden values: high-resolution midpoint quadrature of the solitary
 # initial condition (a=0.4, H0=1, d=1, 45 m domain, crest at 11 m)
 SOLITARY_MASS = 46.49665125871972
@@ -120,8 +122,9 @@ def test_bathymetry_keeps_read_only_terms_on_itself():
 
 
 def test_velocities_given_the_state_own_wet_mask_are_the_same_bits():
-    # a caller that computed H >= h_eps once passes it; dry nodes, depths of
-    # either zero sign and depths at the threshold take the same branch
+    # the caller computes H >= h_eps once and passes it; dry nodes, depths of
+    # either zero sign and depths at the threshold take the mask's branch:
+    # Hu / H and Hw / H on the wet nodes, +0.0 on the others
     rng = np.random.default_rng(3)
     h_eps = 1e-6
     H = rng.uniform(0.0, 2.0, 40)
@@ -131,7 +134,9 @@ def test_velocities_given_the_state_own_wet_mask_are_the_same_bits():
     H[3::11] = np.nextafter(h_eps, 0.0)
     state = nh.FlowState(H, rng.standard_normal(40), rng.standard_normal(40))
     wet = state.H >= h_eps
-    for got, want in zip(state.velocities(h_eps, wet), state.velocities(h_eps), strict=True):
+    for got, Hv in zip(state.velocities(wet), (state.Hu, state.Hw), strict=True):
+        want = np.zeros(40)
+        want[wet] = Hv[wet] / state.H[wet]
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
@@ -167,6 +172,8 @@ def test_correction_step_never_changes_mass():
     res = nh.step_euler(sc.state0, sc.mesh, sc.bathy, params, sc.bounds)
     # H after the full step equals H after the hyperbolic half step exactly
     bc_l, bc_r = sc.bounds.hyperbolic_at(0.0)
-    u, w = sc.state0.velocities(params.h_eps)
-    half = nh.predict(sc.state0, u, w, sc.mesh, sc.bathy, params, bc_l, bc_r, res.report.dt)
+    u, w, _, speed = prediction_inputs(sc.state0, sc.mesh, params.h_eps)
+    half = nh.predict(
+        sc.state0, u, w, sc.mesh, sc.bathy, params.h_eps, bc_l, bc_r, res.report.dt, speed
+    )
     assert np.array_equal(res.state.H, half.H)

@@ -27,9 +27,8 @@ from oracles import (
 
 PAIRS = (P1P0, P1ISOP2P1)
 
-
-def _pair(tag, n):
-    return nh.ElementPair.from_tag(tag, n)
+# the default dry threshold
+H_EPS = nh.PhysicalParams().h_eps
 
 
 # -- lumped mass ------------------------------------------------------------
@@ -37,14 +36,14 @@ def _pair(tag, n):
 
 def test_lumped_mass_uniform_unit_depth():
     mesh = nh.Mesh1D.uniform(0.0, 1.0, 11)
-    a = nh.lump_mass(np.ones(11), mesh)
+    a = nh.lump_mass(np.ones(11), mesh, H_EPS)
     assert a[5] == pytest.approx(0.1, rel=1e-13)
     assert a[0] == pytest.approx(0.05, rel=1e-13)
 
 
 def test_lumped_mass_linear_depth_exact_integral():
     mesh = nh.Mesh1D(np.array([0.0, 1.0]))
-    a = nh.lump_mass(np.array([1.0, 0.0]), mesh)
+    a = nh.lump_mass(np.array([1.0, 0.0]), mesh, H_EPS)
     # node at the H=1 end: 1/4 (phi^2 part) + 1/12 (cross part)
     assert a[0] == pytest.approx(0.25 + 1.0 / 12.0, rel=1e-13)
     assert a[1] == pytest.approx(1.0 / 12.0 + 1.0 / 4.0 - 1.0 / 6.0, rel=1e-13)
@@ -60,8 +59,8 @@ def test_lumped_mass_dry_floor():
 def test_lumped_mass_scales_linearly_with_depth():
     rng = np.random.default_rng(3)
     mesh, H, _ = random_wet_setup(rng)
-    a1 = nh.lump_mass(H, mesh)
-    a3 = nh.lump_mass(3.0 * H, mesh)
+    a1 = nh.lump_mass(H, mesh, H_EPS)
+    a3 = nh.lump_mass(3.0 * H, mesh, H_EPS)
     assert np.allclose(a3, 3.0 * a1, rtol=1e-13)
 
 
@@ -69,7 +68,7 @@ def test_lumped_mass_matches_quadrature():
     rng = np.random.default_rng(11)
     for _ in range(10):
         mesh, H, _ = random_wet_setup(rng)
-        assert np.allclose(nh.lump_mass(H, mesh), gauss_lumped_mass(mesh, H), rtol=1e-12)
+        assert np.allclose(nh.lump_mass(H, mesh, H_EPS), gauss_lumped_mass(mesh, H), rtol=1e-12)
 
 
 # -- assembly ---------------------------------------------------------------
@@ -77,7 +76,7 @@ def test_lumped_mass_matches_quadrature():
 
 def test_p1p0_divergence_of_constant_u_flat_data():
     mesh = nh.Mesh1D.uniform(0.0, 1.0, 9)
-    ops = nh.assemble(_pair(P1P0, 9), mesh, np.ones(9), nh.Bathymetry.flat(mesh))
+    ops = nh.assemble(nh.ElementPair(P1P0, 9), mesh, np.ones(9), nh.Bathymetry.flat(mesh), H_EPS)
     div = ops.apply_divergence(0.7 * np.ones(9), np.zeros(9))
     assert np.abs(div).max() <= 1e-14
 
@@ -90,19 +89,23 @@ def test_p1p0_divergence_of_constant_u_flat_data():
     ],
 )
 def test_element_pair_validates_itself(args, names):
-    # built by hand, not through p1p0 / p1isop2p1 / from_tag
+    # built by hand, not through from_tag
     with pytest.raises(ValueError, match=names):
         nh.ElementPair(*args)
 
 
 def test_element_pair_validation():
     with pytest.raises(ValueError):
-        nh.ElementPair.p1isop2p1(8)
-    with pytest.raises(ValueError):
-        nh.assemble(nh.ElementPair.p1p0(9), nh.Mesh1D.uniform(0, 1, 7), np.ones(7), nh.Bathymetry(np.zeros(7)))
+        nh.ElementPair(P1ISOP2P1, 8)
     with pytest.raises(ValueError):
         nh.assemble(
-            _pair(P1P0, 7), nh.Mesh1D.uniform(0, 1, 7), -np.ones(7), nh.Bathymetry(np.zeros(7))
+            nh.ElementPair(P1P0, 9), nh.Mesh1D.uniform(0, 1, 7), np.ones(7),
+            nh.Bathymetry(np.zeros(7)), H_EPS,
+        )
+    with pytest.raises(ValueError):
+        nh.assemble(
+            nh.ElementPair(P1P0, 7), nh.Mesh1D.uniform(0, 1, 7), -np.ones(7),
+            nh.Bathymetry(np.zeros(7)), H_EPS,
         )
 
 
@@ -121,7 +124,8 @@ def test_duality_interior_restriction(tag):
     rng = np.random.default_rng(2024)
     for _ in range(50):
         mesh, H, zb = random_wet_setup(rng, odd=True)
-        _assert_interior_duality(nh.assemble(_pair(tag, mesh.n_nodes), mesh, H, nh.Bathymetry(zb)))
+        pair = nh.ElementPair(tag, mesh.n_nodes)
+        _assert_interior_duality(nh.assemble(pair, mesh, H, nh.Bathymetry(zb), H_EPS))
 
 
 def test_interior_duality_of_both_pairs_on_fifty_meshes():
@@ -130,7 +134,8 @@ def test_interior_duality_of_both_pairs_on_fifty_meshes():
     for _ in range(50):
         mesh, H, zb = random_wet_setup(rng, odd=True)
         for tag in PAIRS:
-            _assert_interior_duality(nh.assemble(_pair(tag, mesh.n_nodes), mesh, H, nh.Bathymetry(zb)))
+            pair = nh.ElementPair(tag, mesh.n_nodes)
+            _assert_interior_duality(nh.assemble(pair, mesh, H, nh.Bathymetry(zb), H_EPS))
 
 
 @pytest.mark.parametrize("tag", PAIRS)
@@ -138,7 +143,7 @@ def test_full_duality_identity_with_boundary_matrix(tag):
     # Bt - C = -B^T exactly, all rows
     rng = np.random.default_rng(5)
     mesh, H, zb = random_wet_setup(rng, odd=True)
-    ops = nh.assemble(_pair(tag, mesh.n_nodes), mesh, H, nh.Bathymetry(zb))
+    ops = nh.assemble(nh.ElementPair(tag, mesh.n_nodes), mesh, H, nh.Bathymetry(zb), H_EPS)
     lhs = dense_gradient(ops) - dense_boundary(ops)
     assert np.abs(lhs + dense_divergence(ops).T).max() <= 1e-12
 
@@ -148,7 +153,7 @@ def test_quadrature_equivalence_divergence(tag):
     rng = np.random.default_rng(99)
     for _ in range(8):
         mesh, H, zb = random_wet_setup(rng, n_min=5, n_max=9, odd=True)
-        ops = nh.assemble(_pair(tag, mesh.n_nodes), mesh, H, nh.Bathymetry(zb))
+        ops = nh.assemble(nh.ElementPair(tag, mesh.n_nodes), mesh, H, nh.Bathymetry(zb), H_EPS)
         B = dense_divergence(ops)
         B_q = gauss_divergence(tag, mesh, H, zb)
         assert np.abs(B - B_q).max() <= 1e-12 * max(1.0, np.abs(B_q).max())
@@ -159,7 +164,7 @@ def test_quadrature_equivalence_gradient(tag):
     rng = np.random.default_rng(100)
     for _ in range(8):
         mesh, H, zb = random_wet_setup(rng, n_min=5, n_max=9, odd=True)
-        ops = nh.assemble(_pair(tag, mesh.n_nodes), mesh, H, nh.Bathymetry(zb))
+        ops = nh.assemble(nh.ElementPair(tag, mesh.n_nodes), mesh, H, nh.Bathymetry(zb), H_EPS)
         Bt = dense_gradient(ops)
         # the oracle reads the gradient form directly; its by-parts boundary
         # terms cancel against C, so it matches Bt = -B^T + C as assembled
@@ -173,14 +178,14 @@ def test_p1isop2_uniform_mesh_printed_divergence_stencil():
     n = 9
     mesh = nh.Mesh1D.uniform(0.0, 4.0, n)
     H = np.array([1.0, 1.3, 0.8, 1.1, 0.9, 1.4, 1.2, 1.0, 0.7])
-    ops = nh.assemble(_pair(P1ISOP2P1, n), mesh, H, nh.Bathymetry(np.full(n, 0.25)))
+    ops = nh.assemble(nh.ElementPair(P1ISOP2P1, n), mesh, H, nh.Bathymetry(np.full(n, 0.25)), H_EPS)
     B = dense_divergence(ops)
     j = 2  # coarse node at fine node 4
     c = 4
     # zeta terms vanish against the u coefficients only if zeta is constant,
     # so build that case explicitly
     zb = 0.5 * (2.0 - H)  # makes zeta = H + 2 zb = 2 constant
-    ops_c = nh.assemble(_pair(P1ISOP2P1, n), mesh, H, nh.Bathymetry(zb))
+    ops_c = nh.assemble(nh.ElementPair(P1ISOP2P1, n), mesh, H, nh.Bathymetry(zb), H_EPS)
     B = dense_divergence(ops_c)
     assert B[j, c - 2] == pytest.approx(-0.25 * H[c - 2], rel=1e-13)
     assert B[j, c - 1] == pytest.approx(-0.5 * H[c - 1], rel=1e-13)
@@ -195,7 +200,7 @@ def test_p1isop2_uniform_gradient_first_term():
     mesh = nh.Mesh1D.uniform(0.0, 4.0, n)
     H = 1.0 + 0.1 * np.arange(n)
     zb = 0.5 * (2.0 - H)  # constant zeta kills the slope terms
-    ops = nh.assemble(_pair(P1ISOP2P1, n), mesh, H, nh.Bathymetry(zb))
+    ops = nh.assemble(nh.ElementPair(P1ISOP2P1, n), mesh, H, nh.Bathymetry(zb), H_EPS)
     Bt = dense_gradient(ops)
     i = 4  # fine node of coarse dof j=2
     assert Bt[i, 3] == pytest.approx(H[i] / 4.0, rel=1e-13)
@@ -211,7 +216,7 @@ def _assert_p1p0_matches_stencils(mesh, H, zb):
     # row but the two boundary u-rows equals the stencil exactly; on the
     # boundary u-rows the entries of C cancel the depth terms to round-off
     n = mesh.n_nodes
-    ops = nh.assemble(_pair(P1P0, n), mesh, H, nh.Bathymetry(zb))
+    ops = nh.assemble(nh.ElementPair(P1P0, n), mesh, H, nh.Bathymetry(zb), H_EPS)
     assert np.array_equal(dense_divergence(ops), staggered_stencil_divergence(mesh, H, zb))
     Bt = dense_gradient(ops)
     Bt_fd = staggered_stencil_gradient(mesh, H, zb)
@@ -241,8 +246,8 @@ def test_depth_scaling_against_quadrature(tag):
     rng = np.random.default_rng(17)
     mesh, H, zb = random_wet_setup(rng, n_min=5, n_max=9, odd=True)
     lam = 2.5
-    ops = nh.assemble(_pair(tag, mesh.n_nodes), mesh, lam * H, nh.Bathymetry(zb))
-    assert np.allclose(ops.a_node, lam * nh.lump_mass(H, mesh), rtol=1e-13)
+    ops = nh.assemble(nh.ElementPair(tag, mesh.n_nodes), mesh, lam * H, nh.Bathymetry(zb), H_EPS)
+    assert np.allclose(ops.a_node, lam * nh.lump_mass(H, mesh, H_EPS), rtol=1e-13)
     B_q = gauss_divergence(tag, mesh, lam * H, zb)
     assert np.abs(dense_divergence(ops) - B_q).max() <= 1e-12 * max(
         1.0, np.abs(B_q).max()
@@ -255,7 +260,7 @@ def test_depth_scaling_against_quadrature(tag):
 def test_boundary_matrix_entries():
     mesh = nh.Mesh1D.uniform(0.0, 1.0, 5)
     H = np.array([1.5, 1.0, 1.0, 1.0, 2.5])
-    ops = nh.assemble(_pair(P1P0, 5), mesh, H, nh.Bathymetry.flat(mesh))
+    ops = nh.assemble(nh.ElementPair(P1P0, 5), mesh, H, nh.Bathymetry.flat(mesh), H_EPS)
     (r0, c0, v0), (r1, c1, v1) = boundary_entries(ops)
     assert (r0, c0, v0) == (0, 0, -1.5)
     assert (r1, c1, v1) == (4, 3, 2.5)
@@ -263,9 +268,10 @@ def test_boundary_matrix_entries():
 
 def test_schur_bandwidth_tags():
     mesh = nh.Mesh1D.uniform(0.0, 1.0, 9)
-    assert nh.assemble(_pair(P1P0, 9), mesh, np.ones(9), nh.Bathymetry.flat(mesh)).bandwidth == 1
+    flat = nh.Bathymetry.flat(mesh)
+    assert nh.assemble(nh.ElementPair(P1P0, 9), mesh, np.ones(9), flat, H_EPS).bandwidth == 1
     assert (
-        nh.assemble(_pair(P1ISOP2P1, 9), mesh, np.ones(9), nh.Bathymetry.flat(mesh)).bandwidth == 2
+        nh.assemble(nh.ElementPair(P1ISOP2P1, 9), mesh, np.ones(9), flat, H_EPS).bandwidth == 2
     )
 
 
@@ -274,7 +280,7 @@ def test_windowed_apply_matches_dense():
     for tag in PAIRS:
         mesh, H, zb = random_wet_setup(rng, odd=True)
         n = mesh.n_nodes
-        ops = nh.assemble(_pair(tag, n), mesh, H, nh.Bathymetry(zb))
+        ops = nh.assemble(nh.ElementPair(tag, n), mesh, H, nh.Bathymetry(zb), H_EPS)
         B = dense_divergence(ops)
         u = rng.standard_normal(n)
         w = rng.standard_normal(n)
@@ -304,7 +310,7 @@ def test_dry_pressure_dofs_match_their_supports(tag):
     h_eps = 1e-8
     for _ in range(40):
         mesh, H, zb = _random_dry_setup(rng, tag)
-        ops = nh.assemble(_pair(tag, mesh.n_nodes), mesh, H, nh.Bathymetry(zb), h_eps)
+        ops = nh.assemble(nh.ElementPair(tag, mesh.n_nodes), mesh, H, nh.Bathymetry(zb), h_eps)
         ref = dry_pressure_dofs_by_support(tag, mesh, H, h_eps)
         assert np.array_equal(ops.dry_pressure_dofs(), ref)
 
@@ -317,7 +323,7 @@ def test_the_assembly_wet_mask_is_read_only(tag):
     h_eps = 1e-3
     mesh, H, zb = _random_dry_setup(rng, tag)
     H[rng.random(mesh.n_nodes) < 0.2] = 0.5 * h_eps
-    ops = nh.assemble(_pair(tag, mesh.n_nodes), mesh, H, nh.Bathymetry(zb), h_eps)
+    ops = nh.assemble(nh.ElementPair(tag, mesh.n_nodes), mesh, H, nh.Bathymetry(zb), h_eps)
     assert ops.wet.dtype == bool and np.array_equal(ops.wet, H >= h_eps)
     assert ops.wet.any() and not ops.wet.all()
     with pytest.raises(ValueError, match="read-only"):
@@ -329,7 +335,7 @@ def test_nodal_pressure_samples_match_pointwise_interpolation(tag):
     rng = np.random.default_rng(62)
     for _ in range(40):
         mesh, H, zb = _random_dry_setup(rng, tag)
-        ops = nh.assemble(_pair(tag, mesh.n_nodes), mesh, H, nh.Bathymetry(zb))
+        ops = nh.assemble(nh.ElementPair(tag, mesh.n_nodes), mesh, H, nh.Bathymetry(zb), H_EPS)
         p = rng.standard_normal(ops.n_pressure)
         got = ops.interpolate_pressure_to_nodes(p)
         ref = nodal_pressure_samples(tag, mesh, p)
@@ -360,9 +366,9 @@ def _depth_derivative_case(draw, tag):
 @given(data=st.data())
 def test_depth_derivative_matches_differenced_assemblies(tag, data):
     mesh, H, zb, T_H, u = data.draw(_depth_derivative_case(tag))
-    pair = _pair(tag, mesh.n_nodes)
+    pair = nh.ElementPair(tag, mesh.n_nodes)
     w = np.linspace(-1.0, 1.0, mesh.n_nodes)
-    got = nh.assemble(pair, mesh, H, nh.Bathymetry(zb)).apply_depth_derivative(T_H, u)
+    got = nh.assemble(pair, mesh, H, nh.Bathymetry(zb), H_EPS).apply_depth_derivative(T_H, u)
     ref = depth_derivative_by_differencing(pair, mesh, zb, T_H, u, w)
     # the difference cancels coefficients of size |shift + T_H| + |d zeta|
     scale = (2.0 * np.abs(T_H).max() + 1.0 + 4.0 * np.abs(zb).max()) * (np.abs(u).max() + 1.0)
@@ -376,9 +382,9 @@ def test_depth_derivative_matches_differenced_assemblies(tag, data):
 def test_assemblies_on_one_mesh_share_read_only_geometry(tag):
     rng = np.random.default_rng(41)
     mesh, H, zb = random_wet_setup(rng, odd=True)
-    pair = _pair(tag, mesh.n_nodes)
-    first = nh.assemble(pair, mesh, H, nh.Bathymetry(zb))
-    second = nh.assemble(pair, mesh, 2.0 * H, nh.Bathymetry(-zb))
+    pair = nh.ElementPair(tag, mesh.n_nodes)
+    first = nh.assemble(pair, mesh, H, nh.Bathymetry(zb), H_EPS)
+    second = nh.assemble(pair, mesh, 2.0 * H, nh.Bathymetry(-zb), H_EPS)
     assert second.Dw is first.Dw
     assert second.geometry is first.geometry
     assert not first.Dw.flags.writeable
@@ -396,7 +402,9 @@ def test_meshes_never_share_geometry():
     geoms = []
     for mesh in (mesh_a, mesh_b):
         for tag in PAIRS:
-            ops = nh.assemble(_pair(tag, 9), mesh, np.ones(9), nh.Bathymetry.flat(mesh))
+            ops = nh.assemble(
+                nh.ElementPair(tag, 9), mesh, np.ones(9), nh.Bathymetry.flat(mesh), H_EPS
+            )
             geoms.append(ops.geometry)
     assert len({id(g) for g in geoms}) == 4
     assert np.array_equal(geoms[0].Dw, geoms[2].Dw)
@@ -408,8 +416,9 @@ def test_meshes_never_share_geometry():
 @given(data=st.data())
 def test_cached_windows_equal_an_uncached_build(tag, data):
     mesh, H, zb, _, _ = data.draw(_depth_derivative_case(tag))
-    pair = _pair(tag, mesh.n_nodes)
-    nh.assemble(pair, mesh, np.ones(mesh.n_nodes), nh.Bathymetry.flat(mesh))  # fills the cache
-    ops = nh.assemble(pair, mesh, H, nh.Bathymetry(zb))
+    pair = nh.ElementPair(tag, mesh.n_nodes)
+    # fills the cache
+    nh.assemble(pair, mesh, np.ones(mesh.n_nodes), nh.Bathymetry.flat(mesh), H_EPS)
+    ops = nh.assemble(pair, mesh, H, nh.Bathymetry(zb), H_EPS)
     assert np.array_equal(ops.Du, u_windows_uncached(pair, mesh, H, zb))
     assert np.array_equal(ops.Dw, w_windows_uncached(pair, mesh))

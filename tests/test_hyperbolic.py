@@ -28,8 +28,12 @@ from oracles import (
     kinetic_flux_discharge,
     max_wave_speed_gather,
     predict_reconstructed,
+    prediction_inputs,
     rusanov_step,
 )
+
+# the default dry threshold
+H_EPS = nh.PhysicalParams().h_eps
 
 
 # -- kinetic flux -----------------------------------------------------------
@@ -127,9 +131,9 @@ def test_cfl_dry_domain_raises():
     with pytest.raises(nh.DryDomainError):
         nh.cfl_dt(state, mesh, nh.PhysicalParams())
     # dry depths below h_eps, one rounded below 0, and moving
+    H = np.array([0.0, -1e-20, 5e-9])
     with pytest.raises(nh.DryDomainError):
-        max_wave_speed(np.array([0.0, -1e-20, 5e-9]), np.array([0.0, 1.0, -2.0]),
-                       nh.PhysicalParams(h_eps=1e-8))
+        max_wave_speed(H, np.array([0.0, 1.0, -2.0]), H >= 1e-8)
 
 
 # -- boundary closures ------------------------------------------------------
@@ -152,23 +156,22 @@ def test_wall_ghost_of_a_sub_threshold_node_has_zero_velocity():
     # 0 < H < h_eps with a nonzero discharge: the ghost takes the node's
     # velocity from FlowState.velocities, which is 0 on a dry node, so the
     # ghost and the flux agree on which nodes are dry
-    params = nh.PhysicalParams(h_eps=1e-6)
+    h_eps = 1e-6
     mesh = nh.Mesh1D.uniform(0.0, 1.0, 11)
     H = np.full(11, 0.5)
     H[0] = 5e-7
     Hu = np.zeros(11)
     Hu[0] = 3e-7
     state = nh.FlowState(H, Hu, np.zeros(11))
-    u, w = state.velocities(params.h_eps)
+    u, w, dt, speed = prediction_inputs(state, mesh, h_eps)
     assert u[0] == 0.0
     ghost = apply_hyperbolic_bc(nh.HyperbolicBC("wall"), "in", H[0], u[0], w[0])
     assert ghost == GhostState(5e-7, 0.0, 0.0)
     # predict builds its ghosts the same way: the mirrored dry node carries
     # no discharge, so the left wall passes no mass
     bathy = nh.Bathymetry.flat(mesh)
-    dt = 0.5 * nh.cfl_dt(state, mesh, params)
     walls = nh.BoundarySpec.walls()
-    out = nh.predict(state, u, w, mesh, bathy, params, walls.left, walls.right, dt)
+    out = nh.predict(state, u, w, mesh, bathy, h_eps, walls.left, walls.right, 0.5 * dt, speed)
     assert np.isclose(nh.total_mass(out, mesh), nh.total_mass(state, mesh), rtol=0.0, atol=1e-15)
 
 
@@ -281,19 +284,19 @@ _wet_or_dry_depths = st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_max_wave_speed_matches_gather_formulation(data):
-    params = nh.PhysicalParams(h_eps=1e-8)
+    h_eps = 1e-8
     n = data.draw(st.integers(1, 40))
     H = data.draw(arrays(float, n, elements=_wet_or_dry_depths))
     u = data.draw(arrays(float, n, elements=_velocities))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            ref = max_wave_speed_gather(H, u, G, params.h_eps)
+            ref = max_wave_speed_gather(H, u, G, h_eps)
         except nh.DryDomainError:
             with pytest.raises(nh.DryDomainError):
-                max_wave_speed(H, u, params)
+                max_wave_speed(H, u, H >= h_eps)
             return
-        got = max_wave_speed(H, u, params)
+        got = max_wave_speed(H, u, H >= h_eps)
     assert np.array_equal(float_bits([got]), float_bits([ref]))
 
 
@@ -360,13 +363,12 @@ def test_predict_lake_at_rest_with_topography():
     bathy = nh.Bathymetry.from_nodal(mesh, zb)
     H = np.maximum(1.0 - zb, 0.0)
     state = nh.FlowState(H, np.zeros_like(H), np.zeros_like(H))
-    params = nh.PhysicalParams()
     bc_in, bc_out = _walls()
-    dt = nh.cfl_dt(state, mesh, params)
+    _, _, dt, _ = prediction_inputs(state, mesh, H_EPS)
     out = state
     for _ in range(100):
-        u, w = out.velocities(params.h_eps)
-        out = nh.predict(out, u, w, mesh, bathy, params, bc_in, bc_out, dt)
+        u, w, _, speed = prediction_inputs(out, mesh, H_EPS)
+        out = nh.predict(out, u, w, mesh, bathy, H_EPS, bc_in, bc_out, dt, speed)
     assert np.abs(out.H - H).max() <= 1e-12
     assert np.abs(out.Hu).max() <= 1e-12
 
@@ -375,10 +377,9 @@ def test_predict_constant_state_unchanged():
     mesh = nh.Mesh1D.uniform(0.0, 5.0, 51)
     bathy = nh.Bathymetry.flat(mesh)
     state = nh.FlowState(np.full(51, 2.0), np.zeros(51), np.zeros(51))
-    params = nh.PhysicalParams()
     bc_in, bc_out = _walls()
-    u, w = state.velocities(params.h_eps)
-    out = nh.predict(state, u, w, mesh, bathy, params, bc_in, bc_out, 1e-3)
+    u, w, _, speed = prediction_inputs(state, mesh, H_EPS)
+    out = nh.predict(state, u, w, mesh, bathy, H_EPS, bc_in, bc_out, 1e-3, speed)
     assert np.array_equal(out.H, state.H)
     assert np.abs(out.Hu).max() == 0.0
 
@@ -390,11 +391,9 @@ def test_predict_against_rusanov_oracle():
     bathy = nh.Bathymetry.flat(mesh)
     H = nh.dam_break_init(mesh.nodes, 1.8, 1.0, 10.0, 0.5)
     state = nh.FlowState(H, np.zeros_like(H), np.zeros_like(H))
-    params = nh.PhysicalParams()
-    dt = nh.cfl_dt(state, mesh, params)
+    u, w, dt, speed = prediction_inputs(state, mesh, H_EPS)
     bc_in, bc_out = _walls()
-    u, w = state.velocities(params.h_eps)
-    out = nh.predict(state, u, w, mesh, bathy, params, bc_in, bc_out, dt)
+    out = nh.predict(state, u, w, mesh, bathy, H_EPS, bc_in, bc_out, dt, speed)
     H_r, Hu_r, _ = rusanov_step(state.H, state.Hu, state.Hw, mesh, G, dt)
     m_kin = np.sum(mesh.dual_widths * out.H)
     m_rus = np.sum(mesh.dual_widths * H_r)
@@ -405,7 +404,6 @@ def test_predict_against_rusanov_oracle():
 
 def test_predict_positivity_random_states():
     rng = np.random.default_rng(42)
-    params = nh.PhysicalParams()
     for _ in range(1000):
         n = int(rng.integers(8, 40))
         x = np.cumsum(0.05 + rng.random(n))
@@ -413,14 +411,13 @@ def test_predict_positivity_random_states():
         zb = 0.5 * rng.standard_normal(n)
         bathy = nh.Bathymetry.from_nodal(mesh, zb)
         H = np.where(rng.random(n) < 0.2, 0.0, 2.0 * rng.random(n))
-        if not np.any(H >= params.h_eps):
+        if not np.any(H >= H_EPS):
             H[0] = 1.0
         u = np.where(H > 0, 2.0 * rng.standard_normal(n), 0.0)
         w = np.where(H > 0, rng.standard_normal(n), 0.0)
         state = nh.FlowState(H, H * u, H * w)
-        dt = nh.cfl_dt(state, mesh, params)
-        u, w = state.velocities(params.h_eps)
-        out = nh.predict(state, u, w, mesh, bathy, params, *_walls(), dt)
+        u, w, dt, speed = prediction_inputs(state, mesh, H_EPS)
+        out = nh.predict(state, u, w, mesh, bathy, H_EPS, *_walls(), dt, speed)
         assert out.H.min() >= 0.0
 
 
@@ -430,7 +427,6 @@ def test_predict_positivity_property(data):
     # one step at cfl_dt, the fixed CFL number, from a random wet/dry state
     # on an uneven mesh, a flat or random bottom and walled, open or mixed
     # ends: it never raises and never gives a negative depth
-    params = nh.PhysicalParams()
     n = data.draw(st.integers(3, 40))
     widths = data.draw(arrays(float, n - 1, elements=st.floats(0.05, 1.05)))
     mesh = nh.Mesh1D(np.concatenate(([0.0], np.cumsum(widths))))
@@ -439,15 +435,14 @@ def test_predict_positivity_property(data):
     else:
         bathy = nh.Bathymetry(data.draw(arrays(float, n, elements=st.floats(-1.0, 1.0))))
     H = data.draw(arrays(float, n, elements=st.one_of(st.just(0.0), st.floats(0.0, 2.0))))
-    assume(np.any(H >= params.h_eps))
+    assume(np.any(H >= H_EPS))
     u = data.draw(arrays(float, n, elements=st.floats(-8.0, 8.0)))
     w = data.draw(arrays(float, n, elements=st.floats(-4.0, 4.0)))
     state = nh.FlowState(H, H * u, H * w)
     kinds = st.sampled_from(["wall", "free_outflow"])
     bc_in, bc_out = (nh.HyperbolicBC(data.draw(kinds)) for _ in range(2))
-    dt = nh.cfl_dt(state, mesh, params)
-    u, w = state.velocities(params.h_eps)
-    out = nh.predict(state, u, w, mesh, bathy, params, bc_in, bc_out, dt)
+    u, w, dt, speed = prediction_inputs(state, mesh, H_EPS)
+    out = nh.predict(state, u, w, mesh, bathy, H_EPS, bc_in, bc_out, dt, speed)
     assert out.H.min() >= 0.0
 
 
@@ -517,35 +512,32 @@ def _any_bc(data):
 def test_zero_bottom_predict_matches_reconstructed_oracle(data):
     # the per-node flux on a zero bottom gives the bits of the reconstructed
     # path: dry and signed-zero depths, tiny negative (stage) depths, flows
-    # supersonic either way, every boundary kind, with and without the
-    # stepper's wave speed
-    params = nh.PhysicalParams()
+    # supersonic either way, every boundary kind
     n = data.draw(st.integers(2, 30))
     widths = data.draw(arrays(float, n - 1, elements=st.floats(0.05, 1.05)))
     mesh = nh.Mesh1D(np.concatenate(([0.0], np.cumsum(widths))))
     bathy = nh.Bathymetry.flat(mesh)
     H = data.draw(arrays(float, n, elements=_zero_bottom_depths))
-    assume(np.any(H >= params.h_eps))
+    assume(np.any(H >= H_EPS))
     u = data.draw(arrays(float, n, elements=st.one_of(
         st.floats(-30.0, 30.0), st.sampled_from([0.0, -0.0]))))
     w = data.draw(arrays(float, n, elements=st.floats(-4.0, 4.0)))
     state = nh.FlowState(H, H * u, H * w)
-    u, w = state.velocities(params.h_eps)
+    u, w, dt, speed = prediction_inputs(state, mesh, H_EPS)
     bc_in, bc_out = _any_bc(data), _any_bc(data)
-    dt = nh.cfl_dt(state, mesh, params) * data.draw(st.floats(0.1, 1.0))
-    args = (state, u, w, mesh, bathy, params, bc_in, bc_out, dt)
+    dt *= data.draw(st.floats(0.1, 1.0))
+    args = (state, u, w, mesh, bathy, H_EPS, bc_in, bc_out, dt, speed)
     try:
         want = predict_reconstructed(*args)
     except (TorrentialBoundaryError, RuntimeError) as err:
         with pytest.raises(type(err)):
             nh.predict(*args)
         return
-    for speed in (None, max_wave_speed(state.H, u, params)):
-        got = nh.predict(*args, speed)
-        for name in ("H", "Hu", "Hw"):
-            assert np.array_equal(float_bits(getattr(got, name)),
-                                  float_bits(getattr(want, name)))
-        assert got.t == want.t
+    got = nh.predict(*args)
+    for name in ("H", "Hu", "Hw"):
+        assert np.array_equal(float_bits(getattr(got, name)),
+                              float_bits(getattr(want, name)))
+    assert got.t == want.t
 
 
 def test_flat_bottom_at_nonzero_height_is_reconstructed(monkeypatch):
@@ -553,30 +545,26 @@ def test_flat_bottom_at_nonzero_height_is_reconstructed(monkeypatch):
     # the per-node path
     mesh = nh.Mesh1D.uniform(0.0, 1.0, 11)
     state = nh.FlowState(np.linspace(0.5, 1.0, 11), np.zeros(11), np.zeros(11))
-    params = nh.PhysicalParams()
-    u, w = state.velocities(params.h_eps)
-    dt = nh.cfl_dt(state, mesh, params)
+    u, w, dt, speed = prediction_inputs(state, mesh, H_EPS)
     calls = []
     reconstruct = hyperbolic.hydrostatic_reconstruct
     monkeypatch.setattr(hyperbolic, "hydrostatic_reconstruct",
                         lambda *a: calls.append(1) or reconstruct(*a))
     for zb, expected in ((0.0, 0), (-0.0, 0), (0.3, 1)):
         bathy = nh.Bathymetry(np.full(11, zb))
-        nh.predict(state, u, w, mesh, bathy, params, *_walls(), dt)
+        nh.predict(state, u, w, mesh, bathy, H_EPS, *_walls(), dt, speed)
         assert len(calls) == expected
         calls.clear()
 
 
 def test_predict_conservation_with_walls():
     sc = nh.make_solitary(401)
-    params = nh.PhysicalParams()
     state = sc.state0
     m0 = nh.total_mass(state, sc.mesh)
     bc_in, bc_out = _walls()
     for _ in range(50):
-        dt = nh.cfl_dt(state, sc.mesh, params)
-        u, w = state.velocities(params.h_eps)
-        state = nh.predict(state, u, w, sc.mesh, sc.bathy, params, bc_in, bc_out, dt)
+        u, w, dt, speed = prediction_inputs(state, sc.mesh, H_EPS)
+        state = nh.predict(state, u, w, sc.mesh, sc.bathy, H_EPS, bc_in, bc_out, dt, speed)
     assert abs(nh.total_mass(state, sc.mesh) - m0) <= 1e-12 * m0
 
 
@@ -586,11 +574,11 @@ def test_predict_rejects_a_dt_that_is_not_finite_and_positive():
     # before the CFL guard, and a stepper's dt raises it before any work
     sc = nh.make_dam_break(101)
     params = nh.PhysicalParams()
-    u, w = sc.state0.velocities(params.h_eps)
+    u, w, _, speed = prediction_inputs(sc.state0, sc.mesh, params.h_eps)
     bcs = sc.bounds.hyperbolic_at(0.0)
     for dt in (-0.05, 0.0, -0.0, np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="dt must be finite and positive"):
-            nh.predict(sc.state0, u, w, sc.mesh, sc.bathy, params, *bcs, dt)
+            nh.predict(sc.state0, u, w, sc.mesh, sc.bathy, params.h_eps, *bcs, dt, speed)
     for stepper in (nh.step_euler, nh.step_heun):
         for dt in (-0.05, np.nan):
             with pytest.raises(ValueError, match="dt must be finite and positive"):
@@ -601,7 +589,6 @@ def test_predict_cfl_assertion():
     mesh = nh.Mesh1D.uniform(0.0, 1.0, 11)
     bathy = nh.Bathymetry.flat(mesh)
     state = nh.FlowState(np.ones(11), np.zeros(11), np.zeros(11))
-    params = nh.PhysicalParams()
+    u, w, _, speed = prediction_inputs(state, mesh, H_EPS)
     with pytest.raises(nh.CFLViolationError):
-        u, w = state.velocities(params.h_eps)
-        nh.predict(state, u, w, mesh, bathy, params, *_walls(), dt=1.0)
+        nh.predict(state, u, w, mesh, bathy, H_EPS, *_walls(), dt=1.0, speed=speed)

@@ -11,7 +11,7 @@ from nhswe.scenarios import (
     solitary_wave,
 )
 
-from oracles import riemann_star_bisection
+from oracles import prediction_inputs, riemann_star_bisection
 
 # frozen after cross-checking the package Newton iteration against the
 # independent bisection oracle (both to 1e-12)
@@ -194,11 +194,9 @@ def test_beach_initial_state_is_lake_at_rest():
     wet = sc.state0.H > 0
     assert np.allclose(eta[wet], 1.0, atol=1e-12)
     assert np.any(sc.state0.H == 0.0)  # the beach top is dry
-    params = nh.PhysicalParams(h_eps=sc.h_eps)
     bc_l, bc_r = sc.bounds.hyperbolic_at(0.0)
-    dt = nh.cfl_dt(sc.state0, sc.mesh, params)
-    u, w = sc.state0.velocities(params.h_eps)
-    out = nh.predict(sc.state0, u, w, sc.mesh, sc.bathy, params, bc_l, bc_r, dt)
+    u, w, dt, speed = prediction_inputs(sc.state0, sc.mesh, sc.h_eps)
+    out = nh.predict(sc.state0, u, w, sc.mesh, sc.bathy, sc.h_eps, bc_l, bc_r, dt, speed)
     assert np.abs(out.H - sc.state0.H).max() <= 1e-13
 
 

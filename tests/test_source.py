@@ -5,7 +5,9 @@ function writes module-level state, since a cache kept in a module keeps
 every array it holds alive for the life of the process (2 zb kept in a
 module dict keyed by id(zb) would hold one array per scenario ever run).
 Caches belong on the object they describe, as the mesh's operator
-geometry and the bathymetry's bottom terms are kept."""
+geometry and the bathymetry's bottom terms are kept.  Only the public
+entry points take a PhysicalParams; every layer below takes the dry
+threshold h_eps, the wet mask or the wave speed it reads, with no default."""
 
 import ast
 from pathlib import Path
@@ -153,3 +155,41 @@ def own(mesh, zb):
     return _TWICE.get(id(zb)), out
 '''
     assert module_state_writes(ast.parse(fine)) == []
+
+
+# the functions a caller hands a PhysicalParams; every layer below them takes
+# the h_eps or the wet mask it reads
+ENTRY_POINTS = frozenset(
+    {"timeloop.run", "timeloop.step_euler", "timeloop.step_heun", "timeloop.project_state",
+     "hyperbolic.cfl_dt"}
+)
+# what a stepper computes once and hands down; a default would let a caller
+# drop it and have it recomputed, or replaced by a stand-in threshold
+HANDED_DOWN = frozenset({"wet", "speed", "h_eps"})
+
+
+def _parameters(path):
+    """(qualified function name, parameter, its default or None) of every
+    function in the module at path."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        defaults = [None] * (len(positional) - len(args.defaults)) + args.defaults
+        pairs = [*zip(positional, defaults), *zip(args.kwonlyargs, args.kw_defaults)]
+        for arg, default in pairs:
+            yield f"{path.stem}.{fn.name}", arg, default
+
+
+def test_only_the_entry_points_take_physical_params_and_nothing_handed_down_has_a_default():
+    takes_params, defaulted = set(), []
+    for path in MODULES:
+        for name, arg, default in _parameters(path):
+            if arg.annotation is not None and "PhysicalParams" in ast.unparse(arg.annotation):
+                takes_params.add(name)
+            if arg.arg in HANDED_DOWN and default is not None:
+                defaulted.append(f"{name}({arg.arg}={ast.unparse(default)})")
+    assert takes_params == ENTRY_POINTS
+    assert defaulted == []

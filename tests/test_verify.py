@@ -1,12 +1,11 @@
 """Every verify check, each run at its own mesh and asserted to pass.
 
-Four checks carry the `slow` marker, which the default run deselects;
-`python -m pytest -m slow` runs them (48 s on 2 vCPUs):
-  * convergence_order and shape_preservation read one solitary-wave
-    convergence table per pair (five meshes up to N = 6495, 37 s), which
-    verify.solitary_l2_errors builds once per process;
-  * wellbalanced_positivity (a 3000-node beach run plus 1000 random steps)
-    and dam_break_plateau (N = 6000 to t = 45) take 5.7 s and 4.5 s.
+All seven checks run in the default suite.  The costliest are
+convergence_order and shape_preservation, which read one solitary-wave
+convergence table per pair (five meshes up to N = 6495) that
+verify.solitary_l2_errors builds once per process, then
+wellbalanced_positivity (a 3000-node beach run plus 1000 random steps) and
+dam_break_plateau (N = 6000 to t = 45).
 """
 
 from collections import Counter
@@ -15,22 +14,6 @@ import pytest
 
 from nhswe import verify
 
-FAST_CHECKS = (
-    "mass_conservation",
-    "discrete_divergence",
-    "heun_order",
-)
-SLOW_CHECKS = (
-    "convergence_order",
-    "shape_preservation",
-    "wellbalanced_positivity",
-    "dam_break_plateau",
-)
-
-
-def test_every_check_is_fast_or_named_slow():
-    assert sorted(FAST_CHECKS + SLOW_CHECKS) == sorted(verify.CRITERIA)
-
 
 def _assert_passes(name):
     result = verify.run_criterion(name)
@@ -38,14 +21,8 @@ def _assert_passes(name):
     assert result.passed, result.line()
 
 
-@pytest.mark.parametrize("name", FAST_CHECKS)
-def test_fast_check_passes(name):
-    _assert_passes(name)
-
-
-@pytest.mark.slow
-@pytest.mark.parametrize("name", SLOW_CHECKS)
-def test_slow_check_passes(name):
+@pytest.mark.parametrize("name", sorted(verify.CRITERIA))
+def test_check_passes(name):
     _assert_passes(name)
 
 
