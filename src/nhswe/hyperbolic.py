@@ -34,6 +34,13 @@ It builds no interface depths there and calls neither
 hydrostatic_reconstruct nor kinetic_flux; the bits are those of the
 reconstructed path.  A flat bottom at a nonzero height z keeps the
 reconstructed path: H + z - z is not H exactly in floating point.
+
+The prediction reads no dry threshold: the kinetic update handles H = 0
+exactly.  The threshold h_eps belongs to the correction, which drops the
+velocity dofs of nodes with H < h_eps, so a discharge predict leaves on
+such a node never reaches a projected state; a Heun stage zeroes it
+(timeloop._stage).  Here only the entry point cfl_dt reads h_eps, to form
+the wet mask of the state it is handed.
 """
 
 from __future__ import annotations
@@ -347,7 +354,6 @@ def predict(
     w: np.ndarray,
     mesh: Mesh1D,
     bathy: Bathymetry,
-    h_eps: float,
     bc_in: HyperbolicBC,
     bc_out: HyperbolicBC,
     dt: float,
@@ -356,17 +362,19 @@ def predict(
     """One explicit finite-volume step of the hydrostatic subsystem.
 
     (u, w) are the state's velocities, state.velocities(wet) for its wet
-    mask H >= h_eps, and speed is their max_wave_speed(state.H, u, wet):
-    the stepper evaluates all three once, takes its CFL step from
-    cfl_step, which returns the speed with the step, and shares the
-    velocities with the projection.  The boundary ghosts are built from
-    the velocities' end values, so a dry end node enters a ghost with zero
-    velocity.  bc_in closes the left end and bc_out the right one.  Returns
-    the predicted state at t + dt, whose nodes with H < h_eps carry no
-    discharge.  A dt that is not finite and positive raises ValueError, and
-    one beyond the CFL bound of speed raises CFLViolationError.  At CFL
-    times that bound depth stays non-negative, as a property test pins; a
-    negative depth beyond round-off raises RuntimeError.
+    mask, and speed is their max_wave_speed(state.H, u, wet): the stepper
+    evaluates all three once, takes its CFL step from cfl_step, which
+    returns the speed with the step, and shares the velocities with the
+    projection.  The boundary ghosts are built from the velocities' end
+    values, so a dry end node enters a ghost with zero velocity.  bc_in
+    closes the left end and bc_out the right one.  Returns the predicted
+    state at t + dt, the raw update with its depth clipped at 0: no dry
+    threshold is read, so a node that falls below it may keep a discharge
+    (module docstring).  A dt that is not finite and positive raises
+    ValueError, and one beyond the CFL bound of speed raises
+    CFLViolationError.  At CFL times that bound depth stays non-negative,
+    as a property test pins; a negative depth beyond round-off raises
+    RuntimeError.
 
     A bottom that is zero everywhere takes the per-node path of the module
     docstring; any other bottom is reconstructed at each interface.
@@ -435,7 +443,4 @@ def predict(
             f"negative depth produced by the prediction step (min {H_new.min():.3e})"
         )
     np.maximum(H_new, 0.0, out=H_new)
-    dry = H_new < h_eps
-    Hu_new[dry] = 0.0
-    Hw_new[dry] = 0.0
     return FlowState(H_new, Hu_new, Hw_new, state.t + dt)

@@ -1,56 +1,39 @@
 """Pressure correction step.
 
-The prediction leaves a velocity field U* = (u*, w*) that violates the
+The prediction leaves a velocity U* = (u*, w*) that violates the
 depth-averaged incompressibility constraint B U = 0.  Correcting with the
-discrete pressure gradient,
-
-    A_H U = A_H U* - dt (Bt - C) P,      Bt - C = -B^T,
-
-and eliminating U gives the symmetric positive definite Schur system
+discrete pressure gradient, A_H U = A_H U* - dt (Bt - C) P with
+Bt - C = -B^T, and eliminating U gives the symmetric positive definite
+Schur system
 
     (B A_H^-1 B^T) P = -(1/dt) B U*,
 
-a banded Sturm-Liouville-type problem (tridiagonal for P1/P0,
-pentadiagonal for P1-iso-P2/P1).  The lumped mass makes A_H diagonal so
-the elimination is exact and the corrected velocity is
+banded: tridiagonal for P1/P0, pentadiagonal for P1-iso-P2/P1.  The
+lumped mass makes A_H diagonal, so the elimination is exact and
+U = U* + dt A_H^-1 B^T P.  Velocities enter and leave as (u, w) pairs of
+nodal arrays, the two blocks of U that B acts on.
 
-    U = U* + dt A_H^-1 B^T P.
-
-Boundary handling: a closure is the (left, right) pair of pressure
-condition kinds, the side of each given by its slot; every side takes one
-of the three kinds below, and every condition holds its data at 0 or at
-the predicted trace.
-  * "dirichlet": the boundary pressure dof is pinned to 0 (row/column
+A closure is the (left, right) pair of pressure condition kinds, the side
+of each given by its slot, and every condition holds its data at 0 or at
+the predicted trace:
+  * "dirichlet": the boundary pressure dof is pinned to 0 (row and column
     eliminated symmetrically, which keeps the matrix SPD); the boundary
     velocity is corrected like any interior dof.
   * "wall" and "neumann": the boundary horizontal velocity is held, at 0
-    for a wall and at its predicted trace for neumann; its column is
-    masked out of the Schur operator and the held value enters the
-    right-hand side through B U*.  An imposed depth closes as neumann: its
-    Robin coefficient dH/dn needs no kind of its own, because the
-    depth-dependent boundary entries of B and C already carry it.
+    for a wall and at its predicted trace for neumann; its column leaves
+    the Schur operator and the held value enters the right-hand side
+    through B U*.  An imposed depth closes as neumann: the depth-dependent
+    boundary entries of B and C already carry its Robin coefficient dH/dn.
+Velocity dofs on dry nodes (H < h_eps, OperatorSet.wet) are not corrected,
+and pressure dofs with an entirely dry support are pinned to 0.  The plan
+lists the pinned dofs once, as an index array.
 
-Velocity dofs on dry nodes (H < h_eps) are excluded from the correction and
-pressure dofs with an entirely dry support are pinned to zero.  The
-boundary plan reads the wet mask the assembly computed (OperatorSet.wet)
-and lists the pinned dofs once as an index array, by which the band's
-elimination, the load's zeroed rows and the enforced residual norm take
-them, with no scan of a boolean mask.
-
-A Schur system is a depth and a closure; the load is per call.
-build_schur(ops, bcs) resolves the boundary plan, assembles the band,
-factors it once (banded Cholesky, dpttrf for bandwidth 1 and dpbtrf for
-bandwidth 2) and marks every array it made read-only.  Nothing writes into
-a system afterwards, so one system serves every velocity and dt at its
-depth and closure.  A correction is then three calls:
-SchurSystem.load(u, w, dt) holds the predicted velocity's boundary values
-in a copy u* and returns it with B U* and the right-hand side;
-solve_pressure(sys, rhs) runs only the triangular solves on the factor;
-and correct_velocity(sys, u*, w, dt, p) adds the correction into u* with
-the plan and the masked A_H^-1 that built the band, so the pressure and
-the correction cannot disagree on which dofs are held.  Velocities enter
-and leave as (u, w) pairs of nodal arrays, the two blocks of U that B acts
-on.
+A Schur system is one depth and one closure.  build_schur resolves the
+plan, factors the band once and marks every array it made read-only, so
+one system serves every velocity and dt at its depth and closure.  A
+correction is SchurSystem.load, solve_pressure and correct_velocity, all
+reading the plan and the masked A_H^-1 that built the band, so the
+pressure and the correction cannot disagree on which dofs are held.
 """
 
 from __future__ import annotations

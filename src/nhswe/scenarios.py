@@ -149,10 +149,15 @@ class RiemannSolution:
 
 def exact_sw_riemann(h_left: float, u_left: float, h_right: float,
                      u_right: float) -> RiemannSolution:
-    """Exact two-wave solution by Newton iteration on the depth functions.
+    """Exact two-wave solution: the star depth is the root of the increasing
+    sum of the two depth functions, found by Brent's method.
 
     Wet-wet data only; vacuum-forming data are rejected.
     """
+    # scipy.optimize takes several times as long to import as nhswe itself,
+    # so it is imported only here
+    from scipy.optimize import brentq
+
     if h_left <= 0.0 or h_right <= 0.0:
         raise ValueError("exact_sw_riemann needs wet states on both sides")
     if u_right - u_left >= 2.0 * (np.sqrt(G * h_left) + np.sqrt(G * h_right)):
@@ -161,27 +166,12 @@ def exact_sw_riemann(h_left: float, u_left: float, h_right: float,
     def phi(h):
         return _depth_fn(h, h_left) + _depth_fn(h, h_right) + u_right - u_left
 
-    # two-rarefaction estimate, then safeguarded Newton
-    h = (0.25 * (np.sqrt(G * h_left) + np.sqrt(G * h_right) - 0.5 * (u_right - u_left)) ** 2) / G * 4.0
-    h = max(h, 1e-12)
-    lo, hi = 1e-14, max(4.0 * max(h_left, h_right), h * 4.0)
+    # phi(0) < 0 without vacuum; double hi until it brackets the root
+    hi = max(h_left, h_right)
     while phi(hi) < 0.0:
         hi *= 2.0
-    for _ in range(100):
-        f = phi(h)
-        if f > 0.0:
-            hi = min(hi, h)
-        else:
-            lo = max(lo, h)
-        df = (phi(h * (1.0 + 1e-8)) - f) / (h * 1e-8)
-        step = f / df if df != 0.0 else 0.0
-        h_new = h - step
-        if not lo < h_new < hi:
-            h_new = 0.5 * (lo + hi)
-        if abs(h_new - h) <= 1e-14 * h_new:
-            h = h_new
-            break
-        h = h_new
+    # the relative tolerance alone ends the iteration
+    h = brentq(phi, 0.0, hi, xtol=np.finfo(float).tiny)
     u_star = 0.5 * (u_left + u_right) + 0.5 * (
         _depth_fn(h, h_right) - _depth_fn(h, h_left)
     )

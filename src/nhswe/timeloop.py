@@ -1,64 +1,42 @@
 """Time integration: prediction + correction splitting with adaptive steps.
 
-A first-order step advances the hydrostatic subsystem explicitly, then
-re-assembles the depth-dependent operators on the predicted depth and
-projects the velocity onto the discretely divergence-free space (the depth
-itself is untouched by the correction).  The second-order step is SSP-RK2
-in Shu-Osher form: two stages at a shared dt, averaged with the initial
-state,
+step_euler advances the hydrostatic subsystem explicitly (predict), then
+projects the velocity onto the discretely divergence-free space with the
+operators assembled at the predicted depth (_project), which leaves the
+depth untouched.  step_heun is SSP-RK2 in Shu-Osher form,
 
     X^{n+1} = (X^n + stage(stage(X^n))) / 2,
 
-and the average projected once.  A stage is the Euler prediction plus one
-correction (_stage): its depth is the predicted depth, bit for bit, and the
-prediction's velocity increment is corrected at the stage's initial depth
-so that the linearized divergence stays constant.  Each
-stage therefore inherits predict's non-negative depth exactly, and so does
-the average (H^n + H^2) / 2.  A stage costs one prediction and one Schur
-solve, plus one assembly and Schur build unless it reuses the last
-projection's (below); the depth derivative of the divergence is applied
-exactly from the assembly at the stage's initial depth.  Every projection
-resolves its boundary plan once, in build_schur, and corrects the velocity
-with that plan; both steppers raise DivergenceBoundError when the
-corrected velocity misses its divergence bound.
+with the average projected once.  A stage (_stage) keeps its prediction's
+depth bit for bit, so each stage depth and the average inherit predict's
+non-negative depth.  SSP-RK2 keeps that only when each stage meets the
+CFL bound: when the first stage's state is too fast for the step's dt,
+the step restarts at that state's CFL step, at most _HEUN_ATTEMPTS tries,
+then raises CFLViolationError.
 
-The velocities of each state are evaluated once per step and passed along
-(Euler: the initial and the predicted state; Heun: the initial, the stage
-and the averaged state).  The initial state's serve its CFL step, its
-prediction and, in Heun, its stage correction; velocities travel as (u, w)
-pairs through the projection.  So does the wave speed of each state a
-prediction starts from: the CFL step is taken from it and predict's CFL
-guard reads it (Euler: the initial state; Heun: the initial and the stage
-state).  Each state's wet mask H >= h_eps is computed once too and serves
-its velocities, its wave speed and, in Heun, its stage's velocity
-increments; a projected state takes its mask from the assembly
-(OperatorSet.wet).  The entry points (run, step_euler, step_heun,
-project_state and hyperbolic.cfl_dt) read the dry threshold params.h_eps
-once; every layer below takes the h_eps, wet mask or wave speed it reads
-as a required argument.  A stage forms the depth increment's momenta u dH
-and w dH once, for its velocity increments and its stage momenta alike, and
-the arithmetic of a step writes its temporaries in place, each result
+Each value a step reads is computed once and handed down: each state's
+wet mask H >= h_eps, its velocities (u, w) on that mask, and the wave
+speed of each state a prediction starts from, which gives the CFL step
+and predict's CFL guard.  A projected state takes its mask from its
+assembly (OperatorSet.wet) and a Heun stage's from _stage.  The entry
+points (run, step_euler, step_heun, project_state and hyperbolic.cfl_dt)
+read params.h_eps once; every layer below takes the h_eps, mask or speed
+it reads as a required argument.  Every projection resolves its boundary
+plan once, in build_schur, and both steppers raise DivergenceBoundError
+when the corrected velocity misses its bound.
+
+A Heun step corrects on three Schur systems: the first stage's at the
+initial depth, which every try reuses, the second stage's at the first
+stage's depth, and the final projection's.  run() hands each Heun step
+the previous StepResult, whose system serves as the first stage's when
+the depth has equal contents and the closure the same kinds, for the bits
+of a fresh build: a Heun step after the first assembles twice, not three
+times.
+
+A step's arithmetic writes its temporaries in place, each result
 evaluated in the order of its formula, so the bits do not depend on it.
-
-Heun's stages are both admissible: when the stage state is faster than the
-step's dt allows, the step restarts at the stage state's CFL step (at most
-_HEUN_ATTEMPTS tries, then CFLViolationError), since SSP-RK2 keeps the
-positivity of its Euler stages only when each meets the CFL bound.
-
-Heun's first stage is corrected at the initial state's depth, which is the
-depth of the previous step's final projection.  run() hands each Heun step
-the previous StepResult, and when the depth has equal contents and the
-pressure closure the same kinds, the stage loads its velocity into that
-projection's Schur system as it is, for the same bits as a fresh build:
-under run(), a Heun step after the first makes two assemblies and Schur
-builds, not three.
-
-A step computes only what the step and its checks need.  Its StepReport
-carries t, dt, the divergence residual with its bound, and the mass, which
-run() and the benchmark's per-step conservation check read.  The discrete
-energy is a diagnostic, not part of the scheme: a caller that wants it
-computes total_energy(step.state, mesh, bathy) itself, in an on_step
-callback or from the final state.
+A step computes only what it and its checks need; the energy is a
+diagnostic (StepReport).
 """
 
 from __future__ import annotations
@@ -266,13 +244,13 @@ def step_euler(
     dt_cfl, speed = cfl_step(state.H, u, mesh, wet)
     dt = dt_cfl if dt is None else min(dt, dt_cfl)
     hyp = bounds.hyperbolic_at(state.t)
-    half = predict(state, u, w, mesh, bathy, h_eps, *hyp, dt, speed)
+    half = predict(state, u, w, mesh, bathy, *hyp, dt, speed)
     return _project(half, mesh, bathy, h_eps, pair, hyp, dt)
 
 
 def _stage(
     y: FlowState,
-    wet: np.ndarray,
+    sys: SchurSystem,
     u: np.ndarray,
     w: np.ndarray,
     speed: float,
@@ -280,36 +258,37 @@ def _stage(
     mesh: Mesh1D,
     bathy: Bathymetry,
     h_eps: float,
-    bounds: BoundarySpec,
-    pair: ElementPair,
-    last: SchurSystem | None = None,
-) -> FlowState:
+    hyp: tuple[HyperbolicBC, HyperbolicBC],
+) -> tuple[FlowState, np.ndarray]:
     """One Heun stage from the constrained state y: its Euler prediction,
-    with the velocity increment corrected to keep B u constant.
+    with the velocity increment corrected to keep B u constant.  Returns
+    the stage state and its wet mask H >= h_eps.
 
-    wet is y's mask H >= h_eps, (u, w) are y's velocities and speed their
-    max_wave_speed, evaluated once by the stepper and shared with the
-    prediction.  last, if given, is the Schur system of an earlier
-    projection on the same mesh, bathymetry, h_eps and pair; it serves in
-    place of a new assembly and Schur build when its depth equals y.H and
-    its closure has the kinds of this one.
+    sys is the Schur system of y's depth under the closure hyp induces,
+    which the stepper builds or reuses; y's wet mask is sys.ops.wet.
+    (u, w) are y's velocities on that mask and speed their
+    max_wave_speed, shared with the prediction, which hyp closes.
 
-    The stage depth is the predicted depth.  The predicted momentum splits
-    into the depth increment dH carrying u and the velocity increment du at
-    frozen depth (0 on dry nodes), and the pressure increment cancels the
-    linearized change of the divergence,
+    The stage depth is the predicted depth.  The prediction's nodes below
+    h_eps lose their discharge first, so the stage's mask is formed here,
+    once.  The predicted momentum then splits into the depth increment dH
+    carrying u and the velocity increment du at frozen depth (0 on dry
+    nodes), and the pressure increment cancels the linearized change of
+    the divergence,
 
         S p = -(B du + (dB/dH)[dH] u),
 
     with (dB/dH)[dH] u applied exactly from the assembly at y's depth
     (OperatorSet.apply_depth_derivative) and added to B du by the load
-    (SchurSystem.load).  The system is linear in
-    (du, dH), so it is solved at unit dt.  The step's pressure conditions
-    close it: a velocity held at 0 has increment 0, and a kept trace or a
-    pressure pinned to 0 carries over as is.
+    (SchurSystem.load).  The system is linear in (du, dH), so it is solved
+    at unit dt.  A velocity held at 0 has increment 0, and a kept trace or
+    a pressure pinned to 0 carries over as is.
     """
-    hyp = bounds.hyperbolic_at(y.t)
-    pred = predict(y, u, w, mesh, bathy, h_eps, *hyp, dt, speed)
+    pred = predict(y, u, w, mesh, bathy, *hyp, dt, speed)
+    wet = pred.H >= h_eps
+    dry = ~wet
+    pred.Hu[dry] = 0.0
+    pred.Hw[dry] = 0.0
     dH = pred.H - y.H
     # the depth increment's momenta u dH and w dH, formed once: the
     # velocity increments exclude them and the stage state adds them back
@@ -318,17 +297,12 @@ def _stage(
     def increment(d_momentum, old_momentum, carried):
         d_momentum -= old_momentum
         d_momentum -= carried
-        return np.divide(d_momentum, y.H, out=np.zeros_like(y.H), where=wet)
+        return np.divide(d_momentum, y.H, out=np.zeros_like(y.H), where=sys.ops.wet)
 
     # predict's momenta are its own new arrays
     du = increment(pred.Hu, y.Hu, u_dH)
     dw = increment(pred.Hw, y.Hw, w_dH)
 
-    bcs = _pressure_bcs(hyp)
-    if last is not None and last.plan.bcs == bcs and np.array_equal(last.ops.H, y.H):
-        sys = last
-    else:
-        sys = build_schur(assemble(pair, mesh, y.H, bathy, h_eps), bcs)
     du, _, rhs = sys.load(du, dw, 1.0, sys.ops.apply_depth_derivative(dH, u))
     du_c, dw_c = correct_velocity(sys, du, dw, 1.0, solve_pressure(sys, rhs).values)
 
@@ -339,7 +313,8 @@ def _stage(
         d_velocity += old_momentum
         return d_velocity
 
-    return FlowState(pred.H, momentum(du_c, y.Hu, u_dH), momentum(dw_c, y.Hw, w_dH), pred.t)
+    stage = FlowState(pred.H, momentum(du_c, y.Hu, u_dH), momentum(dw_c, y.Hw, w_dH), pred.t)
+    return stage, wet
 
 
 # tries of a Heun step, each after the first at the CFL step of the stage
@@ -362,13 +337,18 @@ def step_heun(
     prediction plus one correction (_stage), the Heun average with the
     initial state, and a final projection restoring B u = 0 exactly.
 
+    The step picks each stage's Schur system.  The first stage's is
+    _last.schur when its depth has the contents of state.H and its closure
+    the same kinds, else one built here; it also gives the initial wet
+    mask, and serves every try.  The second stage's is built at the first
+    stage's depth once that stage is admitted.  _last is the previous
+    step's result, which run() passes; callers leave it out.
+
     Each stage's depth is its prediction's depth, so every stage depth and
     the average's are non-negative wherever predict's are.  dt caps the
     internal CFL step; when the stage state is too fast for it, the step
     restarts at the stage state's CFL step (module docstring), so the
-    report's dt may be smaller.  _last is the previous step's result, which
-    run() passes so that the first stage can reuse its projection (module
-    docstring); callers leave it out.
+    report's dt may be smaller.
 
     Projecting each stage end-state instead (the first-order splitting
     recipe applied twice) looks natural but measures first order: the
@@ -381,15 +361,17 @@ def step_heun(
     """
     pair = pair or ElementPair(P1P0, mesh.n_nodes)
     h_eps = params.h_eps
-    wet = state.H >= h_eps
+    hyp = bounds.hyperbolic_at(state.t)
+    bcs = _pressure_bcs(hyp)
+    sys = None if _last is None else _last.schur
+    if sys is None or sys.plan.bcs != bcs or not np.array_equal(sys.ops.H, state.H):
+        sys = build_schur(assemble(pair, mesh, state.H, bathy, h_eps), bcs)
+    wet = sys.ops.wet
     u, w = state.velocities(wet)
     dt_cfl, speed = cfl_step(state.H, u, mesh, wet)
     dt = dt_cfl if dt is None else min(dt, dt_cfl)
-    last = None if _last is None else _last.schur
-    args = (mesh, bathy, h_eps, bounds, pair)
     for _ in range(_HEUN_ATTEMPTS):
-        first = _stage(state, wet, u, w, speed, dt, *args, last)
-        wet1 = first.H >= h_eps
+        first, wet1 = _stage(state, sys, u, w, speed, dt, mesh, bathy, h_eps, hyp)
         u1, w1 = first.velocities(wet1)
         dt_stage, speed1 = cfl_step(first.H, u1, mesh, wet1)
         if cfl_admits(dt, speed1, mesh):
@@ -399,15 +381,20 @@ def step_heun(
         raise CFLViolationError(
             f"no Heun step with both stages admissible after {_HEUN_ATTEMPTS} tries"
         )
-    second = _stage(first, wet1, u1, w1, speed1, dt, *args)
+    # the second stage and the final projection close at t + dt
+    hyp = bounds.hyperbolic_at(first.t)
+    sys = build_schur(assemble(pair, mesh, first.H, bathy, h_eps), _pressure_bcs(hyp))
+    second, _ = _stage(first, sys, u1, w1, speed1, dt, mesh, bathy, h_eps, hyp)
+    # the stage's system is done with: let it go before the final
+    # projection allocates
+    del sys
     # the average (X^n + X^2) / 2, formed in the second stage's own arrays
     for x_n, x_2 in ((state.H, second.H), (state.Hu, second.Hu), (state.Hw, second.Hw)):
         x_2 += x_n
         x_2 *= 0.5
-    avg = FlowState(second.H, second.Hu, second.Hw, state.t + dt)
+    avg = FlowState(second.H, second.Hu, second.Hw, first.t)
 
     # restore div_sw u = 0 on the averaged state (operators at its own depth)
-    hyp = bounds.hyperbolic_at(avg.t)
     return _project(avg, mesh, bathy, h_eps, pair, hyp, dt)
 
 

@@ -547,7 +547,7 @@ def prediction_inputs(state, mesh, h_eps):
     return (u, w, *cfl_step(state.H, u, mesh, wet))
 
 
-def predict_reconstructed(state, u, w, mesh, bathy, h_eps, bc_in, bc_out, dt, speed):
+def predict_reconstructed(state, u, w, mesh, bathy, bc_in, bc_out, dt, speed):
     """hyperbolic.predict as it was before its zero-bottom path: hydrostatic
     reconstruction and the kinetic flux at every interface, on any bottom."""
     from nhswe import FlowState
@@ -586,9 +586,6 @@ def predict_reconstructed(state, u, w, mesh, bathy, h_eps, bc_in, bc_out, dt, sp
     if H_new.min() < floor:
         raise RuntimeError(f"negative depth (min {H_new.min():.3e})")
     np.maximum(H_new, 0.0, out=H_new)
-    dry = H_new < h_eps
-    Hu_new[dry] = 0.0
-    Hw_new[dry] = 0.0
     return FlowState(H_new, Hu_new, Hw_new, state.t + dt)
 
 

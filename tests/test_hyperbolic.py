@@ -171,7 +171,7 @@ def test_wall_ghost_of_a_sub_threshold_node_has_zero_velocity():
     # no discharge, so the left wall passes no mass
     bathy = nh.Bathymetry.flat(mesh)
     walls = nh.BoundarySpec.walls()
-    out = nh.predict(state, u, w, mesh, bathy, h_eps, walls.left, walls.right, 0.5 * dt, speed)
+    out = nh.predict(state, u, w, mesh, bathy, walls.left, walls.right, 0.5 * dt, speed)
     assert np.isclose(nh.total_mass(out, mesh), nh.total_mass(state, mesh), rtol=0.0, atol=1e-15)
 
 
@@ -368,7 +368,7 @@ def test_predict_lake_at_rest_with_topography():
     out = state
     for _ in range(100):
         u, w, _, speed = prediction_inputs(out, mesh, H_EPS)
-        out = nh.predict(out, u, w, mesh, bathy, H_EPS, bc_in, bc_out, dt, speed)
+        out = nh.predict(out, u, w, mesh, bathy, bc_in, bc_out, dt, speed)
     assert np.abs(out.H - H).max() <= 1e-12
     assert np.abs(out.Hu).max() <= 1e-12
 
@@ -379,7 +379,7 @@ def test_predict_constant_state_unchanged():
     state = nh.FlowState(np.full(51, 2.0), np.zeros(51), np.zeros(51))
     bc_in, bc_out = _walls()
     u, w, _, speed = prediction_inputs(state, mesh, H_EPS)
-    out = nh.predict(state, u, w, mesh, bathy, H_EPS, bc_in, bc_out, 1e-3, speed)
+    out = nh.predict(state, u, w, mesh, bathy, bc_in, bc_out, 1e-3, speed)
     assert np.array_equal(out.H, state.H)
     assert np.abs(out.Hu).max() == 0.0
 
@@ -393,7 +393,7 @@ def test_predict_against_rusanov_oracle():
     state = nh.FlowState(H, np.zeros_like(H), np.zeros_like(H))
     u, w, dt, speed = prediction_inputs(state, mesh, H_EPS)
     bc_in, bc_out = _walls()
-    out = nh.predict(state, u, w, mesh, bathy, H_EPS, bc_in, bc_out, dt, speed)
+    out = nh.predict(state, u, w, mesh, bathy, bc_in, bc_out, dt, speed)
     H_r, Hu_r, _ = rusanov_step(state.H, state.Hu, state.Hw, mesh, G, dt)
     m_kin = np.sum(mesh.dual_widths * out.H)
     m_rus = np.sum(mesh.dual_widths * H_r)
@@ -417,7 +417,7 @@ def test_predict_positivity_random_states():
         w = np.where(H > 0, rng.standard_normal(n), 0.0)
         state = nh.FlowState(H, H * u, H * w)
         u, w, dt, speed = prediction_inputs(state, mesh, H_EPS)
-        out = nh.predict(state, u, w, mesh, bathy, H_EPS, *_walls(), dt, speed)
+        out = nh.predict(state, u, w, mesh, bathy, *_walls(), dt, speed)
         assert out.H.min() >= 0.0
 
 
@@ -442,7 +442,7 @@ def test_predict_positivity_property(data):
     kinds = st.sampled_from(["wall", "free_outflow"])
     bc_in, bc_out = (nh.HyperbolicBC(data.draw(kinds)) for _ in range(2))
     u, w, dt, speed = prediction_inputs(state, mesh, H_EPS)
-    out = nh.predict(state, u, w, mesh, bathy, H_EPS, bc_in, bc_out, dt, speed)
+    out = nh.predict(state, u, w, mesh, bathy, bc_in, bc_out, dt, speed)
     assert out.H.min() >= 0.0
 
 
@@ -526,7 +526,7 @@ def test_zero_bottom_predict_matches_reconstructed_oracle(data):
     u, w, dt, speed = prediction_inputs(state, mesh, H_EPS)
     bc_in, bc_out = _any_bc(data), _any_bc(data)
     dt *= data.draw(st.floats(0.1, 1.0))
-    args = (state, u, w, mesh, bathy, H_EPS, bc_in, bc_out, dt, speed)
+    args = (state, u, w, mesh, bathy, bc_in, bc_out, dt, speed)
     try:
         want = predict_reconstructed(*args)
     except (TorrentialBoundaryError, RuntimeError) as err:
@@ -552,7 +552,7 @@ def test_flat_bottom_at_nonzero_height_is_reconstructed(monkeypatch):
                         lambda *a: calls.append(1) or reconstruct(*a))
     for zb, expected in ((0.0, 0), (-0.0, 0), (0.3, 1)):
         bathy = nh.Bathymetry(np.full(11, zb))
-        nh.predict(state, u, w, mesh, bathy, H_EPS, *_walls(), dt, speed)
+        nh.predict(state, u, w, mesh, bathy, *_walls(), dt, speed)
         assert len(calls) == expected
         calls.clear()
 
@@ -564,7 +564,7 @@ def test_predict_conservation_with_walls():
     bc_in, bc_out = _walls()
     for _ in range(50):
         u, w, dt, speed = prediction_inputs(state, sc.mesh, H_EPS)
-        state = nh.predict(state, u, w, sc.mesh, sc.bathy, H_EPS, bc_in, bc_out, dt, speed)
+        state = nh.predict(state, u, w, sc.mesh, sc.bathy, bc_in, bc_out, dt, speed)
     assert abs(nh.total_mass(state, sc.mesh) - m0) <= 1e-12 * m0
 
 
@@ -578,7 +578,7 @@ def test_predict_rejects_a_dt_that_is_not_finite_and_positive():
     bcs = sc.bounds.hyperbolic_at(0.0)
     for dt in (-0.05, 0.0, -0.0, np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="dt must be finite and positive"):
-            nh.predict(sc.state0, u, w, sc.mesh, sc.bathy, params.h_eps, *bcs, dt, speed)
+            nh.predict(sc.state0, u, w, sc.mesh, sc.bathy, *bcs, dt, speed)
     for stepper in (nh.step_euler, nh.step_heun):
         for dt in (-0.05, np.nan):
             with pytest.raises(ValueError, match="dt must be finite and positive"):
@@ -591,4 +591,4 @@ def test_predict_cfl_assertion():
     state = nh.FlowState(np.ones(11), np.zeros(11), np.zeros(11))
     u, w, _, speed = prediction_inputs(state, mesh, H_EPS)
     with pytest.raises(nh.CFLViolationError):
-        nh.predict(state, u, w, mesh, bathy, H_EPS, *_walls(), dt=1.0, speed=speed)
+        nh.predict(state, u, w, mesh, bathy, *_walls(), dt=1.0, speed=speed)

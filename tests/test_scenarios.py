@@ -196,7 +196,7 @@ def test_beach_initial_state_is_lake_at_rest():
     assert np.any(sc.state0.H == 0.0)  # the beach top is dry
     bc_l, bc_r = sc.bounds.hyperbolic_at(0.0)
     u, w, dt, speed = prediction_inputs(sc.state0, sc.mesh, sc.h_eps)
-    out = nh.predict(sc.state0, u, w, sc.mesh, sc.bathy, sc.h_eps, bc_l, bc_r, dt, speed)
+    out = nh.predict(sc.state0, u, w, sc.mesh, sc.bathy, bc_l, bc_r, dt, speed)
     assert np.abs(out.H - sc.state0.H).max() <= 1e-13
 
 

@@ -7,7 +7,9 @@ module dict keyed by id(zb) would hold one array per scenario ever run).
 Caches belong on the object they describe, as the mesh's operator
 geometry and the bathymetry's bottom terms are kept.  Only the public
 entry points take a PhysicalParams; every layer below takes the dry
-threshold h_eps, the wet mask or the wave speed it reads, with no default."""
+threshold h_eps, the wet mask or the wave speed it reads, with no default.
+The prediction reads no dry threshold, and no private timeloop layer has
+a default: each is handed what its stepper chose."""
 
 import ast
 from pathlib import Path
@@ -192,4 +194,48 @@ def test_only_the_entry_points_take_physical_params_and_nothing_handed_down_has_
             if arg.arg in HANDED_DOWN and default is not None:
                 defaulted.append(f"{name}({arg.arg}={ast.unparse(default)})")
     assert takes_params == ENTRY_POINTS
+    assert defaulted == []
+
+
+def _module(stem):
+    return next(path for path in MODULES if path.stem == stem)
+
+
+def _reads_a_dry_threshold(fn) -> bool:
+    """Whether the function names h_eps (a parameter, a variable or an
+    attribute) or takes a PhysicalParams."""
+    for node in ast.walk(fn):
+        if isinstance(node, ast.arg) and (
+            node.arg == "h_eps"
+            or (node.annotation is not None and "PhysicalParams" in ast.unparse(node.annotation))
+        ):
+            return True
+        if (isinstance(node, ast.Name) and node.id == "h_eps") or (
+            isinstance(node, ast.Attribute) and node.attr == "h_eps"
+        ):
+            return True
+    return False
+
+
+def test_only_cfl_dt_reads_a_dry_threshold_in_the_prediction():
+    # the kinetic prediction handles H = 0 exactly; the dry threshold is
+    # the correction's, and the entry point cfl_dt forms the mask of the
+    # state it is handed
+    tree = ast.parse(_module("hyperbolic").read_text())
+    readers = {
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and _reads_a_dry_threshold(fn)
+    }
+    assert readers == {"cfl_dt"}
+
+
+def test_no_private_timeloop_function_has_a_parameter_default():
+    # a private layer takes what its stepper chose: a default would be a
+    # second code path that a caller selects by leaving an argument out
+    defaulted = [
+        f"{name}({arg.arg}={ast.unparse(default)})"
+        for name, arg, default in _parameters(_module("timeloop"))
+        if name.startswith("timeloop._") and default is not None
+    ]
     assert defaulted == []

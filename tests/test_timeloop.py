@@ -493,6 +493,107 @@ def test_heun_stage_one_reuse_equals_a_fresh_build(tag, monkeypatch):
             assert np.array_equal(got, want)
 
 
+def test_a_refused_heun_try_reuses_the_first_stage_system(monkeypatch):
+    # a retry restarts stage 1 from the same depth and closure, so it
+    # corrects on the same Schur system: three assemblies and Schur builds
+    # (stage 1, stage 2 and the final projection), not one more per try
+    sc = nh.make_beach(n_nodes=300)
+    refused = []
+    admits = timeloop.cfl_admits
+
+    def refuse_once(dt, speed, mesh):
+        if not refused:
+            refused.append(dt)
+            return False
+        return admits(dt, speed, mesh)
+
+    monkeypatch.setattr(timeloop, "cfl_admits", refuse_once)
+    calls = _count_calls(monkeypatch, [
+        (timeloop, "assemble"), (timeloop, "build_schur"), (timeloop, "predict"),
+    ])
+    nh.step_heun(sc.state0, sc.mesh, sc.bathy, nh.PhysicalParams(h_eps=sc.h_eps), sc.bounds)
+    assert refused
+    assert calls == {"assemble": 3, "build_schur": 3, "predict": 3}
+
+
+def _near_threshold_basin(seed, h_eps):
+    """A projected walled basin whose depths include dry nodes and nodes
+    just above h_eps, so that some wet nodes fall below it in one stage."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(8, 40))
+    mesh = nh.Mesh1D(np.cumsum(0.05 + rng.random(n)))
+    bathy = nh.Bathymetry(0.3 * rng.standard_normal(n)) if seed % 2 else nh.Bathymetry.flat(mesh)
+    H = np.where(rng.random(n) < 0.25, 0.0, 2.0 * rng.random(n))
+    H = np.where(rng.random(n) < 0.3, h_eps * (1.0 + 0.05 * rng.random(n)), H)
+    H[0] = 1.0
+    u, w = 2.0 * rng.standard_normal(n), rng.standard_normal(n)
+    params, bounds = nh.PhysicalParams(h_eps=h_eps), nh.BoundarySpec.walls()
+    state = timeloop.project_state(nh.FlowState(H, H * u, H * w), mesh, bathy, params, bounds)
+    return state, mesh, bathy, params, bounds
+
+
+def test_no_step_output_carries_a_discharge_below_the_dry_threshold():
+    # predict reads no dry threshold, but the projection reads velocities on
+    # its wet mask: an Euler or Heun output has H u = H w = 0 wherever
+    # H < h_eps, as predict's output had before it dropped the threshold
+    h_eps = 1e-3
+    dry_nodes = 0
+    for seed in range(40):
+        args = _near_threshold_basin(seed, h_eps)
+        for stepper in (nh.step_euler, nh.step_heun):
+            out = stepper(*args).state
+            dry = out.H < h_eps
+            dry_nodes += int(dry.sum())
+            assert not out.Hu[dry].any() and not out.Hw[dry].any()
+    assert dry_nodes > 0
+
+
+def _bits_of_state(state):
+    return [float_bits(a) for a in (state.H, state.Hu, state.Hw)]
+
+
+def test_a_heun_stage_zeroes_its_prediction_below_the_dry_threshold(monkeypatch):
+    # the stage, not predict, drops the discharge of a predicted depth below
+    # h_eps, before the increments read it: a prediction that leaves any
+    # discharge there gives the same stage bits, the stage's mask is
+    # H >= h_eps of its depth, and the step's output is unchanged
+    h_eps = 1e-3
+    predict, stage = timeloop.predict, timeloop._stage
+    fallen = 0  # wet nodes of a stage's start that its prediction dries
+
+    def soiled(state, *args):
+        pred = predict(state, *args)
+        nonlocal fallen
+        fallen += int(np.sum((pred.H < h_eps) & (state.H >= h_eps)))
+        pred.Hu[pred.H < h_eps] = 1e3
+        pred.Hw[pred.H < h_eps] = -1e3
+        return pred
+
+    def recorded(stages):
+        def run_stage(*args):
+            state, wet = stage(*args)
+            assert np.array_equal(wet, state.H >= h_eps)
+            stages.append(_bits_of_state(state))
+            return state, wet
+        return run_stage
+
+    for seed in range(40):
+        args = _near_threshold_basin(seed, h_eps)
+        results = []
+        for patch in (False, True):
+            stages = []
+            with monkeypatch.context() as mp:
+                mp.setattr(timeloop, "_stage", recorded(stages))
+                if patch:
+                    mp.setattr(timeloop, "predict", soiled)
+                results.append((stages, _bits_of(nh.step_heun(*args))))
+        (clean_stages, clean), (soiled_stages, out) = results
+        assert len(clean_stages) == len(soiled_stages) >= 2
+        for got, want in zip(sum(soiled_stages, []) + out, sum(clean_stages, []) + clean):
+            assert np.array_equal(got, want)
+    assert fallen > 0
+
+
 # -- stage boundary closure ----------------------------------------------------
 
 
@@ -500,11 +601,11 @@ def _stage(bounds):
     """The solitary scenario, its initial velocities, one stage and its dt."""
     sc = nh.make_solitary(201)
     pair = nh.ElementPair("P1P0", sc.mesh.n_nodes)
-    wet = sc.state0.H >= H_EPS
+    hyp = bounds.hyperbolic_at(sc.state0.t)
+    ops = nh.assemble(pair, sc.mesh, sc.state0.H, sc.bathy, H_EPS)
+    sys = nh.build_schur(ops, timeloop._pressure_bcs(hyp))
     u, w, dt, speed = prediction_inputs(sc.state0, sc.mesh, H_EPS)
-    stage = timeloop._stage(
-        sc.state0, wet, u, w, speed, dt, sc.mesh, sc.bathy, H_EPS, bounds, pair
-    )
+    stage, _ = timeloop._stage(sc.state0, sys, u, w, speed, dt, sc.mesh, sc.bathy, H_EPS, hyp)
     return sc, (u, w), stage, dt
 
 

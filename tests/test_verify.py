@@ -10,9 +10,10 @@ dam_break_plateau (N = 6000 to t = 45).
 
 from collections import Counter
 
+import numpy as np
 import pytest
 
-from nhswe import verify
+from nhswe import projection, timeloop, verify
 
 
 def _assert_passes(name):
@@ -59,3 +60,30 @@ def test_heun_order_fails_when_a_step_is_clipped(monkeypatch):
     result = verify.run_criterion("heun_order")
     assert not result.passed
     assert "requested dt" in result.details
+
+
+def test_discrete_divergence_fails_when_the_pressure_is_not_solved(monkeypatch):
+    # a zero pressure leaves the predicted divergence uncorrected: each run
+    # raises DivergenceBoundError, which the check reports as a FAIL that
+    # names the scenario
+    monkeypatch.setattr(
+        timeloop, "solve_pressure", lambda sys, rhs: projection.PressureField(np.zeros_like(rhs))
+    )
+    result = verify.run_criterion("discrete_divergence")
+    assert not result.passed
+    for name, *_ in verify._divergence_runs():
+        assert f"{name} raised divergence bound violated" in result.details
+
+
+def test_convergence_order_fails_with_the_correction_off(monkeypatch, empty_table_cache):
+    # a hydrostatic run (no correction, and no divergence bound to miss)
+    # does not converge to the dispersive solitary wave: its errors stay
+    # near 5e-2 on the two coarsest meshes
+    monkeypatch.setattr(timeloop, "correct_velocity", lambda sys, u, w, dt, p: (u, w))
+    monkeypatch.setattr(timeloop, "divergence_residual", lambda sys, u, w: 0.0)
+    monkeypatch.setattr(verify, "CONVERGENCE_MESHES", (603, 1023))
+    result = verify.run_criterion("convergence_order")
+    assert not result.passed
+    for tag in verify.PAIRS:
+        errors = verify.solitary_l2_errors(tag)
+        assert errors.min() > 4e-2 and errors[1] >= errors[0]
