@@ -157,10 +157,10 @@ def build_schur(ops: OperatorSet, bcs) -> SchurSystem:
     Du = ops.Du
 
     # diagonal A_H^-1 on the (u, w) blocks, zero on the held and dry dofs
-    # (the free w-dofs are the wet nodes)
-    inv_a = 1.0 / ops.a_node
-    invA_u = np.where(plan.free_u, inv_a, 0.0)
-    invA_w = np.where(ops.wet, inv_a, 0.0)
+    # (the free w-dofs are the wet nodes, the free u-dofs those less the
+    # held ends)
+    invA_w = np.divide(1.0, ops.a_node, out=np.zeros(ops.n_nodes), where=ops.wet)
+    invA_u = np.where(plan.free_u, invA_w, 0.0)
 
     # S = B A_H^-1 B^T band by band, in the lower layout (see SchurSystem);
     # the geometry lists the window products that meet inside the mesh

@@ -1,4 +1,6 @@
 import warnings
+from typing import NamedTuple
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -500,40 +502,93 @@ _BC_DATA = {
     "imposed_flux": st.fixed_dictionaries(
         {"q0": st.tuples(st.floats(-2.0, 2.0), st.floats(-1.0, 1.0))}),
 }
+_any_bc = st.sampled_from(sorted(_BC_DATA)).flatmap(
+    lambda kind: _BC_DATA[kind].map(lambda data: nh.HyperbolicBC(kind, **data)))
 
 
-def _any_bc(data):
-    kind = data.draw(st.sampled_from(sorted(_BC_DATA)))
-    return nh.HyperbolicBC(kind, **data.draw(_BC_DATA[kind]))
+class _PredictCase(NamedTuple):
+    """A prediction input as raw nodal arrays, the fraction of the CFL step
+    it takes and the block size predict runs at."""
+
+    widths: np.ndarray
+    H: np.ndarray
+    u: np.ndarray
+    w: np.ndarray
+    zb: np.ndarray
+    bcs: tuple
+    dt_factor: float
+    block: int
+
+
+@st.composite
+def _predict_cases(draw):
+    n = draw(st.integers(2, 30))
+    H = draw(arrays(float, n, elements=_zero_bottom_depths))
+    assume(np.any(H >= H_EPS))
+    return _PredictCase(
+        widths=draw(arrays(float, n - 1, elements=st.floats(0.05, 1.05))),
+        H=H,
+        u=draw(arrays(float, n, elements=st.one_of(
+            st.floats(-30.0, 30.0), st.sampled_from([0.0, -0.0])))),
+        w=draw(arrays(float, n, elements=st.floats(-4.0, 4.0))),
+        zb=draw(st.one_of(st.just(np.zeros(n)),
+                          arrays(float, n, elements=st.floats(-1.0, 1.0)))),
+        bcs=(draw(_any_bc), draw(_any_bc)),
+        dt_factor=draw(st.floats(0.1, 1.0)),
+        block=draw(st.integers(1, n + 1)),
+    )
+
+
+def _layout(n, block, dry=(), zero_bottom=True):
+    """A fixed wet flow of n nodes at the block size block, with the nodes
+    dry set to H = 0: the block layouts that no draw has to find."""
+    x = np.arange(n, dtype=float)
+    H = 1.0 + 0.3 * np.sin(x)
+    H[list(dry)] = 0.0
+    zb = np.zeros(n) if zero_bottom else 0.2 * np.cos(1.7 * x)
+    return _PredictCase(
+        widths=0.3 + 0.1 * np.cos(x[:-1]), H=H, u=0.4 * np.cos(x), w=0.1 * x,
+        zb=zb, bcs=(nh.HyperbolicBC("imposed_depth", h_given=1.1),
+                    nh.HyperbolicBC("free_outflow")),
+        dt_factor=0.9, block=block,
+    )
 
 
 @settings(max_examples=400, deadline=None)
-@given(data=st.data())
-def test_zero_bottom_predict_matches_reconstructed_oracle(data):
-    # the per-node flux on a zero bottom gives the bits of the reconstructed
-    # path: dry and signed-zero depths, tiny negative (stage) depths, flows
-    # supersonic either way, every boundary kind
-    n = data.draw(st.integers(2, 30))
-    widths = data.draw(arrays(float, n - 1, elements=st.floats(0.05, 1.05)))
-    mesh = nh.Mesh1D(np.concatenate(([0.0], np.cumsum(widths))))
-    bathy = nh.Bathymetry.flat(mesh)
-    H = data.draw(arrays(float, n, elements=_zero_bottom_depths))
-    assume(np.any(H >= H_EPS))
-    u = data.draw(arrays(float, n, elements=st.one_of(
-        st.floats(-30.0, 30.0), st.sampled_from([0.0, -0.0]))))
-    w = data.draw(arrays(float, n, elements=st.floats(-4.0, 4.0)))
-    state = nh.FlowState(H, H * u, H * w)
+@given(case=_predict_cases())
+# a one-node block at either end, a block boundary between the last two
+# nodes, one block of exactly n nodes, and a dry node that ends one block
+# and one that starts another, on both bottoms
+@example(case=_layout(9, 1))
+@example(case=_layout(9, 1, zero_bottom=False))
+@example(case=_layout(9, 8))
+@example(case=_layout(9, 8, zero_bottom=False))
+@example(case=_layout(9, 9))
+@example(case=_layout(9, 9, zero_bottom=False))
+@example(case=_layout(12, 4, dry=(3, 8)))
+@example(case=_layout(12, 4, dry=(3, 8), zero_bottom=False))
+def test_zero_bottom_predict_matches_reconstructed_oracle(case):
+    # the per-node flux on a zero bottom and the blocked update on any
+    # bottom give the bits of the reconstructed path over the whole mesh:
+    # dry and signed-zero depths, tiny negative (stage) depths, flows
+    # supersonic either way, every boundary kind, every block size
+    mesh = nh.Mesh1D(np.concatenate(([0.0], np.cumsum(case.widths))))
+    bathy = nh.Bathymetry(case.zb)
+    state = nh.FlowState(case.H, case.H * case.u, case.H * case.w)
     u, w, dt, speed = prediction_inputs(state, mesh, H_EPS)
-    bc_in, bc_out = _any_bc(data), _any_bc(data)
-    dt *= data.draw(st.floats(0.1, 1.0))
-    args = (state, u, w, mesh, bathy, bc_in, bc_out, dt, speed)
-    try:
-        want = predict_reconstructed(*args)
-    except (TorrentialBoundaryError, RuntimeError) as err:
-        with pytest.raises(type(err)):
-            nh.predict(*args)
-        return
-    got = nh.predict(*args)
+    # an inner block reads views of its inputs and must not write them
+    for x in (state.H, state.Hu, state.Hw, u, w):
+        x.flags.writeable = False
+    args = (state, u, w, mesh, bathy, *case.bcs, dt * case.dt_factor, speed)
+    # hypothesis takes no function-scoped fixture, so no monkeypatch
+    with mock.patch.object(hyperbolic, "_BLOCK", case.block):
+        try:
+            want = predict_reconstructed(*args)
+        except (TorrentialBoundaryError, RuntimeError) as err:
+            with pytest.raises(type(err)):
+                nh.predict(*args)
+            return
+        got = nh.predict(*args)
     for name in ("H", "Hu", "Hw"):
         assert np.array_equal(float_bits(getattr(got, name)),
                               float_bits(getattr(want, name)))

@@ -369,7 +369,9 @@ def test_near_dry_step_is_held_to_the_round_off_of_its_solve():
 # of each Schur system and the corrected residual.  The beach's bottom is
 # reconstructed at each interface; the solitary wave's is zero, so its
 # prediction takes the per-node flux and neither reconstructs nor calls
-# kinetic_flux.  Each projection and each stage solves its Schur system
+# kinetic_flux.  predict calls kinetic_flux and hydrostatic_reconstruct
+# once per block of hyperbolic._BLOCK nodes, which is once on these meshes,
+# below _BLOCK nodes.  Each projection and each stage solves its Schur system
 # once and corrects once.  The energy is telemetry, computed by no step.
 WORK_PER_STEP = {
     "euler": {"assemble": 1, "build_schur": 1, "resolve_projection_bcs": 1,
