@@ -129,8 +129,8 @@ class FlowState:
         wet is this state's own mask H >= h_eps, which the caller computes
         once and reads elsewhere too.
         """
-        u = np.zeros_like(self.H)
-        w = np.zeros_like(self.H)
+        u = np.zeros(self.H.size)
+        w = np.zeros(self.H.size)
         np.divide(self.Hu, self.H, out=u, where=wet)
         np.divide(self.Hw, self.H, out=w, where=wet)
         return u, w
@@ -202,7 +202,7 @@ def _check_sizes(state: FlowState, mesh: Mesh1D):
 def total_mass(state: FlowState, mesh: Mesh1D) -> float:
     """Water area sum(dx_i * H_i), the conserved quantity of the depth equation."""
     _check_sizes(state, mesh)
-    return float(np.sum(mesh.dual_widths * state.H))
+    return float((mesh.dual_widths * state.H).sum())
 
 
 def total_energy(state: FlowState, mesh: Mesh1D, bathy: Bathymetry) -> float:

@@ -36,17 +36,13 @@ fine elements on either side of its node).  Only the table builder tells
 the pairs apart; assembly, the dry-dof test and the Schur bands loop over
 the terms.
 
-Everything that depends on the mesh alone is built once per (mesh, element
-pair) and reused by every assembly on that mesh: the w-coefficients Dw,
-the trace factors that turn (H, dzeta) into the u-coefficients, the table
-of the rows and nodes each window column reaches inside the mesh, the
-layout of the nodal pressure output and the Dw x Dw factors of the Schur
-bands.  This geometry is kept on the mesh
-(Mesh1D._geometry, keyed by pair tag), so it lives as long as the mesh and
-is never shared between meshes.  Its arrays are read-only: an in-place
-write raises instead of corrupting later steps.  The bottom-only term
-2 zb is likewise kept on the Bathymetry, and the depth-only wet mask on
-the OperatorSet (OperatorSet.wet), so an assembly computes each once.
+Everything that depends on the mesh alone (_Geometry) is built once per
+(mesh, element pair) and kept on the mesh (Mesh1D._geometry, keyed by pair
+tag), so it lives as long as the mesh and is never shared between meshes.
+Its arrays are read-only: an in-place write raises instead of corrupting
+later steps.  The bottom-only term 2 zb is likewise kept on the
+Bathymetry, and the depth-only wet mask on the OperatorSet
+(OperatorSet.wet), so an assembly computes each once.
 """
 
 from __future__ import annotations
@@ -134,9 +130,11 @@ class _Geometry:
     c_H, c_left, c_right): rows take fine elements el at window offsets off
     and off + 1, with c_H = (pl + pr) / 2, c_left = pl/3 + pr/6 and
     c_right = pl/6 + pr/3 from the pressure traces pl, pr at the element's
-    ends; _u_windows accumulates the terms into zeros.  nodal = (dof_nodes,
-    dofs, mixed, t) lays out the nodal pressure
-    output: nodes dof_nodes carry dofs, and a node of mixed takes
+    ends; _u_windows accumulates the terms into zeros.  P1/P0's traces are
+    1, so its one term stores c_H = 1 as None (H enters unscaled) and
+    c_right = c_left = 1/2 as None (dzeta/2 is formed once).
+    nodal = (dof_nodes, dofs, mixed, t) lays out the nodal pressure output:
+    nodes dof_nodes carry dofs, and a node of mixed takes
     (1 - t) p_l + t p_{l+1} from its two neighbouring dofs (t = 1/2 for
     P1/P0, the node's position in its coarse element for P1-iso-P2/P1).
     schur_terms[d] lists band d of
@@ -164,9 +162,7 @@ class OperatorSet:
     sequence starts[l] = s0 + stride*l (s0 = 0, stride 1 for P1/P0; s0 = -2,
     stride 2 for P1-iso-P2/P1); coefficients falling outside the mesh are
     zero and geometry.columns skips them.  Du is built from the depth on
-    every assembly by one loop over the pair's fine-element terms; Dw and
-    the rest of the mesh-only data are the read-only geometry shared by
-    every assembly on the same mesh (see the module docstring).  The
+    every assembly (_u_windows); Dw is the mesh's read-only geometry.  The
     projection uses only Bt - C = -B^T, so C is not built here; the test
     oracles build it from its two entries, (u_0, first pressure dof) = -H_0
     and (u_{N-1}, last pressure dof) = +H_{N-1}.
@@ -231,7 +227,7 @@ class OperatorSet:
         derivative is the u-part of B built from (T_H, diff(T_H)) applied
         to u; it is exact and independent of w.
         """
-        dDu = _u_windows(self.geometry, T_H, np.diff(T_H))
+        dDu = _u_windows(self.geometry, T_H, np.subtract(T_H[1:], T_H[:-1]))
         out = np.zeros(self.n_pressure)
         for k, (rows, nodes) in enumerate(self.geometry.columns):
             out[rows] += dDu[rows, k] * u[nodes]
@@ -299,14 +295,14 @@ def _build_geometry(pair: ElementPair, mesh: Mesh1D) -> _Geometry:
     n, m = mesh.n_nodes, pair.n_pressure
     h = mesh.element_widths
     # the pair's fine-element table: windows start at s0 + stride*l and are K
-    # nodes wide; each term (rows, el, off, pl, pr, w_left, w_right) gives
-    # rows the fine elements el at window offset off, with pressure traces
-    # pl, pr and w-coefficients w_left, w_right at the element's two ends
+    # nodes wide; each term (rows, el, off, coefs, w_left, w_right) gives rows
+    # the fine elements el at window offset off, with the u-factors coefs of
+    # _Geometry and w-coefficients w_left, w_right at the element's two ends
     if pair.tag == P1P0:
-        # row l covers element l = [x_l, x_{l+1}], where its basis is 1
+        # row l covers element l = [x_l, x_{l+1}], where its basis is 1 (unit traces)
         s0, stride, K = 0, 1, 2
         every = slice(None)
-        table = ((every, every, 0, 1.0, 1.0, h, h),)
+        table = ((every, every, 0, (None, 0.5, None), h, h),)
         # the end nodes carry the end elements' values, the others the mean of two
         nodal = ([0, -1], [0, -1], slice(1, -1), 0.5)
     else:
@@ -330,16 +326,16 @@ def _build_geometry(pair: ElementPair, mesh: Mesh1D) -> _Geometry:
             el = slice(e0, None, 2)
             he = h[el]
             w_left, w_right = he * (2.0 * pl + pr) / 3.0, he * (pl + 2.0 * pr) / 3.0
-            table.append((rows, el, off, pl, pr, w_left, w_right))
+            coefs = (0.5 * (pl + pr), pl / 3.0 + pr / 6.0, pl / 6.0 + pr / 3.0)
+            table.append((rows, el, off, coefs, w_left, w_right))
         # the coarse nodes carry their dofs
         nodal = (slice(0, None, 2), slice(None), slice(1, None, 2), left_frac)
 
     Dw = np.zeros((m, K), order="F")
     u_terms = []
-    for rows, el, off, pl, pr, w_left, w_right in table:
+    for rows, el, off, coefs, w_left, w_right in table:
         Dw[rows, off] += w_left
         Dw[rows, off + 1] += w_right
-        coefs = (0.5 * (pl + pr), pl / 3.0 + pr / 6.0, pl / 6.0 + pr / 3.0)
         u_terms.append((rows, el, off, *(_read_only(c) for c in coefs)))
     _read_only(Dw)
     columns = _window_columns(s0, stride, K, m, n)
@@ -366,14 +362,19 @@ def _u_windows(geom: _Geometry, H: np.ndarray, dzeta: np.ndarray) -> np.ndarray:
 
     dzeta holds the per-element increments of zeta = H + 2 zb.  Exact
     integrals over each fine element against the pressure trace on it,
-    whose mesh-only factors come from the geometry.  The terms accumulate
-    into zeros, each subtracting its left end and adding its right end.
+    whose mesh-only factors come from the geometry (None as _Geometry
+    states).  The terms accumulate into zeros, each subtracting its left
+    end and adding its right end.
     """
     Du = np.zeros(geom.Dw.shape, order="F")
     for rows, el, off, c_H, c_left, c_right in geom.u_terms:
-        dz = dzeta[el]
-        Du[rows, off] -= H[:-1][el] * c_H + dz * c_left
-        Du[rows, off + 1] += H[1:][el] * c_H - dz * c_right
+        H_l, H_r = H[:-1][el], H[1:][el]
+        if c_H is not None:
+            H_l, H_r = H_l * c_H, H_r * c_H
+        dz_l = dzeta[el] * c_left
+        dz_r = dz_l if c_right is None else dzeta[el] * c_right
+        Du[rows, off] -= H_l + dz_l
+        Du[rows, off + 1] += H_r - dz_r
     return Du
 
 
@@ -397,7 +398,8 @@ def assemble(
     H = np.asarray(H, dtype=float)
     a_node = lump_mass(H, mesh, h_eps)  # rejects a wrong size or a negative depth
     geom = _geometry(pair, mesh)
-    dzeta = np.diff(H + bathy.two_zb)
+    zeta = H + bathy.two_zb
+    dzeta = np.subtract(zeta[1:], zeta[:-1])
     return OperatorSet(
         pair=pair,
         mesh=mesh,

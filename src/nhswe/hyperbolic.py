@@ -37,12 +37,11 @@ reconstructed path: H + z - z is not H exactly in floating point.
 
 predict runs its whole pipeline, from the reconstruction or the per-node
 support to the negative-depth test, over blocks of _BLOCK nodes, so that
-on a large mesh its temporaries are block-sized and stay in cache (the
-comment at _BLOCK gives the measured reason for its value).  The bits do
-not depend on the block size: each operation is elementwise on its node
-or interface, an interface two blocks share is computed by both from the
-same inputs, and the minimum of the negative-depth test is taken per
-block against one floor set by the whole state.  An inner block reads
+on a large mesh its temporaries are block-sized and stay in cache.  The
+bits do not depend on the block size: each operation is elementwise on
+its node or interface, an interface two blocks share is computed by both
+from the same inputs, and the minimum of the negative-depth test is taken
+per block against one floor set by the whole state.  An inner block reads
 views of the state, the velocities and the bottom; only the two end
 blocks copy their nodes, to add the ghost node.
 
@@ -264,26 +263,6 @@ def cfl_dt(state: FlowState, mesh: Mesh1D, params: PhysicalParams) -> float:
     return cfl_step(state.H, u, mesh, wet)[0]
 
 
-def _bisect(fun, lo: float, hi: float, flo: float, fhi: float, rtol: float = 1e-12) -> float:
-    """Root of fun in [lo, hi], given flo = fun(lo) and fhi = fun(hi)."""
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        raise ValueError("root not bracketed")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fmid = fun(mid)
-        if fmid == 0.0 or (hi - lo) <= rtol * (1.0 + abs(mid)):
-            return mid
-        if flo * fmid <= 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-    return 0.5 * (lo + hi)
-
-
 def apply_hyperbolic_bc(
     bc: HyperbolicBC, side: str, Hb: float, ub: float, wb: float
 ) -> GhostState:
@@ -349,7 +328,21 @@ def apply_hyperbolic_bc(
         raise TorrentialBoundaryError(
             "no subcritical boundary depth matches the imposed flux"
         )
-    h0 = _bisect(residual, lo, hi, flo, fhi)
+    # bisect [lo, hi] to a relative 1e-12, the midpoint's residual written
+    # out: a call per midpoint would cost more than its arithmetic
+    h0 = lo if flo == 0.0 else hi
+    if flo != 0.0 and fhi != 0.0:
+        for _ in range(200):
+            h0 = 0.5 * (lo + hi)
+            fmid = q01 / h0 + sign * 2.0 * math.sqrt(G * h0) - invariant
+            if fmid == 0.0 or (hi - lo) <= 1e-12 * (1.0 + abs(h0)):
+                break
+            if flo * fmid <= 0.0:
+                hi = h0
+            else:
+                lo, flo = h0, fmid
+        else:
+            h0 = 0.5 * (lo + hi)
     u0 = q01 / h0
     if abs(u0) / math.sqrt(G * h0) >= 1.0:
         raise TorrentialBoundaryError(

@@ -76,7 +76,7 @@ def resolve_projection_bcs(ops: OperatorSet, bcs) -> _BCPlan:
             free_u[end] = False
         else:
             raise ValueError(f"unknown pressure BC kind {kind!r}")
-    return _BCPlan(_read_only(free_u), _read_only(np.flatnonzero(pinned)), tuple(bcs))
+    return _BCPlan(_read_only(free_u), _read_only(pinned.nonzero()[0]), tuple(bcs))
 
 
 @dataclass(frozen=True)
@@ -144,7 +144,8 @@ class SchurSystem:
         if pinned.size:
             div = div.copy()
             div[pinned] = 0.0
-        return float(np.linalg.norm(div))
+        # numpy's own 2-norm of a 1-D float array, without its wrapper
+        return math.sqrt(div.dot(div))
 
 
 def build_schur(ops: OperatorSet, bcs) -> SchurSystem:

@@ -41,6 +41,7 @@ diagnostic (StepReport).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -297,7 +298,7 @@ def _stage(
     def increment(d_momentum, old_momentum, carried):
         d_momentum -= old_momentum
         d_momentum -= carried
-        return np.divide(d_momentum, y.H, out=np.zeros_like(y.H), where=sys.ops.wet)
+        return np.divide(d_momentum, y.H, out=np.zeros(y.H.size), where=sys.ops.wet)
 
     # predict's momenta are its own new arrays
     du = increment(pred.Hu, y.Hu, u_dH)
@@ -364,7 +365,8 @@ def step_heun(
     hyp = bounds.hyperbolic_at(state.t)
     bcs = _pressure_bcs(hyp)
     sys = None if _last is None else _last.schur
-    if sys is None or sys.plan.bcs != bcs or not np.array_equal(sys.ops.H, state.H):
+    reuse = sys is not None and sys.plan.bcs == bcs
+    if not (reuse and (sys.ops.H is state.H or np.array_equal(sys.ops.H, state.H))):
         sys = build_schur(assemble(pair, mesh, state.H, bathy, h_eps), bcs)
     wet = sys.ops.wet
     u, w = state.velocities(wet)
@@ -510,8 +512,8 @@ def run(
                 values.flags.writeable = False
             result.reports.append(step.report)
             if not (
-                np.isfinite(step.report.mass)
-                and np.isfinite(state.H.max())
+                math.isfinite(step.report.mass)
+                and math.isfinite(state.H.max())
                 and np.isfinite(state.Hu).all()
                 and np.isfinite(state.Hw).all()
             ):

@@ -16,7 +16,8 @@ hold against the package's direct banded solve.
 
 Some routines are kept here in an earlier, slower formulation that the
 package replaced by one with the same arithmetic: the divergence window
-coefficients built from the mesh on every call, the kinetic half fluxes
+coefficients built from the mesh on every call, and by a term loop that
+applies every trace factor, even a unit one; the kinetic half fluxes
 patched with np.where, the kinetic flux on (H, Hu) states, the wave speed
 over gathered wet nodes, the imposed-flux boundary closure on numpy
 scalars, and the prediction that reconstructs every interface whatever the
@@ -385,6 +386,27 @@ def u_windows_uncached(pair, mesh, H, zb):
         dz = dzeta[el]
         Du[rows, off] += -H[:-1][el] * 0.5 * (pl + pr) - dz * (pl / 3.0 + pr / 6.0)
         Du[rows, off + 1] += H[1:][el] * 0.5 * (pl + pr) - dz * (pl / 6.0 + pr / 3.0)
+    return Du
+
+
+def u_windows_every_factor(pair, mesh, H, dzeta):
+    """Du of the divergence windows from (H, dzeta) by the package's term
+    loop with every trace factor applied: H times c_H and dzeta times
+    c_left and c_right on each term, P1/P0's unit factors included, each
+    accumulated into zeros."""
+    if pair.tag == "P1P0":
+        every = slice(None)
+        terms, K = ((every, every, 0, 1.0, 1.0),), 2
+    else:
+        terms = [(rows, slice(e0, None, 2), off, pl, pr)
+                 for rows, e0, off, pl, pr in _p1isop2_elements(mesh.nodes)]
+        K = 5
+    Du = np.zeros((pair.n_pressure, K), order="F")
+    for rows, el, off, pl, pr in terms:
+        c_H, c_left, c_right = 0.5 * (pl + pr), pl / 3.0 + pr / 6.0, pl / 6.0 + pr / 3.0
+        dz = dzeta[el]
+        Du[rows, off] -= H[:-1][el] * c_H + dz * c_left
+        Du[rows, off + 1] += H[1:][el] * c_H - dz * c_right
     return Du
 
 

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import nhswe as nh
+from nhswe import femops
 from nhswe.femops import P1ISOP2P1, P1P0
 
 from oracles import (
@@ -14,6 +17,7 @@ from oracles import (
     dense_gradient,
     depth_derivative_by_differencing,
     dry_pressure_dofs_by_support,
+    float_bits,
     gauss_divergence,
     gauss_gradient,
     gauss_lumped_mass,
@@ -21,6 +25,7 @@ from oracles import (
     random_wet_setup,
     staggered_stencil_divergence,
     staggered_stencil_gradient,
+    u_windows_every_factor,
     u_windows_uncached,
     w_windows_uncached,
 )
@@ -422,3 +427,39 @@ def test_cached_windows_equal_an_uncached_build(tag, data):
     ops = nh.assemble(pair, mesh, H, nh.Bathymetry(zb), H_EPS)
     assert np.array_equal(ops.Du, u_windows_uncached(pair, mesh, H, zb))
     assert np.array_equal(ops.Dw, w_windows_uncached(pair, mesh))
+
+
+@pytest.mark.parametrize("tag", PAIRS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_windows_equal_the_every_factor_term_loop_to_the_sign_of_zero(tag, data):
+    # P1/P0's windows skip the unit factor of H and form dzeta / 2 once:
+    # through assemble and through apply_depth_derivative, every bit stays
+    # that of the loop applying each factor, on depths, bottoms and depth
+    # directions that hold +0.0 and -0.0
+    n = data.draw(st.integers(5, 15))
+    if tag == P1ISOP2P1 and n % 2 == 0:
+        n += 1
+
+    def field(lo, hi):
+        values = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(lo, hi))
+        return data.draw(arrays(float, n, elements=values))
+
+    mesh = nh.Mesh1D(np.cumsum(data.draw(arrays(float, n, elements=st.floats(0.1, 2.0)))))
+    H, zb, T_H, u = field(0.0, 3.0), field(-1.0, 1.0), field(-5.0, 5.0), field(-3.0, 3.0)
+    pair = nh.ElementPair(tag, n)
+    real, windows = femops._u_windows, []
+
+    def kept(*args):
+        windows.append(real(*args))
+        return windows[-1]
+
+    with mock.patch.object(femops, "_u_windows", kept):
+        ops = nh.assemble(pair, mesh, H, nh.Bathymetry(zb), H_EPS)
+        ops.apply_depth_derivative(T_H, u)
+    Du, dDu = windows
+    assert Du is ops.Du
+    ref = u_windows_every_factor(pair, mesh, H, np.diff(H + 2.0 * zb))
+    assert np.array_equal(float_bits(Du), float_bits(ref))
+    ref = u_windows_every_factor(pair, mesh, T_H, np.diff(T_H))
+    assert np.array_equal(float_bits(dDu), float_bits(ref))

@@ -687,3 +687,40 @@ def test_stage_keeps_the_divergence_constant():
     dB_u = depth_derivative_by_differencing(pair, sc.mesh, sc.bathy.zb, dH, u, w)
     assert np.abs(dB_u).max() > 1e-6 * dt
     assert np.abs(B_du + dB_u).max() <= 1e-9 * np.abs(dB_u).max()
+
+
+@pytest.mark.parametrize("tag", ["P1P0", "P1isoP2P1"])
+def test_the_step_path_calls_no_python_level_numpy_helper(tag, monkeypatch):
+    # at small N a Python-level numpy helper costs more than the ufunc or
+    # method it wraps: an Euler step and two Heun steps, the second reusing
+    # the Schur system the first ended on, over a bottom with an imposed-flux
+    # side, run with every such helper refused and give the bits of an
+    # unpatched run
+    n = 41
+    mesh = nh.Mesh1D(np.linspace(0.0, 10.0, n) + 0.05 * np.sin(np.arange(n)))
+    zb = 0.2 * np.cos(mesh.nodes)
+    bathy, pair, params = nh.Bathymetry(zb), nh.ElementPair(tag, n), nh.PhysicalParams()
+    H = 1.0 - zb
+    state = nh.FlowState(H, 0.1 * H, np.zeros(n))
+    bounds = nh.BoundarySpec(
+        nh.HyperbolicBC("imposed_flux", q0=(0.2, 0.0)), nh.HyperbolicBC("free_outflow")
+    )
+
+    def steps():
+        euler = nh.step_euler(state, mesh, bathy, params, bounds, pair)
+        first = nh.step_heun(euler.state, mesh, bathy, params, bounds, pair)
+        second = nh.step_heun(first.state, mesh, bathy, params, bounds, pair, _last=first)
+        return [float_bits(x) for step in (euler, first, second)
+                for x in (step.state.H, step.state.Hu, step.state.Hw, step.pressure.values)]
+
+    want = steps()
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a Python-level numpy helper was called on the step path")
+
+    with monkeypatch.context() as m:
+        for name in ("diff", "zeros_like", "sum", "array_equal", "flatnonzero"):
+            m.setattr(np, name, refused)
+        m.setattr(np.linalg, "norm", refused)
+        got = steps()
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))

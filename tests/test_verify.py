@@ -108,14 +108,12 @@ def test_dam_break_plateau_fails_with_a_wrong_flux_wave_speed(monkeypatch):
     assert "(star 1.0750, dev 10.00%)" in result.details
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "mass_conservation bounds the per-step drift by 1e-12, while a one-ulp "
-    "leak per step drifts 3.056e-16 per step and 3.04e-14 over the 200 steps"))
 def test_mass_conservation_fails_with_a_leak_of_one_ulp_per_step(monkeypatch):
     # each prediction loses one ulp of the total mass at the middle
     # interface: the node right of it receives that much less than the node
     # left of it gives.  The check compares its own prediction with the
-    # step's, so both take the leaking one
+    # step's, so both take the leaking one.  A step drifts 3.056e-16, far
+    # below the per-step bound; the whole run drifts 50 times its bound
     real = timeloop.predict
 
     def leaking(state, u, w, mesh, *args):
@@ -126,4 +124,33 @@ def test_mass_conservation_fails_with_a_leak_of_one_ulp_per_step(monkeypatch):
 
     monkeypatch.setattr(timeloop, "predict", leaking)
     monkeypatch.setattr(verify, "predict", leaking)
-    assert not verify.run_criterion("mass_conservation").passed
+    result = verify.run_criterion("mass_conservation")
+    assert not result.passed
+    assert "whole-run relative drift = 3.041e-14 (bound 4 ulp = 6.113e-16)" in result.details
+
+
+def test_wellbalanced_positivity_fails_without_the_hydrostatic_reconstruction(monkeypatch):
+    # interface depths taken as the nodal ones over the beach's sloping
+    # bottom: the lake at rest starts to flow, and the check reports it
+    monkeypatch.setattr(
+        hyperbolic, "hydrostatic_reconstruct", lambda Hi, Hj, zbi, zbj: (Hi.copy(), Hj.copy())
+    )
+    result = verify.run_criterion("wellbalanced_positivity")
+    assert not result.passed
+    assert "lake-at-rest drift over 100 steps 2.08e-01" in result.details
+
+
+def test_wellbalanced_positivity_fails_at_a_cfl_number_above_one(monkeypatch):
+    # predict refuses a step beyond CFL 1 itself: every part raises a CFL
+    # violation, which the check reports as a FAIL of that part
+    monkeypatch.setattr(hyperbolic, "CFL", 1.5)
+    result = verify.run_criterion("wellbalanced_positivity")
+    assert not result.passed
+    for part in ("lake at rest", "random steps", "beach run"):
+        assert f"{part} raised CFL violation" in result.details
+    # with that guard let through as well, random steps drive a depth below
+    # 0, which predict raises on, rather than clip
+    monkeypatch.setattr(hyperbolic, "cfl_admits", lambda dt, speed, mesh: True)
+    result = verify.run_criterion("wellbalanced_positivity")
+    assert not result.passed
+    assert "random steps raised negative depth produced by the prediction step" in result.details
