@@ -18,6 +18,18 @@ import numpy as np
 # gravity (m/s^2) of the flux, the energy and every scenario
 G = 9.81
 
+# Nodes, or pressure rows, per block of every kernel that runs in cache-sized
+# blocks (hyperbolic.predict; femops and projection).  A predict call makes
+# about 25 temporaries the size of its block: over a whole mesh of N = 1e5
+# 800 KB each, 10x a 2 MiB per-core L2 in all, and at this block 128 KB.
+# Solitary p10 at N = 100001 (2-vCPU host) read 80.0 / 77.7 / 76.8 / 77.7
+# ns/node/step with predict at blocks of 4,096 / 8,192 / 16,384 / 32,768
+# nodes; with predict at 16,384, 102.0 / 98.6 / 96.0 / 96.0 with the
+# projection at those row blocks (build_schur 2,319 / 2,194 / 2,122 / 2,142
+# us per call), against 104.1 (2,437 us) over whole arrays.  Smaller blocks
+# pay numpy's per-call overhead on more blocks.
+_BLOCK = 16384
+
 
 class DryDomainError(ValueError):
     """Raised when an operation needs at least one wet cell and finds none."""

@@ -9,48 +9,44 @@ piecewise-linear on the coarse mesh made of fine-element pairs
     div_sw v  = d(H v1)/dx - v1 d(H + 2 zb)/dx + 2 v2
 
 with zeta = H + 2 zb interpolated linearly from nodal values and the
-depth-weighted product interpolated nodally, (H v)_h = sum_i H_i v_i phi_i.
-Every element integral is then an exact polynomial and is assembled in
-closed form.  The gradient matrix is the boundary-corrected transpose of
-the divergence matrix, Bt = -B^T + C, which makes the duality relation
+depth-weighted product nodally, (H v)_h = sum_i H_i v_i phi_i, so every
+element integral is exact and assembled in closed form.  The gradient
+matrix Bt = -B^T + C makes the duality relation
 
     v^T Bt q = -(B v)^T q        (v vanishing on the boundary)
 
 hold to round-off for any depth and bottom.
 
-Velocity degrees of freedom are stacked U = (u_1..u_N, w_1..w_N).  Each
-pressure row only touches a contiguous window of velocity nodes, so the
-divergence is stored as per-row windows (dense M x K blocks with uniform
-window starts), which keeps per-step assembly and products O(N) in plain
-numpy.  The u-coefficients of the windows are linear in (H, dzeta), with
-dzeta the element increments of zeta, and the w-coefficients depend on the
-mesh alone.  The derivative of B along a depth direction T_H is therefore
-the u-part of B built from (T_H, diff(T_H)), which
-OperatorSet.apply_depth_derivative applies exactly.
+B is stored as per-row windows (OperatorSet).  Their u-coefficients are
+linear in (H, dzeta), dzeta the element increments of zeta, and their
+w-coefficients depend on the mesh alone, so the derivative of B along a
+depth direction T_H is exactly the u-part of B built from
+(T_H, diff(T_H)).  Both pairs are one table of fine-element terms
+(_Geometry.u_terms); only _build_geometry tells them apart.
 
-Both pairs are one table of fine-element terms: a term gives a set of rows
-one fine element each, at a fixed window offset, with the pressure traces
-at the element's two ends.  P1/P0 has a single term (row l takes element l
-with traces 1, 1); P1-iso-P2/P1 has four (each coarse hat takes the two
-fine elements on either side of its node).  Only the table builder tells
-the pairs apart; assembly, the dry-dof test and the Schur bands loop over
-the terms.
+The kernels of a step (lump_mass, _u_windows, the Schur band, B and B^T)
+run over blocks of core._BLOCK rows or nodes, so that on a large mesh
+their temporaries stay in cache.  Sums into pressure rows (the windows, B,
+the band) run over row blocks.  B^T runs over node blocks: a node sums up
+to three contributions (an even P1-iso-P2/P1 node), in the order of the
+window columns only if they meet in one block, and that order sets its
+bits.  So no output depends on the block size, and up to _BLOCK rows
+there is one block.
 
-Everything that depends on the mesh alone (_Geometry) is built once per
-(mesh, element pair) and kept on the mesh (Mesh1D._geometry, keyed by pair
-tag), so it lives as long as the mesh and is never shared between meshes.
-Its arrays are read-only: an in-place write raises instead of corrupting
-later steps.  The bottom-only term 2 zb is likewise kept on the
-Bathymetry, and the depth-only wet mask on the OperatorSet
-(OperatorSet.wet), so an assembly computes each once.
+The mesh-only part (_Geometry) is built once per (mesh, element pair) and
+kept on the mesh (Mesh1D._geometry, keyed by pair tag), never shared
+between meshes; its arrays are read-only.  2 zb is kept on the Bathymetry
+and the wet mask on the OperatorSet, so an assembly computes each once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
+from . import core
 from .core import Bathymetry, Mesh1D, _read_only
 
 P1P0 = "P1P0"
@@ -59,12 +55,9 @@ P1ISOP2P1 = "P1isoP2P1"
 
 @dataclass(frozen=True)
 class ElementPair:
-    """Velocity/pressure space pairing: tag, N velocity nodes, M pressure dofs.
-
-    Validated on construction: a known tag and a node count the pair admits
-    (P1/P0 at least 2, P1-iso-P2/P1 odd and at least 5).  M follows from
-    the two.
-    """
+    """Velocity/pressure space pairing: tag, N velocity nodes, M pressure
+    dofs.  Validated on construction: a known tag and a node count the pair
+    admits (P1/P0 at least 2, P1-iso-P2/P1 odd and at least 5)."""
 
     tag: str
     n_velocity: int
@@ -94,55 +87,72 @@ class ElementPair:
 def lump_mass(H, mesh: Mesh1D, h_eps: float) -> np.ndarray:
     """Row-sum lumped depth-weighted mass, a_i = integral(H_h phi_i).
 
-    H is interpolated linearly, so an interior entry is
-    h_l (H_{i-1}/6 + H_i/3) + h_r (H_i/3 + H_{i+1}/6).  Entries are floored
-    at h_eps * dx_i, h_eps the run's dry threshold, so the matrix stays
-    invertible on dry nodes.
+    H is linear, so an interior entry is h_r (H_i/3 + H_{i+1}/6) +
+    h_l (H_{i-1}/6 + H_i/3), summed in this order, and floored at
+    h_eps * dx_i so the matrix stays invertible on dry nodes.  Each block of
+    core._BLOCK nodes reads one more node at either end.
     """
     H = np.asarray(H, dtype=float)
-    if H.size != mesh.n_nodes:
+    n = mesh.n_nodes
+    if H.size != n:
         raise ValueError("H/mesh size mismatch")
-    if H.min() < 0.0:
-        raise ValueError("negative depth in mass assembly")
-    h = mesh.element_widths
-    third, sixth = H / 3.0, H / 6.0
-    # an interior entry sums h_r (H_i/3 + H_{i+1}/6) + h_l (H_{i-1}/6 + H_i/3)
-    # in this order; the second terms are formed in the thirds' buffer
-    a = np.empty(mesh.n_nodes)
-    left = np.add(third[:-1], sixth[1:], out=a[:-1])
-    left *= h
-    a[-1] = 0.0
-    right = np.add(sixth[:-1], third[1:], out=third[1:])
-    right *= h
-    a[1:] += right
-    return np.maximum(a, h_eps * mesh.dual_widths, out=a)
+    h, dx, block = mesh.element_widths, mesh.dual_widths, core._BLOCK
+    a = np.empty(n)
+    for b0 in range(0, n, block):
+        b1 = min(b0 + block, n)
+        lo = max(b0 - 1, 0)  # x[i - lo] = H_i
+        x = H[lo : b1 + 1]
+        if x.min() < 0.0:
+            raise ValueError("negative depth in mass assembly")
+        third, sixth = x / 3.0, x / 6.0
+        # elements b0 .. e1 - 1 give their left node h_e (H_e/3 + H_{e+1}/6)
+        e1 = min(b1, n - 1)
+        left = np.add(third[b0 - lo : e1 - lo], sixth[b0 + 1 - lo : e1 + 1 - lo], out=a[b0:e1])
+        left *= h[b0:e1]
+        if b1 == n:
+            a[-1] = 0.0
+        # elements s1 - 1 .. b1 - 2 give their right node h_e (H_e/6 + H_{e+1}/3),
+        # formed in the thirds' buffer
+        s1 = max(b0, 1)
+        right = third[s1 - lo : b1 - lo]
+        np.add(sixth[s1 - 1 - lo : b1 - 1 - lo], right, out=right)
+        right *= h[s1 - 1 : b1 - 1]
+        a[s1:b1] += right
+        np.maximum(a[b0:b1], h_eps * dx[b0:b1], out=a[b0:b1])
+    return a
+
+
+class _RowBlock(NamedTuple):
+    """_Geometry's columns, u_terms and schur_terms cut to a row block."""
+
+    columns: tuple
+    u_terms: tuple
+    schur_terms: tuple
 
 
 @dataclass(frozen=True)
 class _Geometry:
-    """Mesh-only part of one element pair's operators on one mesh.
+    """Mesh-only part of one element pair's operators on one mesh; every
+    array is read-only.
 
     columns[k] = (rows, nodes): the pressure rows whose window column k lies
-    inside the mesh, and the velocity nodes it lies on (the clipped entries
-    of a window are zero, so products skip them).  Dw holds the
-    w-coefficients of the windows (M x K).  u_terms are the pair's
-    fine-element terms (see the module docstring), each (rows, el, off,
-    c_H, c_left, c_right): rows take fine elements el at window offsets off
-    and off + 1, with c_H = (pl + pr) / 2, c_left = pl/3 + pr/6 and
-    c_right = pl/6 + pr/3 from the pressure traces pl, pr at the element's
-    ends; _u_windows accumulates the terms into zeros.  P1/P0's traces are
-    1, so its one term stores c_H = 1 as None (H enters unscaled) and
-    c_right = c_left = 1/2 as None (dzeta/2 is formed once).
-    nodal = (dof_nodes, dofs, mixed, t) lays out the nodal pressure output:
-    nodes dof_nodes carry dofs, and a node of mixed takes
-    (1 - t) p_l + t p_{l+1} from its two neighbouring dofs (t = 1/2 for
-    P1/P0, the node's position in its coarse element for P1-iso-P2/P1).
-    schur_terms[d] lists band d of
-    B diag(a_u, a_w) B^T as (k, k_d, rows, rows_d, nodes, w_factor): entry
-    l of the band sums Du[l, k] Du[l + d, k_d] a_u[node] + w_factor a_w[node]
-    over the terms, w_factor = Dw[rows, k] Dw[rows_d, k_d].
+    inside the mesh, and the velocity nodes it lies on (clipped entries are
+    zero and skipped).  Dw holds the windows' w-coefficients (M x K).
+    u_terms are the fine-element terms (rows, el, off, c_H, c_left,
+    c_right): rows take fine elements el at window offsets off and off + 1,
+    with c_H = (pl + pr) / 2, c_left = pl/3 + pr/6, c_right = pl/6 + pr/3
+    from the pressure traces pl, pr at the element's ends.  P1/P0's one term
+    (row l, element l) has unit traces and stores c_H = 1 and
+    c_right = c_left = 1/2 as None; P1-iso-P2/P1 has four (a coarse hat's
+    two fine elements either side of its node).  nodal = (dof_nodes, dofs,
+    mixed, t): nodes dof_nodes carry dofs, a node of mixed takes
+    (1 - t) p_l + t p_{l+1}.  schur_terms[d] lists band d of
+    B diag(a_u, a_w) B^T as (k, k_d, rows, rows_d, nodes, w_factor): entry l
+    sums Du[l, k] Du[l + d, k_d] a_u[node] + w_factor a_w[node] over them,
+    w_factor = Dw[rows, k] Dw[rows_d, k_d].
 
-    Built once by _geometry and kept on the mesh; every array is read-only.
+    row_blocks holds a _RowBlock per block of core._BLOCK pressure rows,
+    node_blocks the columns cut to each block of _BLOCK nodes (_within).
     """
 
     columns: tuple
@@ -150,26 +160,21 @@ class _Geometry:
     u_terms: tuple
     nodal: tuple
     schur_terms: tuple
+    row_blocks: tuple
+    node_blocks: tuple
 
 
 @dataclass
 class OperatorSet:
     """Assembled operators of one pair on one (H, zb) configuration.
 
-    The divergence matrix B (M x 2N) is held as per-row windows: row l
-    touches velocity nodes starts[l] .. starts[l]+K-1 with u-coefficients
-    Du[l] and w-coefficients Dw[l].  Window starts are the arithmetic
-    sequence starts[l] = s0 + stride*l (s0 = 0, stride 1 for P1/P0; s0 = -2,
-    stride 2 for P1-iso-P2/P1); coefficients falling outside the mesh are
-    zero and geometry.columns skips them.  Du is built from the depth on
-    every assembly (_u_windows); Dw is the mesh's read-only geometry.  The
-    projection uses only Bt - C = -B^T, so C is not built here; the test
-    oracles build it from its two entries, (u_0, first pressure dof) = -H_0
-    and (u_{N-1}, last pressure dof) = +H_{N-1}.
-
-    wet is the read-only mask H >= h_eps of the assembly's depth, computed
-    once: the dry pressure dofs, the projection's boundary plan and masked
-    inverse mass, and the velocities of the state it projects all read it.
+    B (M x 2N, on U = (u, w)) is held as per-row windows: row l touches
+    nodes s0 + stride*l + k, k < K (s0 = 0, stride 1 for P1/P0; s0 = -2,
+    stride 2 for P1-iso-P2/P1), with u-coefficients Du[l] from the depth
+    and w-coefficients Dw[l] from the geometry.  The projection uses only
+    Bt - C = -B^T, so C is not built; the test oracles build it from its two
+    entries, (u_0, first dof) = -H_0 and (u_{N-1}, last dof) = +H_{N-1}.
+    wet is the read-only mask H >= h_eps, computed once for every reader.
     """
 
     pair: ElementPair
@@ -216,17 +221,14 @@ class OperatorSet:
         """B (u; w): the divergence tested against every pressure basis function."""
         out = np.zeros(self.n_pressure)
         Du, Dw = self.Du, self.Dw
-        for k, (rows, nodes) in enumerate(self.geometry.columns):
-            out[rows] += Du[rows, k] * u[nodes] + Dw[rows, k] * w[nodes]
+        for block in self.geometry.row_blocks:
+            for k, (rows, nodes) in enumerate(block.columns):
+                out[rows] += Du[rows, k] * u[nodes] + Dw[rows, k] * w[nodes]
         return out
 
     def apply_depth_derivative(self, T_H: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """(dB/dH)[T_H] (u; w): the derivative of B along the depth direction T_H.
-
-        Du is linear in (H, dzeta) and Dw does not depend on H, so the
-        derivative is the u-part of B built from (T_H, diff(T_H)) applied
-        to u; it is exact and independent of w.
-        """
+        """(dB/dH)[T_H] (u; w), exact and independent of w: the u-part of B
+        built from (T_H, diff(T_H)) applied to u (module docstring)."""
         dDu = _u_windows(self.geometry, T_H, np.subtract(T_H[1:], T_H[:-1]))
         out = np.zeros(self.n_pressure)
         for k, (rows, nodes) in enumerate(self.geometry.columns):
@@ -234,15 +236,16 @@ class OperatorSet:
         return out
 
     def scatter_divergence_t(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """B^T p accumulated on the (u, w) blocks."""
+        """B^T p accumulated on the (u, w) blocks, node block by node block."""
         n = self.n_nodes
         du = np.zeros(n)
         dw = np.zeros(n)
         Du, Dw = self.Du, self.Dw
-        for k, (rows, nodes) in enumerate(self.geometry.columns):
-            pk = p[rows]
-            du[nodes] += Du[rows, k] * pk
-            dw[nodes] += Dw[rows, k] * pk
+        for columns in self.geometry.node_blocks:
+            for k, (rows, nodes) in enumerate(columns):
+                pk = p[rows]
+                du[nodes] += Du[rows, k] * pk
+                dw[nodes] += Dw[rows, k] * pk
         return du, dw
 
     def interpolate_pressure_to_nodes(self, p: np.ndarray) -> np.ndarray:
@@ -256,25 +259,10 @@ class OperatorSet:
         return out
 
 
-def _window_columns(s0: int, stride: int, K: int, m: int, n: int) -> tuple:
-    """(rows, nodes) of every window column k: rows l whose node
-    s0 + stride*l + k lies in [0, n), and those nodes."""
-    columns = []
-    for k in range(K):
-        first = s0 + k  # node of row 0
-        r0 = max(0, -(first // stride))
-        r1 = min(m, (n - 1 - first) // stride + 1)
-        start = first + stride * r0
-        columns.append((slice(r0, r1), slice(start, start + stride * (r1 - r0), stride)))
-    return tuple(columns)
-
-
 def _schur_terms(columns: tuple, Dw: np.ndarray, stride: int, bandwidth: int) -> tuple:
-    """The terms of each band d of B diag(a_u, a_w) B^T (see _Geometry).
-
-    Rows l and l + d share a node where window column k of row l meets
-    column k - d*stride of row l + d.
-    """
+    """The terms of each band d of B diag(a_u, a_w) B^T (_Geometry): rows l
+    and l + d share a node where column k of row l meets column
+    k - d*stride of row l + d."""
     m = Dw.shape[0]
     bands = []
     for d in range(bandwidth + 1):
@@ -289,6 +277,24 @@ def _schur_terms(columns: tuple, Dw: np.ndarray, stride: int, bandwidth: int) ->
             terms.append((k, k - delta, rows, rows_d, nodes, w_factor))
         bands.append(tuple(terms))
     return tuple(bands)
+
+
+def _within(entries: tuple, at: int, lo: int, hi: int) -> tuple:
+    """Each column or term cut to the positions whose index in its slice
+    entry[at] lies in lo .. hi - 1: its slices narrowed (start and stop
+    given), its arrays as views."""
+    cut = []
+    for entry in entries:
+        s = entry[at]
+        step, count = s.step or 1, len(range(s.start, s.stop, s.step or 1))
+        i0 = min(max(-((s.start - lo) // step), 0), count)
+        i1 = max(min(-((s.start - hi) // step), count), i0)
+        cut.append(tuple(
+            slice(x.start + (x.step or 1) * i0, x.start + (x.step or 1) * i1, x.step)
+            if isinstance(x, slice) else x[i0:i1] if isinstance(x, np.ndarray) else x
+            for x in entry
+        ))
+    return tuple(cut)
 
 
 def _build_geometry(pair: ElementPair, mesh: Mesh1D) -> _Geometry:
@@ -336,15 +342,29 @@ def _build_geometry(pair: ElementPair, mesh: Mesh1D) -> _Geometry:
     for rows, el, off, coefs, w_left, w_right in table:
         Dw[rows, off] += w_left
         Dw[rows, off + 1] += w_right
+        rows, el = slice(*rows.indices(m)), slice(*el.indices(n - 1))
         u_terms.append((rows, el, off, *(_read_only(c) for c in coefs)))
     _read_only(Dw)
-    columns = _window_columns(s0, stride, K, m, n)
+    # window column k of row l lies on node s0 + stride*l + k, if in the mesh
+    columns = _within(tuple((slice(0, m), slice(s0 + k, s0 + k + stride * m, stride))
+                            for k in range(K)), 1, 0, n)
+    schur_terms = _schur_terms(columns, Dw, stride, (K - 1) // stride)
+    block = core._BLOCK
     return _Geometry(
         columns=columns,
         Dw=Dw,
         u_terms=tuple(u_terms),
         nodal=nodal,
-        schur_terms=_schur_terms(columns, Dw, stride, (K - 1) // stride),
+        schur_terms=schur_terms,
+        row_blocks=tuple(
+            _RowBlock(
+                _within(columns, 0, r0, r0 + block),
+                _within(u_terms, 0, r0, r0 + block),
+                tuple(_within(terms, 2, r0, r0 + block) for terms in schur_terms),
+            )
+            for r0 in range(0, m, block)
+        ),
+        node_blocks=tuple(_within(columns, 1, a, a + block) for a in range(0, n, block)),
     )
 
 
@@ -358,37 +378,28 @@ def _geometry(pair: ElementPair, mesh: Mesh1D) -> _Geometry:
 
 
 def _u_windows(geom: _Geometry, H: np.ndarray, dzeta: np.ndarray) -> np.ndarray:
-    """u-coefficients Du of the divergence windows, linear in (H, dzeta).
-
-    dzeta holds the per-element increments of zeta = H + 2 zb.  Exact
-    integrals over each fine element against the pressure trace on it,
-    whose mesh-only factors come from the geometry (None as _Geometry
-    states).  The terms accumulate into zeros, each subtracting its left
-    end and adding its right end.
-    """
+    """u-coefficients Du of the windows, linear in (H, dzeta), dzeta the
+    element increments of zeta: from zeros, each term integrates exactly
+    over its elements, subtracting into its left end, adding into its right."""
     Du = np.zeros(geom.Dw.shape, order="F")
-    for rows, el, off, c_H, c_left, c_right in geom.u_terms:
-        H_l, H_r = H[:-1][el], H[1:][el]
-        if c_H is not None:
-            H_l, H_r = H_l * c_H, H_r * c_H
-        dz_l = dzeta[el] * c_left
-        dz_r = dz_l if c_right is None else dzeta[el] * c_right
-        Du[rows, off] -= H_l + dz_l
-        Du[rows, off + 1] += H_r - dz_r
+    for block in geom.row_blocks:
+        for rows, el, off, c_H, c_left, c_right in block.u_terms:
+            H_l, H_r = H[:-1][el], H[1:][el]
+            if c_H is not None:
+                H_l, H_r = H_l * c_H, H_r * c_H
+            dz_l = dzeta[el] * c_left
+            dz_r = dz_l if c_right is None else dzeta[el] * c_right
+            Du[rows, off] -= H_l + dz_l
+            Du[rows, off + 1] += H_r - dz_r
     return Du
 
 
 def assemble(
     pair: ElementPair, mesh: Mesh1D, H, bathy: Bathymetry, h_eps: float
 ) -> OperatorSet:
-    """Assemble the wet mask, lumped mass and divergence windows of the
-    depth H over the bottom bathy; a node is wet where H >= h_eps.
-
-    Exact closed-form element integrals; see the module docstring for the
-    interpolation conventions.  The mesh-only part is taken from the
-    mesh's geometry cache (built on the first assembly of this pair), and
-    2 zb from the bathymetry's.
-    """
+    """The wet mask H >= h_eps, lumped mass and divergence windows of the
+    depth H over the bottom bathy, in closed form (module docstring), with
+    the mesh's geometry (built at the pair's first assembly) and 2 zb."""
     n = mesh.n_nodes
     if pair.n_velocity != n:
         raise ValueError("element pair/mesh size mismatch")

@@ -36,14 +36,14 @@ reconstructed path.  A flat bottom at a nonzero height z keeps the
 reconstructed path: H + z - z is not H exactly in floating point.
 
 predict runs its whole pipeline, from the reconstruction or the per-node
-support to the negative-depth test, over blocks of _BLOCK nodes, so that
-on a large mesh its temporaries are block-sized and stay in cache.  The
-bits do not depend on the block size: each operation is elementwise on
-its node or interface, an interface two blocks share is computed by both
-from the same inputs, and the minimum of the negative-depth test is taken
-per block against one floor set by the whole state.  An inner block reads
-views of the state, the velocities and the bottom; only the two end
-blocks copy their nodes, to add the ghost node.
+support to the negative-depth test, over blocks of core._BLOCK nodes, so
+that on a large mesh its temporaries stay in cache.  Its blocks are node
+blocks because each output is a node's update, elementwise in the fluxes
+of its two interfaces: one that two blocks share is computed by both from
+the same inputs, and the negative-depth test takes each block's minimum
+against one floor set by the whole state, so the bits do not depend on
+the block size.  An inner block reads views of the state, velocities and
+bottom; only the two end blocks copy their nodes, to add the ghost.
 
 The prediction reads no dry threshold: the kinetic update handles H = 0
 exactly.  The threshold h_eps belongs to the correction, which drops the
@@ -61,6 +61,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import core
 from .core import (
     G,
     Bathymetry,
@@ -351,15 +352,6 @@ def apply_hyperbolic_bc(
     return GhostState(h0, u0, q02 / h0)
 
 
-# Nodes per block of predict.  A call makes about 25 temporaries the size
-# of its block: over a whole mesh of N = 1e5 they are 800 KB each, 10x a
-# 2 MiB per-core L2 in all, and at this block 128 KB each.  Solitary p10
-# at N = 100001 read 80.0 / 77.7 / 76.8 / 77.7 ns/node/step at blocks of
-# 4,096 / 8,192 / 16,384 / 32,768 (2-vCPU host): smaller blocks pay numpy's
-# per-call overhead on more blocks.
-_BLOCK = 16384
-
-
 def predict(
     state: FlowState,
     u: np.ndarray,
@@ -388,9 +380,8 @@ def predict(
     as a property test pins; a negative depth beyond round-off raises
     RuntimeError.
 
-    The update runs over blocks of _BLOCK nodes (module docstring).  Up to
-    _BLOCK nodes there is one block, which writes its outputs into its own
-    difference arrays; more nodes fill three output arrays block by block.
+    The update runs over blocks of core._BLOCK nodes (module docstring): one
+    block writes into its own difference arrays, more fill three outputs.
     """
     n = mesh.n_nodes
     if state.n_nodes != n or bathy.zb.size != n or u.size != n or w.size != n:
@@ -412,11 +403,12 @@ def predict(
         state, u, w, mesh.dual_widths, bathy.zbe if bathy.nonzero else None,
         ghost_l, ghost_r, dt, -1e-12 * max(1.0, float(state.H.max())),
     )
-    if n <= _BLOCK:
+    block = core._BLOCK
+    if n <= block:
         return FlowState(*_predict_block(*args, 0, n, None), state.t + dt)
     out = (np.empty(n), np.empty(n), np.empty(n))
-    for a in range(0, n, _BLOCK):
-        _predict_block(*args, a, min(a + _BLOCK, n), out)
+    for a in range(0, n, block):
+        _predict_block(*args, a, min(a + block, n), out)
     return FlowState(*out, state.t + dt)
 
 

@@ -163,16 +163,16 @@ def build_schur(ops: OperatorSet, bcs) -> SchurSystem:
     invA_w = np.divide(1.0, ops.a_node, out=np.zeros(ops.n_nodes), where=ops.wet)
     invA_u = np.where(plan.free_u, invA_w, 0.0)
 
-    # S = B A_H^-1 B^T band by band, in the lower layout (see SchurSystem);
-    # the geometry lists the window products that meet inside the mesh
+    # S = B A_H^-1 B^T in the lower layout (see SchurSystem), row block by row
+    # block and band by band, from the window products the geometry lists
     ab = np.zeros((bw + 1, m))
-    for d, terms in enumerate(ops.geometry.schur_terms):
-        band = ab[d, : m - d]
-        for k, k_d, rows, rows_d, nodes, w_factor in terms:
-            term = Du[rows, k] * Du[rows_d, k_d]
-            term *= invA_u[nodes]
-            term += w_factor * invA_w[nodes]
-            band[rows] += term
+    for block in ops.geometry.row_blocks:
+        for band, terms in zip(ab, block.schur_terms):
+            for k, k_d, rows, rows_d, nodes, w_factor in terms:
+                term = Du[rows, k] * Du[rows_d, k_d]
+                term *= invA_u[nodes]
+                term += w_factor * invA_w[nodes]
+                band[rows] += term
 
     # symmetric elimination of the pinned dofs (Dirichlet sides and dry
     # supports), each held at 0; load zeroes their rhs.  Entry l of band d

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import nhswe as nh
-from nhswe import hyperbolic, timeloop
+from nhswe import core, hyperbolic, timeloop
 from nhswe.core import G, TorrentialBoundaryError
 from nhswe.timeloop import project_state
 from nhswe.hyperbolic import (
@@ -581,7 +581,7 @@ def test_zero_bottom_predict_matches_reconstructed_oracle(case):
         x.flags.writeable = False
     args = (state, u, w, mesh, bathy, *case.bcs, dt * case.dt_factor, speed)
     # hypothesis takes no function-scoped fixture, so no monkeypatch
-    with mock.patch.object(hyperbolic, "_BLOCK", case.block):
+    with mock.patch.object(core, "_BLOCK", case.block):
         try:
             want = predict_reconstructed(*args)
         except (TorrentialBoundaryError, RuntimeError) as err:

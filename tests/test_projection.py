@@ -1,4 +1,6 @@
 from dataclasses import FrozenInstanceError
+from typing import NamedTuple
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import nhswe as nh
+from nhswe import core
 from nhswe.femops import P1ISOP2P1, P1P0
 from nhswe.projection import _cholesky, divergence_residual, resolve_projection_bcs
 
@@ -550,3 +553,118 @@ def test_plan_masks():
     assert u_star[0] == 0.0
     assert np.array_equal(u_star[1:], u[1:])
     assert u[0] == 1.0 and not np.shares_memory(u_star, u)
+
+
+# -- blocked kernels ----------------------------------------------------------
+
+
+class _BlockCase(NamedTuple):
+    """A projection input as raw nodal arrays, its closure and the block
+    size the kernels run at."""
+
+    tag: str
+    widths: np.ndarray
+    H: np.ndarray
+    zb: np.ndarray
+    u: np.ndarray
+    w: np.ndarray
+    p: np.ndarray
+    bcs: tuple
+    block: int
+
+
+_KINDS = st.sampled_from(["dirichlet", "wall", "neumann"])
+
+
+@st.composite
+def _block_cases(draw):
+    tag = draw(st.sampled_from(PAIRS))
+    n = draw(st.integers(5, 25))
+    n += tag == P1ISOP2P1 and n % 2 == 0
+    m = nh.ElementPair(tag, n).n_pressure
+    values = lambda lo, hi: st.one_of(st.sampled_from([0.0, -0.0]), st.floats(lo, hi))
+    return _BlockCase(
+        tag=tag,
+        widths=draw(arrays(float, n - 1, elements=st.floats(0.05, 1.05))),
+        H=draw(arrays(float, n, elements=st.one_of(st.just(H_EPS), values(0.0, 2.0)))),
+        zb=draw(st.one_of(st.just(np.zeros(n)), arrays(float, n, elements=values(-1.0, 1.0)))),
+        u=draw(arrays(float, n, elements=values(-4.0, 4.0))),
+        w=draw(arrays(float, n, elements=values(-2.0, 2.0))),
+        p=draw(arrays(float, m, elements=values(-3.0, 3.0))),
+        bcs=(draw(_KINDS), draw(_KINDS)),
+        block=draw(st.integers(1, m + 1)),
+    )
+
+
+def _block_layout(tag, n, block):
+    """A fixed wet/dry case of n nodes at the block size block: the layouts
+    that no draw has to find."""
+    x = np.arange(n, dtype=float)
+    H = 1.0 + 0.5 * np.sin(3.0 * x)
+    H[n // 3 : n // 3 + 3] = 0.0
+    m = nh.ElementPair(tag, n).n_pressure
+    return _BlockCase(
+        tag=tag, widths=0.3 + 0.1 * np.cos(x[:-1]), H=H, zb=0.2 * np.cos(1.7 * x),
+        u=np.sin(2.3 * x) / 3.0, w=np.cos(1.1 * x) / 7.0, p=np.sin(1.7 * np.arange(m) + 0.8),
+        bcs=("dirichlet", "wall"), block=block,
+    )
+
+
+def _projection_bits(case, block):
+    """The lumped mass, Du, the Schur band, B (u, w), B^T p and the
+    corrected (u, w) of case, run at the block size block on a mesh of its
+    own (the layout is kept on the mesh), as IEEE bits."""
+    mesh = nh.Mesh1D(np.concatenate(([0.0], np.cumsum(case.widths))))
+    pair = nh.ElementPair(case.tag, mesh.n_nodes)
+    with mock.patch.object(core, "_BLOCK", block):
+        a = nh.lump_mass(case.H, mesh, H_EPS)
+        ops = nh.assemble(pair, mesh, case.H, nh.Bathymetry(case.zb), H_EPS)
+        sys = nh.build_schur(ops, case.bcs)
+        u_star, _, rhs = sys.load(case.u, case.w, 0.1)
+        p = nh.solve_pressure(sys, rhs).values
+        out = (a, ops.Du, sys.ab, ops.apply_divergence(case.u, case.w),
+               *ops.scatter_divergence_t(case.p), *nh.correct_velocity(sys, u_star, case.w, 0.1, p))
+    return [float_bits(x) for x in out]
+
+
+def _assert_blocks_give_the_one_block_bits(case):
+    one_block = _projection_bits(case, len(case.H) + 1)
+    blocked = _projection_bits(case, case.block)
+    for name, got, want in zip(("a", "Du", "ab", "B", "BTu", "BTw", "u", "w"), blocked, one_block):
+        assert np.array_equal(got, want), name
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_block_cases())
+# one-row blocks (at either end among them), a one-row last block, one
+# block of exactly M rows, and a block boundary at an even P1-iso-P2/P1
+# node, which sums three contributions of B^T
+@example(case=_block_layout(P1P0, 12, 1))
+@example(case=_block_layout(P1P0, 12, 10))
+@example(case=_block_layout(P1P0, 12, 11))
+@example(case=_block_layout(P1ISOP2P1, 13, 1))
+@example(case=_block_layout(P1ISOP2P1, 13, 6))
+@example(case=_block_layout(P1ISOP2P1, 13, 7))
+@example(case=_block_layout(P1ISOP2P1, 13, 4))
+def test_the_blocked_kernels_give_the_one_block_bits(case):
+    # every blocked kernel of the projection, on any block size, wet/dry
+    # depth, bottom and closure (pinned dofs included), gives the bits of
+    # one block, signed zeros included
+    _assert_blocks_give_the_one_block_bits(case)
+
+
+def test_a_scatter_blocked_by_rows_fails_the_block_property(monkeypatch):
+    # B^T summed row block by row block adds an even P1-iso-P2/P1 node's
+    # contributions from the lower block first: at a block boundary there
+    # the node's bits change, and the property sees it
+    def by_rows(self, p):
+        du, dw = np.zeros(self.n_nodes), np.zeros(self.n_nodes)
+        for block in self.geometry.row_blocks:
+            for k, (rows, nodes) in enumerate(block.columns):
+                du[nodes] += self.Du[rows, k] * p[rows]
+                dw[nodes] += self.Dw[rows, k] * p[rows]
+        return du, dw
+
+    monkeypatch.setattr(nh.OperatorSet, "scatter_divergence_t", by_rows)
+    with pytest.raises(AssertionError, match="BTu|BTw"):
+        _assert_blocks_give_the_one_block_bits(_block_layout(P1ISOP2P1, 13, 4))

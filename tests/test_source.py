@@ -9,7 +9,8 @@ geometry and the bathymetry's bottom terms are kept.  Only the public
 entry points take a PhysicalParams; every layer below takes the dry
 threshold h_eps, the wet mask or the wave speed it reads, with no default.
 The prediction reads no dry threshold, and no private timeloop layer has
-a default: each is handed what its stepper chose."""
+a default: each is handed what its stepper chose.  One module sets the
+block size every blocked kernel reads."""
 
 import ast
 from pathlib import Path
@@ -239,3 +240,19 @@ def test_no_private_timeloop_function_has_a_parameter_default():
         if name.startswith("timeloop._") and default is not None
     ]
     assert defaulted == []
+
+
+def test_one_module_sets_the_block_size():
+    # predict and the projection's kernels run over blocks of one size: a
+    # second assignment would let a patched or tuned size reach some of
+    # them and not the others
+    setters = {
+        path.stem
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        for name in ast.walk(target)
+        if isinstance(name, ast.Name) and name.id == "_BLOCK"
+    }
+    assert setters == {"core"}

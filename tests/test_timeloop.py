@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import nhswe as nh
-from nhswe import hyperbolic, projection, timeloop
+from nhswe import core, hyperbolic, projection, timeloop
 
 from oracles import depth_derivative_by_differencing, float_bits, prediction_inputs
 
@@ -370,9 +370,10 @@ def test_near_dry_step_is_held_to_the_round_off_of_its_solve():
 # reconstructed at each interface; the solitary wave's is zero, so its
 # prediction takes the per-node flux and neither reconstructs nor calls
 # kinetic_flux.  predict calls kinetic_flux and hydrostatic_reconstruct
-# once per block of hyperbolic._BLOCK nodes, which is once on these meshes,
-# below _BLOCK nodes.  Each projection and each stage solves its Schur system
-# once and corrects once.  The energy is telemetry, computed by no step.
+# once per block of core._BLOCK nodes, which is once on these meshes, below
+# _BLOCK nodes; the projection's kernels loop over their blocks inside one
+# call each.  Each projection and each stage solves its Schur system once
+# and corrects once.  The energy is telemetry, computed by no step.
 WORK_PER_STEP = {
     "euler": {"assemble": 1, "build_schur": 1, "resolve_projection_bcs": 1,
               "solve_pressure": 1, "correct_velocity": 1,
@@ -407,24 +408,44 @@ def _count_calls(monkeypatch, targets):
     return calls
 
 
-@pytest.mark.parametrize("row", sorted(WORK_PER_STEP))
-def test_work_per_step(row, monkeypatch):
+def _run_steps(row, steps):
+    """The states of `steps` steps of the workload row on a fresh scenario."""
     sc = nh.make_solitary(301) if row.endswith("zero_bottom") else nh.make_beach(n_nodes=300)
-    calls = _count_calls(monkeypatch, [
-        (timeloop, "assemble"), (timeloop, "build_schur"),
-        (projection, "resolve_projection_bcs"), (timeloop, "solve_pressure"),
-        (timeloop, "correct_velocity"), (nh.FlowState, "velocities"),
-        (nh.OperatorSet, "apply_divergence"), (timeloop, "predict"),
-        (hyperbolic, "kinetic_flux"), (hyperbolic, "max_wave_speed"),
-        (hyperbolic, "hydrostatic_reconstruct"), (timeloop, "total_energy"),
-    ])
     stepper = nh.step_heun if row == "heun" else nh.step_euler
     params = nh.PhysicalParams(h_eps=sc.h_eps)
-    steps = 3
-    state = sc.state0
+    states = [sc.state0]
     for _ in range(steps):
-        state = stepper(state, sc.mesh, sc.bathy, params, sc.bounds).state
-    assert {k: v / steps for k, v in calls.items()} == WORK_PER_STEP[row]
+        states.append(stepper(states[-1], sc.mesh, sc.bathy, params, sc.bounds).state)
+    return states[1:]
+
+
+@pytest.mark.parametrize("row", sorted(WORK_PER_STEP))
+def test_work_per_step(row, monkeypatch):
+    # also at blocks of 64 nodes (five predict blocks, five row blocks):
+    # only predict's per-block flux calls multiply, and the states keep
+    # the one-block bits
+    steps = 3
+    want = _run_steps(row, steps)
+    for block, blocks in ((None, 1), (64, 5)):
+        with monkeypatch.context() as m:
+            if block is not None:
+                m.setattr(core, "_BLOCK", block)
+            calls = _count_calls(m, [
+                (timeloop, "assemble"), (timeloop, "build_schur"),
+                (projection, "resolve_projection_bcs"), (timeloop, "solve_pressure"),
+                (timeloop, "correct_velocity"), (nh.FlowState, "velocities"),
+                (nh.OperatorSet, "apply_divergence"), (timeloop, "predict"),
+                (hyperbolic, "kinetic_flux"), (hyperbolic, "max_wave_speed"),
+                (hyperbolic, "hydrostatic_reconstruct"), (timeloop, "total_energy"),
+            ])
+            got = _run_steps(row, steps)
+        per_block = ("kinetic_flux", "hydrostatic_reconstruct")
+        assert {k: v / steps for k, v in calls.items()} == {
+            k: v * blocks if k in per_block else v for k, v in WORK_PER_STEP[row].items()
+        }
+        for a, b in zip(got, want):
+            for x, y in zip((a.H, a.Hu, a.Hw), (b.H, b.Hu, b.Hw)):
+                assert np.array_equal(float_bits(x), float_bits(y))
 
 
 def test_run_reuses_the_last_projection_in_heun_stage_one(monkeypatch):
@@ -695,10 +716,10 @@ def test_the_step_path_calls_no_python_level_numpy_helper(tag, monkeypatch):
     # method it wraps: an Euler step and two Heun steps, the second reusing
     # the Schur system the first ended on, over a bottom with an imposed-flux
     # side, run with every such helper refused and give the bits of an
-    # unpatched run
+    # unpatched run, also with every blocked kernel at blocks of 6
     n = 41
-    mesh = nh.Mesh1D(np.linspace(0.0, 10.0, n) + 0.05 * np.sin(np.arange(n)))
-    zb = 0.2 * np.cos(mesh.nodes)
+    nodes = np.linspace(0.0, 10.0, n) + 0.05 * np.sin(np.arange(n))
+    zb = 0.2 * np.cos(nodes)
     bathy, pair, params = nh.Bathymetry(zb), nh.ElementPair(tag, n), nh.PhysicalParams()
     H = 1.0 - zb
     state = nh.FlowState(H, 0.1 * H, np.zeros(n))
@@ -706,21 +727,25 @@ def test_the_step_path_calls_no_python_level_numpy_helper(tag, monkeypatch):
         nh.HyperbolicBC("imposed_flux", q0=(0.2, 0.0)), nh.HyperbolicBC("free_outflow")
     )
 
-    def steps():
+    def steps(mesh):
         euler = nh.step_euler(state, mesh, bathy, params, bounds, pair)
         first = nh.step_heun(euler.state, mesh, bathy, params, bounds, pair)
         second = nh.step_heun(first.state, mesh, bathy, params, bounds, pair, _last=first)
         return [float_bits(x) for step in (euler, first, second)
                 for x in (step.state.H, step.state.Hu, step.state.Hw, step.pressure.values)]
 
-    want = steps()
+    want = steps(nh.Mesh1D(nodes))
 
     def refused(*args, **kwargs):
         raise AssertionError("a Python-level numpy helper was called on the step path")
 
-    with monkeypatch.context() as m:
-        for name in ("diff", "zeros_like", "sum", "array_equal", "flatnonzero"):
-            m.setattr(np, name, refused)
-        m.setattr(np.linalg, "norm", refused)
-        got = steps()
-    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    for block in (None, 6):
+        with monkeypatch.context() as m:
+            if block is not None:
+                m.setattr(core, "_BLOCK", block)
+            mesh = nh.Mesh1D(nodes)  # its block layout is built at its first assembly
+            for name in ("diff", "zeros_like", "sum", "array_equal", "flatnonzero"):
+                m.setattr(np, name, refused)
+            m.setattr(np.linalg, "norm", refused)
+            got = steps(mesh)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))

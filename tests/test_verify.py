@@ -90,6 +90,31 @@ def test_convergence_order_fails_with_the_correction_off(monkeypatch, empty_tabl
         assert errors.min() > 4e-2 and errors[1] >= errors[0]
 
 
+def test_shape_preservation_fails_with_a_kick_that_does_not_fall_with_dx(
+    monkeypatch, empty_table_cache
+):
+    # a depth kick of 1e-4 per step at every node: a finer mesh takes more
+    # steps to the same time, so its kicks add up to a larger error where
+    # first order wants a smaller one.  The check fails on the size of
+    # e(1023), 0.122 against twice the first-order extrapolation of e(603),
+    # 0.085, for both pairs
+    real = timeloop.predict
+
+    def kicked(*args):
+        out = real(*args)
+        out.H += 1e-4
+        return out
+
+    monkeypatch.setattr(timeloop, "predict", kicked)
+    monkeypatch.setattr(verify, "CONVERGENCE_MESHES", (603, 1023))
+    result = verify.run_criterion("shape_preservation")
+    assert not result.passed
+    for tag in verify.PAIRS:
+        coarse, fine = verify.solitary_l2_errors(tag)
+        assert fine > 2.0 * coarse * (603 / 1023)
+        assert f"{tag} e(1023)={fine:.3e}" in result.details
+
+
 def test_dam_break_plateau_fails_with_a_wrong_flux_wave_speed(monkeypatch):
     # an equilibrium support 0.9 times too wide keeps the flux consistent
     # for mass but scales its pressure by 0.81: the plateau's depth does
