@@ -48,38 +48,3 @@ from .timeloop import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Bathymetry",
-    "BoundarySpec",
-    "CFLViolationError",
-    "DivergenceBoundError",
-    "DryDomainError",
-    "ElementPair",
-    "FlowState",
-    "HyperbolicBC",
-    "Mesh1D",
-    "OperatorSet",
-    "PhysicalParams",
-    "PressureField",
-    "Scenario",
-    "SchurSystem",
-    "TorrentialBoundaryError",
-    "assemble",
-    "build_schur",
-    "cfl_dt",
-    "correct_velocity",
-    "dam_break_init",
-    "exact_sw_riemann",
-    "lump_mass",
-    "make_beach",
-    "make_dam_break",
-    "make_dingemans",
-    "make_solitary",
-    "predict",
-    "run",
-    "solve_pressure",
-    "step_euler",
-    "step_heun",
-    "total_energy",
-    "total_mass",
-]

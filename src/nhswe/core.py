@@ -22,11 +22,8 @@ G = 9.81
 # blocks (hyperbolic.predict; femops and projection).  A predict call makes
 # about 25 temporaries the size of its block: over a whole mesh of N = 1e5
 # 800 KB each, 10x a 2 MiB per-core L2 in all, and at this block 128 KB.
-# Solitary p10 at N = 100001 (2-vCPU host) read 80.0 / 77.7 / 76.8 / 77.7
-# ns/node/step with predict at blocks of 4,096 / 8,192 / 16,384 / 32,768
-# nodes; with predict at 16,384, 102.0 / 98.6 / 96.0 / 96.0 with the
-# projection at those row blocks (build_schur 2,319 / 2,194 / 2,122 / 2,142
-# us per call), against 104.1 (2,437 us) over whole arrays.  Smaller blocks
+# Solitary at N = 100001 ran fastest at blocks of 16,384 among 4,096 to
+# 32,768, 8 % faster than over whole arrays (2-vCPU host); smaller blocks
 # pay numpy's per-call overhead on more blocks.
 _BLOCK = 16384
 

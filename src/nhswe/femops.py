@@ -15,28 +15,10 @@ matrix Bt = -B^T + C makes the duality relation
 
     v^T Bt q = -(B v)^T q        (v vanishing on the boundary)
 
-hold to round-off for any depth and bottom.
-
-B is stored as per-row windows (OperatorSet).  Their u-coefficients are
-linear in (H, dzeta), dzeta the element increments of zeta, and their
-w-coefficients depend on the mesh alone, so the derivative of B along a
-depth direction T_H is exactly the u-part of B built from
-(T_H, diff(T_H)).  Both pairs are one table of fine-element terms
-(_Geometry.u_terms); only _build_geometry tells them apart.
-
-The kernels of a step (lump_mass, _u_windows, the Schur band, B and B^T)
-run over blocks of core._BLOCK rows or nodes, so that on a large mesh
-their temporaries stay in cache.  Sums into pressure rows (the windows, B,
-the band) run over row blocks.  B^T runs over node blocks: a node sums up
-to three contributions (an even P1-iso-P2/P1 node), in the order of the
-window columns only if they meet in one block, and that order sets its
-bits.  So no output depends on the block size, and up to _BLOCK rows
-there is one block.
-
-The mesh-only part (_Geometry) is built once per (mesh, element pair) and
-kept on the mesh (Mesh1D._geometry, keyed by pair tag), never shared
-between meshes; its arrays are read-only.  2 zb is kept on the Bathymetry
-and the wet mask on the OperatorSet, so an assembly computes each once.
+hold to round-off for any depth and bottom.  Both pairs are one table of
+fine-element terms (_RowBlock); only _build_geometry tells them apart.
+The kernels of a step run over blocks of core._BLOCK pressure rows or
+nodes, and no output depends on the block size.
 """
 
 from __future__ import annotations
@@ -89,8 +71,11 @@ def lump_mass(H, mesh: Mesh1D, h_eps: float) -> np.ndarray:
 
     H is linear, so an interior entry is h_r (H_i/3 + H_{i+1}/6) +
     h_l (H_{i-1}/6 + H_i/3), summed in this order, and floored at
-    h_eps * dx_i so the matrix stays invertible on dry nodes.  Each block of
-    core._BLOCK nodes reads one more node at either end.
+    h_eps * dx_i.  The projection never inverts a dry node's mass, and a
+    node's entry is at least (2/3) dx_i H_i, so the floor binds only on a
+    wet node thinner than 1.5 h_eps beside shallow or dry ones: it caps
+    that node's inverse mass at 1/(h_eps dx_i).  Each block of core._BLOCK
+    nodes reads one more node at either end.
     """
     H = np.asarray(H, dtype=float)
     n = mesh.n_nodes
@@ -123,7 +108,21 @@ def lump_mass(H, mesh: Mesh1D, h_eps: float) -> np.ndarray:
 
 
 class _RowBlock(NamedTuple):
-    """_Geometry's columns, u_terms and schur_terms cut to a row block."""
+    """The window columns and terms of the pressure rows of one block.
+
+    columns[k] = (rows, nodes): the rows whose window column k lies inside
+    the mesh, and the velocity nodes it lies on (clipped entries are zero
+    and skipped).  u_terms are the fine-element terms (rows, el, off, c_H,
+    c_left, c_right): rows take fine elements el at window offsets off and
+    off + 1, with c_H = (pl + pr) / 2, c_left = pl/3 + pr/6, c_right =
+    pl/6 + pr/3 from the pressure traces pl, pr at the element's ends.
+    P1/P0's one term (row l, element l) has unit traces and stores c_H = 1
+    and c_right = c_left = 1/2 as None; P1-iso-P2/P1 has four (a coarse
+    hat's two fine elements either side of its node).  schur_terms[d] lists
+    band d of B diag(a_u, a_w) B^T as (k, k_d, rows, rows_d, nodes,
+    w_factor): entry l sums Du[l, k] Du[l + d, k_d] a_u[node] + w_factor
+    a_w[node] over them, w_factor = Dw[rows, k] Dw[rows_d, k_d].
+    """
 
     columns: tuple
     u_terms: tuple
@@ -135,31 +134,15 @@ class _Geometry:
     """Mesh-only part of one element pair's operators on one mesh; every
     array is read-only.
 
-    columns[k] = (rows, nodes): the pressure rows whose window column k lies
-    inside the mesh, and the velocity nodes it lies on (clipped entries are
-    zero and skipped).  Dw holds the windows' w-coefficients (M x K).
-    u_terms are the fine-element terms (rows, el, off, c_H, c_left,
-    c_right): rows take fine elements el at window offsets off and off + 1,
-    with c_H = (pl + pr) / 2, c_left = pl/3 + pr/6, c_right = pl/6 + pr/3
-    from the pressure traces pl, pr at the element's ends.  P1/P0's one term
-    (row l, element l) has unit traces and stores c_H = 1 and
-    c_right = c_left = 1/2 as None; P1-iso-P2/P1 has four (a coarse hat's
-    two fine elements either side of its node).  nodal = (dof_nodes, dofs,
-    mixed, t): nodes dof_nodes carry dofs, a node of mixed takes
-    (1 - t) p_l + t p_{l+1}.  schur_terms[d] lists band d of
-    B diag(a_u, a_w) B^T as (k, k_d, rows, rows_d, nodes, w_factor): entry l
-    sums Du[l, k] Du[l + d, k_d] a_u[node] + w_factor a_w[node] over them,
-    w_factor = Dw[rows, k] Dw[rows_d, k_d].
-
-    row_blocks holds a _RowBlock per block of core._BLOCK pressure rows,
-    node_blocks the columns cut to each block of _BLOCK nodes (_within).
+    Dw holds the windows' w-coefficients (M x K).  nodal = (dof_nodes,
+    dofs, mixed, t): nodes dof_nodes carry dofs, a node of mixed takes
+    (1 - t) p_l + t p_{l+1}.  row_blocks holds a _RowBlock per block of
+    core._BLOCK pressure rows, node_blocks the columns cut to each block of
+    _BLOCK nodes (_within).
     """
 
-    columns: tuple
     Dw: np.ndarray
-    u_terms: tuple
     nodal: tuple
-    schur_terms: tuple
     row_blocks: tuple
     node_blocks: tuple
 
@@ -185,8 +168,6 @@ class OperatorSet:
     Du: np.ndarray
     geometry: _Geometry = field(repr=False)
 
-    # -- basic shapes -------------------------------------------------------
-
     @property
     def n_nodes(self) -> int:
         return self.mesh.n_nodes
@@ -202,20 +183,17 @@ class OperatorSet:
     @property
     def bandwidth(self) -> int:
         """Schur bandwidth in pressure dofs (1 tridiagonal, 2 pentadiagonal)."""
-        return len(self.geometry.schur_terms) - 1
-
-    # -- wet/dry masks ------------------------------------------------------
+        return len(self.geometry.row_blocks[0].schur_terms) - 1
 
     def dry_pressure_dofs(self) -> np.ndarray:
         """Pressure dofs whose supporting fine elements all have a dry end."""
         wet = self.wet
         wet_el = wet[:-1] & wet[1:]
         any_wet = np.zeros(self.n_pressure, dtype=bool)
-        for rows, el, *_ in self.geometry.u_terms:
-            any_wet[rows] |= wet_el[el]
+        for block in self.geometry.row_blocks:
+            for rows, el, *_ in block.u_terms:
+                any_wet[rows] |= wet_el[el]
         return ~any_wet
-
-    # -- windowed products ----------------------------------------------------
 
     def apply_divergence(self, u: np.ndarray, w: np.ndarray) -> np.ndarray:
         """B (u; w): the divergence tested against every pressure basis function."""
@@ -227,16 +205,22 @@ class OperatorSet:
         return out
 
     def apply_depth_derivative(self, T_H: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """(dB/dH)[T_H] (u; w), exact and independent of w: the u-part of B
-        built from (T_H, diff(T_H)) applied to u (module docstring)."""
+        """(dB/dH)[T_H] (u; w), exact and independent of w: B's u-coefficients
+        are linear in (H, dzeta), dzeta the element increments of zeta, and
+        its w-coefficients depend on the mesh alone, so this is the u-part of
+        B built from (T_H, diff(T_H)) applied to u."""
         dDu = _u_windows(self.geometry, T_H, np.subtract(T_H[1:], T_H[:-1]))
         out = np.zeros(self.n_pressure)
-        for k, (rows, nodes) in enumerate(self.geometry.columns):
-            out[rows] += dDu[rows, k] * u[nodes]
+        for block in self.geometry.row_blocks:
+            for k, (rows, nodes) in enumerate(block.columns):
+                out[rows] += dDu[rows, k] * u[nodes]
         return out
 
     def scatter_divergence_t(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """B^T p accumulated on the (u, w) blocks, node block by node block."""
+        """B^T p accumulated on the (u, w) blocks, node block by node block: a
+        node sums up to three contributions (an even P1-iso-P2/P1 node) in
+        the order of the window columns, which sets its bits and which row
+        blocks would break at a block boundary."""
         n = self.n_nodes
         du = np.zeros(n)
         dw = np.zeros(n)
@@ -260,7 +244,7 @@ class OperatorSet:
 
 
 def _schur_terms(columns: tuple, Dw: np.ndarray, stride: int, bandwidth: int) -> tuple:
-    """The terms of each band d of B diag(a_u, a_w) B^T (_Geometry): rows l
+    """The terms of each band d of B diag(a_u, a_w) B^T (_RowBlock): rows l
     and l + d share a node where column k of row l meets column
     k - d*stride of row l + d."""
     m = Dw.shape[0]
@@ -303,7 +287,7 @@ def _build_geometry(pair: ElementPair, mesh: Mesh1D) -> _Geometry:
     # the pair's fine-element table: windows start at s0 + stride*l and are K
     # nodes wide; each term (rows, el, off, coefs, w_left, w_right) gives rows
     # the fine elements el at window offset off, with the u-factors coefs of
-    # _Geometry and w-coefficients w_left, w_right at the element's two ends
+    # _RowBlock and w-coefficients w_left, w_right at the element's two ends
     if pair.tag == P1P0:
         # row l covers element l = [x_l, x_{l+1}], where its basis is 1 (unit traces)
         s0, stride, K = 0, 1, 2
@@ -351,11 +335,8 @@ def _build_geometry(pair: ElementPair, mesh: Mesh1D) -> _Geometry:
     schur_terms = _schur_terms(columns, Dw, stride, (K - 1) // stride)
     block = core._BLOCK
     return _Geometry(
-        columns=columns,
         Dw=Dw,
-        u_terms=tuple(u_terms),
         nodal=nodal,
-        schur_terms=schur_terms,
         row_blocks=tuple(
             _RowBlock(
                 _within(columns, 0, r0, r0 + block),
@@ -370,7 +351,8 @@ def _build_geometry(pair: ElementPair, mesh: Mesh1D) -> _Geometry:
 
 def _geometry(pair: ElementPair, mesh: Mesh1D) -> _Geometry:
     """The mesh-only operator data of `pair` on `mesh`, built on first use
-    and kept on the mesh for every later assembly."""
+    and kept on the mesh (keyed by pair tag, never shared between meshes)
+    for every later assembly."""
     geom = mesh._geometry.get(pair.tag)
     if geom is None:
         geom = mesh._geometry[pair.tag] = _build_geometry(pair, mesh)

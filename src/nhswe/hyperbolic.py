@@ -20,37 +20,8 @@ rides along as a passive scalar upwinded by the sign of the mass flux.
 The flux takes each interface state as (H, u): the reconstructed depth and
 the nodal velocity of the node it was reconstructed from.  Reconstruction
 changes the depth, not the velocity, so no discharge H u is formed only to
-be divided back out.  A dry state (H = 0) needs no velocity mask: its
-support has height k = 0, and each half flux it enters is either 0 or its
-exact-flux patch H u = 0, whatever its u (as long as u^2 is finite).  The
-height k = H / max(2 sqrt(3) c, 1e-300) needs no mask either: the floor
-only ever meets a dry state (see _equilibrium_support).
-
-On a bottom that is zero everywhere, the reconstruction max(0, H + 0 - 0)
-is max(0, H): the interface states are the extended nodes' own states, so
-predict evaluates each node's support once and lets it serve both of the
-node's interfaces, and one nodal G H^2 / 2 serves both correction terms.
-It builds no interface depths there and calls neither
-hydrostatic_reconstruct nor kinetic_flux; the bits are those of the
-reconstructed path.  A flat bottom at a nonzero height z keeps the
-reconstructed path: H + z - z is not H exactly in floating point.
-
-predict runs its whole pipeline, from the reconstruction or the per-node
-support to the negative-depth test, over blocks of core._BLOCK nodes, so
-that on a large mesh its temporaries stay in cache.  Its blocks are node
-blocks because each output is a node's update, elementwise in the fluxes
-of its two interfaces: one that two blocks share is computed by both from
-the same inputs, and the negative-depth test takes each block's minimum
-against one floor set by the whole state, so the bits do not depend on
-the block size.  An inner block reads views of the state, velocities and
-bottom; only the two end blocks copy their nodes, to add the ghost.
-
-The prediction reads no dry threshold: the kinetic update handles H = 0
-exactly.  The threshold h_eps belongs to the correction, which drops the
-velocity dofs of nodes with H < h_eps, so a discharge predict leaves on
-such a node never reaches a projected state; a Heun stage zeroes it
-(timeloop._stage).  Here only the entry point cfl_dt reads h_eps, to form
-the wet mask of the state it is handed.
+be divided back out.  Only the entry point cfl_dt reads the dry threshold
+h_eps; the prediction reads none (predict).
 """
 
 from __future__ import annotations
@@ -197,7 +168,7 @@ def kinetic_flux(xl, xr):
 def _node_flux(H, u):
     """Kinetic flux F+(node i) + F-(node i + 1) between consecutive node
     states (H, u), non-negative depths with one support per node: the
-    interfaces of a zero bottom (module docstring)."""
+    interfaces of a zero bottom (_predict_block)."""
     s, k = _equilibrium_support(H)
     F_H, F_Hu = _half_flux(H[:-1], u[:-1], s[:-1], k[:-1], 1)
     fm_H, fm_Hu = _half_flux(H[1:], u[1:], s[1:], k[1:], -1)
@@ -320,11 +291,8 @@ def apply_hyperbolic_bc(
     # residual is infinite with the sign of q01
     flo = residual(lo) if lo > 0.0 else math.copysign(math.inf, q01)
     fhi = residual(hi)
-    grow = 0
-    while flo * fhi > 0.0 and grow < 60:
-        hi *= 2.0
-        fhi = residual(hi)
-        grow += 1
+    # no bracket: the residual has at most two roots, and a root beyond hi
+    # lies above invariant^2 / G, where every ghost state is torrential
     if flo * fhi > 0.0:
         raise TorrentialBoundaryError(
             "no subcritical boundary depth matches the imposed flux"
@@ -363,25 +331,28 @@ def predict(
     dt: float,
     speed: float,
 ) -> FlowState:
-    """One explicit finite-volume step of the hydrostatic subsystem.
+    """One explicit finite-volume step of the hydrostatic subsystem; bc_in
+    closes the left end and bc_out the right one.
 
-    (u, w) are the state's velocities, state.velocities(wet) for its wet
-    mask, and speed is their max_wave_speed(state.H, u, wet): the stepper
-    evaluates all three once, takes its CFL step from cfl_step, which
-    returns the speed with the step, and shares the velocities with the
-    projection.  The boundary ghosts are built from the velocities' end
-    values, so a dry end node enters a ghost with zero velocity.  bc_in
-    closes the left end and bc_out the right one.  Returns the predicted
-    state at t + dt, the raw update with its depth clipped at 0: no dry
-    threshold is read, so a node that falls below it may keep a discharge
-    (module docstring).  A dt that is not finite and positive raises
-    ValueError, and one beyond the CFL bound of speed raises
-    CFLViolationError.  At CFL times that bound depth stays non-negative,
-    as a property test pins; a negative depth beyond round-off raises
+    (u, w) are the state's velocities on its wet mask and speed their
+    max_wave_speed: the stepper evaluates them once and shares them with
+    its CFL step (cfl_step) and the projection.  A dry end node enters its
+    ghost with zero velocity.  Returns the state at t + dt, the raw update
+    with its depth clipped at 0.  No dry threshold is read: the kinetic
+    update handles H = 0 exactly, and a discharge left below h_eps never
+    reaches a projected state, since the correction drops that node's
+    velocity dofs and a Heun stage zeroes it (timeloop._stage).  A dt that
+    is not finite and positive raises ValueError, one beyond the CFL bound
+    of speed CFLViolationError, and a negative depth beyond round-off
     RuntimeError.
 
-    The update runs over blocks of core._BLOCK nodes (module docstring): one
-    block writes into its own difference arrays, more fill three outputs.
+    The update runs over blocks of core._BLOCK nodes.  Each output is a
+    node's update, elementwise in the fluxes of its two interfaces: an
+    interface two blocks share is computed by both from the same inputs,
+    and the negative-depth test takes each block's minimum against one
+    floor set by the whole state, so the bits do not depend on the block
+    size.  One block writes into its own difference arrays, more fill
+    three outputs.
     """
     n = mesh.n_nodes
     if state.n_nodes != n or bathy.zb.size != n or u.size != n or w.size != n:
@@ -431,9 +402,13 @@ def _predict_block(state, u, w, dual_widths, zbe, ghost_l, ghost_r, dt, floor, a
     into the slices a:b of the three arrays out, or into the block's own
     difference arrays if out is None.
 
-    zbe is bathy.zbe, or None on a bottom that is zero everywhere, which
-    takes the per-node path of the module docstring; a depth below floor
-    raises RuntimeError.
+    zbe is bathy.zbe, or None on a bottom that is zero everywhere.  There
+    the reconstruction max(0, H + 0 - 0) is max(0, H), so the interface
+    states are the extended nodes' own: each node's support serves both of
+    its interfaces (_node_flux) and one nodal G H^2 / 2 both correction
+    terms, with the bits of the reconstructed path.  A flat bottom at a
+    nonzero height z keeps the reconstructed path: H + z - z is not H
+    exactly in floating point.  A depth below floor raises RuntimeError.
     """
     # the interfaces a ... b read the nodes a - 1 ... b of the extended
     # arrays (_extended)

@@ -25,15 +25,8 @@ the predicted trace:
     through B U*.  An imposed depth closes as neumann: the depth-dependent
     boundary entries of B and C already carry its Robin coefficient dH/dn.
 Velocity dofs on dry nodes (H < h_eps, OperatorSet.wet) are not corrected,
-and pressure dofs with an entirely dry support are pinned to 0.  The plan
-lists the pinned dofs once, as an index array.
-
-A Schur system is one depth and one closure.  build_schur resolves the
-plan, factors the band once and marks every array it made read-only, so
-one system serves every velocity and dt at its depth and closure.  A
-correction is SchurSystem.load, solve_pressure and correct_velocity, all
-reading the plan and the masked A_H^-1 that built the band, so the
-pressure and the correction cannot disagree on which dofs are held.
+and pressure dofs with an entirely dry support are pinned to 0.  A
+correction is SchurSystem.load, solve_pressure and correct_velocity.
 """
 
 from __future__ import annotations
@@ -57,26 +50,27 @@ class PressureField:
 
 @dataclass(frozen=True)
 class _BCPlan:
-    free_u: np.ndarray  # bool mask over nodes, each u corrected
+    held_u: np.ndarray  # the end nodes whose u is held, ascending
     pinned_dofs: np.ndarray  # the pressure dofs held at 0, ascending
     bcs: tuple  # the (left, right) pair of kinds the plan resolves
 
 
 def resolve_projection_bcs(ops: OperatorSet, bcs) -> _BCPlan:
-    """The read-only velocity mask and pinned indices of one projection
-    under the (left, right) pair of pressure condition kinds bcs."""
+    """The read-only held end nodes and pinned dofs of one projection under
+    the (left, right) pair of pressure condition kinds bcs."""
     if len(bcs) != 2:
         raise ValueError(f"bcs must be a (left, right) pair of kinds, got {bcs!r}")
-    free_u = ops.wet.copy()
+    held = []
     pinned = ops.dry_pressure_dofs()
-    for kind, end in zip(bcs, (0, -1)):  # the first or last node and dof
+    for kind, end, node in zip(bcs, (0, -1), (0, ops.n_nodes - 1)):
         if kind == "dirichlet":
             pinned[end] = True
         elif kind in ("wall", "neumann"):
-            free_u[end] = False
+            held.append(node)
         else:
             raise ValueError(f"unknown pressure BC kind {kind!r}")
-    return _BCPlan(_read_only(free_u), _read_only(pinned.nonzero()[0]), tuple(bcs))
+    return _BCPlan(_read_only(np.array(held, dtype=np.intp)),
+                   _read_only(pinned.nonzero()[0]), tuple(bcs))
 
 
 @dataclass(frozen=True)
@@ -86,10 +80,14 @@ class SchurSystem:
     ab holds the symmetric band in scipy's lower=True layout, bandwidth + 1
     rows: ab[0] is the diagonal and ab[d, :m-d] the d-th off-diagonal,
     ab[d, l] = S[l + d, l] = S[l, l + d].  LAPACK's banded Cholesky
-    factors this layout faster than the upper one.  The operator set, the
-    BC plan and the masked inverse mass are kept so that each load and
-    correction stays consistent with the band.  factor is the band's
+    factors this layout faster than the upper one.  factor is the band's
     Cholesky factor (_cholesky).
+
+    build_schur resolves the plan and factors the band once, and every
+    array the system holds is read-only, so one system serves every
+    velocity and dt at its depth and closure.  Each load and correction
+    reads the plan and the masked inverse mass that built the band, so the
+    pressure and the correction cannot disagree on which dofs are held.
     """
 
     ab: np.ndarray
@@ -151,17 +149,17 @@ class SchurSystem:
 def build_schur(ops: OperatorSet, bcs) -> SchurSystem:
     """Assemble and factor the banded Schur complement of the operators ops,
     closed by the (left, right) pair of pressure condition kinds bcs (module
-    docstring).  The boundary plan is resolved once, here."""
+    docstring)."""
     plan = resolve_projection_bcs(ops, bcs)
     m = ops.n_pressure
     bw = ops.bandwidth
     Du = ops.Du
 
-    # diagonal A_H^-1 on the (u, w) blocks, zero on the held and dry dofs
-    # (the free w-dofs are the wet nodes, the free u-dofs those less the
-    # held ends)
+    # diagonal A_H^-1 on the (u, w) blocks, zero on the dry dofs and on
+    # the held ends' u
     invA_w = np.divide(1.0, ops.a_node, out=np.zeros(ops.n_nodes), where=ops.wet)
-    invA_u = np.where(plan.free_u, invA_w, 0.0)
+    invA_u = invA_w.copy()
+    invA_u[plan.held_u] = 0.0
 
     # S = B A_H^-1 B^T in the lower layout (see SchurSystem), row block by row
     # block and band by band, from the window products the geometry lists
@@ -207,14 +205,9 @@ def _cholesky(ab: np.ndarray) -> tuple:
 
 
 def solve_pressure(sys: SchurSystem, rhs: np.ndarray) -> PressureField:
-    """Solve the Schur system for the right-hand side rhs with the
-    triangular solves on its factor.
-
-    The system is SPD with bandwidth 1 (P1/P0) or 2 (P1-iso-P2/P1), so the
-    solve is exact up to round-off in O(M) work: dpttrs (L D L^T) or dpbtrs
-    on sys.factor, the second half of scipy.linalg.solveh_banded, for its
-    bits.
-    """
+    """Solve the Schur system for rhs, exact up to round-off in O(M) work:
+    dpttrs or dpbtrs on sys.factor, the second half of
+    scipy.linalg.solveh_banded, for its bits."""
     if sys.bandwidth == 1:
         p, _ = dpttrs(*sys.factor, rhs)
     else:

@@ -12,15 +12,10 @@ with l = sqrt(H0^3 / a + H0^2) and c0 = (l / d) sqrt(G H0^3 / (l^2 - H0^2)).
 Dispersion balances nonlinearity, so the profile translates unchanged --
 the scheme's shape preservation and convergence are measured against it.
 
-The four factories build the paper's fixed set-ups, all at the flux's
-gravity G; only the values the benchmark and `verify` vary are parameters:
-
-  * make_solitary: 45 m closed basin, H0 = d = 1 m, crest at x_start;
-  * make_dam_break: 600 m channel, DAM_BREAK depths 1.8 | 1.0 m at 300 m;
-  * make_beach: 35 m flume, 1 m deep, slope 0.15 from 25 m, pulse inflow;
-  * make_dingemans: 49 m flume, 0.4 m deep, trapezoidal bar, wavemaker.
-
-An exact hydrostatic Riemann solver gives the dam-break star state.
+The four make_* factories build the paper's fixed set-ups, all at the
+flux's gravity G; only the values the benchmark and `verify` vary are
+parameters.  An exact hydrostatic Riemann solver gives the dam-break star
+state.
 """
 
 from __future__ import annotations
@@ -218,11 +213,8 @@ class GaugeSet:
     def record(self, state: FlowState):
         eta = state.H + self.bathy.zb
         for rec in self.records:
-            value = float(np.interp(rec.position, self.mesh.nodes, eta))
-            if rec.times and state.t <= rec.times[-1]:
-                continue
             rec.times.append(state.t)
-            rec.eta.append(value)
+            rec.eta.append(float(np.interp(rec.position, self.mesh.nodes, eta)))
 
 
 # ---------------------------------------------------------------------------

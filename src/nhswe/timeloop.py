@@ -7,36 +7,18 @@ depth untouched.  step_heun is SSP-RK2 in Shu-Osher form,
 
     X^{n+1} = (X^n + stage(stage(X^n))) / 2,
 
-with the average projected once.  A stage (_stage) keeps its prediction's
-depth bit for bit, so each stage depth and the average inherit predict's
-non-negative depth.  SSP-RK2 keeps that only when each stage meets the
-CFL bound: when the first stage's state is too fast for the step's dt,
-the step restarts at that state's CFL step, at most _HEUN_ATTEMPTS tries,
-then raises CFLViolationError.
+with the average projected once.
 
 Each value a step reads is computed once and handed down: each state's
 wet mask H >= h_eps, its velocities (u, w) on that mask, and the wave
 speed of each state a prediction starts from, which gives the CFL step
-and predict's CFL guard.  A projected state takes its mask from its
-assembly (OperatorSet.wet) and a Heun stage's from _stage.  The entry
-points (run, step_euler, step_heun, project_state and hyperbolic.cfl_dt)
-read params.h_eps once; every layer below takes the h_eps, mask or speed
-it reads as a required argument.  Every projection resolves its boundary
-plan once, in build_schur, and both steppers raise DivergenceBoundError
-when the corrected velocity misses its bound.
+and predict's CFL guard.  The entry points (run, step_euler, step_heun,
+project_state and hyperbolic.cfl_dt) read params.h_eps once; every layer
+below takes the h_eps, mask or speed it reads as a required argument.
 
-A Heun step corrects on three Schur systems: the first stage's at the
-initial depth, which every try reuses, the second stage's at the first
-stage's depth, and the final projection's.  run() hands each Heun step
-the previous StepResult, whose system serves as the first stage's when
-the depth has equal contents and the closure the same kinds, for the bits
-of a fresh build: a Heun step after the first assembles twice, not three
-times.
-
-A step's arithmetic writes its temporaries in place, each result
-evaluated in the order of its formula, so the bits do not depend on it.
-A step computes only what it and its checks need; the energy is a
-diagnostic (StepReport).
+A step computes only what it and its checks need (StepReport), and its
+arithmetic writes its temporaries in place, each result evaluated in the
+order of its formula, so the bits do not depend on it.
 """
 
 from __future__ import annotations
@@ -121,14 +103,10 @@ def _pressure_bcs(hyp: tuple[HyperbolicBC, HyperbolicBC]) -> tuple[str, str]:
 
 @dataclass
 class StepReport:
-    """Per-step diagnostics: the time t after the step, its dt, the
-    divergence residual of the corrected velocity and its bound, and the
-    total mass.
-
-    The report holds plain floats and no reference to the state.  The
-    energy is not computed by the step: take
-    total_energy(step.state, mesh, bathy) where it is wanted.
-    """
+    """Per-step diagnostics as plain floats: the time t after the step, its
+    dt, the divergence residual of the corrected velocity and its bound,
+    and the total mass.  A step computes no energy: take
+    total_energy(step.state, mesh, bathy) where it is wanted."""
 
     t: float
     dt: float
@@ -191,13 +169,7 @@ def _project(
     new = FlowState(
         state.H, np.multiply(state.H, u, out=u), np.multiply(state.H, w, out=w), state.t
     )
-    report = StepReport(
-        t=new.t,
-        dt=dt,
-        div_residual=residual,
-        div_bound=bound,
-        mass=total_mass(new, mesh),
-    )
+    report = StepReport(new.t, dt, residual, bound, total_mass(new, mesh))
     return StepResult(new, report, pressure, ops, sys)
 
 
@@ -265,10 +237,10 @@ def _stage(
     with the velocity increment corrected to keep B u constant.  Returns
     the stage state and its wet mask H >= h_eps.
 
-    sys is the Schur system of y's depth under the closure hyp induces,
-    which the stepper builds or reuses; y's wet mask is sys.ops.wet.
-    (u, w) are y's velocities on that mask and speed their
-    max_wave_speed, shared with the prediction, which hyp closes.
+    sys is the Schur system of y's depth and closure (step_heun), and y's
+    wet mask is sys.ops.wet.  (u, w) are y's velocities on that mask and
+    speed their max_wave_speed, shared with the prediction, which hyp
+    closes.
 
     The stage depth is the predicted depth.  The prediction's nodes below
     h_eps lose their discharge first, so the stage's mask is formed here,
@@ -340,16 +312,19 @@ def step_heun(
 
     The step picks each stage's Schur system.  The first stage's is
     _last.schur when its depth has the contents of state.H and its closure
-    the same kinds, else one built here; it also gives the initial wet
-    mask, and serves every try.  The second stage's is built at the first
-    stage's depth once that stage is admitted.  _last is the previous
-    step's result, which run() passes; callers leave it out.
+    the same kinds, else one built here: the reused system has the bits of
+    a fresh build, and a step after the first assembles twice, not three
+    times.  It also gives the initial wet mask, and serves every try.  The
+    second stage's is built at the first stage's depth once that stage is
+    admitted.  _last is the previous step's result, which run() passes;
+    callers leave it out.
 
     Each stage's depth is its prediction's depth, so every stage depth and
-    the average's are non-negative wherever predict's are.  dt caps the
-    internal CFL step; when the stage state is too fast for it, the step
-    restarts at the stage state's CFL step (module docstring), so the
-    report's dt may be smaller.
+    the average's are non-negative wherever predict's are, as long as each
+    stage meets the CFL bound.  dt caps the internal CFL step; when the
+    first stage's state is too fast for it, the step restarts at that
+    state's CFL step, so the report's dt may be smaller, and raises
+    CFLViolationError after _HEUN_ATTEMPTS tries.
 
     Projecting each stage end-state instead (the first-order splitting
     recipe applied twice) looks natural but measures first order: the
@@ -409,8 +384,6 @@ class Snapshot:
 
 @dataclass
 class RunResult:
-    mesh: Mesh1D
-    bathy: Bathymetry
     snapshots: list[Snapshot] = field(default_factory=list)
     reports: list[StepReport] = field(default_factory=list)
 
@@ -435,14 +408,13 @@ def run(
     run marches from the initial state's time t0 = scenario.state0.t and
     never rewinds the clock: t_end must be finite, non-negative and not
     before t0, and the output times finite and in [t0, t_end], else
-    ValueError.  Gauge records attached to the
-    scenario are sampled at the same times, in fresh records for each run
-    (GaugeSet.reset).  The dry threshold is the scenario's: params.h_eps
-    must equal scenario.h_eps, else ValueError.
+    ValueError.  Gauge records attached to the scenario are sampled at the
+    same times, in fresh records for each run (GaugeSet.reset).  The dry
+    threshold is the scenario's: params.h_eps must equal scenario.h_eps,
+    else ValueError.
 
     Each step's StepReport is appended to result.reports, and on_step, if
-    given, is called with the StepResult (a per-step energy is
-    total_energy(step.state, mesh, bathy)), whose H, Hu and Hw are
+    given, is called with the StepResult, whose H, Hu and Hw are
     read-only: the next Heun step may reuse the Schur band of that depth.
     A non-finite field raises RuntimeError: in the initial state, and after
     each step when the mass, max H or any entry of Hu or Hw is not finite.
@@ -471,29 +443,16 @@ def run(
         raise ValueError(f"unknown integrator {integrator!r}")
 
     state = scenario.state0.copy()
-    if not (
-        np.isfinite(state.H).all()
-        and np.isfinite(state.Hu).all()
-        and np.isfinite(state.Hw).all()
-    ):
+    if not all(np.isfinite(x).all() for x in (state.H, state.Hu, state.Hw)):
         raise RuntimeError("non-finite field values in the initial state")
     if state.H.min() < 0.0:
         raise ValueError(f"initial depth must be non-negative, min {state.H.min():.3e}")
     events = sorted({t for t in times if t < t_end})
     events.append(float(t_end))
 
-    result = RunResult(mesh=mesh, bathy=bathy)
+    result = RunResult()
     if scenario.gauges is not None:
         scenario.gauges.reset()
-
-    def emit(st: FlowState, step: StepResult | None):
-        if step is not None:
-            p_nodes = step.ops.interpolate_pressure_to_nodes(step.pressure.values)
-        else:
-            p_nodes = np.zeros(mesh.n_nodes)
-        result.snapshots.append(Snapshot(st.t, st.copy(), p_nodes))
-        if scenario.gauges is not None:
-            scenario.gauges.record(st)
 
     step = None
     for target in events:
@@ -523,5 +482,9 @@ def run(
             if on_step is not None:
                 on_step(step)
         state.t = target
-        emit(state, step)
+        p_nodes = (np.zeros(mesh.n_nodes) if step is None
+                   else step.ops.interpolate_pressure_to_nodes(step.pressure.values))
+        result.snapshots.append(Snapshot(state.t, state.copy(), p_nodes))
+        if scenario.gauges is not None:
+            scenario.gauges.record(state)
     return result

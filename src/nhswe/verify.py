@@ -18,9 +18,7 @@ test_schur_spd_on_fifty_random_dirichlet_systems and
 test_cg_and_uzawa_agree_with_the_direct_solve_on_dingemans.
 
 Every check returns a CheckResult and prints nothing; the callers decide
-how to report.  The solitary-wave convergence table, the one expensive
-artifact, is read by convergence_order and shape_preservation alike, so
-solitary_l2_errors computes it once per pair and process.
+how to report.
 """
 
 from __future__ import annotations
@@ -70,7 +68,7 @@ class CheckResult:
 
 
 def relative_l2_depth_error(scenario, result) -> float:
-    mesh = result.mesh
+    mesh = scenario.mesh
     state = result.final
     H_exact, _, _, _ = scenario.exact(mesh.nodes, state.t)
     num = np.sqrt(np.sum(mesh.dual_widths * (state.H - H_exact) ** 2))
@@ -83,8 +81,9 @@ def solitary_l2_errors(pair_tag: str) -> np.ndarray:
     """Relative L2 depth errors of the traveling solitary wave on each of
     CONVERGENCE_MESHES at SOLITARY_T_END.
 
-    Computed once per pair and process; every caller gets the same
-    read-only array.
+    Computed once per pair and process, as convergence_order and
+    shape_preservation both read it; every caller gets the same read-only
+    array.
     """
     params = PhysicalParams()
     errors = []
@@ -98,12 +97,6 @@ def solitary_l2_errors(pair_tag: str) -> np.ndarray:
     return errors
 
 
-def fitted_rate(meshes, errors) -> float:
-    """Least-squares slope of log error against log N (sign-flipped)."""
-    slope = np.polyfit(np.log(np.asarray(meshes, dtype=float)), np.log(errors), 1)[0]
-    return float(-slope)
-
-
 # -- criteria -----------------------------------------------------------------
 
 
@@ -112,7 +105,8 @@ def check_convergence_order() -> CheckResult:
     ok = True
     for tag in PAIRS:
         errs = solitary_l2_errors(tag)
-        rate = fitted_rate(CONVERGENCE_MESHES, errs)
+        # the least-squares slope of log error against log N, sign-flipped
+        rate = -float(np.polyfit(np.log(CONVERGENCE_MESHES), np.log(errs), 1)[0])
         ok &= 0.8 <= rate <= 1.2
         details.append(f"{tag} rate {rate:.3f}")
     return CheckResult(
@@ -160,8 +154,7 @@ def check_discrete_divergence() -> CheckResult:
             continue
         total += len(out.reports)
         for r in out.reports:
-            if r.div_bound > 0:
-                worst = max(worst, r.div_residual / r.div_bound)
+            worst = max(worst, r.div_residual / r.div_bound)
     details = f"{total} steps over four scenarios, worst residual/bound = {worst:.3e}"
     return CheckResult(
         "discrete_divergence",
@@ -237,7 +230,7 @@ def check_dam_break_plateau() -> CheckResult:
     tail = star.u_star - np.sqrt(G * star.h_star)
     shock = star.right_shock_speed()
     center = x_dam + 0.5 * (tail + shock) * t_end
-    x = out.mesh.nodes
+    x = sc.mesh.nodes
     window = (x >= center - 10.0) & (x <= center + 10.0)
     state = out.final
     H_mean = float(state.H[window].mean())

@@ -641,11 +641,20 @@ def dense_divergence(ops):
     n, m = ops.n_nodes, ops.n_pressure
     out = np.zeros((m, 2 * n))
     row_ids, node_ids = np.arange(m), np.arange(n)
-    for k, (rows, nodes) in enumerate(ops.geometry.columns):
-        r, c = row_ids[rows], node_ids[nodes]
-        out[r, c] += ops.Du[rows, k]
-        out[r, n + c] += ops.Dw[rows, k]
+    for block in ops.geometry.row_blocks:
+        for k, (rows, nodes) in enumerate(block.columns):
+            r, c = row_ids[rows], node_ids[nodes]
+            out[r, c] += ops.Du[rows, k]
+            out[r, n + c] += ops.Dw[rows, k]
     return out
+
+
+def free_velocity_mask(plan, ops):
+    """The u-dofs a projection plan corrects, as a node mask: the wet nodes
+    less the held ends."""
+    free = ops.wet.copy()
+    free[plan.held_u] = False
+    return free
 
 
 def dense_boundary(ops):

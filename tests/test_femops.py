@@ -61,6 +61,22 @@ def test_lumped_mass_dry_floor():
     assert a[5] == pytest.approx(1e-8 * 0.1, rel=1e-12)
 
 
+def test_lumped_mass_floor_caps_a_thin_wet_node_between_dry_ones():
+    # a wet node at H = h_eps with dry neighbours integrates to
+    # (2/3) dx h_eps: the floor raises its mass to h_eps dx, and the
+    # projection inverts that floored mass
+    h_eps = 1e-6
+    mesh = nh.Mesh1D.uniform(0.0, 1.0, 11)
+    H = np.ones(11)
+    H[4:7] = 0.0, h_eps, 0.0
+    floor = h_eps * mesh.dual_widths[5]
+    assert gauss_lumped_mass(mesh, H)[5] < floor
+    ops = nh.assemble(nh.ElementPair(P1P0, 11), mesh, H, nh.Bathymetry.flat(mesh), h_eps)
+    assert ops.wet[5] and not ops.wet[4] and not ops.wet[6]
+    assert ops.a_node[5] == floor
+    assert nh.build_schur(ops, ("wall", "wall")).invA_w[5] == 1.0 / floor
+
+
 def test_lumped_mass_scales_linearly_with_depth():
     rng = np.random.default_rng(3)
     mesh, H, _ = random_wet_setup(rng)
@@ -395,8 +411,9 @@ def test_assemblies_on_one_mesh_share_read_only_geometry(tag):
     assert not first.Dw.flags.writeable
     with pytest.raises(ValueError):
         first.Dw[0, 0] = 1.0
-    for term in first.geometry.schur_terms[0]:
-        assert not term[-1].flags.writeable
+    for block in first.geometry.row_blocks:
+        for term in block.schur_terms[0]:
+            assert not term[-1].flags.writeable
 
 
 def test_meshes_never_share_geometry():

@@ -213,6 +213,10 @@ def test_imposed_flux_against_bisection_oracle():
 # a flux so small that the sonic-depth bracket underflows to 0
 @example(H=1.0, froude=0.0, q01=5e-324, q02=0.0, side="out")
 @example(H=1.0, froude=0.5, q01=-5e-324, q02=0.0, side="in")
+# brackets that grow past invariant^2 / G in the oracle: once, to a
+# torrential ghost state, and 60 times, to no subcritical depth
+@example(H=0.233, froude=0.78, q01=4.6, q02=0.0, side="in")
+@example(H=0.669, froude=0.83, q01=-20.0, q02=0.0, side="in")
 def test_imposed_flux_ghost_matches_numpy_scalar_closure(H, froude, q01, q02, side):
     # the closure on Python floats reproduces the numpy-scalar one bit for
     # bit, and raises in exactly the same cases

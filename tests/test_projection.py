@@ -17,6 +17,7 @@ from oracles import (
     SolverConvergenceError,
     dense_divergence,
     float_bits,
+    free_velocity_mask,
     method_spread,
     random_wet_setup,
     schur_dense,
@@ -146,7 +147,7 @@ def test_schur_dense_equals_masked_operator_product(tag):
         sys = nh.build_schur(ops, bcs)
         pinned = _pinned_mask(sys)
         assert pinned.any() and not pinned.all()
-        free = np.r_[sys.plan.free_u, ops.wet]
+        free = np.r_[free_velocity_mask(sys.plan, ops), ops.wet]
         B = dense_divergence(ops)
         inv_mass = np.where(free, 1.0 / np.r_[ops.a_node, ops.a_node], 0.0)
         S = B @ np.diag(inv_mass) @ B.T
@@ -163,7 +164,7 @@ def test_schur_dense_equals_masked_operator_product(tag):
 def _held_bits(sys):
     """Copies of every array a Schur system holds, floats as their bits."""
     floats = (sys.ab, sys.invA_u, sys.invA_w, *sys.factor)
-    return [float_bits(a).copy() for a in floats] + [sys.plan.free_u.copy(),
+    return [float_bits(a).copy() for a in floats] + [sys.plan.held_u.copy(),
                                                       sys.plan.pinned_dofs.copy()]
 
 
@@ -177,7 +178,7 @@ def test_a_built_system_is_read_only_and_serves_every_load(tag):
     sys, ops, (u, w), dt = _random_system(rng, tag, bcs=bcs)
     with pytest.raises(FrozenInstanceError):
         sys.factor = None
-    for array in (sys.ab, sys.invA_u, sys.invA_w, sys.plan.free_u, sys.plan.pinned_dofs,
+    for array in (sys.ab, sys.invA_u, sys.invA_w, sys.plan.held_u, sys.plan.pinned_dofs,
                   *sys.factor):
         with pytest.raises(ValueError, match="read-only"):
             array.flat[0] = 1.0
@@ -519,8 +520,8 @@ def test_dry_pressure_dofs_pinned_to_zero():
 
 @pytest.mark.parametrize("tag", PAIRS)
 def test_the_plan_lists_its_pinned_dofs_once(tag):
-    # the plan's free velocities are its own copy of the assembly's wet
-    # mask, which a held side leaves as it was, and its pinned dofs are the
+    # the plan's free velocities, the assembly's wet mask less the held
+    # ends, are the wet mask inside the ends, and its pinned dofs are the
     # ascending indices of the dry dofs and of each Dirichlet end
     rng = np.random.default_rng(64)
     for bcs in (NEUMANN, ("dirichlet", "wall"), ("wall", "dirichlet")):
@@ -529,9 +530,10 @@ def test_the_plan_lists_its_pinned_dofs_once(tag):
         H[n // 2 - 2 : n // 2 + 3] = 0.0
         ops = nh.assemble(nh.ElementPair(tag, n), mesh, H, nh.Bathymetry(zb), H_EPS)
         plan = resolve_projection_bcs(ops, bcs)
-        assert plan.free_u is not ops.wet and not np.shares_memory(plan.free_u, ops.wet)
+        free_u = free_velocity_mask(plan, ops)
+        assert not np.shares_memory(plan.held_u, ops.wet)
         assert np.array_equal(ops.wet, H >= 1e-8)
-        assert np.array_equal(plan.free_u[1:-1], ops.wet[1:-1])
+        assert np.array_equal(free_u[1:-1], ops.wet[1:-1])
         assert plan.pinned_dofs.size > 0
         pinned = ops.dry_pressure_dofs()
         pinned[[0, -1]] |= np.array(bcs) == "dirichlet"
@@ -546,7 +548,8 @@ def test_plan_masks():
     ops = nh.assemble(nh.ElementPair(P1P0, 5), mesh, H, nh.Bathymetry.flat(mesh), H_EPS)
     u, w = np.arange(1.0, 6.0), np.arange(5.0, 10.0)
     plan = resolve_projection_bcs(ops, ("wall", "dirichlet"))
-    assert not plan.free_u[0] and plan.free_u[1:].all()
+    free_u = free_velocity_mask(plan, ops)
+    assert not free_u[0] and free_u[1:].all()
     assert ops.wet.all()
     # the load holds u at the wall in a copy; the caller's u keeps its value
     u_star, _, _ = nh.build_schur(ops, ("wall", "dirichlet")).load(u, w, 0.01)
