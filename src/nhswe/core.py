@@ -133,15 +133,20 @@ class FlowState:
         return FlowState(self.H.copy(), self.Hu.copy(), self.Hw.copy(), self.t)
 
     def velocities(self, wet: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(u, w) with the nodes outside wet forced to zero velocity.
+        """(u, w) = (Hu / H, Hw / H) on the nodes of wet; the dry nodes read
+        +0.0 whatever their discharge.
 
         wet is this state's own mask H >= h_eps, which the caller computes
-        once and reads elsewhere too.
+        once and reads elsewhere too.  The quotients run on every node; a
+        dry node's, which a zero, subnormal or NaN depth makes inf or NaN,
+        is overwritten.
         """
-        u = np.zeros(self.H.size)
-        w = np.zeros(self.H.size)
-        np.divide(self.Hu, self.H, out=u, where=wet)
-        np.divide(self.Hw, self.H, out=w, where=wet)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            u = self.Hu / self.H
+            w = self.Hw / self.H
+        dry = ~wet
+        u[dry] = 0.0
+        w[dry] = 0.0
         return u, w
 
 

@@ -71,11 +71,12 @@ def lump_mass(H, mesh: Mesh1D, h_eps: float) -> np.ndarray:
 
     H is linear, so an interior entry is h_r (H_i/3 + H_{i+1}/6) +
     h_l (H_{i-1}/6 + H_i/3), summed in this order, and floored at
-    h_eps * dx_i.  The projection never inverts a dry node's mass, and a
-    node's entry is at least (2/3) dx_i H_i, so the floor binds only on a
-    wet node thinner than 1.5 h_eps beside shallow or dry ones: it caps
-    that node's inverse mass at 1/(h_eps dx_i).  Each block of core._BLOCK
-    nodes reads one more node at either end.
+    h_eps * dx_i.  Every entry is at least h_eps dx_i > 0, so the
+    reciprocal runs on every node, and a node's entry is at least
+    (2/3) dx_i H_i, so the floor binds only on a node thinner than 1.5 h_eps
+    beside shallow or dry ones: it caps that node's inverse mass at
+    1/(h_eps dx_i).  Each block of core._BLOCK nodes reads one more node at
+    either end.
     """
     H = np.asarray(H, dtype=float)
     n = mesh.n_nodes
@@ -138,13 +139,17 @@ class _Geometry:
     dofs, mixed, t): nodes dof_nodes carry dofs, a node of mixed takes
     (1 - t) p_l + t p_{l+1}.  row_blocks holds a _RowBlock per block of
     core._BLOCK pressure rows, node_blocks the columns cut to each block of
-    _BLOCK nodes (_within).
+    _BLOCK nodes (_within).  plans is the boundary plan cache of
+    projection.resolve_projection_bcs: keyed by the closure, the (left,
+    right) pair of pressure condition kinds, it holds the last wet mask
+    resolved under that closure and its plan.
     """
 
     Dw: np.ndarray
     nodal: tuple
     row_blocks: tuple
     node_blocks: tuple
+    plans: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 @dataclass

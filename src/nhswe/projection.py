@@ -52,14 +52,25 @@ class PressureField:
 class _BCPlan:
     held_u: np.ndarray  # the end nodes whose u is held, ascending
     pinned_dofs: np.ndarray  # the pressure dofs held at 0, ascending
+    band_zeros: np.ndarray  # flat indices of the band entries they zero
     bcs: tuple  # the (left, right) pair of kinds the plan resolves
 
 
 def resolve_projection_bcs(ops: OperatorSet, bcs) -> _BCPlan:
     """The read-only held end nodes and pinned dofs of one projection under
-    the (left, right) pair of pressure condition kinds bcs."""
+    the (left, right) pair of pressure condition kinds bcs.
+
+    The geometry keeps the last plan of each closure with the wet mask it
+    was resolved on (_Geometry.plans), and returns it while ops.wet equals
+    that mask by content: the mask of a run changes in few projections.
+    """
     if len(bcs) != 2:
         raise ValueError(f"bcs must be a (left, right) pair of kinds, got {bcs!r}")
+    bcs = tuple(bcs)
+    plans = ops.geometry.plans
+    cached = plans.get(bcs)
+    if cached is not None and not (cached[0] != ops.wet).any():
+        return cached[1]
     held = []
     pinned = ops.dry_pressure_dofs()
     for kind, end, node in zip(bcs, (0, -1), (0, ops.n_nodes - 1)):
@@ -69,8 +80,16 @@ def resolve_projection_bcs(ops: OperatorSet, bcs) -> _BCPlan:
             held.append(node)
         else:
             raise ValueError(f"unknown pressure BC kind {kind!r}")
-    return _BCPlan(_read_only(np.array(held, dtype=np.intp)),
-                   _read_only(pinned.nonzero()[0]), tuple(bcs))
+    pinned = pinned.nonzero()[0]
+    # symmetric elimination: entry l of band d, flat index d m + l of the
+    # lower layout (SchurSystem), couples dofs l and l + d
+    m = ops.n_pressure
+    band_zeros = np.concatenate([d * m + entries for d in range(1, ops.bandwidth + 1)
+                                 for entries in (pinned[pinned < m - d], pinned[pinned >= d] - d)])
+    plan = _BCPlan(_read_only(np.array(held, dtype=np.intp)), _read_only(pinned),
+                   _read_only(band_zeros), bcs)
+    plans[bcs] = (ops.wet, plan)
+    return plan
 
 
 @dataclass(frozen=True)
@@ -119,7 +138,7 @@ class SchurSystem:
             raise ValueError(f"dt must be positive and finite, got {dt!r}")
         n = self.ops.n_nodes
         u_star = np.array(u, dtype=float)
-        if u_star.shape != (n,) or np.shape(w) != (n,):
+        if u_star.shape != (n,) or w.shape != (n,):
             raise ValueError(f"u and w need one entry per node ({n})")
         for kind, node in zip(self.plan.bcs, (0, -1)):
             if kind == "wall":
@@ -156,8 +175,10 @@ def build_schur(ops: OperatorSet, bcs) -> SchurSystem:
     Du = ops.Du
 
     # diagonal A_H^-1 on the (u, w) blocks, zero on the dry dofs and on
-    # the held ends' u
-    invA_w = np.divide(1.0, ops.a_node, out=np.zeros(ops.n_nodes), where=ops.wet)
+    # the held ends' u; lump_mass floors every mass above 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        invA_w = 1.0 / ops.a_node
+    invA_w[~ops.wet] = 0.0
     invA_u = invA_w.copy()
     invA_u[plan.held_u] = 0.0
 
@@ -173,13 +194,9 @@ def build_schur(ops: OperatorSet, bcs) -> SchurSystem:
                 band[rows] += term
 
     # symmetric elimination of the pinned dofs (Dirichlet sides and dry
-    # supports), each held at 0; load zeroes their rhs.  Entry l of band d
-    # couples dofs l and l + d
-    pinned = plan.pinned_dofs
-    for d in range(1, bw + 1):
-        ab[d, pinned[pinned < m - d]] = 0.0
-        ab[d, pinned[pinned >= d] - d] = 0.0
-    ab[0, pinned] = 1.0
+    # supports), each held at 0; load zeroes their rhs
+    ab.put(plan.band_zeros, 0.0)
+    ab[0, plan.pinned_dofs] = 1.0
 
     if ab[0].min() <= 0.0:
         raise ValueError(
@@ -221,7 +238,7 @@ def correct_velocity(
     """(u, w) = (u*, w) + dt A_H^-1 B^T p with the masks of sys: u* is
     sys.load's own copy, so its correction is added in place; the caller's
     w stays as it was, and the corrected w is new."""
-    if np.size(p) != sys.n_pressure:
+    if p.size != sys.n_pressure:
         raise ValueError("pressure/operator size mismatch")
     du, dw = sys.ops.scatter_divergence_t(p)
     # (dt A_H^-1) B^T p, each product formed in place in the scattered array

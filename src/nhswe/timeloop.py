@@ -267,14 +267,8 @@ def _stage(
     # velocity increments exclude them and the stage state adds them back
     u_dH, w_dH = u * dH, w * dH
 
-    def increment(d_momentum, old_momentum, carried):
-        d_momentum -= old_momentum
-        d_momentum -= carried
-        return np.divide(d_momentum, y.H, out=np.zeros(y.H.size), where=sys.ops.wet)
-
     # predict's momenta are its own new arrays
-    du = increment(pred.Hu, y.Hu, u_dH)
-    dw = increment(pred.Hw, y.Hw, w_dH)
+    du, dw = _increments(pred, y, u_dH, w_dH, sys.ops.wet)
 
     du, _, rhs = sys.load(du, dw, 1.0, sys.ops.apply_depth_derivative(dH, u))
     du_c, dw_c = correct_velocity(sys, du, dw, 1.0, solve_pressure(sys, rhs).values)
@@ -288,6 +282,22 @@ def _stage(
 
     stage = FlowState(pred.H, momentum(du_c, y.Hu, u_dH), momentum(dw_c, y.Hw, w_dH), pred.t)
     return stage, wet
+
+
+def _increments(
+    pred: FlowState, y: FlowState, u_dH: np.ndarray, w_dH: np.ndarray, wet: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The velocity increments (du, dw) of a Heun stage at y's frozen depth,
+    formed in pred's momenta: (pred.Hu - y.Hu - u_dH) / y.H and its w
+    counterpart, +0.0 on the nodes outside y's wet mask wet."""
+    dry = ~wet
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for d_momentum, old_momentum, carried in ((pred.Hu, y.Hu, u_dH), (pred.Hw, y.Hw, w_dH)):
+            d_momentum -= old_momentum
+            d_momentum -= carried
+            d_momentum /= y.H
+            d_momentum[dry] = 0.0
+    return pred.Hu, pred.Hw
 
 
 # tries of a Heun step, each after the first at the CFL step of the stage

@@ -21,8 +21,10 @@ applies every trace factor, even a unit one; the kinetic half fluxes
 patched with np.where, the kinetic flux on (H, Hu) states, the wave speed
 over gathered wet nodes, the imposed-flux boundary closure on numpy
 scalars, and the prediction that reconstructs every interface whatever the
-bottom.  Tests require the package to match them bit for bit, or in value
-where the package's arithmetic differs only by a round trip it removed.
+bottom; and the velocities, inverse masses and Heun velocity increments
+by divisions masked to the wet nodes.  Tests require the package to match
+them bit for bit, or in value where the package's arithmetic differs only
+by a round trip it removed.
 
 One helper is not a reference: prediction_inputs gathers a state's
 velocities and CFL step the way a stepper hands them to predict.
@@ -553,6 +555,35 @@ def imposed_flux_ghost_numpy(Hb, ub, wb, side, q01, q02, g):
     if abs(u0) / np.sqrt(g * h0) >= 1.0:
         raise TorrentialBoundaryError("torrential boundary state")
     return h0, u0, q02 / h0
+
+
+# -- divisions masked to the wet nodes ----------------------------------------
+
+
+def masked_velocities(state, wet):
+    """FlowState.velocities by divisions masked to wet, into zeros."""
+    n = state.H.size
+    return (np.divide(state.Hu, state.H, out=np.zeros(n), where=wet),
+            np.divide(state.Hw, state.H, out=np.zeros(n), where=wet))
+
+
+def masked_inverse_mass(ops, plan):
+    """build_schur's (invA_u, invA_w): the reciprocal lumped mass by a
+    division masked to the wet nodes, into zeros, and u's also 0 at the
+    plan's held ends."""
+    invA_w = np.divide(1.0, ops.a_node, out=np.zeros(ops.n_nodes), where=ops.wet)
+    invA_u = invA_w.copy()
+    invA_u[plan.held_u] = 0.0
+    return invA_u, invA_w
+
+
+def masked_increments(pred_Hu, pred_Hw, y, u_dH, w_dH, wet):
+    """A Heun stage's velocity increments ((pred_Hu - y.Hu) - u_dH) / y.H
+    and its w counterpart by divisions masked to y's wet mask wet, into
+    zeros."""
+    n = y.H.size
+    return tuple(np.divide(pred - old - carried, y.H, out=np.zeros(n), where=wet)
+                 for pred, old, carried in ((pred_Hu, y.Hu, u_dH), (pred_Hw, y.Hw, w_dH)))
 
 
 # -- prediction reconstructed at every interface ------------------------------

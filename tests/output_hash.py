@@ -9,7 +9,16 @@ N = 100,001 (P1/P0, Heun).  The hash covers every snapshot's time, state
 and nodal pressure, every StepReport field and every gauge series, as the
 bits of their float64 values.  Equal hashes mean equal outputs; the script
 prints only the hash.  pytest does not collect this file.
+
+BLAS runs on one thread, set before numpy is imported: the reported
+divergence residuals are BLAS dot products, whose bits depend on the
+thread count at N = 100,001.
 """
+
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 import hashlib
 import struct

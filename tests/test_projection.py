@@ -558,6 +558,56 @@ def test_plan_masks():
     assert u[0] == 1.0 and not np.shares_memory(u_star, u)
 
 
+# -- the plan cache -------------------------------------------------------------
+
+
+def _build_bits(sys):
+    """Every array a Schur system holds, plan included, floats as their bits."""
+    plan = sys.plan
+    return [float_bits(a) for a in (sys.ab, sys.invA_u, sys.invA_w, *sys.factor)] + [
+        plan.held_u, plan.pinned_dofs, plan.band_zeros]
+
+
+@pytest.mark.parametrize("tag", PAIRS)
+def test_the_plan_cache_serves_each_mask_and_closure(tag):
+    # on one mesh, a depth with the wet mask of the last build under the
+    # same closure gets that build's plan object; one node drying, or
+    # another closure, resolves a plan of its own, and a mask that dries
+    # and re-wets gets the re-wet mask's plan.  Every build has the bits of
+    # a build on a fresh mesh, and the cache holds no writable array
+    rng = np.random.default_rng(71)
+    mesh, H, zb = random_wet_setup(rng, n_min=15, n_max=21, odd=True)
+    n = mesh.n_nodes
+    bathy, pair = nh.Bathymetry(zb), nh.ElementPair(tag, n)
+    dried = H.copy()
+    dried[n // 2 - 1 : n // 2 + 2] = 0.0
+
+    def build(depth, bcs, on=mesh):
+        return nh.build_schur(nh.assemble(pair, on, depth, bathy, H_EPS), bcs)
+
+    builds = []
+    for depth, bcs in ((H, NEUMANN), (1.5 * H, NEUMANN), (dried, NEUMANN), (H, NEUMANN),
+                       (H, ("dirichlet", "wall")), (2.0 * H, NEUMANN)):
+        sys = build(depth, bcs)
+        fresh = build(depth, bcs, nh.Mesh1D(mesh.nodes.copy()))
+        for got, want in zip(_build_bits(sys), _build_bits(fresh)):
+            assert np.array_equal(got, want)
+        builds.append(sys.plan)
+    wet, same, dry, rewet, dirichlet, kept = builds
+    assert same is wet
+    assert dry is not wet and not np.array_equal(dry.pinned_dofs, wet.pinned_dofs)
+    assert rewet is not dry and np.array_equal(rewet.pinned_dofs, wet.pinned_dofs)
+    assert dirichlet is not rewet
+    # the cache keeps the last plan of each closure
+    assert kept is rewet
+
+    plans = build(H, NEUMANN).ops.geometry.plans
+    assert set(plans) == {NEUMANN, ("dirichlet", "wall")}
+    for mask, plan in plans.values():
+        held = [mask] + [a for a in vars(plan).values() if isinstance(a, np.ndarray)]
+        assert len(held) == 4 and not any(a.flags.writeable for a in held)
+
+
 # -- blocked kernels ----------------------------------------------------------
 
 

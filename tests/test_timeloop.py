@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -11,6 +11,9 @@ from oracles import (
     depth_derivative_by_differencing,
     float_bits,
     free_velocity_mask,
+    masked_increments,
+    masked_inverse_mass,
+    masked_velocities,
     prediction_inputs,
 )
 
@@ -622,6 +625,73 @@ def test_a_heun_stage_zeroes_its_prediction_below_the_dry_threshold(monkeypatch)
     assert fallen > 0
 
 
+# -- divisions on every node, the dry nodes zeroed after -----------------------
+
+# a dry depth whose quotients overflow, and the largest one below the threshold
+_SUBNORMAL_H = 2.2e-311
+_BELOW_H_EPS = float(np.nextafter(H_EPS, 0.0))
+
+
+@st.composite
+def _walled_wet_dry_cases(draw):
+    """(tag, widths, H, fields): a walled mesh's element widths, a depth with
+    zero, subnormal and just-dry nodes, and six discharge fields, (Hu, Hw)
+    of the state and of its prediction and the carried (u dH, w dH), with
+    discharge on dry nodes and signed zeros in every field.  Nonzero
+    discharges stay above 1e-3, so no quotient on a wet node underflows."""
+    tag = draw(st.sampled_from(["P1P0", "P1isoP2P1"]))
+    n = draw(st.integers(5, 17))
+    n += tag == "P1isoP2P1" and n % 2 == 0
+    zeros = st.sampled_from([0.0, -0.0])
+    depth = st.one_of(zeros, st.sampled_from([_SUBNORMAL_H, _BELOW_H_EPS, H_EPS]),
+                      st.floats(H_EPS, 2.0))
+    discharge = st.one_of(zeros, st.floats(1e-3, 5.0), st.floats(-5.0, -1e-3))
+    return (
+        tag,
+        draw(arrays(float, n - 1, elements=st.floats(0.05, 1.05))),
+        draw(arrays(float, n, elements=depth)),
+        [draw(arrays(float, n, elements=discharge)) for _ in range(6)],
+    )
+
+
+_DRY_EXAMPLE = (
+    "P1isoP2P1",
+    np.full(8, 0.5),
+    np.array([0.0, _SUBNORMAL_H, _BELOW_H_EPS, -0.0, H_EPS, 1.0, 1.5, 0.0, 2.0]),
+    [np.array([2.0, -3.0, 1e-3, -0.0, 0.0, 4.0, -1.0, 5.0, 0.5]) * (k + 1) / 6.0
+     for k in range(6)],
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_walled_wet_dry_cases())
+@example(case=_DRY_EXAMPLE)
+@example(case=("P1P0", *_DRY_EXAMPLE[1:]))
+def test_the_unmasked_divisions_give_the_masked_bits(case):
+    # FlowState.velocities, build_schur's inverse masses and a Heun stage's
+    # velocity increments divide on every node and zero the dry ones after:
+    # the bits of divisions masked to the wet nodes, signed zeros included,
+    # with every floating-point warning not silenced in the kernels raised.
+    # Underflow is numpy's one condition ignored by default, and the
+    # subnormal depth underflows in the lumped mass and the Schur band
+    tag, widths, H, (Hu, Hw, pred_Hu, pred_Hw, u_dH, w_dH) = case
+    mesh = nh.Mesh1D(np.concatenate(([0.0], np.cumsum(widths))))
+    pair = nh.ElementPair(tag, mesh.n_nodes)
+    with np.errstate(all="raise", under="ignore"):
+        y = nh.FlowState(H, Hu, Hw)
+        wet = H >= H_EPS
+        sys = nh.build_schur(nh.assemble(pair, mesh, H, nh.Bathymetry.flat(mesh), H_EPS),
+                             ("wall", "wall"))
+        pred = nh.FlowState(H, pred_Hu.copy(), pred_Hw.copy())
+        got = (*y.velocities(wet), sys.invA_u, sys.invA_w,
+               *timeloop._increments(pred, y, u_dH, w_dH, wet))
+        want = (*masked_velocities(y, wet), *masked_inverse_mass(sys.ops, sys.plan),
+                *masked_increments(pred_Hu, pred_Hw, y, u_dH, w_dH, wet))
+    names = ("u", "w", "invA_u", "invA_w", "du", "dw")
+    for name, a, b in zip(names, got, want):
+        assert np.array_equal(float_bits(a), float_bits(b)), name
+
+
 # -- stage boundary closure ----------------------------------------------------
 
 
@@ -749,7 +819,8 @@ def test_the_step_path_calls_no_python_level_numpy_helper(tag, monkeypatch):
             if block is not None:
                 m.setattr(core, "_BLOCK", block)
             mesh = nh.Mesh1D(nodes)  # its block layout is built at its first assembly
-            for name in ("diff", "zeros_like", "sum", "array_equal", "flatnonzero"):
+            for name in ("diff", "zeros_like", "sum", "array_equal", "flatnonzero", "size",
+                         "shape"):
                 m.setattr(np, name, refused)
             m.setattr(np.linalg, "norm", refused)
             got = steps(mesh)
