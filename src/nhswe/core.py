@@ -219,17 +219,17 @@ def total_mass(state: FlowState, mesh: Mesh1D) -> float:
     return float((mesh.dual_widths * state.H).sum())
 
 
-def total_energy(state: FlowState, mesh: Mesh1D, bathy: Bathymetry) -> float:
+def total_energy(state: FlowState, mesh: Mesh1D, bathy: Bathymetry, h_eps: float) -> float:
     """Discrete total energy sum(dx_i * E_i).
 
     E = H (u^2 + w^2) / 2 + G H (eta + zb) / 2 with eta = H + zb, so the
-    potential part reads G H (H + 2 zb) / 2.  Dry nodes contribute no
-    kinetic energy.
+    potential part reads G H (H + 2 zb) / 2.  Dry nodes (H < h_eps), where
+    the scheme's velocities are 0, contribute no kinetic energy.
     """
     _check_sizes(state, mesh)
     if bathy.zb.size != state.n_nodes:
         raise ValueError("bathymetry/state size mismatch")
-    wet = state.H > 0.0
+    wet = state.H >= h_eps
     kinetic = np.zeros_like(state.H)
     np.divide(state.Hu**2 + state.Hw**2, state.H, out=kinetic, where=wet)
     density = 0.5 * kinetic + 0.5 * G * state.H * (state.H + bathy.two_zb)

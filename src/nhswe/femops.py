@@ -141,8 +141,8 @@ class _Geometry:
     core._BLOCK pressure rows, node_blocks the columns cut to each block of
     _BLOCK nodes (_within).  plans is the boundary plan cache of
     projection.resolve_projection_bcs: keyed by the closure, the (left,
-    right) pair of pressure condition kinds, it holds the last wet mask
-    resolved under that closure and its plan.
+    right) pair of hyperbolic kinds, it holds the last wet mask resolved
+    under that closure and its plan.
     """
 
     Dw: np.ndarray

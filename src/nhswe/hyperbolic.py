@@ -276,21 +276,19 @@ def apply_hyperbolic_bc(
 
     q01, q02 = float(bc.q0[0]), float(bc.q0[1])
 
-    def residual(h):
-        return q01 / h + sign * 2.0 * math.sqrt(G * h) - invariant
-
-    # For inflow-directed q01 the residual is monotone in h and the root is
-    # unique.  For outflow-directed q01 there are two roots; the subcritical
-    # one lies on h >= h_sonic, where h_sonic is the depth with Fr = 1.
+    # h0 is the root of the residual q01 / h + sign 2 sqrt(G h) - invariant.
+    # For inflow-directed q01 it is monotone in h and the root is unique.
+    # For outflow-directed q01 there are two roots; the subcritical one lies
+    # on h >= h_sonic, where h_sonic is the depth with Fr = 1.
     if sign * q01 > 0.0:
         lo = (sign * q01 / math.sqrt(G)) ** (2.0 / 3.0)
     else:
         lo = 1e-12 * max(Hb, 1.0)
     hi = max(4.0 * Hb, 2.0 * lo, invariant**2 / G, 1.0)
-    # a flux below the float range of lo underflows it to 0, where the
-    # residual is infinite with the sign of q01
-    flo = residual(lo) if lo > 0.0 else math.copysign(math.inf, q01)
-    fhi = residual(hi)
+    # the residual at both ends: a flux below the float range of lo
+    # underflows it to 0, where the residual is infinite with the sign of q01
+    flo, fhi = (q01 / h + sign * 2.0 * math.sqrt(G * h) - invariant if h > 0.0
+                else math.copysign(math.inf, q01) for h in (lo, hi))
     # no bracket: the residual has at most two roots, and a root beyond hi
     # lies above invariant^2 / G, where every ghost state is torrential
     if flo * fhi > 0.0:
@@ -339,12 +337,14 @@ def predict(
     its CFL step (cfl_step) and the projection.  A dry end node enters its
     ghost with zero velocity.  Returns the state at t + dt, the raw update
     with its depth clipped at 0.  No dry threshold is read: the kinetic
-    update handles H = 0 exactly, and a discharge left below h_eps never
-    reaches a projected state, since the correction drops that node's
-    velocity dofs and a Heun stage zeroes it (timeloop._stage).  A dt that
-    is not finite and positive raises ValueError, one beyond the CFL bound
-    of speed CFLViolationError, and a negative depth beyond round-off
-    RuntimeError.
+    update handles H = 0 exactly.  A discharge it leaves on a node below
+    h_eps is not in a step's output, whose velocities are +0.0 on its dry
+    nodes (timeloop._project), but a Heun stage state can carry one: the
+    stage zeroes the prediction's, and its correction, made on the wet mask
+    of the depth it started from, can give the node discharge again
+    (timeloop._stage).  A dt that is not finite and positive raises
+    ValueError, one beyond the CFL bound of speed CFLViolationError, and a
+    negative depth beyond round-off RuntimeError.
 
     The update runs over blocks of core._BLOCK nodes.  Each output is a
     node's update, elementwise in the fluxes of its two interfaces: an

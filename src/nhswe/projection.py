@@ -13,17 +13,17 @@ lumped mass makes A_H diagonal, so the elimination is exact and
 U = U* + dt A_H^-1 B^T P.  Velocities enter and leave as (u, w) pairs of
 nodal arrays, the two blocks of U that B acts on.
 
-A closure is the (left, right) pair of pressure condition kinds, the side
-of each given by its slot, and every condition holds its data at 0 or at
-the predicted trace:
-  * "dirichlet": the boundary pressure dof is pinned to 0 (row and column
+The projection closes on the (left, right) pair of hyperbolic conditions
+that closed the prediction (hyperbolic.HyperbolicBC), each side's by its
+slot, and reads their kinds:
+  * "imposed_flux" pins the boundary pressure dof to 0 (row and column
     eliminated symmetrically, which keeps the matrix SPD); the boundary
     velocity is corrected like any interior dof.
-  * "wall" and "neumann": the boundary horizontal velocity is held, at 0
-    for a wall and at its predicted trace for neumann; its column leaves
-    the Schur operator and the held value enters the right-hand side
-    through B U*.  An imposed depth closes as neumann: the depth-dependent
-    boundary entries of B and C already carry its Robin coefficient dH/dn.
+  * every other kind holds the boundary horizontal velocity, at 0 for
+    "wall" and at its predicted trace otherwise; its column leaves the
+    Schur operator and the held value enters the right-hand side through
+    B U*.  An imposed depth's Robin coefficient dH/dn already lives in the
+    depth-dependent boundary entries of B and C.
 Velocity dofs on dry nodes (H < h_eps, OperatorSet.wet) are not corrected,
 and pressure dofs with an entirely dry support are pinned to 0.  A
 correction is SchurSystem.load, solve_pressure and correct_velocity.
@@ -39,6 +39,7 @@ from scipy.linalg.lapack import dpbtrf, dpbtrs, dpttrf, dpttrs
 
 from .core import _read_only
 from .femops import OperatorSet
+from .hyperbolic import HyperbolicBC
 
 
 @dataclass
@@ -53,33 +54,30 @@ class _BCPlan:
     held_u: np.ndarray  # the end nodes whose u is held, ascending
     pinned_dofs: np.ndarray  # the pressure dofs held at 0, ascending
     band_zeros: np.ndarray  # flat indices of the band entries they zero
-    bcs: tuple  # the (left, right) pair of kinds the plan resolves
+    kinds: tuple  # the (left, right) pair of hyperbolic kinds it resolves
 
 
-def resolve_projection_bcs(ops: OperatorSet, bcs) -> _BCPlan:
-    """The read-only held end nodes and pinned dofs of one projection under
-    the (left, right) pair of pressure condition kinds bcs.
+def resolve_projection_bcs(ops: OperatorSet, hyp: tuple[HyperbolicBC, HyperbolicBC]) -> _BCPlan:
+    """The read-only held end nodes and pinned dofs of one projection closed
+    by the pair of hyperbolic conditions hyp (module docstring).
 
-    The geometry keeps the last plan of each closure with the wet mask it
-    was resolved on (_Geometry.plans), and returns it while ops.wet equals
+    The geometry keeps the last plan of each pair of kinds with the wet mask
+    it was resolved on (_Geometry.plans), and returns it while ops.wet equals
     that mask by content: the mask of a run changes in few projections.
     """
-    if len(bcs) != 2:
-        raise ValueError(f"bcs must be a (left, right) pair of kinds, got {bcs!r}")
-    bcs = tuple(bcs)
+    left, right = hyp
+    kinds = (left.kind, right.kind)
     plans = ops.geometry.plans
-    cached = plans.get(bcs)
+    cached = plans.get(kinds)
     if cached is not None and not (cached[0] != ops.wet).any():
         return cached[1]
     held = []
     pinned = ops.dry_pressure_dofs()
-    for kind, end, node in zip(bcs, (0, -1), (0, ops.n_nodes - 1)):
-        if kind == "dirichlet":
+    for kind, end, node in zip(kinds, (0, -1), (0, ops.n_nodes - 1)):
+        if kind == "imposed_flux":
             pinned[end] = True
-        elif kind in ("wall", "neumann"):
-            held.append(node)
         else:
-            raise ValueError(f"unknown pressure BC kind {kind!r}")
+            held.append(node)
     pinned = pinned.nonzero()[0]
     # symmetric elimination: entry l of band d, flat index d m + l of the
     # lower layout (SchurSystem), couples dofs l and l + d
@@ -87,8 +85,8 @@ def resolve_projection_bcs(ops: OperatorSet, bcs) -> _BCPlan:
     band_zeros = np.concatenate([d * m + entries for d in range(1, ops.bandwidth + 1)
                                  for entries in (pinned[pinned < m - d], pinned[pinned >= d] - d)])
     plan = _BCPlan(_read_only(np.array(held, dtype=np.intp)), _read_only(pinned),
-                   _read_only(band_zeros), bcs)
-    plans[bcs] = (ops.wet, plan)
+                   _read_only(band_zeros), kinds)
+    plans[kinds] = (ops.wet, plan)
     return plan
 
 
@@ -116,14 +114,6 @@ class SchurSystem:
     invA_w: np.ndarray
     factor: tuple = field(repr=False, compare=False)
 
-    @property
-    def n_pressure(self) -> int:
-        return self.ab.shape[1]
-
-    @property
-    def bandwidth(self) -> int:
-        return self.ab.shape[0] - 1
-
     def load(self, u, w, dt: float, extra=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(u*, B U*, rhs) of the predicted velocity (u, w) and dt.
 
@@ -140,7 +130,7 @@ class SchurSystem:
         u_star = np.array(u, dtype=float)
         if u_star.shape != (n,) or w.shape != (n,):
             raise ValueError(f"u and w need one entry per node ({n})")
-        for kind, node in zip(self.plan.bcs, (0, -1)):
+        for kind, node in zip(self.plan.kinds, (0, -1)):
             if kind == "wall":
                 u_star[node] = 0.0
         div = self.ops.apply_divergence(u_star, w)
@@ -155,21 +145,19 @@ class SchurSystem:
 
     def enforced_norm(self, div: np.ndarray) -> float:
         """2-norm of div over the enforced constraint rows (pinned rows
-        carry no discrete equation and are excluded)."""
-        pinned = self.plan.pinned_dofs
-        # with no pinned row the norm is over div itself: no masked copy
-        if pinned.size:
-            div = div.copy()
-            div[pinned] = 0.0
-        # numpy's own 2-norm of a 1-D float array, without its wrapper
-        return math.sqrt(div.dot(div))
+        carry no discrete equation and are excluded).  The sum is numpy's
+        pairwise one, not a BLAS dot product, whose bits depend on its
+        thread count."""
+        squares = np.square(div)
+        squares[self.plan.pinned_dofs] = 0.0
+        return math.sqrt(np.add.reduce(squares))
 
 
-def build_schur(ops: OperatorSet, bcs) -> SchurSystem:
+def build_schur(ops: OperatorSet, hyp: tuple[HyperbolicBC, HyperbolicBC]) -> SchurSystem:
     """Assemble and factor the banded Schur complement of the operators ops,
-    closed by the (left, right) pair of pressure condition kinds bcs (module
+    closed by the (left, right) pair of hyperbolic conditions hyp (module
     docstring)."""
-    plan = resolve_projection_bcs(ops, bcs)
+    plan = resolve_projection_bcs(ops, hyp)
     m = ops.n_pressure
     bw = ops.bandwidth
     Du = ops.Du
@@ -193,7 +181,7 @@ def build_schur(ops: OperatorSet, bcs) -> SchurSystem:
                 term += w_factor * invA_w[nodes]
                 band[rows] += term
 
-    # symmetric elimination of the pinned dofs (Dirichlet sides and dry
+    # symmetric elimination of the pinned dofs (imposed-flux sides and dry
     # supports), each held at 0; load zeroes their rhs
     ab.put(plan.band_zeros, 0.0)
     ab[0, plan.pinned_dofs] = 1.0
@@ -225,7 +213,7 @@ def solve_pressure(sys: SchurSystem, rhs: np.ndarray) -> PressureField:
     """Solve the Schur system for rhs, exact up to round-off in O(M) work:
     dpttrs or dpbtrs on sys.factor, the second half of
     scipy.linalg.solveh_banded, for its bits."""
-    if sys.bandwidth == 1:
+    if sys.ab.shape[0] == 2:
         p, _ = dpttrs(*sys.factor, rhs)
     else:
         p, _ = dpbtrs(*sys.factor, rhs, lower=1)
@@ -238,7 +226,7 @@ def correct_velocity(
     """(u, w) = (u*, w) + dt A_H^-1 B^T p with the masks of sys: u* is
     sys.load's own copy, so its correction is added in place; the caller's
     w stays as it was, and the corrected w is new."""
-    if p.size != sys.n_pressure:
+    if p.size != sys.ops.n_pressure:
         raise ValueError("pressure/operator size mismatch")
     du, dw = sys.ops.scatter_divergence_t(p)
     # (dt A_H^-1) B^T p, each product formed in place in the scattered array
@@ -259,9 +247,9 @@ def solve_round_off(sys: SchurSystem, p: np.ndarray, dt: float) -> float:
     rows, and a banded Cholesky solve meets S p = rhs only to about
     eps |S| |p|, which tiny lumped masses at near-dry nodes can raise above
     TOL |rhs|."""
-    m, q, ab = sys.n_pressure, np.abs(p), np.abs(sys.ab)
+    m, q, ab = sys.ops.n_pressure, np.abs(p), np.abs(sys.ab)
     y = ab[0] * q
-    for d in range(1, sys.bandwidth + 1):
+    for d in range(1, sys.ops.bandwidth + 1):
         y[:-d] += ab[d, : m - d] * q[d:]
         y[d:] += ab[d, : m - d] * q[:-d]
     return 8.0 * np.finfo(float).eps * dt * sys.enforced_norm(y)

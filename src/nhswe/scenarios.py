@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import G, Bathymetry, FlowState, Mesh1D
+from .core import G, Bathymetry, FlowState, Mesh1D, PhysicalParams
 from .hyperbolic import HyperbolicBC
 from .timeloop import BoundarySpec
 
@@ -232,7 +232,7 @@ class Scenario:
     bounds: BoundarySpec
     gauges: GaugeSet | None = None
     exact: Callable | None = None
-    h_eps: float = 1e-8
+    h_eps: float = PhysicalParams.h_eps
 
 
 def sine_flux_wavemaker(amplitude: float, depth: float, period: float,

@@ -2,8 +2,9 @@
 
 step_euler advances the hydrostatic subsystem explicitly (predict), then
 projects the velocity onto the discretely divergence-free space with the
-operators assembled at the predicted depth (_project), which leaves the
-depth untouched.  step_heun is SSP-RK2 in Shu-Osher form,
+operators assembled at the predicted depth, closed by the prediction's
+hyperbolic conditions (_project, BoundarySpec), which leaves the depth
+untouched.  step_heun is SSP-RK2 in Shu-Osher form,
 
     X^{n+1} = (X^n + stage(stage(X^n))) / 2,
 
@@ -58,14 +59,12 @@ HyperbolicSide = HyperbolicBC | Callable[[float], HyperbolicBC]
 
 @dataclass
 class BoundarySpec:
-    """Per-side hyperbolic condition; the pressure condition follows its kind.
+    """Per-side hyperbolic condition, which closes the projection too.
 
     The slot is the side: left closes the first node ("in") and right the
-    last one ("out"), for the hyperbolic ghost and the pressure closure
-    alike.  The hyperbolic entry may be a callable of time (wavemakers).
-    Each projection, and each stage of step_heun, closes the pressure
-    problem with the (left, right) pair of kinds the hyperbolic kinds
-    induce (_PRESSURE_KIND).
+    last one ("out").  An entry may be a callable of time (wavemakers).
+    Each projection, and each stage of step_heun, closes on the pair that
+    closed its prediction, by their kinds (projection module docstring).
     """
 
     left: HyperbolicSide
@@ -85,28 +84,13 @@ class BoundarySpec:
         return cls(HyperbolicBC("free_outflow"), HyperbolicBC("free_outflow"))
 
 
-# pressure closure induced by each hyperbolic kind: an imposed flux pins the
-# pressure to 0, a wall holds the velocity at 0, free outflow and an imposed
-# depth keep the predicted velocity trace
-_PRESSURE_KIND = {
-    "imposed_flux": "dirichlet",
-    "wall": "wall",
-    "imposed_depth": "neumann",
-    "free_outflow": "neumann",
-}
-
-
-def _pressure_bcs(hyp: tuple[HyperbolicBC, HyperbolicBC]) -> tuple[str, str]:
-    """(left, right) pressure condition kinds induced by the hyperbolic kinds."""
-    return _PRESSURE_KIND[hyp[0].kind], _PRESSURE_KIND[hyp[1].kind]
-
-
 @dataclass
 class StepReport:
     """Per-step diagnostics as plain floats: the time t after the step, its
     dt, the divergence residual of the corrected velocity and its bound,
     and the total mass.  A step computes no energy: take
-    total_energy(step.state, mesh, bathy) where it is wanted."""
+    total_energy(step.state, mesh, bathy, params.h_eps) where it is
+    wanted."""
 
     t: float
     dt: float
@@ -150,7 +134,7 @@ def _project(
     """
     ops = assemble(pair, mesh, state.H, bathy, h_eps)
     u, w = state.velocities(ops.wet)
-    sys = build_schur(ops, _pressure_bcs(hyp))
+    sys = build_schur(ops, hyp)
     u, div, rhs = sys.load(u, w, dt)
     pressure = solve_pressure(sys, rhs)
     u, w = correct_velocity(sys, u, w, dt, pressure.values)
@@ -348,11 +332,10 @@ def step_heun(
     pair = pair or ElementPair(P1P0, mesh.n_nodes)
     h_eps = params.h_eps
     hyp = bounds.hyperbolic_at(state.t)
-    bcs = _pressure_bcs(hyp)
     sys = None if _last is None else _last.schur
-    reuse = sys is not None and sys.plan.bcs == bcs
+    reuse = sys is not None and sys.plan.kinds == (hyp[0].kind, hyp[1].kind)
     if not (reuse and (sys.ops.H is state.H or np.array_equal(sys.ops.H, state.H))):
-        sys = build_schur(assemble(pair, mesh, state.H, bathy, h_eps), bcs)
+        sys = build_schur(assemble(pair, mesh, state.H, bathy, h_eps), hyp)
     wet = sys.ops.wet
     u, w = state.velocities(wet)
     dt_cfl, speed = cfl_step(state.H, u, mesh, wet)
@@ -370,7 +353,7 @@ def step_heun(
         )
     # the second stage and the final projection close at t + dt
     hyp = bounds.hyperbolic_at(first.t)
-    sys = build_schur(assemble(pair, mesh, first.H, bathy, h_eps), _pressure_bcs(hyp))
+    sys = build_schur(assemble(pair, mesh, first.H, bathy, h_eps), hyp)
     second, _ = _stage(first, sys, u1, w1, speed1, dt, mesh, bathy, h_eps, hyp)
     # the stage's system is done with: let it go before the final
     # projection allocates

@@ -703,9 +703,9 @@ def dense_gradient(ops):
 
 def schur_dense(sys):
     """The Schur matrix of sys as a dense (M, M) matrix, from its lower band."""
-    m = sys.n_pressure
+    m = sys.ops.n_pressure
     out = np.diag(sys.ab[0].copy())
-    for d in range(1, sys.bandwidth + 1):
+    for d in range(1, sys.ops.bandwidth + 1):
         band = sys.ab[d, : m - d]
         out += np.diag(band, k=d) + np.diag(band, k=-d)
     return out
@@ -713,9 +713,9 @@ def schur_dense(sys):
 
 def schur_matvec(sys, x):
     """S x from the lower band of sys."""
-    m = sys.n_pressure
+    m = sys.ops.n_pressure
     y = sys.ab[0] * x
-    for d in range(1, sys.bandwidth + 1):
+    for d in range(1, sys.ops.bandwidth + 1):
         band = sys.ab[d, : m - d]
         y[:-d] += band * x[d:]
         y[d:] += band * x[:-d]
@@ -759,7 +759,7 @@ def solve_cg(sys, rhs, tol):
     r = rhs.copy()
     d = r.copy()
     rr = float(r @ r)
-    cap = 4 * sys.n_pressure + 100
+    cap = 4 * sys.ops.n_pressure + 100
     for it in range(1, cap + 1):
         Sd = schur_matvec(sys, d)
         alpha = rr / float(d @ Sd)
@@ -792,7 +792,7 @@ def solve_uzawa(sys, u, w, dt, tol):
     """
     from nhswe import correct_velocity
 
-    m = sys.n_pressure
+    m = sys.ops.n_pressure
     u_star, _, rhs = sys.load(u, w, dt)
     rhs_norm = float(np.linalg.norm(rhs))
     if rhs_norm == 0.0:

@@ -10,9 +10,12 @@ and nodal pressure, every StepReport field and every gauge series, as the
 bits of their float64 values.  Equal hashes mean equal outputs; the script
 prints only the hash.  pytest does not collect this file.
 
-BLAS runs on one thread, set before numpy is imported: the reported
-divergence residuals are BLAS dot products, whose bits depend on the
-thread count at N = 100,001.
+BLAS runs on one thread, set before numpy is imported, as perfbench/run.py
+does.  The hash does not depend on it: the reported divergence residuals
+are numpy's pairwise sums, not BLAS dot products, whose bits change with
+the thread count at N = 100,001 (test_timeloop.py::
+test_step_reports_do_not_depend_on_the_blas_thread_count).  The pin keeps
+a BLAS sum added later from making the hash depend on the host.
 """
 
 import os

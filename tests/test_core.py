@@ -14,6 +14,9 @@ from oracles import prediction_inputs
 SOLITARY_MASS = 46.49665125871972
 SOLITARY_ENERGY = 239.57888188756024
 
+# the default dry threshold
+H_EPS = nh.PhysicalParams().h_eps
+
 
 def test_total_mass_constant_field():
     mesh = nh.Mesh1D.uniform(0.0, 10.0, 51)
@@ -46,7 +49,7 @@ def test_total_energy_lake_at_rest():
     mesh = nh.Mesh1D.uniform(0.0, 7.0, 29)
     bathy = nh.Bathymetry.flat(mesh)
     state = nh.FlowState(np.ones(29), np.zeros(29), np.zeros(29))
-    assert nh.total_energy(state, mesh, bathy) == pytest.approx(G * 7.0 / 2.0, rel=1e-13)
+    assert nh.total_energy(state, mesh, bathy, H_EPS) == pytest.approx(G * 7.0 / 2.0, rel=1e-13)
 
 
 def test_total_energy_direct_formula():
@@ -54,7 +57,7 @@ def test_total_energy_direct_formula():
     bathy = nh.Bathymetry.flat(mesh)
     state = nh.FlowState(2.0 * np.ones(11), np.zeros(11), np.zeros(11))
     # E = G H (eta + zb) / 2 = G * 2 * 2 / 2 per unit length
-    assert nh.total_energy(state, mesh, bathy) == pytest.approx(2.0 * G, rel=1e-13)
+    assert nh.total_energy(state, mesh, bathy, H_EPS) == pytest.approx(2.0 * G, rel=1e-13)
 
 
 def test_total_energy_solitary_golden():
@@ -63,16 +66,34 @@ def test_total_energy_solitary_golden():
     params = SolitaryWaveParams()
     H, u, w, _ = solitary_wave(mesh.nodes - 11.0, 0.0, params)
     state = nh.FlowState(H, H * u, H * w)
-    assert nh.total_energy(state, mesh, bathy) == pytest.approx(SOLITARY_ENERGY, abs=1e-5)
+    energy = nh.total_energy(state, mesh, bathy, H_EPS)
+    assert energy == pytest.approx(SOLITARY_ENERGY, abs=1e-5)
 
 
 def test_dry_nodes_contribute_no_kinetic_energy():
     mesh = nh.Mesh1D.uniform(0.0, 1.0, 3)
     bathy = nh.Bathymetry.flat(mesh)
     state = nh.FlowState(np.array([0.0, 1.0, 0.0]), np.zeros(3), np.zeros(3))
-    e = nh.total_energy(state, mesh, bathy)
+    e = nh.total_energy(state, mesh, bathy, H_EPS)
     assert np.isfinite(e)
     assert e == pytest.approx(G / 2.0 * mesh.dual_widths[1], rel=1e-13)
+
+
+def test_a_node_below_h_eps_contributes_no_kinetic_energy():
+    # the energy reads the scheme's dry rule H < h_eps, where the scheme's
+    # velocities are 0: a thin node's discharge adds no kinetic energy (a
+    # mask H > 0 would add (1e-6)^2 / 1e-12 / 2 * 0.25 = 0.125)
+    mesh = nh.Mesh1D.uniform(0.0, 1.0, 5)
+    bathy = nh.Bathymetry.flat(mesh)
+    H = np.array([1.0, 1.0, 1e-12, 0.0, 0.0])
+    state = nh.FlowState(H, np.array([0.0, 0.0, 1e-6, 0.0, 0.0]), np.zeros(5))
+    assert nh.total_energy(state, mesh, bathy, H_EPS) == 1.839375
+    # the wet nodes keep the bits of the mask H > 0, which a threshold
+    # below every positive depth gives
+    moving = nh.FlowState(H, np.array([0.3, -0.2, 0.0, 0.0, 0.0]),
+                          np.array([0.1, 0.0, 0.0, 0.0, 0.0]))
+    energy = nh.total_energy(moving, mesh, bathy, H_EPS)
+    assert energy == nh.total_energy(moving, mesh, bathy, 1e-300)
 
 
 def test_mesh_invariants():

@@ -74,7 +74,7 @@ def test_lumped_mass_floor_caps_a_thin_wet_node_between_dry_ones():
     ops = nh.assemble(nh.ElementPair(P1P0, 11), mesh, H, nh.Bathymetry.flat(mesh), h_eps)
     assert ops.wet[5] and not ops.wet[4] and not ops.wet[6]
     assert ops.a_node[5] == floor
-    assert nh.build_schur(ops, ("wall", "wall")).invA_w[5] == 1.0 / floor
+    assert nh.build_schur(ops, nh.BoundarySpec.walls().hyperbolic_at(0.0)).invA_w[5] == 1.0 / floor
 
 
 def test_lumped_mass_scales_linearly_with_depth():

@@ -28,24 +28,36 @@ from oracles import (
 )
 
 PAIRS = (P1P0, P1ISOP2P1)
-NEUMANN = ("neumann", "neumann")
+
+# the data of each hyperbolic kind; the projection reads the kinds only
+_DATA = {"imposed_flux": {"q0": (0.1, 0.0)}, "imposed_depth": {"h_given": 1.0},
+         "free_outflow": {}, "wall": {}}
+
+
+def _closure(left, right):
+    """The (left, right) pair of hyperbolic conditions of two kinds."""
+    return tuple(nh.HyperbolicBC(kind, **_DATA[kind]) for kind in (left, right))
+
+
+OUTFLOW = _closure("free_outflow", "free_outflow")
+FLUX = _closure("imposed_flux", "imposed_flux")
 
 # the default dry threshold
 H_EPS = nh.PhysicalParams().h_eps
 
 
-def _random_system(rng, tag, bcs, n_min=7, n_max=13):
+def _random_system(rng, tag, hyp, n_min=7, n_max=13):
     mesh, H, zb = random_wet_setup(rng, n_min=n_min, n_max=n_max, odd=True)
     ops = nh.assemble(nh.ElementPair(tag, mesh.n_nodes), mesh, H, nh.Bathymetry(zb), H_EPS)
     n = mesh.n_nodes
     U = rng.standard_normal(2 * n)
     dt = 0.01 * (1.0 + rng.random())
-    return nh.build_schur(ops, bcs), ops, (U[:n], U[n:]), dt
+    return nh.build_schur(ops, hyp), ops, (U[:n], U[n:]), dt
 
 
 def _pinned_mask(sys):
     """The pinned pressure dofs of a system as a mask."""
-    pinned = np.zeros(sys.n_pressure, dtype=bool)
+    pinned = np.zeros(sys.ops.n_pressure, dtype=bool)
     pinned[sys.plan.pinned_dofs] = True
     return pinned
 
@@ -54,14 +66,15 @@ def _pinned_mask(sys):
 
 
 def test_schur_n3_dense_hand_assembly():
-    # P1/P0, N=3 uniform, H=1, zb=0, neumann boundaries: the 2x2 system is
+    # P1/P0, N=3 uniform, H=1, zb=0, free outflow at both ends (each
+    # velocity held at its trace): the 2x2 system is
     # written out by hand from the interface stencils
     h = 0.5
     mesh = nh.Mesh1D.uniform(0.0, 1.0, 3)
     ops = nh.assemble(nh.ElementPair(P1P0, 3), mesh, np.ones(3), nh.Bathymetry.flat(mesh), H_EPS)
     U = np.array([0.3, -0.2, 0.1, 0.05, -0.4, 0.25])
     dt = 0.02
-    sys = nh.build_schur(ops, NEUMANN)
+    sys = nh.build_schur(ops, OUTFLOW)
     _, _, rhs = sys.load(U[:3], U[3:], dt)
     # divergence rows: (-u_l + u_{l+1}) + h (w_l + w_{l+1});
     # lumped mass: [h/2, h, h/2]; the held end velocities u_0 and u_2 drop
@@ -81,7 +94,7 @@ def test_schur_n3_dense_hand_assembly():
 def test_schur_rhs_zero_for_divergence_free_data():
     mesh = nh.Mesh1D.uniform(0.0, 1.0, 9)
     ops = nh.assemble(nh.ElementPair(P1P0, 9), mesh, np.ones(9), nh.Bathymetry.flat(mesh), H_EPS)
-    sys = nh.build_schur(ops, NEUMANN)
+    sys = nh.build_schur(ops, OUTFLOW)
     _, _, rhs = sys.load(0.7 * np.ones(9), np.zeros(9), 0.01)  # constant u, flat data
     assert np.abs(rhs).max() <= 1e-12
     p = nh.solve_pressure(sys, rhs)
@@ -92,7 +105,7 @@ def test_schur_rhs_zero_for_divergence_free_data():
 def test_schur_symmetry_random_wet_dirichlet(tag):
     rng = np.random.default_rng(12)
     for _ in range(50):
-        sys, _, _, _ = _random_system(rng, tag, bcs=("dirichlet", "dirichlet"))
+        sys, _, _, _ = _random_system(rng, tag, hyp=FLUX)
         S = schur_dense(sys)
         assert np.abs(S - S.T).max() <= 1e-12 * max(1.0, np.abs(S).max())
 
@@ -101,7 +114,7 @@ def test_schur_symmetry_random_wet_dirichlet(tag):
 def test_schur_spd_random_wet_dirichlet(tag):
     rng = np.random.default_rng(21)
     for _ in range(25):
-        sys, _, _, _ = _random_system(rng, tag, bcs=("dirichlet", "dirichlet"))
+        sys, _, _, _ = _random_system(rng, tag, hyp=FLUX)
         eig = np.linalg.eigvalsh(schur_dense(sys))
         assert eig.min() > 0.0
 
@@ -114,16 +127,16 @@ def test_schur_spd_on_fifty_random_dirichlet_systems():
         n = mesh.n_nodes
         tag = PAIRS[int(rng.integers(0, 2))]
         ops = nh.assemble(nh.ElementPair(tag, n), mesh, H, nh.Bathymetry(zb), H_EPS)
-        sys = nh.build_schur(ops, ("dirichlet", "dirichlet"))
+        sys = nh.build_schur(ops, FLUX)
         assert np.linalg.eigvalsh(schur_dense(sys)).min() > 0.0
 
 
 def test_schur_bandwidth_structure():
     rng = np.random.default_rng(5)
-    sys1, _, _, _ = _random_system(rng, P1P0, NEUMANN)
-    assert sys1.bandwidth == 1
-    sys2, _, _, _ = _random_system(rng, P1ISOP2P1, NEUMANN)
-    assert sys2.bandwidth == 2
+    sys1, _, _, _ = _random_system(rng, P1P0, OUTFLOW)
+    assert sys1.ops.bandwidth == 1 and sys1.ab.shape[0] == 2
+    sys2, _, _, _ = _random_system(rng, P1ISOP2P1, OUTFLOW)
+    assert sys2.ops.bandwidth == 2 and sys2.ab.shape[0] == 3
     S = schur_dense(sys2)
     m = S.shape[0]
     for d in range(3, m):
@@ -136,15 +149,15 @@ def test_schur_dense_equals_masked_operator_product(tag):
     # masked out of A_H^-1, pinned pressure rows and columns replaced by the
     # identity; the lower band storage must reproduce it
     rng = np.random.default_rng(33)
-    for bcs in (
-        ("dirichlet", "neumann"),
-        ("neumann", "wall"),
+    for hyp in (
+        _closure("imposed_flux", "free_outflow"),
+        _closure("imposed_depth", "wall"),
     ):
         mesh, H, zb = random_wet_setup(rng, n_min=15, n_max=21, odd=True)
         n = mesh.n_nodes
         H[n // 2 - 2 : n // 2 + 3] = 0.0  # a dry patch pins the dofs it supports
         ops = nh.assemble(nh.ElementPair(tag, n), mesh, H, nh.Bathymetry(zb), H_EPS)
-        sys = nh.build_schur(ops, bcs)
+        sys = nh.build_schur(ops, hyp)
         pinned = _pinned_mask(sys)
         assert pinned.any() and not pinned.all()
         free = np.r_[free_velocity_mask(sys.plan, ops), ops.wet]
@@ -174,8 +187,8 @@ def test_a_built_system_is_read_only_and_serves_every_load(tag):
     # read-only, and each load on it gives the bits of a load on a fresh
     # build, writes nothing into it and leaves the caller's velocity as it was
     rng = np.random.default_rng(5)
-    bcs = ("wall", "dirichlet")
-    sys, ops, (u, w), dt = _random_system(rng, tag, bcs=bcs)
+    hyp = _closure("wall", "imposed_flux")
+    sys, ops, (u, w), dt = _random_system(rng, tag, hyp=hyp)
     with pytest.raises(FrozenInstanceError):
         sys.factor = None
     for array in (sys.ab, sys.invA_u, sys.invA_w, sys.plan.held_u, sys.plan.pinned_dofs,
@@ -185,10 +198,10 @@ def test_a_built_system_is_read_only_and_serves_every_load(tag):
     held = _held_bits(sys)
     pinned = _pinned_mask(sys)
     assert pinned.any()
-    extra = rng.standard_normal(sys.n_pressure)
+    extra = rng.standard_normal(sys.ops.n_pressure)
     for load in ((u, w, dt), (-u, -w, 2.0 * dt), (u, w, dt, extra)):
         given = [float_bits(a).copy() for a in load]
-        fresh = nh.build_schur(ops, bcs)
+        fresh = nh.build_schur(ops, hyp)
         got, want = [], []
         for system, out in ((sys, got), (fresh, want)):
             u_star, div, rhs = system.load(*load)
@@ -212,7 +225,7 @@ def test_schur_rejects_bad_dt():
     rng = np.random.default_rng(6)
     mesh, H, zb = random_wet_setup(rng)
     ops = nh.assemble(nh.ElementPair(P1P0, mesh.n_nodes), mesh, H, nh.Bathymetry(zb), H_EPS)
-    sys = nh.build_schur(ops, NEUMANN)
+    sys = nh.build_schur(ops, OUTFLOW)
     # a NaN fails every comparison and an infinite dt loads a NaN or -0 rhs
     for dt in (0.0, -0.01, -1.0, np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="dt must be positive"):
@@ -230,10 +243,10 @@ def test_zero_rhs_gives_zero_pressure_all_methods():
     # iteration.
     rng = np.random.default_rng(9)
     for tag in PAIRS:
-        for bcs in (NEUMANN, ("dirichlet", "wall")):
-            sys, _, _, dt = _random_system(rng, tag, bcs=bcs)
-            assert (sys.plan.pinned_dofs.size > 0) == (bcs[0] == "dirichlet")
-            zero_p, zero_u = np.zeros(sys.n_pressure), np.zeros(sys.ops.n_nodes)
+        for hyp in (OUTFLOW, _closure("imposed_flux", "wall")):
+            sys, _, _, dt = _random_system(rng, tag, hyp=hyp)
+            assert (sys.plan.pinned_dofs.size > 0) == (hyp[0].kind == "imposed_flux")
+            zero_p, zero_u = np.zeros(sys.ops.n_pressure), np.zeros(sys.ops.n_nodes)
             p = nh.solve_pressure(sys, zero_p).values
             assert np.array_equal(float_bits(p), float_bits(zero_p))
             rest = sys.load(zero_u, zero_u, dt)[2]
@@ -304,8 +317,8 @@ def test_cg_agrees_with_direct():
     tol = 1e-10
     for tag in PAIRS:
         for _ in range(10):
-            sys, _, _, _ = _random_system(rng, tag, bcs=("dirichlet", "dirichlet"))
-            rhs = np.where(_pinned_mask(sys), 0.0, rng.standard_normal(sys.n_pressure))
+            sys, _, _, _ = _random_system(rng, tag, hyp=FLUX)
+            rhs = np.where(_pinned_mask(sys), 0.0, rng.standard_normal(sys.ops.n_pressure))
             p_direct = nh.solve_pressure(sys, rhs).values
             p_cg, _ = solve_cg(sys, rhs, tol)
             rel = np.linalg.norm(p_cg - p_direct) / np.linalg.norm(p_direct)
@@ -316,7 +329,7 @@ def test_uzawa_agrees_with_direct():
     rng = np.random.default_rng(14)
     tol = 1e-6
     for tag in PAIRS:
-        sys, _, (u, w), dt = _random_system(rng, tag, NEUMANN, n_min=21, n_max=27)
+        sys, _, (u, w), dt = _random_system(rng, tag, OUTFLOW, n_min=21, n_max=27)
         p_direct = nh.solve_pressure(sys, sys.load(u, w, dt)[2]).values
         p_uz, _ = solve_uzawa(sys, u, w, dt, tol)
         rel = np.linalg.norm(p_uz - p_direct) / max(np.linalg.norm(p_direct), 1e-300)
@@ -325,7 +338,7 @@ def test_uzawa_agrees_with_direct():
 
 def test_direct_residual_reported():
     rng = np.random.default_rng(15)
-    sys, _, (u, w), dt = _random_system(rng, P1P0, NEUMANN)
+    sys, _, (u, w), dt = _random_system(rng, P1P0, OUTFLOW)
     _, _, rhs = sys.load(u, w, dt)
     p = nh.solve_pressure(sys, rhs)
     residual = np.linalg.norm(schur_dense(sys) @ p.values - rhs)
@@ -341,7 +354,7 @@ def test_uzawa_iteration_cap_error():
     ops = nh.assemble(nh.ElementPair(P1P0, n), mesh, np.ones(n), nh.Bathymetry.flat(mesh), H_EPS)
     U = rng.standard_normal(2 * n)
     with pytest.raises(SolverConvergenceError) as err:
-        solve_uzawa(nh.build_schur(ops, NEUMANN), U[:n], U[n:], 0.01, 1e-13)
+        solve_uzawa(nh.build_schur(ops, OUTFLOW), U[:n], U[n:], 0.01, 1e-13)
     assert err.value.residual > 0.0
     assert err.value.iterations > 0
 
@@ -383,7 +396,7 @@ def test_zero_pressure_identity():
     n = mesh.n_nodes
     ops = nh.assemble(nh.ElementPair(P1P0, n), mesh, H, nh.Bathymetry(zb), H_EPS)
     U = rng.standard_normal(2 * n)
-    sys = nh.build_schur(ops, NEUMANN)
+    sys = nh.build_schur(ops, OUTFLOW)
     u_star = sys.load(U[:n], U[n:], 0.1)[0]
     u, w = nh.correct_velocity(sys, u_star, U[n:], 0.1, np.zeros(ops.n_pressure))
     assert np.array_equal(u, U[:n]) and np.array_equal(w, U[n:])
@@ -392,9 +405,9 @@ def test_zero_pressure_identity():
 def test_correct_velocity_rejects_a_pressure_of_the_wrong_size():
     rng = np.random.default_rng(21)
     for tag in PAIRS:
-        sys, _, (u, w), dt = _random_system(rng, tag, NEUMANN)
+        sys, _, (u, w), dt = _random_system(rng, tag, OUTFLOW)
         u_star = sys.load(u, w, dt)[0]
-        for m in (sys.n_pressure - 1, sys.n_pressure + 1):
+        for m in (sys.ops.n_pressure - 1, sys.ops.n_pressure + 1):
             with pytest.raises(ValueError, match="size mismatch"):
                 nh.correct_velocity(sys, u_star, w, dt, np.zeros(m))
 
@@ -402,8 +415,8 @@ def test_correct_velocity_rejects_a_pressure_of_the_wrong_size():
 @pytest.mark.parametrize("tag", PAIRS)
 def test_corrected_field_is_divergence_free(tag):
     rng = np.random.default_rng(19)
-    for bcs in (NEUMANN, ("dirichlet", "dirichlet")):
-        sys, ops, (u, w), dt = _random_system(rng, tag, bcs=bcs)
+    for hyp in (OUTFLOW, FLUX):
+        sys, ops, (u, w), dt = _random_system(rng, tag, hyp=hyp)
         u_star, _, rhs = sys.load(u, w, dt)
         p = nh.solve_pressure(sys, rhs)
         base = divergence_residual(sys, u_star, w)
@@ -415,7 +428,7 @@ def test_corrected_field_is_divergence_free(tag):
 def test_projection_idempotence(tag):
     rng = np.random.default_rng(20)
     tol = 1e-10
-    sys, ops, (u, w), dt = _random_system(rng, tag, NEUMANN)
+    sys, ops, (u, w), dt = _random_system(rng, tag, OUTFLOW)
     u_star, _, rhs = sys.load(u, w, dt)
     p1 = nh.solve_pressure(sys, rhs)
     u1, w1 = nh.correct_velocity(sys, u_star, w, dt, p1.values)
@@ -445,7 +458,7 @@ def test_correction_never_raises_the_kinetic_energy(data):
     u, w = nh.FlowState(H, Hu, Hw).velocities(H >= H_EPS)
     dt = data.draw(st.floats(1e-4, 1.0))
     ops = nh.assemble(nh.ElementPair(tag, n), mesh, H, nh.Bathymetry(zb), H_EPS)
-    sys = nh.build_schur(ops, ("wall", "wall"))
+    sys = nh.build_schur(ops, _closure("wall", "wall"))
     u_star, _, rhs = sys.load(u, w, dt)
     before = np.sum(ops.a_node * (u_star**2 + w**2))
     u_c, w_c = nh.correct_velocity(sys, u_star, w, dt, nh.solve_pressure(sys, rhs).values)
@@ -457,14 +470,14 @@ def test_correction_never_raises_the_kinetic_energy(data):
 
 
 def test_dirichlet_value_enters_solution():
-    # the Dirichlet value is 0: the pinned dof solves to exactly 0
+    # an imposed flux pins the pressure dof at its side to the Dirichlet
+    # value 0: the pinned dof solves to exactly 0
     rng = np.random.default_rng(22)
     mesh, H, zb = random_wet_setup(rng)
     ops = nh.assemble(nh.ElementPair(P1P0, mesh.n_nodes), mesh, H, nh.Bathymetry(zb), H_EPS)
     n = mesh.n_nodes
     U = rng.standard_normal(2 * n)
-    bcs = ("dirichlet", "neumann")
-    sys = nh.build_schur(ops, bcs)
+    sys = nh.build_schur(ops, _closure("imposed_flux", "free_outflow"))
     _, _, rhs = sys.load(U[:n], U[n:], 0.05)
     p = nh.solve_pressure(sys, rhs)
     assert p.values[0] == 0.0
@@ -480,8 +493,7 @@ def test_neumann_pins_boundary_velocity():
     n = mesh.n_nodes
     ops = nh.assemble(nh.ElementPair(P1P0, n), mesh, H, nh.Bathymetry(zb), H_EPS)
     u, w = rng.standard_normal(2 * n).reshape(2, n)
-    bcs = ("wall", "neumann")
-    sys = nh.build_schur(ops, bcs)
+    sys = nh.build_schur(ops, _closure("wall", "free_outflow"))
     u_star, _, rhs = sys.load(u, w, 0.05)
     p = nh.solve_pressure(sys, rhs)
     u_new, w_new = nh.correct_velocity(sys, u_star, w, 0.05, p.values)
@@ -491,17 +503,21 @@ def test_neumann_pins_boundary_velocity():
 
 
 def test_pressure_bc_kinds_are_dirichlet_and_neumann():
-    # "wall" is the Neumann condition with zero velocity; an imposed depth
-    # closes as Neumann (its Robin coefficient lives in the depth-dependent
-    # boundary entries of B and C), so no "mixed" kind exists; every side
-    # takes a kind, so a side left without one is rejected; a closure is a
-    # (left, right) pair, so a lone kind is rejected too
+    # the projection closes on the hyperbolic kinds: an imposed flux pins
+    # the pressure (Dirichlet), every other kind holds the velocity
+    # (Neumann), at 0 for a wall.  An imposed depth closes like free
+    # outflow (its Robin coefficient lives in the depth-dependent boundary
+    # entries of B and C), so no "mixed" kind exists; every side takes a
+    # kind, so a side left without one is rejected; a closure is a (left,
+    # right) pair, so a lone condition is rejected too
     n = 5
     mesh = nh.Mesh1D.uniform(0.0, 1.0, n)
     ops = nh.assemble(nh.ElementPair(P1P0, n), mesh, np.ones(n), nh.Bathymetry.flat(mesh), H_EPS)
-    for bcs in (("mixed", "neumann"), (None, "wall"), ("dirichlet",)):
-        with pytest.raises(ValueError):
-            nh.build_schur(ops, bcs)
+    for kinds in (("mixed", "free_outflow"), (None, "wall")):
+        with pytest.raises(ValueError, match="unknown boundary kind"):
+            nh.build_schur(ops, tuple(nh.HyperbolicBC(kind) for kind in kinds))
+    with pytest.raises(ValueError):
+        nh.build_schur(ops, _closure("imposed_flux", "wall")[:1])
 
 
 def test_dry_pressure_dofs_pinned_to_zero():
@@ -509,7 +525,7 @@ def test_dry_pressure_dofs_pinned_to_zero():
     H = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0])
     ops = nh.assemble(nh.ElementPair(P1P0, 9), mesh, H, nh.Bathymetry.flat(mesh), h_eps=1e-8)
     u, w = np.zeros(9), np.where(H > 0, 0.3, 0.0)
-    sys = nh.build_schur(ops, NEUMANN)
+    sys = nh.build_schur(ops, OUTFLOW)
     u_star, _, rhs = sys.load(u, w, 0.01)
     p = nh.solve_pressure(sys, rhs)
     assert np.all(p.values[ops.dry_pressure_dofs()] == 0.0)
@@ -522,21 +538,21 @@ def test_dry_pressure_dofs_pinned_to_zero():
 def test_the_plan_lists_its_pinned_dofs_once(tag):
     # the plan's free velocities, the assembly's wet mask less the held
     # ends, are the wet mask inside the ends, and its pinned dofs are the
-    # ascending indices of the dry dofs and of each Dirichlet end
+    # ascending indices of the dry dofs and of each imposed-flux end
     rng = np.random.default_rng(64)
-    for bcs in (NEUMANN, ("dirichlet", "wall"), ("wall", "dirichlet")):
+    for hyp in (OUTFLOW, _closure("imposed_flux", "wall"), _closure("wall", "imposed_flux")):
         mesh, H, zb = random_wet_setup(rng, n_min=15, n_max=21, odd=True)
         n = mesh.n_nodes
         H[n // 2 - 2 : n // 2 + 3] = 0.0
         ops = nh.assemble(nh.ElementPair(tag, n), mesh, H, nh.Bathymetry(zb), H_EPS)
-        plan = resolve_projection_bcs(ops, bcs)
+        plan = resolve_projection_bcs(ops, hyp)
         free_u = free_velocity_mask(plan, ops)
         assert not np.shares_memory(plan.held_u, ops.wet)
         assert np.array_equal(ops.wet, H >= 1e-8)
         assert np.array_equal(free_u[1:-1], ops.wet[1:-1])
         assert plan.pinned_dofs.size > 0
         pinned = ops.dry_pressure_dofs()
-        pinned[[0, -1]] |= np.array(bcs) == "dirichlet"
+        pinned[[0, -1]] |= np.array([bc.kind for bc in hyp]) == "imposed_flux"
         assert np.array_equal(plan.pinned_dofs, np.flatnonzero(pinned))
         with pytest.raises(ValueError, match="read-only"):
             plan.pinned_dofs[0] = 0
@@ -547,12 +563,13 @@ def test_plan_masks():
     H = np.ones(5)
     ops = nh.assemble(nh.ElementPair(P1P0, 5), mesh, H, nh.Bathymetry.flat(mesh), H_EPS)
     u, w = np.arange(1.0, 6.0), np.arange(5.0, 10.0)
-    plan = resolve_projection_bcs(ops, ("wall", "dirichlet"))
+    hyp = _closure("wall", "imposed_flux")
+    plan = resolve_projection_bcs(ops, hyp)
     free_u = free_velocity_mask(plan, ops)
     assert not free_u[0] and free_u[1:].all()
     assert ops.wet.all()
     # the load holds u at the wall in a copy; the caller's u keeps its value
-    u_star, _, _ = nh.build_schur(ops, ("wall", "dirichlet")).load(u, w, 0.01)
+    u_star, _, _ = nh.build_schur(ops, hyp).load(u, w, 0.01)
     assert u_star[0] == 0.0
     assert np.array_equal(u_star[1:], u[1:])
     assert u[0] == 1.0 and not np.shares_memory(u_star, u)
@@ -582,27 +599,28 @@ def test_the_plan_cache_serves_each_mask_and_closure(tag):
     dried = H.copy()
     dried[n // 2 - 1 : n // 2 + 2] = 0.0
 
-    def build(depth, bcs, on=mesh):
-        return nh.build_schur(nh.assemble(pair, on, depth, bathy, H_EPS), bcs)
+    def build(depth, hyp, on=mesh):
+        return nh.build_schur(nh.assemble(pair, on, depth, bathy, H_EPS), hyp)
 
+    flux_wall = _closure("imposed_flux", "wall")
     builds = []
-    for depth, bcs in ((H, NEUMANN), (1.5 * H, NEUMANN), (dried, NEUMANN), (H, NEUMANN),
-                       (H, ("dirichlet", "wall")), (2.0 * H, NEUMANN)):
-        sys = build(depth, bcs)
-        fresh = build(depth, bcs, nh.Mesh1D(mesh.nodes.copy()))
+    for depth, hyp in ((H, OUTFLOW), (1.5 * H, OUTFLOW), (dried, OUTFLOW), (H, OUTFLOW),
+                       (H, flux_wall), (2.0 * H, OUTFLOW)):
+        sys = build(depth, hyp)
+        fresh = build(depth, hyp, nh.Mesh1D(mesh.nodes.copy()))
         for got, want in zip(_build_bits(sys), _build_bits(fresh)):
             assert np.array_equal(got, want)
         builds.append(sys.plan)
-    wet, same, dry, rewet, dirichlet, kept = builds
+    wet, same, dry, rewet, flux, kept = builds
     assert same is wet
     assert dry is not wet and not np.array_equal(dry.pinned_dofs, wet.pinned_dofs)
     assert rewet is not dry and np.array_equal(rewet.pinned_dofs, wet.pinned_dofs)
-    assert dirichlet is not rewet
+    assert flux is not rewet
     # the cache keeps the last plan of each closure
     assert kept is rewet
 
-    plans = build(H, NEUMANN).ops.geometry.plans
-    assert set(plans) == {NEUMANN, ("dirichlet", "wall")}
+    plans = build(H, OUTFLOW).ops.geometry.plans
+    assert set(plans) == {("free_outflow", "free_outflow"), ("imposed_flux", "wall")}
     for mask, plan in plans.values():
         held = [mask] + [a for a in vars(plan).values() if isinstance(a, np.ndarray)]
         assert len(held) == 4 and not any(a.flags.writeable for a in held)
@@ -622,11 +640,11 @@ class _BlockCase(NamedTuple):
     u: np.ndarray
     w: np.ndarray
     p: np.ndarray
-    bcs: tuple
+    hyp: tuple
     block: int
 
 
-_KINDS = st.sampled_from(["dirichlet", "wall", "neumann"])
+_KINDS = st.sampled_from(sorted(_DATA))
 
 
 @st.composite
@@ -644,7 +662,7 @@ def _block_cases(draw):
         u=draw(arrays(float, n, elements=values(-4.0, 4.0))),
         w=draw(arrays(float, n, elements=values(-2.0, 2.0))),
         p=draw(arrays(float, m, elements=values(-3.0, 3.0))),
-        bcs=(draw(_KINDS), draw(_KINDS)),
+        hyp=_closure(draw(_KINDS), draw(_KINDS)),
         block=draw(st.integers(1, m + 1)),
     )
 
@@ -659,7 +677,7 @@ def _block_layout(tag, n, block):
     return _BlockCase(
         tag=tag, widths=0.3 + 0.1 * np.cos(x[:-1]), H=H, zb=0.2 * np.cos(1.7 * x),
         u=np.sin(2.3 * x) / 3.0, w=np.cos(1.1 * x) / 7.0, p=np.sin(1.7 * np.arange(m) + 0.8),
-        bcs=("dirichlet", "wall"), block=block,
+        hyp=_closure("imposed_flux", "wall"), block=block,
     )
 
 
@@ -672,7 +690,7 @@ def _projection_bits(case, block):
     with mock.patch.object(core, "_BLOCK", block):
         a = nh.lump_mass(case.H, mesh, H_EPS)
         ops = nh.assemble(pair, mesh, case.H, nh.Bathymetry(case.zb), H_EPS)
-        sys = nh.build_schur(ops, case.bcs)
+        sys = nh.build_schur(ops, case.hyp)
         u_star, _, rhs = sys.load(case.u, case.w, 0.1)
         p = nh.solve_pressure(sys, rhs).values
         out = (a, ops.Du, sys.ab, ops.apply_divergence(case.u, case.w),

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -95,7 +100,7 @@ def test_step_report_fields():
     r = res.report
     assert r.dt > 0 and r.t == pytest.approx(r.dt)
     assert r.mass == pytest.approx(10.0, rel=1e-13)
-    assert np.isfinite(nh.total_energy(res.state, mesh, bathy))
+    assert np.isfinite(nh.total_energy(res.state, mesh, bathy, params.h_eps))
     assert r.div_residual <= r.div_bound
 
 
@@ -239,7 +244,7 @@ def test_energy_never_grows_on_closed_domain():
     out = nh.run(
         sc, params, t_end=0.5,
         on_step=lambda step: energies.append(
-            nh.total_energy(step.state, sc.mesh, sc.bathy)
+            nh.total_energy(step.state, sc.mesh, sc.bathy, params.h_eps)
         ),
     )
     assert len(energies) == len(out.reports)
@@ -252,9 +257,9 @@ def test_energy_dissipation_decreases_under_refinement():
     drifts = []
     for n in (151, 301):
         sc = nh.make_solitary(n)
-        e0 = nh.total_energy(sc.state0, sc.mesh, sc.bathy)
+        e0 = nh.total_energy(sc.state0, sc.mesh, sc.bathy, params.h_eps)
         out = nh.run(sc, params, t_end=1.0)
-        e1 = nh.total_energy(out.final, sc.mesh, sc.bathy)
+        e1 = nh.total_energy(out.final, sc.mesh, sc.bathy, params.h_eps)
         drifts.append(abs(e1 - e0) / e0)
     assert drifts[1] < drifts[0]
     assert drifts[0] < 0.05
@@ -341,11 +346,37 @@ def test_divergence_bound_violation_raises(stepper, monkeypatch):
     state = nh.FlowState(state.H, state.Hu, 0.3 * state.H)
 
     def no_pressure(sys, rhs):
-        return nh.PressureField(np.zeros(sys.n_pressure))
+        return nh.PressureField(np.zeros(sys.ops.n_pressure))
 
     monkeypatch.setattr(timeloop, "solve_pressure", no_pressure)
     with pytest.raises(nh.DivergenceBoundError):
         stepper(state, mesh, bathy, nh.PhysicalParams(), nh.BoundarySpec.walls())
+
+
+# one Euler step of the solitary wave at N = 100,001, whose StepReport is
+# printed as the hex of its five float64 fields
+_SOLITARY_STEP_REPORT = """
+import struct
+from dataclasses import astuple
+import nhswe as nh
+sc = nh.make_solitary(n_nodes=100001)
+step = nh.step_euler(sc.state0, sc.mesh, sc.bathy, nh.PhysicalParams(h_eps=sc.h_eps), sc.bounds)
+print(struct.pack("<5d", *astuple(step.report)).hex())
+"""
+
+
+def test_step_reports_do_not_depend_on_the_blas_thread_count():
+    # the reported residuals are sums over 100,000 rows: a BLAS dot product
+    # splits them among its threads, which changes their bits with the count
+    src = str(Path(nh.__file__).resolve().parents[1])
+    reports = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        out = subprocess.run([sys.executable, "-c", _SOLITARY_STEP_REPORT], env=env,
+                             capture_output=True, text=True, check=True)
+        reports.append(out.stdout)
+    assert len(reports[0]) == 81 and reports[0] == reports[1]
 
 
 def test_near_dry_step_is_held_to_the_round_off_of_its_solve():
@@ -681,7 +712,7 @@ def test_the_unmasked_divisions_give_the_masked_bits(case):
         y = nh.FlowState(H, Hu, Hw)
         wet = H >= H_EPS
         sys = nh.build_schur(nh.assemble(pair, mesh, H, nh.Bathymetry.flat(mesh), H_EPS),
-                             ("wall", "wall"))
+                             nh.BoundarySpec.walls().hyperbolic_at(0.0))
         pred = nh.FlowState(H, pred_Hu.copy(), pred_Hw.copy())
         got = (*y.velocities(wet), sys.invA_u, sys.invA_w,
                *timeloop._increments(pred, y, u_dH, w_dH, wet))
@@ -701,7 +732,7 @@ def _stage(bounds):
     pair = nh.ElementPair("P1P0", sc.mesh.n_nodes)
     hyp = bounds.hyperbolic_at(sc.state0.t)
     ops = nh.assemble(pair, sc.mesh, sc.state0.H, sc.bathy, H_EPS)
-    sys = nh.build_schur(ops, timeloop._pressure_bcs(hyp))
+    sys = nh.build_schur(ops, hyp)
     u, w, dt, speed = prediction_inputs(sc.state0, sc.mesh, H_EPS)
     stage, _ = timeloop._stage(sc.state0, sys, u, w, speed, dt, sc.mesh, sc.bathy, H_EPS, hyp)
     return sc, (u, w), stage, dt
@@ -751,21 +782,24 @@ def test_pressure_closure_of_each_hyperbolic_kind(kind, side):
     ops = nh.assemble(nh.ElementPair("P1P0", n), mesh, np.ones(n), nh.Bathymetry.flat(mesh), H_EPS)
     U = np.random.default_rng(7).standard_normal(2 * n)
     node, pdof = (0, 0) if side == "in" else (n - 1, ops.n_pressure - 1)
+    other_node, other_pdof = (n - 1, ops.n_pressure - 1) if side == "in" else (0, 0)
     assert U[node] != 0.0
     closed = nh.HyperbolicBC(kind, **_HYPERBOLIC_DATA[kind])
     other = nh.HyperbolicBC("free_outflow")
-    bcs = timeloop._pressure_bcs((closed, other) if side == "in" else (other, closed))
-    # the slot is the side: the closed kind lands in its own slot only
-    slot = 0 if side == "in" else 1
-    assert bcs[slot] == timeloop._PRESSURE_KIND[kind] and bcs[1 - slot] == "neumann"
+    hyp = (closed, other) if side == "in" else (other, closed)
     u, w = U[:n], U[n:]
-    plan = projection.resolve_projection_bcs(ops, bcs)
+    # the slot is the side: the closed kind acts at its own side only, and
+    # the free outflow side holds its node and pins no dof
+    plan = projection.resolve_projection_bcs(ops, hyp)
     assert (pdof in plan.pinned_dofs) == (kind == "imposed_flux")
+    assert (node in plan.held_u) == (kind != "imposed_flux")
     assert free_velocity_mask(plan, ops)[node] == (kind == "imposed_flux")
-    sys = nh.build_schur(ops, bcs)
+    assert other_pdof not in plan.pinned_dofs and other_node in plan.held_u
+    sys = nh.build_schur(ops, hyp)
     assert np.array_equal(sys.plan.pinned_dofs, plan.pinned_dofs)
     u_star, _, rhs = sys.load(u, w, 0.05)
     assert u_star[node] == (0.0 if kind == "wall" else U[node])
+    assert u_star[other_node] == U[other_node]
     if kind == "imposed_flux":
         assert rhs[pdof] == 0.0 and sys.ab[0, pdof] == 1.0
 
