@@ -20,6 +20,15 @@ below takes the h_eps, mask or speed it reads as a required argument.
 A step computes only what it and its checks need (StepReport), and its
 arithmetic writes its temporaries in place, each result evaluated in the
 order of its formula, so the bits do not depend on it.
+
+Each N-size array of a step lives only while the step reads it: a
+stepper lets go of the velocities it predicts from once predict has them,
+a projection or a Heun stage lets go of the predicted discharges once it
+has formed its velocities or increments from them, and of B U* and the
+right-hand side once the bound and the solve have read them.  So the
+projection consumes the FlowState it is handed (_project), and every
+entry point hands it one of its own: none writes an array or a FlowState
+its caller can see.
 """
 
 from __future__ import annotations
@@ -128,19 +137,27 @@ def _project(
 
     The state's velocities are evaluated here, once, on the assembly's wet
     mask, and carried through the projection as the pair (u, w).  The
-    corrected state shares state.H.
+    corrected state shares state.H.  state is the projection's own
+    FlowState, which it consumes: it drops its discharges once the
+    velocities are formed, so a caller hands it one nobody else reads
+    (project_state wraps its caller's arrays afresh).  B U* and rhs go once
+    the bound and the solve have read them.
     Raises DivergenceBoundError when the corrected residual exceeds both
     TOL times the uncorrected one plus 1e-12 and solve_round_off.
     """
     ops = assemble(pair, mesh, state.H, bathy, h_eps)
     u, w = state.velocities(ops.wet)
+    # the predicted discharges are read: the wrapper lets them go
+    del state.Hu, state.Hw
     sys = build_schur(ops, hyp)
     u, div, rhs = sys.load(u, w, dt)
+    bound = TOL * sys.enforced_norm(div) + 1e-12
     pressure = solve_pressure(sys, rhs)
+    # B U* and rhs are read: they go before the correction allocates
+    del div, rhs
     u, w = correct_velocity(sys, u, w, dt, pressure.values)
 
     residual = divergence_residual(sys, u, w)
-    bound = TOL * sys.enforced_norm(div) + 1e-12
     if residual > bound:
         bound = max(bound, solve_round_off(sys, pressure.values, dt))
     if residual > bound:
@@ -173,10 +190,13 @@ def project_state(
     projection is time-step independent (the dt factors cancel), so a unit
     dt is used internally.  Like the steppers, it raises
     DivergenceBoundError when the projected velocity misses its bound.
+    The projection consumes a fresh FlowState of state's arrays, which it
+    never writes, so state and its arrays are left as they were.
     """
     pair = pair or ElementPair(P1P0, mesh.n_nodes)
     hyp = bounds.hyperbolic_at(state.t)
-    new = _project(state, mesh, bathy, params.h_eps, pair, hyp, 1.0).state
+    own = FlowState(state.H, state.Hu, state.Hw, state.t)
+    new = _project(own, mesh, bathy, params.h_eps, pair, hyp, 1.0).state
     return FlowState(state.H.copy(), new.Hu, new.Hw, new.t)
 
 
@@ -202,6 +222,8 @@ def step_euler(
     dt = dt_cfl if dt is None else min(dt, dt_cfl)
     hyp = bounds.hyperbolic_at(state.t)
     half = predict(state, u, w, mesh, bathy, *hyp, dt, speed)
+    # the initial velocities are read: they go before the projection allocates
+    del wet, u, w
     return _project(half, mesh, bathy, h_eps, pair, hyp, dt)
 
 
@@ -240,6 +262,10 @@ def _stage(
     (SchurSystem.load).  The system is linear in (du, dH), so it is solved
     at unit dt.  A velocity held at 0 has increment 0, and a kept trace or
     a pressure pinned to 0 carries over as is.
+
+    Each N-size array goes once the stage has read it: pred's momenta, in
+    which the increments are formed, dH, B du and rhs before the correction
+    allocates.
     """
     pred = predict(y, u, w, mesh, bathy, *hyp, dt, speed)
     wet = pred.H >= h_eps
@@ -251,11 +277,15 @@ def _stage(
     # velocity increments exclude them and the stage state adds them back
     u_dH, w_dH = u * dH, w * dH
 
-    # predict's momenta are its own new arrays
+    # predict's momenta are its own new arrays: pred lets them go, so each
+    # dies once read
     du, dw = _increments(pred, y, u_dH, w_dH, sys.ops.wet)
+    del pred.Hu, pred.Hw
 
-    du, _, rhs = sys.load(du, dw, 1.0, sys.ops.apply_depth_derivative(dH, u))
-    du_c, dw_c = correct_velocity(sys, du, dw, 1.0, solve_pressure(sys, rhs).values)
+    du, div, rhs = sys.load(du, dw, 1.0, sys.ops.apply_depth_derivative(dH, u))
+    pressure = solve_pressure(sys, rhs)
+    del dH, div, rhs
+    du_c, dw_c = correct_velocity(sys, du, dw, 1.0, pressure.values)
 
     def momentum(d_velocity, old_momentum, carried):
         # old + (H d_velocity + carried), in the velocity's own array
@@ -351,21 +381,25 @@ def step_heun(
         raise CFLViolationError(
             f"no Heun step with both stages admissible after {_HEUN_ATTEMPTS} tries"
         )
+    # the initial velocities and the first stage's system are read: they go
+    # before the second stage allocates
+    del wet, u, w, sys
     # the second stage and the final projection close at t + dt
     hyp = bounds.hyperbolic_at(first.t)
     sys = build_schur(assemble(pair, mesh, first.H, bathy, h_eps), hyp)
-    second, _ = _stage(first, sys, u1, w1, speed1, dt, mesh, bathy, h_eps, hyp)
-    # the stage's system is done with: let it go before the final
-    # projection allocates
-    del sys
-    # the average (X^n + X^2) / 2, formed in the second stage's own arrays
+    second = _stage(first, sys, u1, w1, speed1, dt, mesh, bathy, h_eps, hyp)[0]
+    # the average (X^n + X^2) / 2 at t + dt, formed in the second stage's
+    # own arrays and state, which the final projection consumes
     for x_n, x_2 in ((state.H, second.H), (state.Hu, second.Hu), (state.Hw, second.Hw)):
         x_2 += x_n
         x_2 *= 0.5
-    avg = FlowState(second.H, second.Hu, second.Hw, first.t)
+    second.t = first.t
+    # the first stage and the second stage's system are read, and x_2 is
+    # second.Hw, which the projection lets go: they go before it allocates
+    del first, wet1, u1, w1, sys, x_2
 
     # restore div_sw u = 0 on the averaged state (operators at its own depth)
-    return _project(avg, mesh, bathy, h_eps, pair, hyp, dt)
+    return _project(second, mesh, bathy, h_eps, pair, hyp, dt)
 
 
 @dataclass

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -576,6 +577,75 @@ def test_a_refused_heun_try_reuses_the_first_stage_system(monkeypatch):
     nh.step_heun(sc.state0, sc.mesh, sc.bathy, nh.PhysicalParams(h_eps=sc.h_eps), sc.bounds)
     assert refused
     assert calls == {"assemble": 3, "build_schur": 3, "predict": 3}
+
+
+# A step's peak temporary memory, B/node above what was live before it (its
+# input state and the last result), traced by tracemalloc over the steps
+# after a first one, at N = 20,001.  Each bound holds the current level
+# with 2-4 B/node to spare, so one more float64 array alive at the peak
+# (8 B/node) fails it: a step lets each N-size array go once it has read it.
+STEP_TEMP_BYTES_PER_NODE = {
+    ("solitary", "P1P0", "euler"): 135.0,
+    ("solitary", "P1isoP2P1", "euler"): 125.0,
+    ("beach", "P1P0", "heun"): 222.0,
+}
+
+
+@pytest.mark.parametrize("row", sorted(STEP_TEMP_BYTES_PER_NODE), ids="-".join)
+def test_a_step_holds_its_temporaries_to_the_bound(row):
+    name, tag, integrator = row
+    n = 20001
+    sc = getattr(nh, f"make_{name}")(n_nodes=n)
+    params, pair = nh.PhysicalParams(h_eps=sc.h_eps), nh.ElementPair(tag, n)
+    stepper = nh.step_euler if integrator == "euler" else nh.step_heun
+    step = stepper(sc.state0, sc.mesh, sc.bathy, params, sc.bounds, pair)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for _ in range(3):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            step = stepper(step.state, sc.mesh, sc.bathy, params, sc.bounds, pair)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    assert max(peaks) / n <= STEP_TEMP_BYTES_PER_NODE[row]
+
+
+def _seen(state):
+    """What a caller sees of a state: its time, its field arrays and their
+    bits and flags."""
+    fields = (state.H, state.Hu, state.Hw)
+    return (state.t, fields, [float_bits(x).copy() for x in fields],
+            [(x.flags.writeable, x.flags.owndata, x.flags.c_contiguous) for x in fields])
+
+
+@pytest.mark.parametrize("writeable", [True, False])
+@pytest.mark.parametrize("entry", ["project_state", "step_euler", "step_heun", "step_heun_last"])
+def test_an_entry_point_leaves_the_state_it_is_handed_intact(entry, writeable):
+    # a step lets each array go once read, and the projection consumes the
+    # FlowState it is handed: only a wrapper the entry point made, never
+    # the caller's state, which run() hands down read-only
+    sc = nh.make_beach(n_nodes=301)
+    params = nh.PhysicalParams(h_eps=sc.h_eps)
+    last = nh.step_heun(sc.state0, sc.mesh, sc.bathy, params, sc.bounds)
+    state = last.state
+    for x in (state.H, state.Hu, state.Hw):
+        x.flags.writeable = writeable
+    seen = _seen(state)
+    args = (state, sc.mesh, sc.bathy, params, sc.bounds)
+    if entry == "project_state":
+        out = timeloop.project_state(*args)
+    elif entry == "step_euler":
+        out = nh.step_euler(*args).state
+    else:
+        out = nh.step_heun(*args, _last=last if entry == "step_heun_last" else None).state
+    t, fields, bits, flags = _seen(state)
+    assert t == seen[0]
+    assert all(a is b for a, b in zip(fields, seen[1]))
+    assert all(np.array_equal(a, b) for a, b in zip(bits, seen[2]))
+    assert flags == seen[3]
+    assert not any(np.shares_memory(a, b) for a in fields for b in (out.H, out.Hu, out.Hw))
 
 
 def _near_threshold_basin(seed, h_eps):
