@@ -211,14 +211,15 @@ def max_wave_speed(H: np.ndarray, u: np.ndarray, wet: np.ndarray) -> float:
 CFL = 0.5
 
 
-def cfl_step(
-    H: np.ndarray, u: np.ndarray, mesh: Mesh1D, wet: np.ndarray
-) -> tuple[float, float]:
-    """(dt, speed): the adaptive time step CFL * min(dx) / speed of a depth H
-    and its velocities u (those of FlowState.velocities(wet)), and the speed
-    max_wave_speed(H, u, wet) it was taken from."""
-    speed = max_wave_speed(H, u, wet)
-    return CFL * mesh.min_width / speed, speed
+def prediction_inputs(
+    state: FlowState, mesh: Mesh1D, wet: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """(u, w, dt, speed): what predict reads of a state, formed once.  (u, w)
+    are state.velocities(wet), wet the state's mask H >= h_eps; speed is
+    their max_wave_speed and dt the adaptive step CFL * min(dx) / speed."""
+    u, w = state.velocities(wet)
+    speed = max_wave_speed(state.H, u, wet)
+    return u, w, CFL * mesh.min_width / speed, speed
 
 
 def cfl_admits(dt: float, speed: float, mesh: Mesh1D) -> bool:
@@ -229,10 +230,8 @@ def cfl_admits(dt: float, speed: float, mesh: Mesh1D) -> bool:
 
 
 def cfl_dt(state: FlowState, mesh: Mesh1D, params: PhysicalParams) -> float:
-    """The cfl_step of a state, its wet mask and velocities evaluated here."""
-    wet = state.H >= params.h_eps
-    u, _ = state.velocities(wet)
-    return cfl_step(state.H, u, mesh, wet)[0]
+    """The CFL step of a state (prediction_inputs), its wet mask formed here."""
+    return prediction_inputs(state, mesh, state.H >= params.h_eps)[2]
 
 
 def apply_hyperbolic_bc(
@@ -332,19 +331,14 @@ def predict(
     """One explicit finite-volume step of the hydrostatic subsystem; bc_in
     closes the left end and bc_out the right one.
 
-    (u, w) are the state's velocities on its wet mask and speed their
-    max_wave_speed: the stepper evaluates them once and shares them with
-    its CFL step (cfl_step) and the projection.  A dry end node enters its
-    ghost with zero velocity.  Returns the state at t + dt, the raw update
-    with its depth clipped at 0.  No dry threshold is read: the kinetic
-    update handles H = 0 exactly.  A discharge it leaves on a node below
-    h_eps is not in a step's output, whose velocities are +0.0 on its dry
-    nodes (timeloop._project), but a Heun stage state can carry one: the
-    stage zeroes the prediction's, and its correction, made on the wet mask
-    of the depth it started from, can give the node discharge again
-    (timeloop._stage).  A dt that is not finite and positive raises
-    ValueError, one beyond the CFL bound of speed CFLViolationError, and a
-    negative depth beyond round-off RuntimeError.
+    (u, w, speed) are the state's prediction_inputs, which the stepper
+    forms once with its CFL step.  A dry end node enters its ghost with
+    zero velocity.  Returns the state at t + dt, the raw update with its
+    depth clipped at 0.  No dry threshold is read: the kinetic update
+    handles H = 0 exactly, and the discharge it leaves on a node below
+    h_eps is its caller's to drop.  A dt that is not finite and positive
+    raises ValueError, one beyond the CFL bound of speed
+    CFLViolationError, and a negative depth beyond round-off RuntimeError.
 
     The update runs over blocks of core._BLOCK nodes.  Each output is a
     node's update, elementwise in the fluxes of its two interfaces: an

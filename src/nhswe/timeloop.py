@@ -10,25 +10,9 @@ untouched.  step_heun is SSP-RK2 in Shu-Osher form,
 
 with the average projected once.
 
-Each value a step reads is computed once and handed down: each state's
-wet mask H >= h_eps, its velocities (u, w) on that mask, and the wave
-speed of each state a prediction starts from, which gives the CFL step
-and predict's CFL guard.  The entry points (run, step_euler, step_heun,
-project_state and hyperbolic.cfl_dt) read params.h_eps once; every layer
-below takes the h_eps, mask or speed it reads as a required argument.
-
 A step computes only what it and its checks need (StepReport), and its
 arithmetic writes its temporaries in place, each result evaluated in the
 order of its formula, so the bits do not depend on it.
-
-Each N-size array of a step lives only while the step reads it: a
-stepper lets go of the velocities it predicts from once predict has them,
-a projection or a Heun stage lets go of the predicted discharges once it
-has formed its velocities or increments from them, and of B U* and the
-right-hand side once the bound and the solve have read them.  So the
-projection consumes the FlowState it is handed (_project), and every
-entry point hands it one of its own: none writes an array or a FlowState
-its caller can see.
 """
 
 from __future__ import annotations
@@ -52,7 +36,7 @@ from .core import (
 # perfbench/tracer.py rebinds these names on this module
 from .core import total_energy  # noqa: F401
 from .femops import P1P0, ElementPair, OperatorSet, assemble
-from .hyperbolic import HyperbolicBC, cfl_admits, cfl_dt, cfl_step, predict  # noqa: F401
+from .hyperbolic import HyperbolicBC, cfl_admits, cfl_dt, predict, prediction_inputs  # noqa: F401
 from .projection import (
     PressureField,
     SchurSystem,
@@ -216,14 +200,12 @@ def step_euler(
     """
     pair = pair or ElementPair(P1P0, mesh.n_nodes)
     h_eps = params.h_eps
-    wet = state.H >= h_eps
-    u, w = state.velocities(wet)
-    dt_cfl, speed = cfl_step(state.H, u, mesh, wet)
+    u, w, dt_cfl, speed = prediction_inputs(state, mesh, state.H >= h_eps)
     dt = dt_cfl if dt is None else min(dt, dt_cfl)
     hyp = bounds.hyperbolic_at(state.t)
     half = predict(state, u, w, mesh, bathy, *hyp, dt, speed)
     # the initial velocities are read: they go before the projection allocates
-    del wet, u, w
+    del u, w
     return _project(half, mesh, bathy, h_eps, pair, hyp, dt)
 
 
@@ -244,13 +226,15 @@ def _stage(
     the stage state and its wet mask H >= h_eps.
 
     sys is the Schur system of y's depth and closure (step_heun), and y's
-    wet mask is sys.ops.wet.  (u, w) are y's velocities on that mask and
-    speed their max_wave_speed, shared with the prediction, which hyp
-    closes.
+    wet mask is sys.ops.wet.  (u, w, speed) are y's prediction_inputs on
+    that mask, shared with the prediction, which hyp closes.
 
     The stage depth is the predicted depth.  The prediction's nodes below
     h_eps lose their discharge first, so the stage's mask is formed here,
-    once.  The predicted momentum then splits into the depth increment dH
+    once.  The correction, made on y's mask, can give such a node
+    discharge again, so a stage state can carry one below h_eps; a step's
+    output cannot, its velocities being +0.0 on its dry nodes (_project).
+    The predicted momentum then splits into the depth increment dH
     carrying u and the velocity increment du at frozen depth (0 on dry
     nodes), and the pressure increment cancels the linearized change of
     the divergence,
@@ -366,14 +350,11 @@ def step_heun(
     reuse = sys is not None and sys.plan.kinds == (hyp[0].kind, hyp[1].kind)
     if not (reuse and (sys.ops.H is state.H or np.array_equal(sys.ops.H, state.H))):
         sys = build_schur(assemble(pair, mesh, state.H, bathy, h_eps), hyp)
-    wet = sys.ops.wet
-    u, w = state.velocities(wet)
-    dt_cfl, speed = cfl_step(state.H, u, mesh, wet)
+    u, w, dt_cfl, speed = prediction_inputs(state, mesh, sys.ops.wet)
     dt = dt_cfl if dt is None else min(dt, dt_cfl)
     for _ in range(_HEUN_ATTEMPTS):
         first, wet1 = _stage(state, sys, u, w, speed, dt, mesh, bathy, h_eps, hyp)
-        u1, w1 = first.velocities(wet1)
-        dt_stage, speed1 = cfl_step(first.H, u1, mesh, wet1)
+        u1, w1, dt_stage, speed1 = prediction_inputs(first, mesh, wet1)
         if cfl_admits(dt, speed1, mesh):
             break
         dt = dt_stage
@@ -383,7 +364,7 @@ def step_heun(
         )
     # the initial velocities and the first stage's system are read: they go
     # before the second stage allocates
-    del wet, u, w, sys
+    del u, w, sys
     # the second stage and the final projection close at t + dt
     hyp = bounds.hyperbolic_at(first.t)
     sys = build_schur(assemble(pair, mesh, first.H, bathy, h_eps), hyp)

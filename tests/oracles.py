@@ -25,9 +25,6 @@ bottom; and the velocities, inverse masses and Heun velocity increments
 by divisions masked to the wet nodes.  Tests require the package to match
 them bit for bit, or in value where the package's arithmetic differs only
 by a round trip it removed.
-
-One helper is not a reference: prediction_inputs gathers a state's
-velocities and CFL step the way a stepper hands them to predict.
 """
 
 import numpy as np
@@ -587,17 +584,6 @@ def masked_increments(pred_Hu, pred_Hw, y, u_dH, w_dH, wet):
 
 
 # -- prediction reconstructed at every interface ------------------------------
-
-
-def prediction_inputs(state, mesh, h_eps):
-    """(u, w, dt, speed) of a state as a stepper hands them to predict: its
-    velocities on its wet mask H >= h_eps, and its CFL step with the wave
-    speed the step was taken from."""
-    from nhswe.hyperbolic import cfl_step
-
-    wet = state.H >= h_eps
-    u, w = state.velocities(wet)
-    return (u, w, *cfl_step(state.H, u, mesh, wet))
 
 
 def predict_reconstructed(state, u, w, mesh, bathy, bc_in, bc_out, dt, speed):

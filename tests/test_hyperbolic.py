@@ -20,6 +20,7 @@ from nhswe.hyperbolic import (
     hydrostatic_reconstruct,
     kinetic_flux,
     max_wave_speed,
+    prediction_inputs,
 )
 
 from oracles import (
@@ -30,7 +31,6 @@ from oracles import (
     kinetic_flux_discharge,
     max_wave_speed_gather,
     predict_reconstructed,
-    prediction_inputs,
     rusanov_step,
 )
 
@@ -165,7 +165,7 @@ def test_wall_ghost_of_a_sub_threshold_node_has_zero_velocity():
     Hu = np.zeros(11)
     Hu[0] = 3e-7
     state = nh.FlowState(H, Hu, np.zeros(11))
-    u, w, dt, speed = prediction_inputs(state, mesh, h_eps)
+    u, w, dt, speed = prediction_inputs(state, mesh, state.H >= h_eps)
     assert u[0] == 0.0
     ghost = apply_hyperbolic_bc(nh.HyperbolicBC("wall"), "in", H[0], u[0], w[0])
     assert ghost == GhostState(5e-7, 0.0, 0.0)
@@ -370,10 +370,10 @@ def test_predict_lake_at_rest_with_topography():
     H = np.maximum(1.0 - zb, 0.0)
     state = nh.FlowState(H, np.zeros_like(H), np.zeros_like(H))
     bc_in, bc_out = _walls()
-    _, _, dt, _ = prediction_inputs(state, mesh, H_EPS)
+    _, _, dt, _ = prediction_inputs(state, mesh, state.H >= H_EPS)
     out = state
     for _ in range(100):
-        u, w, _, speed = prediction_inputs(out, mesh, H_EPS)
+        u, w, _, speed = prediction_inputs(out, mesh, out.H >= H_EPS)
         out = nh.predict(out, u, w, mesh, bathy, bc_in, bc_out, dt, speed)
     assert np.abs(out.H - H).max() <= 1e-12
     assert np.abs(out.Hu).max() <= 1e-12
@@ -384,7 +384,7 @@ def test_predict_constant_state_unchanged():
     bathy = nh.Bathymetry.flat(mesh)
     state = nh.FlowState(np.full(51, 2.0), np.zeros(51), np.zeros(51))
     bc_in, bc_out = _walls()
-    u, w, _, speed = prediction_inputs(state, mesh, H_EPS)
+    u, w, _, speed = prediction_inputs(state, mesh, state.H >= H_EPS)
     out = nh.predict(state, u, w, mesh, bathy, bc_in, bc_out, 1e-3, speed)
     assert np.array_equal(out.H, state.H)
     assert np.abs(out.Hu).max() == 0.0
@@ -397,7 +397,7 @@ def test_predict_against_rusanov_oracle():
     bathy = nh.Bathymetry.flat(mesh)
     H = nh.dam_break_init(mesh.nodes, 1.8, 1.0, 10.0, 0.5)
     state = nh.FlowState(H, np.zeros_like(H), np.zeros_like(H))
-    u, w, dt, speed = prediction_inputs(state, mesh, H_EPS)
+    u, w, dt, speed = prediction_inputs(state, mesh, state.H >= H_EPS)
     bc_in, bc_out = _walls()
     out = nh.predict(state, u, w, mesh, bathy, bc_in, bc_out, dt, speed)
     H_r, Hu_r, _ = rusanov_step(state.H, state.Hu, state.Hw, mesh, G, dt)
@@ -422,7 +422,7 @@ def test_predict_positivity_random_states():
         u = np.where(H > 0, 2.0 * rng.standard_normal(n), 0.0)
         w = np.where(H > 0, rng.standard_normal(n), 0.0)
         state = nh.FlowState(H, H * u, H * w)
-        u, w, dt, speed = prediction_inputs(state, mesh, H_EPS)
+        u, w, dt, speed = prediction_inputs(state, mesh, state.H >= H_EPS)
         out = nh.predict(state, u, w, mesh, bathy, *_walls(), dt, speed)
         assert out.H.min() >= 0.0
 
@@ -447,7 +447,7 @@ def test_predict_positivity_property(data):
     state = nh.FlowState(H, H * u, H * w)
     kinds = st.sampled_from(["wall", "free_outflow"])
     bc_in, bc_out = (nh.HyperbolicBC(data.draw(kinds)) for _ in range(2))
-    u, w, dt, speed = prediction_inputs(state, mesh, H_EPS)
+    u, w, dt, speed = prediction_inputs(state, mesh, state.H >= H_EPS)
     out = nh.predict(state, u, w, mesh, bathy, bc_in, bc_out, dt, speed)
     assert out.H.min() >= 0.0
 
@@ -579,7 +579,7 @@ def test_zero_bottom_predict_matches_reconstructed_oracle(case):
     mesh = nh.Mesh1D(np.concatenate(([0.0], np.cumsum(case.widths))))
     bathy = nh.Bathymetry(case.zb)
     state = nh.FlowState(case.H, case.H * case.u, case.H * case.w)
-    u, w, dt, speed = prediction_inputs(state, mesh, H_EPS)
+    u, w, dt, speed = prediction_inputs(state, mesh, state.H >= H_EPS)
     # an inner block reads views of its inputs and must not write them
     for x in (state.H, state.Hu, state.Hw, u, w):
         x.flags.writeable = False
@@ -604,7 +604,7 @@ def test_flat_bottom_at_nonzero_height_is_reconstructed(monkeypatch):
     # the per-node path
     mesh = nh.Mesh1D.uniform(0.0, 1.0, 11)
     state = nh.FlowState(np.linspace(0.5, 1.0, 11), np.zeros(11), np.zeros(11))
-    u, w, dt, speed = prediction_inputs(state, mesh, H_EPS)
+    u, w, dt, speed = prediction_inputs(state, mesh, state.H >= H_EPS)
     calls = []
     reconstruct = hyperbolic.hydrostatic_reconstruct
     monkeypatch.setattr(hyperbolic, "hydrostatic_reconstruct",
@@ -622,7 +622,7 @@ def test_predict_conservation_with_walls():
     m0 = nh.total_mass(state, sc.mesh)
     bc_in, bc_out = _walls()
     for _ in range(50):
-        u, w, dt, speed = prediction_inputs(state, sc.mesh, H_EPS)
+        u, w, dt, speed = prediction_inputs(state, sc.mesh, state.H >= H_EPS)
         state = nh.predict(state, u, w, sc.mesh, sc.bathy, bc_in, bc_out, dt, speed)
     assert abs(nh.total_mass(state, sc.mesh) - m0) <= 1e-12 * m0
 
@@ -633,7 +633,7 @@ def test_predict_rejects_a_dt_that_is_not_finite_and_positive():
     # before the CFL guard, and a stepper's dt raises it before any work
     sc = nh.make_dam_break(101)
     params = nh.PhysicalParams()
-    u, w, _, speed = prediction_inputs(sc.state0, sc.mesh, params.h_eps)
+    u, w, _, speed = prediction_inputs(sc.state0, sc.mesh, sc.state0.H >= params.h_eps)
     bcs = sc.bounds.hyperbolic_at(0.0)
     for dt in (-0.05, 0.0, -0.0, np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="dt must be finite and positive"):
@@ -648,6 +648,6 @@ def test_predict_cfl_assertion():
     mesh = nh.Mesh1D.uniform(0.0, 1.0, 11)
     bathy = nh.Bathymetry.flat(mesh)
     state = nh.FlowState(np.ones(11), np.zeros(11), np.zeros(11))
-    u, w, _, speed = prediction_inputs(state, mesh, H_EPS)
+    u, w, _, speed = prediction_inputs(state, mesh, state.H >= H_EPS)
     with pytest.raises(nh.CFLViolationError):
         nh.predict(state, u, w, mesh, bathy, *_walls(), dt=1.0, speed=speed)

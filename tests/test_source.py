@@ -8,9 +8,10 @@ Caches belong on the object they describe, as the mesh's operator
 geometry and the bathymetry's bottom terms are kept.  Only the public
 entry points take a PhysicalParams; every layer below takes the dry
 threshold h_eps, the wet mask or the wave speed it reads, with no default.
-The prediction reads no dry threshold, and no private timeloop layer has
-a default: each is handed what its stepper chose.  One module sets the
-block size every blocked kernel reads."""
+One function forms what a prediction reads of a state, so the dry and CFL
+rules hold in one place.  The prediction reads no dry threshold, and no
+private timeloop layer has a default: each is handed what its stepper
+chose.  One module sets the block size every blocked kernel reads."""
 
 import ast
 from pathlib import Path
@@ -229,6 +230,34 @@ def test_only_cfl_dt_reads_a_dry_threshold_in_the_prediction():
         if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and _reads_a_dry_threshold(fn)
     }
     assert readers == {"cfl_dt"}
+
+
+def _callers(name):
+    """module.function of every function that calls name, as a function or
+    a method; a call outside any function counts for its module."""
+    found = set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = f"{owner.split('.')[0]}.{node.name}"
+        elif isinstance(node, ast.Call) and name in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None)
+        ):
+            found.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    for path in MODULES:
+        visit(ast.parse(path.read_text()), path.stem)
+    return found
+
+
+def test_one_function_forms_the_prediction_inputs_of_a_state():
+    # a state's velocities, wave speed and CFL step are formed by
+    # hyperbolic.prediction_inputs alone; the projection forms its velocities
+    # on the assembly's wet mask and reads no wave speed
+    assert _callers("max_wave_speed") == {"hyperbolic.prediction_inputs"}
+    assert _callers("velocities") == {"hyperbolic.prediction_inputs", "timeloop._project"}
 
 
 def test_no_private_timeloop_function_has_a_parameter_default():

@@ -12,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 import nhswe as nh
 from nhswe import core, hyperbolic, projection, timeloop
+from nhswe.hyperbolic import prediction_inputs
 
 from oracles import (
     depth_derivative_by_differencing,
@@ -20,7 +21,7 @@ from oracles import (
     masked_increments,
     masked_inverse_mass,
     masked_velocities,
-    prediction_inputs,
+    max_wave_speed_gather,
 )
 
 # the default dry threshold
@@ -774,7 +775,9 @@ def test_the_unmasked_divisions_give_the_masked_bits(case):
     # the bits of divisions masked to the wet nodes, signed zeros included,
     # with every floating-point warning not silenced in the kernels raised.
     # Underflow is numpy's one condition ignored by default, and the
-    # subnormal depth underflows in the lumped mass and the Schur band
+    # subnormal depth underflows in the lumped mass and the Schur band.
+    # prediction_inputs hands predict those velocities, the wave speed over
+    # the gathered wet nodes and the CFL step of that speed
     tag, widths, H, (Hu, Hw, pred_Hu, pred_Hw, u_dH, w_dH) = case
     mesh = nh.Mesh1D(np.concatenate(([0.0], np.cumsum(widths))))
     pair = nh.ElementPair(tag, mesh.n_nodes)
@@ -792,6 +795,17 @@ def test_the_unmasked_divisions_give_the_masked_bits(case):
     for name, a, b in zip(names, got, want):
         assert np.array_equal(float_bits(a), float_bits(b)), name
 
+    if not wet.any():
+        with pytest.raises(nh.DryDomainError):
+            prediction_inputs(y, mesh, wet)
+        return
+    with np.errstate(all="raise", under="ignore"):
+        u, w, dt, speed = prediction_inputs(y, mesh, wet)
+    for a, b in zip((u, w), want):
+        assert np.array_equal(float_bits(a), float_bits(b))
+    assert speed == max_wave_speed_gather(H, want[0], core.G, H_EPS)
+    assert dt == hyperbolic.CFL * mesh.min_width / speed
+
 
 # -- stage boundary closure ----------------------------------------------------
 
@@ -803,7 +817,7 @@ def _stage(bounds):
     hyp = bounds.hyperbolic_at(sc.state0.t)
     ops = nh.assemble(pair, sc.mesh, sc.state0.H, sc.bathy, H_EPS)
     sys = nh.build_schur(ops, hyp)
-    u, w, dt, speed = prediction_inputs(sc.state0, sc.mesh, H_EPS)
+    u, w, dt, speed = prediction_inputs(sc.state0, sc.mesh, sc.state0.H >= H_EPS)
     stage, _ = timeloop._stage(sc.state0, sys, u, w, speed, dt, sc.mesh, sc.bathy, H_EPS, hyp)
     return sc, (u, w), stage, dt
 
